@@ -2,6 +2,12 @@
 beyond-diagonal reconfigurable surfaces, plus a multi-band MIMO Monte Carlo
 harness."""
 
+import os
+
+# OpenBLAS reads this once, when numpy or scipy first loads it; its idle
+# threads busy-wait, so on small hosts one thread per process runs faster.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .channel import (AVAILABLE, BLOCKED, ChannelSet, NetworkScenario, PowerConfig,
                       effective_channels, path_gain, sample_channels, stream_rng,
                       zf_precoder)

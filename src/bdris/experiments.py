@@ -23,16 +23,14 @@ from .config import cap_ranges, circuit_params, ghz, power_config, \
     base_scenario, single_user_scenario
 from .errors import DegenerateChannelError
 from .matrixkit import leading_right_singular_vector, unvech
-from .metrics import (AggregateResult, ResultRow, aggregate,
-                      evaluate_received_powers, network_sum_power,
+from .metrics import (MAX_DEGENERATE_FRACTION, AggregateResult, ResultRow,
+                      aggregate, evaluate_received_powers, network_sum_power,
                       sum_power_per_bs, sum_spectral_efficiency_outdated)
 from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, _snap,
                         _split_blocks, frank_wolfe_batch, relaxed_block_branches,
                         snap_to_codebook, stack_fc, stack_gc)
 
 logger = logging.getLogger(__name__)
-
-MAX_DEGENERATE_FRACTION = 0.01
 
 # Working-memory budget for batching conditional-gradient solves over trials.
 BATCH_BYTES = 250_000_000
@@ -179,6 +177,18 @@ def _solve_trials(chans_list, weights, topo, assignment, z0, direct: bool,
     ]
 
 
+def _stack_shape(scenario: NetworkScenario, weights: ObjectiveWeights,
+                 topo: RisTopology, assignment: GroupAssignment) -> tuple[int, int]:
+    """Shape of the stacked matrix :func:`_stacks` builds for the first priority
+    base station, worked out without sampling channels."""
+    if topo.g == 1:
+        users = sum(1 for b, count in enumerate(scenario.users_per_bs)
+                    for k in range(count) if weights.factor(b, k) != 0.0)
+        return scenario.m * users, topo.d * (topo.d + 1) // 2
+    users = scenario.users_per_bs[assignment.bs[0]]
+    return scenario.m * users, topo.g * topo.d_bar * (topo.d_bar + 1) // 2
+
+
 def _direct_chunk(rows: int, cols: int, trials: int) -> int:
     per_trial = max(rows * cols * 16 * 3, 1)
     return max(1, min(trials, BATCH_BYTES // per_trial))
@@ -229,10 +239,8 @@ def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
                 samples.setdefault(name, []).append(float(value))
 
     if direct:
-        probe = _stacks(sample_channels(scenario, d, stream_rng(seed, 0)),
-                        weights, topo, assignment)
-        rows, cols = next(iter(probe.values()))[0].shape
-        chunk = _direct_chunk(rows, cols, trials)
+        chunk = _direct_chunk(*_stack_shape(scenario, weights, topo, assignment),
+                              trials)
     else:
         chunk = trials
     for start in range(0, trials, chunk):
@@ -465,7 +473,8 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
     self_range, inter_range = cap_ranges(cfg)
     bits = cfg["circuit"]["codebook_bits"]
     group_count = cfg["optimization"]["group_count"]
-    fw = FwConfig(cfg["optimization"]["fw_iterations"])
+    fw = FwConfig(cfg["optimization"]["fw_iterations"],
+                  cfg["optimization"]["fw_step_rule"])
 
     victim = exp["victim_bs"] - 1
     num_bs = len(cfg["scenario"]["bs_positions_m"])
@@ -488,17 +497,19 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
         codebook = build_codebook(scenario.frequencies[aided], bits,
                                   self_range, inter_range, params)
 
-        def evaluate(chans, state):
+        def evaluate(chans, state, with_reference):
             plan = state.plan({aided: codebook})
             theta_at_victim = scattering_from_capacitances(
                 plan, scenario.frequencies[victim], params)
-            d = chans.num_ris_elements
-            return {
-                act_metric: sum_spectral_efficiency_outdated(
-                    chans, victim, theta_at_victim, power),
-                ref_metric: sum_spectral_efficiency_outdated(
-                    chans, victim, np.zeros((d, d), dtype=complex), power),
-            }
+            metrics = {act_metric: sum_spectral_efficiency_outdated(
+                chans, victim, theta_at_victim, power)}
+            if with_reference:
+                # Surface-free, so identical for every architecture: the
+                # first architecture's rows carry it.
+                d = chans.num_ris_elements
+                metrics[ref_metric] = sum_spectral_efficiency_outdated(
+                    chans, victim, np.zeros((d, d), dtype=complex), power)
+            return metrics
 
         rows = []
         for arch in archs:
@@ -506,14 +517,16 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
                 topo = topology_for(arch, d, group_count)
                 assignment = GroupAssignment.single(aided, topo,
                                                     scenario.frequencies[aided])
+                with_reference = arch == archs[0]
                 samples = _run_point(
                     scenario, d, seed, trials, weights, topo, assignment, params.z0,
-                    True, fw, evaluate,
+                    True, fw,
+                    lambda chans, state: evaluate(chans, state, with_reference),
                     context=f"interference {arch} D={d} at {position}")
                 mean, stderr = aggregate(samples[act_metric])
                 rows.append(ResultRow("elements", int(d), arch, act_metric,
                                       mean, stderr, trials))
-                if arch == archs[0]:
+                if with_reference:
                     mean, stderr = aggregate(samples[ref_metric])
                     rows.append(ResultRow("elements", int(d), "interference-free",
                                           act_metric, mean, stderr, trials))

@@ -1,8 +1,12 @@
 import copy
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bdris
 from bdris.cli import main
 from bdris.config import (DEFAULT_CONFIG, apply_overrides, config_hash,
                           dbm_to_watts, load_config, validate_config)
@@ -203,3 +207,23 @@ class TestCli:
         assert rc == 0
         files = sorted(os.listdir(tmp_path / "curves"))
         assert len(files) == 6  # three architectures times two element counts
+
+
+class TestBlasThreadDefault:
+    @staticmethod
+    def threads_seen_after_import(value):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(bdris.__file__).parents[1])
+        if value is not None:
+            env["OPENBLAS_NUM_THREADS"] = value
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import os, bdris; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        return out.stdout.strip()
+
+    def test_import_defaults_to_one_thread(self):
+        assert self.threads_seen_after_import(None) == "1"
+
+    def test_explicit_setting_is_kept(self):
+        assert self.threads_seen_after_import("2") == "2"

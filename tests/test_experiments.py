@@ -8,6 +8,7 @@ from bdris.channel import BLOCKED, NetworkScenario, PowerConfig, sample_channels
     stream_rng
 from bdris.circuit import CircuitParams, RisTopology, build_codebook, random_plan, \
     scattering_from_capacitances
+from bdris import experiments
 from bdris.config import DEFAULT_CONFIG
 from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interference,
                                network_power, per_bs_power, priority_assignment,
@@ -56,6 +57,26 @@ class TestHelpers:
     def test_fc_target_moves_off_zero_weight(self):
         weights = ObjectiveWeights(mu=(0.0, 1.0), nu=((1.0,), (1.0,)))
         assert fc_target_bs(weights, (7.4e9, 8.0e9), 7.4e9) == 1
+
+    @pytest.mark.parametrize("arch", ["fully-connected", "group-connected",
+                                      "single-connected"])
+    @pytest.mark.parametrize("mu", [(1.0, 0.0), (0.3, 0.7)])
+    def test_stack_shape_without_sampling(self, arch, mu):
+        sc = NetworkScenario(
+            bs_positions=((0.0, 0.0), (80.0, 0.0)),
+            user_positions=(((25.0, 10.0), (30.0, 5.0)), ((70.0, 10.0),)),
+            ris_position=(40.0, 20.0), m=3, frequencies=(7.4e9, 8.0e9),
+            eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
+        weights = ObjectiveWeights(mu=mu, nu=((0.5, 0.5), (1.0,)))
+        topo = topology_for(arch, 8, 2)
+        if topo.g == 1:
+            assignment = GroupAssignment.single(0, topo, sc.frequencies[0])
+        else:
+            assignment = priority_assignment(weights, topo, sc.frequencies)
+        stacks = experiments._stacks(sample_channels(sc, 8, stream_rng(0, 0)),
+                                     weights, topo, assignment)
+        expected = next(iter(stacks.values()))[0].shape
+        assert experiments._stack_shape(sc, weights, topo, assignment) == expected
 
 
 class TestFreqResponse:
@@ -128,6 +149,42 @@ class TestInterference:
         for arch in ("fully-connected", "group-connected", "single-connected"):
             actual = res.mean_of(16, arch, "sum_se_bs2")
             assert actual < ref
+
+    def test_step_rule_override_reaches_solver(self, monkeypatch):
+        cfg = tiny_config(interference={
+            "ris_positions_m": [[60.0, 20.0]], "d_grid": [4]})
+        cfg["simulation"]["trials"] = 1
+        cfg["simulation"]["architectures"] = ["fully-connected"]
+        cfg["optimization"]["fw_iterations"] = 5
+        cfg["optimization"]["fw_step_rule"] = "diminishing"
+        rules = []
+        solver = experiments.frank_wolfe_batch
+
+        def spy(*args, **kwargs):
+            rules.append(kwargs["step_rule"])
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
+        interference(cfg)
+        assert rules == ["diminishing"]
+
+    def test_reference_evaluated_once_per_trial(self, monkeypatch):
+        cfg = tiny_config(interference={
+            "ris_positions_m": [[60.0, 20.0]], "d_grid": [4]})
+        cfg["optimization"]["fw_iterations"] = 5
+        calls = []
+        metric = experiments.sum_spectral_efficiency_outdated
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return metric(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sum_spectral_efficiency_outdated", spy)
+        out = interference(cfg)["interference_x60_y20"]
+        trials = cfg["simulation"]["trials"]
+        archs = cfg["simulation"]["architectures"]
+        assert len(calls) == trials * (len(archs) + 1)
+        assert out.mean_of(4, "interference-free", "sum_se_bs2") > 0
 
     def test_runner_table(self):
         assert set(RUNNERS) == {"freq-response", "target-shift", "per-bs-power",

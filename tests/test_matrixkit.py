@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdris.errors import DegenerateInputError
@@ -213,3 +213,19 @@ class TestLeadingRightSingularVector:
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):
             leading_right_singular_vector(np.zeros((3, 3)))
+
+    @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_svd(self, rows, cols, seed):
+        # wide, tall and square inputs, against the thin SVD as the oracle
+        a = crandn(np.random.default_rng(seed), rows, cols)
+        _, s, vh = np.linalg.svd(a, full_matrices=False)
+        # the singular direction is defined only up to phase when the top
+        # singular value is (nearly) repeated
+        assume(s.size == 1 or s[0] - s[1] > 1e-4 * s[0])
+        v, sigma = leading_right_singular_vector(a)
+        assert abs(sigma - s[0]) <= 1e-12 * s[0]
+        expected = vh[0].conj()
+        pivot = expected[np.flatnonzero(np.abs(expected) > 1e-12)[0]]
+        expected = expected * np.conj(pivot) / np.abs(pivot)
+        assert np.abs(v - expected).max() <= 1e-10
