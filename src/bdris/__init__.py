@@ -18,10 +18,9 @@ from .circuit import (BranchImpedances, CapacitancePlan, CircuitParams, Codebook
                       scattering_from_impedance, self_impedance)
 from .matrixkit import (duplication_matrix, kron, leading_right_singular_vector,
                         unvec, unvech, vec, vech, vech_indices)
-from .metrics import (AggregateResult, ResultRow, SweepSpec, TrialResult, aggregate,
-                      evaluate_received_powers, frequency_sweep, network_sum_power,
-                      received_power, run_monte_carlo, sum_power_per_bs,
-                      sum_spectral_efficiency_outdated)
+from .metrics import (AggregateResult, ResultRow, TrialResult, aggregate,
+                      evaluate_received_powers, network_sum_power, received_power,
+                      sum_power_per_bs, sum_spectral_efficiency_outdated)
 from .optimizer import (ConfiguredRis, FwConfig, GroupAssignment, GroupSolution,
                         ObjectiveWeights, RelaxedSolution, configure_fc, configure_gc,
                         frank_wolfe, project_to_codebook, relaxed_block_branches,

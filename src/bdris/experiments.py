@@ -1,10 +1,13 @@
 """Named experiments: frequency response, target shifts, power sweeps, interference.
 
-Each experiment draws per-trial fading with deterministic substreams,
-configures every requested architecture through the relaxed solvers and the
-codebook projection, evaluates the metrics, and aggregates mean and standard
-error per grid point.  Where the relaxed solve is frequency independent it is
-hoisted out of the frequency loop; conditional-gradient solves are batched
+This module holds the Monte Carlo engine.  Every experiment runs each of its
+grid points through :func:`_run_point`, the one trial loop: it draws per-trial
+fading on deterministic substreams, solves the relaxed problem with
+:func:`_solve_trials`, hands the frequency-independent solution to the
+experiment's ``evaluate`` (codebook projection, scattering, metrics), and
+redraws degenerate draws against one budget.  The experiment then aggregates
+mean and standard error per grid point.  The relaxed solve is done once per
+trial, outside any frequency loop; conditional-gradient solves are batched
 over trials in memory-bounded chunks.
 """
 
@@ -23,14 +26,18 @@ from .config import cap_ranges, circuit_params, ghz, power_config, \
     base_scenario, single_user_scenario
 from .errors import DegenerateChannelError
 from .matrixkit import leading_right_singular_vector, unvech
-from .metrics import (MAX_DEGENERATE_FRACTION, AggregateResult, ResultRow,
-                      aggregate, evaluate_received_powers, network_sum_power,
-                      sum_power_per_bs, sum_spectral_efficiency_outdated)
+from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
+                      network_sum_power, sum_power_per_bs,
+                      sum_spectral_efficiency_outdated)
 from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, _snap,
                         _split_blocks, frank_wolfe_batch, relaxed_block_branches,
                         snap_to_codebook, stack_fc, stack_gc)
 
 logger = logging.getLogger(__name__)
+
+# A grid point aborts once more than this fraction of its trials hit
+# degenerate fading draws (each degenerate draw is redrawn and logged).
+MAX_DEGENERATE_FRACTION = 0.01
 
 # Working-memory budget for batching conditional-gradient solves over trials.
 BATCH_BYTES = 250_000_000
@@ -138,40 +145,28 @@ def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
     return _TrialState(topo, group_bs, blocks=blocks)
 
 
-def _solve_blocked_one(chans, weights, topo, assignment, z0) -> _TrialState:
-    scale = 1.0 if topo.g == 1 else np.sqrt(topo.g)
-    thetas = {}
-    for bs, (r, _) in _stacks(chans, weights, topo, assignment).items():
-        v, _sigma = leading_right_singular_vector(r)
-        thetas[bs] = scale * v
-    return _state_from_thetas(thetas, topo, assignment, z0)
-
-
-def _solve_direct_one(chans, weights, topo, assignment, z0, fw: FwConfig) -> _TrialState:
-    radius = 1.0 if topo.g == 1 else float(np.sqrt(topo.g))
-    thetas = {}
-    for bs, (r, h) in _stacks(chans, weights, topo, assignment).items():
-        thetas[bs] = frank_wolfe_batch(r[None], h[None], radius, fw.iterations,
-                                       step_rule=fw.step_rule)[0]
-    return _state_from_thetas(thetas, topo, assignment, z0)
-
-
 def _solve_trials(chans_list, weights, topo, assignment, z0, direct: bool,
-                  fw: FwConfig) -> list[_TrialState]:
-    """Solve a list of trials; conditional-gradient solves run batched."""
-    if not direct:
-        return [_solve_blocked_one(c, weights, topo, assignment, z0) for c in chans_list]
+                  fw: FwConfig | None) -> list[_TrialState]:
+    """Relaxed solves of a list of trials.
+
+    Blocked links take the scaled leading right singular vector of each
+    trial's stack; with direct links, ``fw`` drives one conditional-gradient
+    run per priority base station, batched over the trials.
+    """
     radius = 1.0 if topo.g == 1 else float(np.sqrt(topo.g))
-    per_trial_stacks = [_stacks(c, weights, topo, assignment) for c in chans_list]
-    thetas_per_bs = {}
+    stacks = [_stacks(c, weights, topo, assignment) for c in chans_list]
+    thetas = {}
     for bs in assignment.bs:
-        r = np.stack([s[bs][0] for s in per_trial_stacks])
-        h = np.stack([s[bs][1] for s in per_trial_stacks])
-        thetas_per_bs[bs] = frank_wolfe_batch(r, h, radius, fw.iterations,
-                                              step_rule=fw.step_rule,
-                                              max_bytes=BATCH_BYTES)
+        if direct:
+            r = np.stack([s[bs][0] for s in stacks])
+            h = np.stack([s[bs][1] for s in stacks])
+            thetas[bs] = frank_wolfe_batch(r, h, radius, fw.iterations,
+                                           step_rule=fw.step_rule)
+        else:
+            thetas[bs] = [radius * leading_right_singular_vector(s[bs][0])[0]
+                          for s in stacks]
     return [
-        _state_from_thetas({bs: thetas_per_bs[bs][i] for bs in assignment.bs},
+        _state_from_thetas({bs: thetas[bs][i] for bs in assignment.bs},
                            topo, assignment, z0)
         for i in range(len(chans_list))
     ]
@@ -194,57 +189,47 @@ def _direct_chunk(rows: int, cols: int, trials: int) -> int:
     return max(1, min(trials, BATCH_BYTES // per_trial))
 
 
-class _RedrawBudget:
-    """Caps the fraction of degenerate fading draws tolerated per grid point."""
-
-    def __init__(self, trials: int, context: str):
-        self.allowed = max(1, int(MAX_DEGENERATE_FRACTION * trials))
-        self.count = 0
-        self.context = context
-
-    def bump(self):
-        self.count += 1
-        logger.warning("degenerate channel draw at %s; redrawing", self.context)
-        if self.count > self.allowed:
-            raise RuntimeError(f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
-                               f"trials at {self.context}")
-
-
 def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
                weights, topo, assignment, z0, direct, fw, evaluate, context: str
-               ) -> dict[str, list[float]]:
-    """One (architecture, grid value) point: solve all trials, evaluate, redraw
-    degenerate draws individually."""
-    budget = _RedrawBudget(trials, context)
-    samples: dict[str, list[float]] = {}
+               ) -> dict[object, list[float]]:
+    """Samples of every metric ``evaluate(chans, state)`` returns, one per trial.
 
-    def run_chunk(trial_indices):
-        chans_list = [sample_channels(scenario, d, stream_rng(seed, t))
-                      for t in trial_indices]
+    Each trial draws fading on its own substream and is solved by
+    :func:`_solve_trials`: conditional-gradient solves batched over
+    memory-bounded chunks of trials, closed-form solves one trial at a time.
+    A draw whose evaluation raises :class:`DegenerateChannelError` is redrawn
+    on the trial's next attempt substream and solved again; the point aborts
+    once its redraws exceed ``MAX_DEGENERATE_FRACTION`` of its trials (one
+    redraw is always tolerated).
+    """
+    allowed = max(1, int(MAX_DEGENERATE_FRACTION * trials))
+    redraws = 0
+    samples: dict[object, list[float]] = {}
+    chunk = (_direct_chunk(*_stack_shape(scenario, weights, topo, assignment), trials)
+             if direct else 1)
+    for start in range(0, trials, chunk):
+        indices = range(start, min(start + chunk, trials))
+        chans_list = [sample_channels(scenario, d, stream_rng(seed, t)) for t in indices]
         states = _solve_trials(chans_list, weights, topo, assignment, z0, direct, fw)
-        for t, chans, state in zip(trial_indices, chans_list, states):
+        for t, chans, state in zip(indices, chans_list, states):
             attempt = 0
             while True:
                 try:
                     metrics = evaluate(chans, state)
                     break
                 except DegenerateChannelError:
-                    budget.bump()
+                    redraws += 1
+                    logger.warning("degenerate channel draw at %s; redrawing", context)
+                    if redraws > allowed:
+                        raise RuntimeError(f"more than {MAX_DEGENERATE_FRACTION:.0%} "
+                                           f"degenerate trials at {context}")
                     attempt += 1
-                    chans = sample_channels(scenario, d, stream_rng(seed, t, attempt=attempt))
-                    solver = _solve_direct_one if direct else _solve_blocked_one
-                    args = (chans, weights, topo, assignment, z0)
-                    state = solver(*args, fw) if direct else solver(*args)
+                    chans = sample_channels(scenario, d,
+                                            stream_rng(seed, t, attempt=attempt))
+                    state = _solve_trials([chans], weights, topo, assignment, z0,
+                                          direct, fw)[0]
             for name, value in metrics.items():
                 samples.setdefault(name, []).append(float(value))
-
-    if direct:
-        chunk = _direct_chunk(*_stack_shape(scenario, weights, topo, assignment),
-                              trials)
-    else:
-        chunk = trials
-    for start in range(0, trials, chunk):
-        run_chunk(range(start, min(start + chunk, trials)))
     return samples
 
 
@@ -260,6 +245,25 @@ def _ghz_grid(start: float, stop: float, step: float) -> np.ndarray:
 
 def _weight_tag(weight_set: list[float]) -> str:
     return "mu_" + "_".join(f"{w:g}" for w in weight_set)
+
+
+def _tracked_powers(chans, freqs_hz, plan_at, params, power) -> dict[int, float]:
+    """Received power of the single tracked user at each frequency index, with
+    the surface set to ``plan_at(f)`` and its scattering evaluated at f."""
+    out = {}
+    for fi, f in enumerate(freqs_hz):
+        theta = scattering_from_capacitances(plan_at(f), f, params)
+        out[fi] = evaluate_received_powers(chans, [theta], power).user_powers[0][0]
+    return out
+
+
+def _frequency_rows(ghz_values, label: str, samples, trials: int) -> list[ResultRow]:
+    rows = []
+    for fi, f_ghz in enumerate(ghz_values):
+        mean, stderr = aggregate(samples[fi])
+        rows.append(ResultRow("frequency_ghz", float(f_ghz), label,
+                              "received_power_w", mean, stderr, trials))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -287,36 +291,20 @@ def freq_response(cfg: dict) -> dict[str, AggregateResult]:
     for d in exp["d_values"]:
         scenario = single_user_scenario(cfg, bs, user, freqs_hz[0], BLOCKED)
         power = power_config(cfg, scenario)
+
+        def evaluate(chans, state):
+            return _tracked_powers(chans, freqs_hz,
+                                   lambda f: state.plan({0: codebooks[f]}),
+                                   params, power)
+
         for arch in archs:
             topo = topology_for(arch, d, group_count)
             label = f"{arch} D={d}"
-            samples = [[] for _ in freqs_hz]
-            budget = _RedrawBudget(trials, f"freq-response {label}")
-            for t in range(trials):
-                attempt = 0
-                while True:
-                    try:
-                        chans = sample_channels(scenario, d,
-                                                stream_rng(seed, t, attempt=attempt))
-                        state = _solve_blocked_one(chans, weights, topo,
-                                                   GroupAssignment.single(0, topo, freqs_hz[0]),
-                                                   params.z0)
-                        trial_powers = []
-                        for f in freqs_hz:
-                            plan = state.plan({0: codebooks[f]})
-                            theta = scattering_from_capacitances(plan, f, params)
-                            res = evaluate_received_powers(chans, [theta], power, t)
-                            trial_powers.append(res.user_powers[0][0])
-                        break
-                    except DegenerateChannelError:
-                        budget.bump()
-                        attempt += 1
-                for fi, value in enumerate(trial_powers):
-                    samples[fi].append(value)
-            for fi, f_ghz in enumerate(ghz_values):
-                mean, stderr = aggregate(samples[fi])
-                rows.append(ResultRow("frequency_ghz", float(f_ghz), label,
-                                      "received_power_w", mean, stderr, trials))
+            samples = _run_point(
+                scenario, d, seed, trials, weights, topo,
+                GroupAssignment.single(0, topo, freqs_hz[0]), params.z0, False, None,
+                evaluate, context=f"freq-response {label}")
+            rows.extend(_frequency_rows(ghz_values, label, samples, trials))
     return {"freq_response": AggregateResult(tuple(rows))}
 
 
@@ -345,36 +333,19 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
         codebook = build_codebook(f_star, bits, self_range, inter_range, params)
         scenario = single_user_scenario(cfg, bs, user, f_star, BLOCKED)
         power = power_config(cfg, scenario)
+
+        def evaluate(chans, state):
+            plan = state.plan({0: codebook})
+            return _tracked_powers(chans, freqs_hz, lambda f: plan, params, power)
+
         rows = []
         for arch in archs:
             topo = topology_for(arch, d, group_count)
-            samples = [[] for _ in freqs_hz]
-            budget = _RedrawBudget(trials, f"target-shift {arch}")
-            for t in range(trials):
-                attempt = 0
-                while True:
-                    try:
-                        chans = sample_channels(scenario, d,
-                                                stream_rng(seed, t, attempt=attempt))
-                        state = _solve_blocked_one(chans, weights, topo,
-                                                   GroupAssignment.single(0, topo, f_star),
-                                                   params.z0)
-                        plan = state.plan({0: codebook})
-                        trial_powers = []
-                        for f in freqs_hz:
-                            theta = scattering_from_capacitances(plan, f, params)
-                            res = evaluate_received_powers(chans, [theta], power, t)
-                            trial_powers.append(res.user_powers[0][0])
-                        break
-                    except DegenerateChannelError:
-                        budget.bump()
-                        attempt += 1
-                for fi, value in enumerate(trial_powers):
-                    samples[fi].append(value)
-            for fi, f_ghz in enumerate(ghz_values):
-                mean, stderr = aggregate(samples[fi])
-                rows.append(ResultRow("frequency_ghz", float(f_ghz), arch,
-                                      "received_power_w", mean, stderr, trials))
+            samples = _run_point(
+                scenario, d, seed, trials, weights, topo,
+                GroupAssignment.single(0, topo, f_star), params.z0, False, None,
+                evaluate, context=f"target-shift {arch}")
+            rows.extend(_frequency_rows(ghz_values, arch, samples, trials))
         tag = f"{target_ghz:g}".replace(".", "p")
         out[f"target_shift_{tag}ghz"] = AggregateResult(tuple(rows))
     return out
@@ -436,28 +407,28 @@ def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
     return AggregateResult(tuple(rows))
 
 
-def per_bs_power(cfg: dict) -> dict[str, AggregateResult]:
-    exp = cfg["experiments"]["per-bs-power"]
+def _power_experiment(cfg: dict, key: str, keep) -> dict[str, AggregateResult]:
+    """One table per (weight set, link mode), holding the rows whose metric
+    name satisfies ``keep``."""
+    exp = cfg["experiments"][key]
+    prefix = key.replace("-", "_")
     out = {}
     for weight_set in exp["weight_sets"]:
         for mode in exp["link_modes"]:
             result = _power_sweep(cfg, weight_set, mode, exp["d_grid"])
-            keep = tuple(r for r in result.rows if r.metric.startswith("sum_power_bs"))
-            out[f"per_bs_power__{_weight_tag(weight_set)}__{mode}"] = \
-                AggregateResult(keep)
+            rows = tuple(r for r in result.rows if keep(r.metric))
+            out[f"{prefix}__{_weight_tag(weight_set)}__{mode}"] = AggregateResult(rows)
     return out
+
+
+def per_bs_power(cfg: dict) -> dict[str, AggregateResult]:
+    return _power_experiment(cfg, "per-bs-power",
+                             lambda metric: metric.startswith("sum_power_bs"))
 
 
 def network_power(cfg: dict) -> dict[str, AggregateResult]:
-    exp = cfg["experiments"]["network-power"]
-    out = {}
-    for weight_set in exp["weight_sets"]:
-        for mode in exp["link_modes"]:
-            result = _power_sweep(cfg, weight_set, mode, exp["d_grid"])
-            keep = tuple(r for r in result.rows if r.metric == "network_sum_power_w")
-            out[f"network_power__{_weight_tag(weight_set)}__{mode}"] = \
-                AggregateResult(keep)
-    return out
+    return _power_experiment(cfg, "network-power",
+                             lambda metric: metric == "network_sum_power_w")
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,17 @@
-"""Received-power and spectral-efficiency metrics plus the Monte Carlo engine."""
+"""Received-power and spectral-efficiency metrics and result aggregation.
+
+The Monte Carlo trial loop that feeds these metrics, with its redraw policy
+for degenerate fading, is ``bdris.experiments._run_point``.
+"""
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelSet, PowerConfig, effective_channels, zf_precoder
-from .errors import DegenerateChannelError
-
-logger = logging.getLogger(__name__)
-
-# A grid point aborts once more than this fraction of its trials hit
-# degenerate fading draws (each degenerate draw is redrawn and logged).
-MAX_DEGENERATE_FRACTION = 0.01
 
 
 def received_power(effective_row: np.ndarray, precoder: np.ndarray,
@@ -30,8 +26,6 @@ class TrialResult:
     """Per-user received powers of one trial, grouped by base station."""
 
     user_powers: tuple[tuple[float, ...], ...]
-    trial: int = 0
-    seed: int = 0
 
 
 def sum_power_per_bs(result: TrialResult) -> tuple[float, ...]:
@@ -43,8 +37,7 @@ def network_sum_power(result: TrialResult) -> float:
 
 
 def evaluate_received_powers(channels: ChannelSet, thetas: list[np.ndarray],
-                             power: PowerConfig, trial: int = 0,
-                             seed: int = 0) -> TrialResult:
+                             power: PowerConfig) -> TrialResult:
     """Received powers under synchronized zero-forcing precoding.
 
     ``thetas[b]`` is the reflection matrix at base station b's operating
@@ -59,7 +52,7 @@ def evaluate_received_powers(channels: ChannelSet, thetas: list[np.ndarray],
             float(np.abs(cross[k, k]) ** 2 * power.p * power.alpha[b][k])
             for k in range(cross.shape[0])
         ))
-    return TrialResult(user_powers=tuple(per_bs), trial=trial, seed=seed)
+    return TrialResult(user_powers=tuple(per_bs))
 
 
 def sum_spectral_efficiency_outdated(channels: ChannelSet, b: int,
@@ -89,44 +82,6 @@ def sum_spectral_efficiency_outdated(channels: ChannelSet, b: int,
         )
         se += math.log2(1.0 + signal / (interference + power.noise))
     return float(se)
-
-
-def frequency_sweep(configured, channels: ChannelSet, b: int,
-                    frequencies: np.ndarray, power: PowerConfig) -> np.ndarray:
-    """Received powers of base station b's users across operating frequencies.
-
-    The capacitance plan stays fixed (configured for its own target
-    frequency); the reflection matrix is re-evaluated and the zero-forcing
-    precoders re-derived at every grid frequency.
-    """
-    out = []
-    for f in frequencies:
-        theta = configured.scattering_at(f)
-        eff = effective_channels(channels, b, theta)
-        cross = eff @ zf_precoder(eff)
-        out.append([
-            np.abs(cross[k, k]) ** 2 * power.p * power.alpha[b][k]
-            for k in range(cross.shape[0])
-        ])
-    return np.asarray(out)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """What to sweep: variable name, value grid, trials per point, architectures."""
-
-    variable: str
-    grid: tuple
-    trials: int
-    architectures: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.grid:
-            raise ValueError("sweep grid must be non-empty")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.architectures:
-            raise ValueError("need at least one architecture")
 
 
 @dataclass(frozen=True)
@@ -172,42 +127,3 @@ def aggregate(samples) -> tuple[float, float]:
     mean = float(arr.mean())
     stderr = 0.0 if arr.size < 2 else float(arr.std(ddof=1) / np.sqrt(arr.size))
     return mean, stderr
-
-
-def run_monte_carlo(spec: SweepSpec, point_fn) -> AggregateResult:
-    """Run the sweep: per (architecture, grid value), average metrics over trials.
-
-    ``point_fn(value, architecture, trial, attempt)`` performs one trial
-    (sample channels with the per-trial substream, configure the surface,
-    evaluate) and returns a dict of metric name to float.  Trials raising
-    :class:`DegenerateChannelError` are redrawn with the next attempt index;
-    a grid point fails once more than 1% of its trials degenerate.
-    """
-    rows = []
-    for architecture in spec.architectures:
-        for value in spec.grid:
-            samples: dict[str, list[float]] = {}
-            degenerate = 0
-            allowed = max(1, int(MAX_DEGENERATE_FRACTION * spec.trials))
-            for trial in range(spec.trials):
-                attempt = 0
-                while True:
-                    try:
-                        metrics = point_fn(value, architecture, trial, attempt)
-                        break
-                    except DegenerateChannelError:
-                        degenerate += 1
-                        attempt += 1
-                        logger.warning("degenerate draw at %s=%r trial %d; redrawing",
-                                       spec.variable, value, trial)
-                        if degenerate > allowed:
-                            raise RuntimeError(
-                                f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate trials "
-                                f"at {spec.variable}={value!r}")
-                for name, sample in metrics.items():
-                    samples.setdefault(name, []).append(float(sample))
-            for name in samples:
-                mean, stderr = aggregate(samples[name])
-                rows.append(ResultRow(spec.variable, value, architecture, name,
-                                      mean, stderr, spec.trials))
-    return AggregateResult(rows=tuple(rows))

@@ -265,23 +265,13 @@ def _frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: 
 
 
 def frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: int,
-                      step_rule: str = "line-search",
-                      max_bytes: int = 300_000_000) -> np.ndarray:
+                      step_rule: str = "line-search") -> np.ndarray:
     """Conditional gradient over a (T, rows, cols) batch of independent instances.
 
-    Chunks the batch to bound working memory; per-instance arithmetic is
-    identical regardless of chunking, so results are deterministic.
+    Per-instance arithmetic does not depend on the batch it runs in, so
+    callers may split a batch into chunks to bound working memory.
     """
-    t, rows, cols = r.shape
-    per_instance = max(rows * cols * 16 * 2, 1)
-    chunk = max(1, min(t, max_bytes // per_instance))
-    out = np.empty((t, cols), dtype=complex)
-    for start in range(0, t, chunk):
-        stop = min(start + chunk, t)
-        out[start:stop] = _frank_wolfe_batch(r[start:stop], h[start:stop],
-                                             radius, iterations,
-                                             step_rule=step_rule)[0]
-    return out
+    return _frank_wolfe_batch(r, h, radius, iterations, step_rule=step_rule)[0]
 
 
 def solve_fc_blocked(channels: ChannelSet, weights: ObjectiveWeights) -> RelaxedSolution:

@@ -20,7 +20,7 @@ from bdris.circuit import (CircuitParams, RisTopology, build_codebook, random_pl
 from bdris.cli import main as cli_main
 from bdris.config import (DEFAULT_CONFIG, base_scenario, cap_ranges, circuit_params,
                           ghz, power_config)
-from bdris.experiments import (_solve_blocked_one, fc_target_bs, freq_response,
+from bdris.experiments import (_solve_trials, fc_target_bs, freq_response,
                                interference, priority_assignment, target_shift,
                                topology_for)
 from bdris.matrixkit import duplication_matrix, vec, vech
@@ -287,7 +287,6 @@ def test_criterion_10_interference_reproduction():
 def _paired_interference_degradation():
     """Per-trial victim sum spectral efficiencies at (60, 20), D = 80."""
     from bdris.channel import AVAILABLE
-    from bdris.experiments import _solve_trials
     from bdris.metrics import sum_spectral_efficiency_outdated
 
     cfg = copy.deepcopy(DEFAULT_CONFIG)
@@ -344,8 +343,8 @@ def test_criterion_11_architecture_ordering():
                     else:
                         assignment = priority_assignment(weights, topo,
                                                          scenario.frequencies)
-                    state = _solve_blocked_one(ch, weights, topo, assignment,
-                                               params.z0)
+                    state = _solve_trials([ch], weights, topo, assignment,
+                                          params.z0, False, None)[0]
                     plan = state.plan(codebooks)
                     thetas = [scattering_from_capacitances(plan, f, params)
                               for f in scenario.frequencies]

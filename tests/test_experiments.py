@@ -1,4 +1,7 @@
 import copy
+import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from bdris.circuit import CircuitParams, RisTopology, build_codebook, random_pla
     scattering_from_capacitances
 from bdris import experiments
 from bdris.config import DEFAULT_CONFIG
+from bdris.errors import DegenerateChannelError
 from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interference,
                                network_power, per_bs_power, priority_assignment,
                                target_shift, topology_for)
@@ -78,6 +82,16 @@ class TestHelpers:
         expected = next(iter(stacks.values()))[0].shape
         assert experiments._stack_shape(sc, weights, topo, assignment) == expected
 
+    def test_traced_names_resolve(self):
+        # the traced benchmark wraps these module globals by name
+        path = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
+        spec = importlib.util.spec_from_file_location("trace_child", path)
+        trace_child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(trace_child)
+        for module_name, attr, span, _count in trace_child.TARGETS:
+            module = importlib.import_module(module_name)
+            assert callable(getattr(module, attr, None)), (module_name, attr, span)
+
 
 class TestFreqResponse:
     def test_rows_and_determinism(self):
@@ -108,6 +122,50 @@ class TestTargetShift:
         # fixed plan away from the target loses power
         at = dict(zip(np.round(x, 2), m))
         assert at[7.4] > at[6.8] and at[7.4] > at[8.0]
+
+
+FREQ_SWEEPS = (
+    (freq_response, "freq-response", {
+        "d_values": [8], "grid_ghz": {"start": 7.0, "stop": 8.0, "step": 0.5}},
+     "freq-response fully-connected D=8"),
+    (target_shift, "target-shift", {
+        "targets_ghz": [7.4], "half_span_ghz": 0.2, "step_ghz": 0.2, "d": 8},
+     "target-shift fully-connected"),
+)
+
+
+@pytest.mark.parametrize("runner, key, section, context", FREQ_SWEEPS,
+                         ids=["freq-response", "target-shift"])
+def test_frequency_sweeps_redraw_degenerate_draws(monkeypatch, runner, key, section,
+                                                  context):
+    cfg = tiny_config(**{key: section})
+    cfg["simulation"]["architectures"] = ["fully-connected"]
+    powers = experiments.evaluate_received_powers
+    rng = experiments.stream_rng
+    calls = []
+
+    def fail_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DegenerateChannelError("forced")
+        return powers(*args)
+
+    monkeypatch.setattr(experiments, "evaluate_received_powers", fail_first)
+    forced = runner(copy.deepcopy(cfg))
+
+    # the same run with trial 0 drawn from its first redraw substream
+    monkeypatch.setattr(experiments, "evaluate_received_powers", powers)
+    monkeypatch.setattr(experiments, "stream_rng",
+                        lambda seed, t, attempt=0: rng(seed, t, attempt=attempt + (t == 0)))
+    expected = runner(copy.deepcopy(cfg))
+    assert forced == expected
+
+    def always(*args):
+        raise DegenerateChannelError("always")
+
+    monkeypatch.setattr(experiments, "evaluate_received_powers", always)
+    with pytest.raises(RuntimeError, match=f"degenerate trials at {context}$"):
+        runner(copy.deepcopy(cfg))
 
 
 class TestPowerSweeps:

@@ -6,13 +6,13 @@ import pytest
 from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
                            effective_channels, sample_channels, stream_rng,
                            zf_precoder)
-from bdris.circuit import CircuitParams, build_codebook
+from bdris.circuit import CircuitParams, RisTopology
 from bdris.errors import DegenerateChannelError
-from bdris.metrics import (ResultRow, SweepSpec, TrialResult, aggregate,
-                           evaluate_received_powers, frequency_sweep,
-                           network_sum_power, received_power, run_monte_carlo,
-                           sum_power_per_bs, sum_spectral_efficiency_outdated)
-from bdris.optimizer import ObjectiveWeights, configure_fc
+from bdris.experiments import _run_point, _solve_trials
+from bdris.metrics import (TrialResult, aggregate, evaluate_received_powers,
+                           network_sum_power, received_power, sum_power_per_bs,
+                           sum_spectral_efficiency_outdated)
+from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
 
 PARAMS = CircuitParams.defaults()
 
@@ -169,57 +169,69 @@ class TestAggregation:
 
 
 class TestRunMonteCarlo:
+    """The Monte Carlo engine, ``experiments._run_point``, under stub metrics."""
+
+    D = 4
+    SEED = 3
+    WEIGHTS = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
+
+    def run(self, trials, evaluate, direct=False):
+        sc = scenario(AVAILABLE if direct else BLOCKED)
+        topo = RisTopology.fully_connected(self.D)
+        fw = FwConfig(20) if direct else None
+        return _run_point(sc, self.D, self.SEED, trials, self.WEIGHTS, topo,
+                          GroupAssignment.single(0, topo, 7.4e9), PARAMS.z0,
+                          direct, fw, evaluate, context="stub point")
+
     def test_single_trial_reproduces_point_value(self):
-        spec = SweepSpec("x", (1.0,), 1, ("a",))
-        result = run_monte_carlo(spec, lambda v, a, t, att: {"m": 42.0})
-        assert result.rows == (ResultRow("x", 1.0, "a", "m", 42.0, 0.0, 1),)
+        assert self.run(1, lambda chans, state: {"m": 42.0}) == {"m": [42.0]}
 
     def test_substream_stability(self):
-        def point(value, arch, trial, attempt):
-            return {"m": float(stream_rng(3, trial, attempt=attempt).uniform())}
+        def first_gain(chans, state):
+            return {"m": chans.g[0][0, 0].real}
 
-        few = run_monte_carlo(SweepSpec("x", (0,), 4, ("a",)), point)
-        many = run_monte_carlo(SweepSpec("x", (0,), 8, ("a",)), point)
-        # the first half of the draws is identical, so the 4-trial mean can be
-        # reconstructed from the 8-trial draws
-        draws = [float(stream_rng(3, t).uniform()) for t in range(8)]
-        assert few.mean_of(0, "a", "m") == pytest.approx(np.mean(draws[:4]))
-        assert many.mean_of(0, "a", "m") == pytest.approx(np.mean(draws))
+        few = self.run(4, first_gain)["m"]
+        many = self.run(8, first_gain)["m"]
+        # growing the trial count keeps the earlier trials' draws
+        assert many[:4] == few
+        sc = scenario(BLOCKED)
+        assert few == [sample_channels(sc, self.D, stream_rng(self.SEED, t)).g[0][0, 0].real
+                       for t in range(4)]
 
     def test_degenerate_trials_redrawn(self):
-        def point(value, arch, trial, attempt):
-            if trial == 0 and attempt == 0:
-                raise DegenerateChannelError("forced")
-            return {"m": float(attempt)}
+        for direct in (False, True):
+            sc = scenario(AVAILABLE if direct else BLOCKED)
+            topo = RisTopology.fully_connected(self.D)
+            fw = FwConfig(20) if direct else None
+            seen = []
 
-        result = run_monte_carlo(SweepSpec("x", (0,), 100, ("a",)), point)
-        assert result.mean_of(0, "a", "m") == pytest.approx(1.0 / 100)
+            def evaluate(chans, state):
+                seen.append((chans, state))
+                if len(seen) == 1:
+                    raise DegenerateChannelError("forced")
+                return {"m": chans.g[0][0, 0].real}
+
+            samples = self.run(4, evaluate, direct)["m"]
+            redrawn = sample_channels(sc, self.D, stream_rng(self.SEED, 0, attempt=1))
+            assert samples[0] == redrawn.g[0][0, 0].real
+            assert samples[1:] == [
+                sample_channels(sc, self.D, stream_rng(self.SEED, t)).g[0][0, 0].real
+                for t in (1, 2, 3)]
+            # the redrawn trial is solved again on its new draw
+            expected = _solve_trials([redrawn], self.WEIGHTS, topo,
+                                     GroupAssignment.single(0, topo, 7.4e9),
+                                     PARAMS.z0, direct, fw)[0]
+            assert np.array_equal(seen[1][1].blocks[0].self_z,
+                                  expected.blocks[0].self_z)
 
     def test_too_many_degenerate_trials_fail(self):
-        def point(value, arch, trial, attempt):
+        calls = []
+
+        def evaluate(chans, state):
+            calls.append(1)
             raise DegenerateChannelError("always")
 
-        with pytest.raises(RuntimeError):
-            run_monte_carlo(SweepSpec("x", (0,), 100, ("a",)), point)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec("x", (), 5, ("a",))
-        with pytest.raises(ValueError):
-            SweepSpec("x", (1,), 0, ("a",))
-
-
-class TestFrequencySweep:
-    def test_consistency_at_target(self):
-        sc = scenario(BLOCKED)
-        ch = sample_channels(sc, 6, stream_rng(10, 0))
-        weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        f_star = 7.4e9
-        cb = build_codebook(f_star, 6, (0.1e-12, 2e-12), (0.001e-12, 0.6e-12), PARAMS)
-        configured = configure_fc(ch, weights, cb, PARAMS)
-        power = PowerConfig.uniform(sc, 0.1, 1e-7)
-        sweep = frequency_sweep(configured, ch, 0, np.array([7.0e9, f_star, 8.0e9]), power)
-        theta = configured.scattering_at(f_star)
-        at_target = evaluate_received_powers(ch, [theta], power).user_powers[0][0]
-        assert sweep[1, 0] == pytest.approx(at_target, rel=1e-12)
-        assert sweep.shape == (3, 1)
+        # 1% of 100 trials is one tolerated redraw; the second aborts
+        with pytest.raises(RuntimeError, match="degenerate trials at stub point"):
+            self.run(100, evaluate)
+        assert len(calls) == 2

@@ -257,7 +257,8 @@ class TestFrankWolfe:
         rs = crandn(rng, 9, 3, 7)
         hs = crandn(rng, 9, 3)
         whole = frank_wolfe_batch(rs, hs, 1.0, 80)
-        chunked = frank_wolfe_batch(rs, hs, 1.0, 80, max_bytes=3 * 7 * 16 * 2 * 2)
+        chunked = np.concatenate([frank_wolfe_batch(rs[a:b], hs[a:b], 1.0, 80)
+                                  for a, b in ((0, 2), (2, 3), (3, 9))])
         assert np.array_equal(whole, chunked)
 
     def test_invalid_iterations(self):
