@@ -4,8 +4,9 @@ harness."""
 
 import os
 
-# OpenBLAS reads this once, when numpy or scipy first loads it; its idle
-# threads busy-wait, so on small hosts one thread per process runs faster.
+# numpy's bundled OpenBLAS, the only BLAS bdris loads, reads this once when
+# numpy is first imported; its idle threads busy-wait, so on small hosts one
+# thread per process runs faster.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .channel import (AVAILABLE, BLOCKED, ChannelSet, NetworkScenario, PowerConfig,

@@ -13,15 +13,15 @@ All quantities are SI internally: Hz, farads, henries, ohms.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import OpenCircuitError, SingularBranchError, SingularNetworkError
 
-# Inversions abort rather than return garbage past this conditioning.
+# Inversions abort rather than return garbage past this conditioning: the
+# exact 1-norm condition number ||A||_1 ||A^-1||_1, never below the estimate
+# LAPACK's xGECON would give, so the guard is at least as strict as one.
 CONDITION_LIMIT = 1e12
 
 
@@ -168,18 +168,25 @@ def admittance_matrix(self_z: np.ndarray, inter_z: np.ndarray | None = None,
     return y
 
 
-def _solve_guarded(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Solve a @ x = b with an LU factorization and a condition-number guard."""
+def _inverse_guarded(a: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of ``a``, refused when its 1-norm condition exceeds CONDITION_LIMIT.
+
+    rcond = 1 / (||a||_1 ||a^-1||_1) is exact, taken from the inverse itself.
+    LAPACK's xGECON only estimates ||a^-1||_1 from below (Hager 1984;
+    Higham 1988), so this guard is never looser than the estimated one.
+    """
     a = np.asarray(a, dtype=complex)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    anorm = np.linalg.norm(a, 1)
-    rcond, info = scipy.linalg.lapack.zgecon(lu, anorm)
-    if info != 0 or not np.isfinite(rcond) or rcond < 1.0 / CONDITION_LIMIT:
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:  # exactly singular
+        rcond = 0.0
+    else:
+        # divided in turn, as xGECON does, so a huge product cannot overflow
+        rcond = 1.0 / np.linalg.norm(inv, 1) / np.linalg.norm(a, 1)
+    if not np.isfinite(rcond) or rcond < 1.0 / CONDITION_LIMIT:
         raise SingularNetworkError(
             f"{what} is singular or ill-conditioned (rcond={rcond:.2e})")
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    return inv
 
 
 def _require_symmetric(a: np.ndarray, what: str, tol: float = 1e-8):
@@ -191,17 +198,21 @@ def _require_symmetric(a: np.ndarray, what: str, tol: float = 1e-8):
 
 
 def scattering_from_impedance(z: np.ndarray, z0: float) -> np.ndarray:
-    """Scattering matrix (Z + z0 I)^-1 (Z - z0 I) of a reciprocal network."""
+    """Scattering matrix (Z + z0 I)^-1 (Z - z0 I) of a reciprocal network.
+
+    Computed as I - 2 z0 (Z + z0 I)^-1, the same matrix from one inverse.
+    """
     z = np.asarray(z, dtype=complex)
     _require_symmetric(z, "impedance matrix")
-    eye = z0 * np.eye(z.shape[0])
-    theta = _solve_guarded(z + eye, z - eye, "Z + z0*I")
+    eye = np.eye(z.shape[0])
+    theta = eye - 2.0 * z0 * _inverse_guarded(z + z0 * eye, "Z + z0*I")
     return 0.5 * (theta + theta.T)
 
 
 def impedance_from_scattering(theta: np.ndarray, z0: float) -> np.ndarray:
     """Impedance matrix z0 (I + Theta)(I - Theta)^-1 realizing a reflection matrix.
 
+    Computed as z0 (2 (I - Theta)^-1 - I), the same matrix from one inverse.
     Raises :class:`OpenCircuitError` when (I - Theta) is singular (a unit
     eigenvalue corresponds to an open-circuit port with no finite impedance).
     """
@@ -209,8 +220,7 @@ def impedance_from_scattering(theta: np.ndarray, z0: float) -> np.ndarray:
     _require_symmetric(theta, "scattering matrix")
     eye = np.eye(theta.shape[0])
     try:
-        # (I + Theta) and (I - Theta)^-1 commute, both being polynomials in Theta.
-        z = z0 * _solve_guarded(eye - theta, eye + theta, "I - Theta")
+        z = z0 * (2.0 * _inverse_guarded(eye - theta, "I - Theta") - eye)
     except SingularNetworkError as exc:
         raise OpenCircuitError(str(exc)) from exc
     return 0.5 * (z + z.T)
@@ -246,7 +256,7 @@ def retrieve_branch_impedances(z: np.ndarray) -> BranchImpedances:
     z = np.asarray(z, dtype=complex)
     _require_symmetric(z, "impedance matrix")
     d = z.shape[0]
-    y = _solve_guarded(z, np.eye(d, dtype=complex), "impedance matrix")
+    y = _inverse_guarded(z, "impedance matrix")
     y = 0.5 * (y + y.T)
     threshold = 1e-15 * np.linalg.norm(y)
 
@@ -365,7 +375,7 @@ def scattering_from_capacitances(plan: CapacitancePlan, f: float,
         inter_z[off] = inter_impedance(block[off], f, params)
         try:
             y = admittance_matrix(self_z, inter_z)
-            z = _solve_guarded(y, np.eye(topo.d_bar, dtype=complex), "admittance matrix")
+            z = _inverse_guarded(y, "admittance matrix")
             theta[sl, sl] = scattering_from_impedance(0.5 * (z + z.T), params.z0)
         except (SingularBranchError, SingularNetworkError) as exc:
             raise type(exc)(f"group {k}: {exc}") from exc

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris.circuit import (BranchImpedances, CapacitancePlan, CircuitParams,
-                           RisTopology, admittance_matrix, build_codebook,
+from bdris.circuit import (CONDITION_LIMIT, BranchImpedances, CapacitancePlan,
+                           CircuitParams, RisTopology, admittance_matrix, build_codebook,
                            impedance_from_scattering, inter_impedance, random_plan,
                            retrieve_branch_impedances, scattering_from_capacitances,
                            scattering_from_impedance, self_impedance)
@@ -187,6 +187,38 @@ class TestScatteringConversions:
         with pytest.raises(ValueError):
             scattering_from_impedance(np.array([[1, 2], [3, 4]], dtype=complex), 50.0)
 
+    @pytest.mark.parametrize("small,rejected", [(1e-13, True), (1e-11, False)])
+    def test_guard_threshold(self, small, rejected):
+        # Z + z0 I = diag(1, small): 1-norm condition 1/small on either side
+        # of CONDITION_LIMIT
+        assert 1e-13 < 1.0 / CONDITION_LIMIT < 1e-11
+        z = np.diag([1.0, small]) - 50.0 * np.eye(2)
+        if rejected:
+            with pytest.raises(SingularNetworkError, match="rcond="):
+                scattering_from_impedance(z, 50.0)
+        else:
+            assert np.isfinite(scattering_from_impedance(z, 50.0)).all()
+
+    @given(st.integers(2, 6), st.floats(0.0, 0.9), st.floats(1.0, 100.0),
+           st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_single_inverse_matches_two_step_solve(self, d, radius, z0, seed):
+        # s is complex symmetric with spectral norm `radius`, so I + s and
+        # I - s have condition at most 19 in the 2-norm
+        a = crandn(np.random.default_rng(seed), d, d)
+        s = a + a.T
+        s *= radius / np.linalg.norm(s, 2)
+        eye = np.eye(d)
+
+        z = z0 * s
+        expected = np.linalg.solve(z + z0 * eye, z - z0 * eye)
+        theta = scattering_from_impedance(z, z0)
+        assert np.abs(theta - expected).max() <= 1e-10 * np.abs(expected).max()
+
+        expected = z0 * np.linalg.solve(eye - s, eye + s)
+        z = impedance_from_scattering(s, z0)
+        assert np.abs(z - expected).max() <= 1e-10 * np.abs(expected).max()
+
 
 class TestRetrieveBranchImpedances:
     def test_single_port(self):
@@ -229,6 +261,17 @@ class TestRetrieveBranchImpedances:
     def test_singular_rejected(self):
         with pytest.raises(SingularNetworkError):
             retrieve_branch_impedances(np.ones((3, 3), dtype=complex))
+
+    @pytest.mark.parametrize("small,rejected", [(1e-13, True), (1e-11, False)])
+    def test_guard_threshold(self, small, rejected):
+        # 1-norm condition 1/small, on either side of CONDITION_LIMIT
+        z = np.diag([1.0, small]).astype(complex)
+        if rejected:
+            with pytest.raises(SingularNetworkError, match="rcond="):
+                retrieve_branch_impedances(z)
+        else:
+            br = retrieve_branch_impedances(z)
+            assert np.allclose(br.self_z, [1.0, small], rtol=1e-12, atol=0)
 
 
 class TestCodebook:

@@ -227,3 +227,13 @@ class TestBlasThreadDefault:
 
     def test_explicit_setting_is_kept(self):
         assert self.threads_seen_after_import("2") == "2"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; loading it would double the start-up
+    # time of every CLI process and bring in a second OpenBLAS
+    env = dict(os.environ, PYTHONPATH=str(Path(bdris.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, bdris.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
