@@ -8,7 +8,8 @@ experiment's ``evaluate`` (codebook projection, scattering, metrics), and
 redraws degenerate draws against one budget.  The experiment then aggregates
 mean and standard error per grid point.  The relaxed solve is done once per
 trial, outside any frequency loop; conditional-gradient solves are batched
-over trials in memory-bounded chunks.
+over trials *and* priority base stations in memory-bounded chunks, one
+solver call per chunk when the base stations' stacks share a shape.
 """
 
 from __future__ import annotations
@@ -150,19 +151,29 @@ def _solve_trials(chans_list, weights, topo, assignment, z0, direct: bool,
     """Relaxed solves of a list of trials.
 
     Blocked links take the scaled leading right singular vector of each
-    trial's stack; with direct links, ``fw`` drives one conditional-gradient
-    run per priority base station, batched over the trials.
+    trial's stack.  With direct links, ``fw`` drives one conditional-gradient
+    run per group of priority base stations whose stacks share a shape,
+    batched over the trials *and* those base stations (one instance per
+    trial and base station); an instance's result does not depend on the
+    batch it runs in.
     """
     radius = 1.0 if topo.g == 1 else float(np.sqrt(topo.g))
     stacks = [_stacks(c, weights, topo, assignment) for c in chans_list]
     thetas = {}
-    for bs in assignment.bs:
-        if direct:
-            r = np.stack([s[bs][0] for s in stacks])
-            h = np.stack([s[bs][1] for s in stacks])
-            thetas[bs] = frank_wolfe_batch(r, h, radius, fw.iterations,
-                                           step_rule=fw.step_rule)
-        else:
+    if direct:
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for bs in assignment.bs:
+            by_shape.setdefault(stacks[0][bs][0].shape, []).append(bs)
+        for group in by_shape.values():
+            r = np.stack([s[bs][0] for s in stacks for bs in group])
+            h = np.stack([s[bs][1] for s in stacks for bs in group])
+            theta = frank_wolfe_batch(r, h, radius, fw.iterations,
+                                      step_rule=fw.step_rule)
+            theta = theta.reshape(len(stacks), len(group), -1)
+            for j, bs in enumerate(group):
+                thetas[bs] = theta[:, j]
+    else:
+        for bs in assignment.bs:
             thetas[bs] = [radius * leading_right_singular_vector(s[bs][0])[0]
                           for s in stacks]
     return [
@@ -184,8 +195,10 @@ def _stack_shape(scenario: NetworkScenario, weights: ObjectiveWeights,
     return scenario.m * users, topo.g * topo.d_bar * (topo.d_bar + 1) // 2
 
 
-def _direct_chunk(rows: int, cols: int, trials: int) -> int:
-    per_trial = max(rows * cols * 16 * 3, 1)
+def _direct_chunk(rows: int, cols: int, trials: int, instances: int) -> int:
+    """Trials per conditional-gradient chunk: ``instances`` solves of a
+    rows x cols stack per trial, about three copies of each held at once."""
+    per_trial = max(rows * cols * 16 * 3 * instances, 1)
     return max(1, min(trials, BATCH_BYTES // per_trial))
 
 
@@ -196,7 +209,8 @@ def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
 
     Each trial draws fading on its own substream and is solved by
     :func:`_solve_trials`: conditional-gradient solves batched over
-    memory-bounded chunks of trials, closed-form solves one trial at a time.
+    memory-bounded chunks of trials (each trial one instance per priority
+    base station), closed-form solves one trial at a time.
     A draw whose evaluation raises :class:`DegenerateChannelError` is redrawn
     on the trial's next attempt substream and solved again; the point aborts
     once its redraws exceed ``MAX_DEGENERATE_FRACTION`` of its trials (one
@@ -205,7 +219,8 @@ def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
     allowed = max(1, int(MAX_DEGENERATE_FRACTION * trials))
     redraws = 0
     samples: dict[object, list[float]] = {}
-    chunk = (_direct_chunk(*_stack_shape(scenario, weights, topo, assignment), trials)
+    chunk = (_direct_chunk(*_stack_shape(scenario, weights, topo, assignment), trials,
+                           len(assignment.bs))
              if direct else 1)
     for start in range(0, trials, chunk):
         indices = range(start, min(start + chunk, trials))

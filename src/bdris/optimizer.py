@@ -235,6 +235,15 @@ def _frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: 
     linear combination of r^H w iterates (plus the fixed fallback direction
     e1 taken whenever the gradient vanishes), so each iteration costs
     O(rows^2) via the Gram matrix instead of O(rows * cols).
+
+    When every instance has a nonzero gradient (the normal case) an
+    iteration takes the short update, which leaves out the terms the general
+    update multiplies by an exact 0.0 or 1.0: the fallback direction
+    (``0.0 * r_col0``, ``+ 0.0`` on c) and, under line search, the discarded
+    iterate (``0.0 * acc``, ``0.0 * w``) and the unit weight of h.  Adding an
+    exact zero or multiplying by one changes at most the sign of a zero
+    result, so both updates give equal iterates; an iteration in which some
+    instance's gradient vanishes (or is NaN) runs the general update.
     """
     t, rows, cols = r.shape
     gram = np.matmul(r, r.conj().transpose(0, 2, 1))   # (T, rows, rows)
@@ -243,15 +252,26 @@ def _frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: 
     acc = np.zeros((t, rows), dtype=complex)           # theta = r^H acc + c e1
     c = np.zeros(t)
     history = np.zeros((t, iterations if trace else 1))
+    line_search = step_rule == "line-search"
     for i in range(1, iterations):
         if trace:
             history[:, i - 1] = np.einsum("tr,tr->t", w.conj(), w).real
         v = np.matmul(gram, w[..., None])[..., 0]
         grad_sq = np.einsum("tr,tr->t", w.conj(), v).real  # = ||r^H w||^2 >= 0
+        step = 1.0 if line_search else 2.0 / (i + 2.0)
+        keep = 1.0 - step
+        if (grad_sq > 0.0).all():
+            scale = (step * radius / np.sqrt(grad_sq))[:, None]
+            if line_search:
+                acc = scale * w
+                w = h + scale * v
+            else:
+                acc = keep * acc + scale * w
+                w = keep * w + step * h + scale * v
+            c = keep * c
+            continue
         flat = grad_sq <= 0.0
         grad_norm = np.sqrt(np.where(flat, 1.0, grad_sq))
-        step = 1.0 if step_rule == "line-search" else 2.0 / (i + 2.0)
-        keep = 1.0 - step
         scale = np.where(flat, 0.0, step * radius / grad_norm)
         fall = np.where(flat, step * radius, 0.0)
         acc = keep * acc + scale[:, None] * w

@@ -1,4 +1,5 @@
 import copy
+import json
 import os
 import subprocess
 import sys
@@ -227,6 +228,25 @@ class TestBlasThreadDefault:
 
     def test_explicit_setting_is_kept(self):
         assert self.threads_seen_after_import("2") == "2"
+
+    def test_interference_csv_independent_of_thread_count(self, tmp_path):
+        config = tmp_path / "tiny.yaml"
+        config.write_text(json.dumps({
+            "simulation": {"trials": 2},
+            "optimization": {"fw_iterations": 60},
+            "experiments": {"interference": {"ris_positions_m": [[40.0, 20.0]],
+                                             "d_grid": [8, 20]}}}))
+        csv = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(bdris.__file__).parents[1]))
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "bdris.cli", "run", "interference",
+                 "--config", str(config), "--seed", "3", "--out", str(out)],
+                env=env, capture_output=True, check=True, timeout=120)
+            csv[threads] = (out / "interference_x40_y20.csv").read_bytes()
+        assert csv["1"] == csv["2"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bdris.channel import BLOCKED, NetworkScenario, PowerConfig, sample_channels, \
-    stream_rng
+from bdris.channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, \
+    sample_channels, stream_rng
 from bdris.circuit import CircuitParams, RisTopology, build_codebook, random_plan, \
     scattering_from_capacitances
 from bdris import experiments
@@ -17,7 +17,7 @@ from bdris.errors import DegenerateChannelError
 from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interference,
                                network_power, per_bs_power, priority_assignment,
                                target_shift, topology_for)
-from bdris.optimizer import GroupAssignment, ObjectiveWeights, configure_gc
+from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights, configure_gc
 
 PARAMS = CircuitParams.defaults()
 
@@ -91,6 +91,70 @@ class TestHelpers:
         for module_name, attr, span, _count in trace_child.TARGETS:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, attr, None)), (module_name, attr, span)
+
+
+class TestDirectBatching:
+    def test_one_batch_per_chunk_over_trials_and_priority_bs(self, monkeypatch):
+        sc = NetworkScenario(
+            bs_positions=((0.0, 0.0), (80.0, 0.0)),
+            user_positions=(((25.0, 10.0),), ((70.0, 10.0),)),
+            ris_position=(40.0, 20.0), m=3, frequencies=(7.4e9, 8.0e9),
+            eta_direct=3.5, eta_reflected=2.5, direct_links=AVAILABLE)
+        d, seed, trials, fw = 8, 7, 5, FwConfig(30)
+        weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
+        topo = topology_for("group-connected", d, 2)
+        assignment = priority_assignment(weights, topo, sc.frequencies)
+        assert assignment.bs == (0, 1)
+        rows, cols = experiments._stack_shape(sc, weights, topo, assignment)
+        per_instance = rows * cols * 16 * 3
+        # room for two trials of two instances each, not three
+        monkeypatch.setattr(experiments, "BATCH_BYTES", 5 * per_instance)
+        chunk = experiments._direct_chunk(rows, cols, trials, 2)
+        assert chunk == 2
+        assert chunk * 2 * per_instance <= experiments.BATCH_BYTES
+
+        calls = []
+        solver = experiments.frank_wolfe_batch
+
+        def spy(r, h, *args, **kwargs):
+            theta = solver(r, h, *args, **kwargs)
+            calls.append((r.shape[0], theta))
+            return theta
+
+        states = []
+
+        def evaluate(chans, state):
+            states.append(state)
+            return {"m": 0.0}
+
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
+        experiments._run_point(sc, d, seed, trials, weights, topo, assignment,
+                               PARAMS.z0, True, fw, evaluate, context="batching")
+        assert [n for n, _ in calls] == [4, 4, 2]
+
+        radius = float(np.sqrt(topo.g))
+        stacks = [experiments._stacks(sample_channels(sc, d, stream_rng(seed, t)),
+                                      weights, topo, assignment)
+                  for t in range(trials)]
+        for (_, theta), start in zip(calls, range(0, trials, chunk)):
+            part = stacks[start:start + chunk]
+            theta = theta.reshape(len(part), 2, cols)
+            separate = {bs: solver(np.stack([s[bs][0] for s in part]),
+                                   np.stack([s[bs][1] for s in part]), radius,
+                                   fw.iterations, step_rule=fw.step_rule)
+                        for bs in assignment.bs}
+            for j, bs in enumerate(assignment.bs):
+                assert np.array_equal(theta[:, j], separate[bs])
+            # and each trial's state is built from its own instances
+            for i, state in enumerate(states[start:start + chunk]):
+                expected = experiments._state_from_thetas(
+                    {bs: separate[bs][i] for bs in assignment.bs}, topo, assignment,
+                    PARAMS.z0)
+                assert state.blocks.keys() == expected.blocks.keys()
+                for g, branches in state.blocks.items():
+                    for field in ("self_z", "self_finite", "inter_z", "inter_finite"):
+                        assert np.array_equal(getattr(branches, field),
+                                              getattr(expected.blocks[g], field))
 
 
 class TestFreqResponse:

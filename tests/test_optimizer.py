@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdris.channel import ChannelSet
 from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
@@ -7,7 +9,8 @@ from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology
 from bdris.errors import DegenerateInputError
 from bdris.matrixkit import duplication_matrix, kron, vech
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
-                             _reduced_channel_block, configure_fc, configure_gc,
+                             _frank_wolfe_batch, _reduced_channel_block,
+                             configure_fc, configure_gc,
                              frank_wolfe, frank_wolfe_batch, project_to_codebook,
                              relaxed_block_branches, snap_to_codebook,
                              solve_fc_blocked, solve_fc_direct, solve_gc_blocked,
@@ -205,6 +208,80 @@ class TestSolveFcBlocked:
                         h=((np.zeros(2, dtype=complex),),))
         with pytest.raises(DegenerateInputError):
             solve_fc_blocked(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)))
+
+
+def reference_frank_wolfe_batch(r, h, radius, iterations, trace=False,
+                                step_rule="line-search"):
+    """The batched conditional gradient with the general update on every
+    iteration (fallback terms weighted by exact zeros), kept as the oracle
+    the solver's short update must reproduce bit for bit."""
+    t, rows, cols = r.shape
+    gram = np.matmul(r, r.conj().transpose(0, 2, 1))
+    r_col0 = r[:, :, 0]
+    w = h.astype(complex).copy()
+    acc = np.zeros((t, rows), dtype=complex)
+    c = np.zeros(t)
+    history = np.zeros((t, iterations if trace else 1))
+    for i in range(1, iterations):
+        if trace:
+            history[:, i - 1] = np.einsum("tr,tr->t", w.conj(), w).real
+        v = np.matmul(gram, w[..., None])[..., 0]
+        grad_sq = np.einsum("tr,tr->t", w.conj(), v).real
+        flat = grad_sq <= 0.0
+        grad_norm = np.sqrt(np.where(flat, 1.0, grad_sq))
+        step = 1.0 if step_rule == "line-search" else 2.0 / (i + 2.0)
+        keep = 1.0 - step
+        scale = np.where(flat, 0.0, step * radius / grad_norm)
+        fall = np.where(flat, step * radius, 0.0)
+        acc = keep * acc + scale[:, None] * w
+        c = keep * c + fall
+        w = keep * w + step * h + scale[:, None] * v + fall[:, None] * r_col0
+    theta = np.matmul(r.conj().transpose(0, 2, 1), acc[..., None])[..., 0]
+    theta[:, 0] += c
+    resid = np.matmul(r, theta[..., None])[..., 0] + h
+    history[:, -1] = np.einsum("tr,tr->t", resid.conj(), resid).real
+    return theta, history
+
+
+STEP_RULES = ("line-search", "diminishing")
+
+
+def assert_matches_reference(r, h, radius, iterations, trace, step_rule):
+    theta, history = _frank_wolfe_batch(r, h, radius, iterations, trace=trace,
+                                        step_rule=step_rule)
+    ref_theta, ref_history = reference_frank_wolfe_batch(
+        r, h, radius, iterations, trace=trace, step_rule=step_rule)
+    assert np.array_equal(theta, ref_theta)
+    assert np.array_equal(history, ref_history)
+
+
+class TestFrankWolfeReference:
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 12),
+           st.floats(0.5, 3.0), st.integers(1, 60), st.sampled_from(STEP_RULES),
+           st.booleans(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bitwise_equal_to_general_update(self, t, rows, cols, radius, iterations,
+                                             step_rule, trace, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(crandn(rng, t, rows, cols), crandn(rng, t, rows),
+                                 radius, iterations, trace, step_rule)
+
+    @pytest.mark.parametrize("step_rule", STEP_RULES)
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_zero_matrix_instance_takes_fallback_every_iteration(self, step_rule, trace):
+        rng = np.random.default_rng(40)
+        r = crandn(rng, 3, 4, 6)
+        r[1] = 0.0          # grad_sq of instance 1 is exactly 0 on every iteration
+        assert_matches_reference(r, crandn(rng, 3, 4), 1.2, 40, trace, step_rule)
+
+    @pytest.mark.parametrize("step_rule", STEP_RULES)
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_zero_offset_instance_is_flat_only_first(self, step_rule, trace):
+        rng = np.random.default_rng(41)
+        r = crandn(rng, 2, 4, 6)
+        h = crandn(rng, 2, 4)
+        h[0] = 0.0          # w = 0 at the start, then the fallback step moves it
+        assert_matches_reference(r, h, 0.8, 40, trace, step_rule)
 
 
 class TestFrankWolfe:
