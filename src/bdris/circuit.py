@@ -4,16 +4,17 @@ Each reflecting element is grounded through a tunable resonant branch
 (self impedance) and, depending on the architecture, connected to other
 elements of its group through tunable varactor branches (inter-element
 impedances).  The pipeline capacitances -> branch impedances -> admittance
-matrix -> impedance matrix -> scattering matrix is implemented here for
+matrix Y -> scattering matrix 2 (I + z0 Y)^-1 - I is implemented here for
 fully-connected (one group), group-connected, and single-connected
-(one element per group) surfaces.
+(one element per group) surfaces; it never forms the impedance matrix.
 
 All quantities are SI internally: Hz, farads, henries, ohms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -174,18 +175,25 @@ def _inverse_guarded(a: np.ndarray, what: str) -> np.ndarray:
     rcond = 1 / (||a||_1 ||a^-1||_1) is exact, taken from the inverse itself.
     LAPACK's xGECON only estimates ||a^-1||_1 from below (Hager 1984;
     Higham 1988), so this guard is never looser than the estimated one.
+    A (g, n, n) stack is inverted at once; its error names the first failing
+    matrix as ``group k`` (all of them read rcond 0 if one is exactly singular).
     """
     a = np.asarray(a, dtype=complex)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # exactly singular
-        rcond = 0.0
-    else:
-        # divided in turn, as xGECON does, so a huge product cannot overflow
-        rcond = 1.0 / np.linalg.norm(inv, 1) / np.linalg.norm(a, 1)
-    if not np.isfinite(rcond) or rcond < 1.0 / CONDITION_LIMIT:
+        inv = np.full_like(a, np.inf)
+    # divided in turn, as xGECON does, so a huge product cannot overflow;
+    # a zero matrix gives 0/0 = NaN, which fails as well
+    with np.errstate(invalid="ignore"):
+        rcond = np.ravel(1.0 / np.linalg.norm(inv, 1, axis=(-2, -1))
+                         / np.linalg.norm(a, 1, axis=(-2, -1)))
+    ok = rcond >= 1.0 / CONDITION_LIMIT  # NaN fails too
+    if not ok.all():
+        k = int(np.argmin(ok))
+        where = f"group {k}: " if a.ndim == 3 else ""
         raise SingularNetworkError(
-            f"{what} is singular or ill-conditioned (rcond={rcond:.2e})")
+            f"{where}{what} is singular or ill-conditioned (rcond={rcond[k]:.2e})")
     return inv
 
 
@@ -272,12 +280,71 @@ def retrieve_branch_impedances(z: np.ndarray) -> BranchImpedances:
     return BranchImpedances(self_z, self_finite, inter_z, inter_finite)
 
 
+class CodewordArc(NamedTuple):
+    """The circle (or, lossless, the line) through one branch list's codeword
+    admittances.  Distance from any point to a codeword grows with the gap in
+    key: the angle about the centre, or the coordinate along the line."""
+
+    y: np.ndarray       # codeword admittances, in codebook order
+    centre: complex     # circle centre, or the line's first codeword
+    axis: complex       # 0 for a circle, else the line's unit direction
+    keys: np.ndarray    # codeword keys, sorted
+    ring: np.ndarray    # (n + 1, 4): row p holds the codewords at sorted keys
+    ring_y: np.ndarray  # p - 2 .. p + 1, wrapped round a circle, inf off a line's ends
+
+    def nearest(self, targets: np.ndarray) -> np.ndarray:
+        """Index of the codeword nearest each target admittance, the same as
+        ``np.abs(targets[:, None] - y).argmin(axis=1)``, ties included.
+
+        Only the two codewords whose keys bracket a target's can be nearest;
+        they are compared by that exact distance.  When the next codeword out
+        on either side is within 1e-12 relative as near, rounding could tie a
+        third codeword (a target far off, near a circle's centre, or NaN), and
+        the target takes the exhaustive argmin instead.
+        """
+        pos = np.searchsorted(self.keys, _arc_key(targets, self.centre, self.axis))
+        _, lo, hi, _ = self.ring.take(pos, axis=0).T
+        d_out1, d_lo, d_hi, d_out2 = np.abs(targets[:, None] - self.ring_y.take(pos, axis=0)).T
+        pick = np.where((d_hi < d_lo) | ((d_hi == d_lo) & (hi < lo)), hi, lo)
+        unsure = ~(np.minimum(d_out1, d_out2) > np.minimum(d_lo, d_hi) * (1 + 1e-12))
+        pick[unsure] = np.abs(targets[unsure, None] - self.y).argmin(axis=1)
+        return pick
+
+
+def _arc_key(y: np.ndarray, centre: complex, axis: complex) -> np.ndarray:
+    return np.angle(y - centre) if axis == 0 else ((y - centre) * np.conj(axis)).real
+
+
+def _fit_arc(z: np.ndarray) -> CodewordArc:
+    """The line through the first and last codeword admittances if all lie on
+    it within 1e-9 of their extent (a huge circle's angles lose precision),
+    else the circle through the first, middle and last if all lie on it
+    within 1e-9 of its radius."""
+    y = 1.0 / z
+    a, u, v = y[0], y[y.size // 2] - y[0], y[-1] - y[0]
+    centre, axis = a, v / abs(v) if v else 1.0
+    if not np.all(np.abs(((y - a) * np.conj(axis)).imag) <= 1e-9 * np.abs(y - a).max()):
+        cross = (np.conj(u) * v).imag
+        centre = a + 1j * (abs(v) ** 2 * u - abs(u) ** 2 * v) / (2 * cross) if cross else np.nan
+        axis, radius = 0, abs(a - centre)
+        if not np.all(np.abs(np.abs(y - centre) - radius) <= 1e-9 * radius):
+            raise ValueError("codeword admittances do not lie on one circle or line")
+    keys = _arc_key(y, centre, axis)
+    order = np.argsort(keys, kind="stable")
+    at = np.arange(y.size + 1)[:, None] + np.arange(-2, 2)  # positions in key order
+    ring = order[at % y.size]
+    ring_y = y[ring]
+    if axis != 0:  # a line does not wrap round
+        ring_y[(at < 0) | (at >= y.size)] = np.inf
+    return CodewordArc(y, centre, axis, keys[order], ring, ring_y)
+
+
 @dataclass(frozen=True)
 class Codebook:
     """Realizable (capacitance, impedance) pairs at one frequency.
 
     Capacitances are strictly increasing; impedances are the branch values
-    those capacitances produce at ``frequency``.
+    those capacitances produce at ``frequency``; the arcs are fitted to them.
     """
 
     frequency: float
@@ -286,6 +353,17 @@ class Codebook:
     self_z: np.ndarray
     inter_caps: np.ndarray
     inter_z: np.ndarray
+    self_arc: CodewordArc = field(init=False, repr=False, compare=False)
+    inter_arc: CodewordArc = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for kind in ("self", "inter"):
+            caps, z = getattr(self, f"{kind}_caps"), getattr(self, f"{kind}_z")
+            if np.shape(caps) != np.shape(z):
+                raise ValueError(f"{kind} capacitances and impedances differ in length")
+            if not np.all(np.diff(caps) > 0):
+                raise ValueError(f"{kind} capacitances must be strictly increasing")
+            object.__setattr__(self, f"{kind}_arc", _fit_arc(z))
 
     def __len__(self) -> int:
         return self.self_caps.size
@@ -352,31 +430,34 @@ def scattering_from_capacitances(plan: CapacitancePlan, f: float,
                                  params: CircuitParams) -> np.ndarray:
     """Scattering matrix produced by a capacitance plan at frequency ``f``.
 
-    Assembles each group's branch impedances into its admittance matrix,
-    inverts it, and converts to scattering; groups are independent so the
-    result is block-diagonal with symmetric blocks.
+    Groups are independent, so the result is block-diagonal with symmetric
+    blocks.  Each group's admittance matrix Y is assembled from its branch
+    impedances, and all groups' blocks Theta = 2 (I + z0 Y)^-1 - I come from
+    one guarded inverse of the (g, d_bar, d_bar) stack.  That is
+    (Z + z0 I)^-1 (Z - z0 I) with Z = Y^-1, but Z is never formed, so a
+    singular Y (say, open self branches) is no error.
     """
     topo = plan.topology
-    theta = np.zeros((topo.d, topo.d), dtype=complex)
-
-    if topo.d_bar == 1:
+    g, n = topo.g, topo.d_bar
+    if n == 1:
         # Every port only has its self branch: the network is a stack of
         # decoupled one-ports with reflection (z - z0) / (z + z0).
         z = self_impedance(np.diag(plan.c), f, params)
-        theta[np.diag_indices(topo.d)] = (z - params.z0) / (z + params.z0)
-        return theta
+        return np.diag((z - params.z0) / (z + params.z0))
 
-    for k in range(topo.g):
-        sl = topo.group_slice(k)
-        block = plan.c[sl, sl]
-        self_z = self_impedance(np.diag(block), f, params)
-        off = ~np.eye(topo.d_bar, dtype=bool)
-        inter_z = np.zeros((topo.d_bar, topo.d_bar), dtype=complex)
-        inter_z[off] = inter_impedance(block[off], f, params)
-        try:
-            y = admittance_matrix(self_z, inter_z)
-            z = _inverse_guarded(y, "admittance matrix")
-            theta[sl, sl] = scattering_from_impedance(0.5 * (z + z.T), params.z0)
-        except (SingularBranchError, SingularNetworkError) as exc:
-            raise type(exc)(f"group {k}: {exc}") from exc
-    return theta
+    diagonal = (np.arange(g), slice(None), np.arange(g))  # blocks of a (g, n, g, n) view
+    blocks = plan.c.reshape(g, n, g, n)[diagonal]
+    ii, (iu, ju) = np.arange(n), np.triu_indices(n, 1)
+    self_z = self_impedance(blocks[:, ii, ii], f, params)
+    inter_z = inter_impedance(blocks[:, iu, ju], f, params)
+    zero = (self_z == 0).any(axis=1) | (inter_z == 0).any(axis=1)
+    if zero.any():
+        raise SingularBranchError(f"group {zero.argmax()}: zero branch impedance")
+    y = np.zeros((g, n, n), dtype=complex)
+    y[:, iu, ju] = y[:, ju, iu] = -1.0 / inter_z
+    y[:, ii, ii] = 1.0 / self_z - y.sum(axis=2)
+    eye = np.eye(n)
+    theta = 2.0 * _inverse_guarded(eye + params.z0 * y, "I + z0*Y") - eye
+    out = np.zeros((g, n, g, n), dtype=complex)
+    out[diagonal] = 0.5 * (theta + theta.transpose(0, 2, 1))
+    return out.reshape(topo.d, topo.d)

@@ -105,7 +105,7 @@ class _TrialState:
                 idx = np.array([g for g, owner in self.group_bs.items() if owner == bs])
                 cb = codebooks[bs]
                 caps[idx, idx] = _snap(self.diag_z[idx], self.diag_finite[idx],
-                                       cb.self_z, cb.self_caps)
+                                       cb.self_arc, cb.self_caps)
             return CapacitancePlan(caps, self.topo)
         for g, branches in self.blocks.items():
             sl = self.topo.group_slice(g)

@@ -20,6 +20,7 @@ from .circuit import (
     CapacitancePlan,
     CircuitParams,
     Codebook,
+    CodewordArc,
     RisTopology,
     impedance_from_scattering,
     retrieve_branch_impedances,
@@ -378,7 +379,7 @@ def solve_gc_direct(channels: ChannelSet, weights: ObjectiveWeights,
     return GroupSolution(blocks=blocks, stacked=stacked, objectives=objectives)
 
 
-def _snap(values: np.ndarray, finite: np.ndarray, codewords: np.ndarray,
+def _snap(values: np.ndarray, finite: np.ndarray, arc: CodewordArc,
           caps: np.ndarray) -> np.ndarray:
     """Nearest-codeword capacitances; ties resolve to the smallest capacitance.
 
@@ -388,13 +389,13 @@ def _snap(values: np.ndarray, finite: np.ndarray, codewords: np.ndarray,
     linearly, whereas raw impedance distance over-weights the weakly coupled
     (large-impedance) branches whose admittance barely matters.  Branches
     flagged non-finite are open circuits with zero admittance and therefore
-    take the largest-impedance codeword.
+    take the largest-impedance codeword.  The search runs along the codewords'
+    ``arc`` and picks what an exhaustive search over all codewords would.
     """
     values = np.asarray(values)
     targets = np.zeros(values.shape, dtype=complex)
     targets[finite] = 1.0 / values[finite]
-    idx = np.abs(targets[:, None] - 1.0 / codewords[None, :]).argmin(axis=1)
-    return caps[idx]
+    return caps[arc.nearest(targets)]
 
 
 def relaxed_block_branches(theta_block: np.ndarray, z0: float) -> BranchImpedances:
@@ -427,11 +428,11 @@ def snap_to_codebook(branches: BranchImpedances, codebook: Codebook) -> np.ndarr
     d = branches.order
     caps = np.zeros((d, d))
     caps[np.diag_indices(d)] = _snap(branches.self_z, branches.self_finite,
-                                     codebook.self_z, codebook.self_caps)
+                                     codebook.self_arc, codebook.self_caps)
     if d > 1:
         iu, ju = np.triu_indices(d, 1)
         c_inter = _snap(branches.inter_z[iu, ju], branches.inter_finite[iu, ju],
-                        codebook.inter_z, codebook.inter_caps)
+                        codebook.inter_arc, codebook.inter_caps)
         caps[iu, ju] = c_inter
         caps[ju, iu] = c_inter
     return caps

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdris.circuit import (CONDITION_LIMIT, BranchImpedances, CapacitancePlan,
-                           CircuitParams, RisTopology, admittance_matrix, build_codebook,
-                           impedance_from_scattering, inter_impedance, random_plan,
-                           retrieve_branch_impedances, scattering_from_capacitances,
-                           scattering_from_impedance, self_impedance)
+                           CircuitParams, Codebook, RisTopology, admittance_matrix,
+                           build_codebook, impedance_from_scattering, inter_impedance,
+                           random_plan, retrieve_branch_impedances,
+                           scattering_from_capacitances, scattering_from_impedance,
+                           self_impedance)
 from bdris.errors import (OpenCircuitError, SingularBranchError, SingularNetworkError)
 
 PARAMS = CircuitParams.defaults()
@@ -299,6 +300,45 @@ class TestCodebook:
         with pytest.raises(ValueError):
             build_codebook(7e9, 2, (2e-12, 1e-12), (1e-12, 2e-12), PARAMS)
 
+    @staticmethod
+    def rebuilt(cb, **fields):
+        kept = {name: getattr(cb, name) for name in
+                ("frequency", "bits", "self_caps", "self_z", "inter_caps", "inter_z")}
+        return Codebook(**{**kept, **fields})
+
+    def test_capacitances_must_strictly_increase(self):
+        cb = build_codebook(7e9, 3, (0.1e-12, 2e-12), (0.001e-12, 0.6e-12), PARAMS)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self.rebuilt(cb, self_caps=cb.self_caps[::-1])
+        repeated = cb.inter_caps.copy()
+        repeated[4] = repeated[3]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            self.rebuilt(cb, inter_caps=repeated)
+
+    def test_lengths_must_match(self):
+        cb = build_codebook(7e9, 3, (0.1e-12, 2e-12), (0.001e-12, 0.6e-12), PARAMS)
+        with pytest.raises(ValueError, match="differ in length"):
+            self.rebuilt(cb, self_z=cb.self_z[:-1])
+        with pytest.raises(ValueError, match="differ in length"):
+            self.rebuilt(cb, inter_caps=cb.inter_caps[:-1])
+
+    @pytest.mark.parametrize("r", [1.0, 0.0], ids=["circle", "line"])
+    def test_codewords_must_share_one_curve(self, r):
+        params = CircuitParams(r=r, l0=2.5e-9, l=0.7e-9, r_tilde=r, l0_tilde=12.5e-9,
+                               l_tilde=0.2e-9, z0=50.0)
+        cb = build_codebook(7e9, 4, (0.1e-12, 2e-12), (0.001e-12, 0.6e-12), params)
+        assert (cb.self_arc.axis == 0) == (r > 0)
+        for kind in ("self_z", "inter_z"):
+            y = 1 / getattr(cb, kind)
+            for shift, accepted in ((1e-13, True), (1e-6, False)):
+                moved = y.copy()
+                moved[5] += shift * np.abs(y).max() * (1 + 1j)
+                if accepted:
+                    self.rebuilt(cb, **{kind: 1 / moved})
+                else:
+                    with pytest.raises(ValueError, match="one circle or line"):
+                        self.rebuilt(cb, **{kind: 1 / moved})
+
 
 class TestScatteringFromCapacitances:
     def test_single_connected_diagonal(self):
@@ -381,10 +421,10 @@ class TestScatteringFromCapacitances:
         with pytest.raises(ValueError):
             CapacitancePlan(np.eye(3) * 1e-12, topo)
 
-    def test_errors_carry_group_index(self):
+    def test_open_self_branches_give_unitary_scattering(self):
         # every self branch sits at its lossless parallel resonance (open),
-        # leaving each group's admittance matrix a singular coupling pattern;
-        # the error names the offending group
+        # so each group's admittance matrix is a singular coupling pattern;
+        # I + z0*Y stays regular, and the lossless blocks come out unitary
         topo = RisTopology.group_connected(4, 2)
         lossless = CircuitParams(r=0.0, l0=1e-9, l=0.0, r_tilde=0.0,
                                  l0_tilde=1e-9, l_tilde=0.0, z0=50.0)
@@ -392,6 +432,61 @@ class TestScatteringFromCapacitances:
         f = 1.0 / (2 * np.pi * np.sqrt(1e-9 * c_self))
         c = np.full((4, 4), 0.2e-12)
         c[np.diag_indices(4)] = c_self
-        plan = CapacitancePlan(c, topo)
-        with pytest.raises(SingularNetworkError, match="group"):
-            scattering_from_capacitances(plan, f, lossless)
+        theta = scattering_from_capacitances(CapacitancePlan(c, topo), f, lossless)
+        assert np.all(theta[:2, 2:] == 0) and np.all(theta[2:, :2] == 0)
+        assert np.abs(theta - theta.T).max() < 1e-12
+        assert np.linalg.norm(theta @ theta.conj().T - np.eye(4)) < 1e-12
+
+    @staticmethod
+    def plan_with_group_1_branch(kind):
+        # group 0 is regular; one branch of group 1 has no finite admittance
+        c = np.full((4, 4), 0.2e-12)
+        c[np.diag_indices(4)] = 0.5e-12
+        if kind == "zero":
+            c[3, 3] = 1e-12
+        else:
+            c[2, 3] = c[3, 2] = np.inf  # the inter branch comes out NaN
+        return CapacitancePlan(c, RisTopology.group_connected(4, 2))
+
+    # r = 0 and an inductance one rounding step off 1 / (w^2 c) put the
+    # series path of a 1 pF self branch at 4 GHz exactly at resonance
+    RESONANT = CircuitParams(r=0.0, l0=1e-9, l=1.5831434944115275e-09, r_tilde=1.0,
+                             l0_tilde=12.5e-9, l_tilde=0.2e-9, z0=50.0)
+
+    def test_errors_carry_group_index(self):
+        assert self_impedance(1e-12, 4e9, self.RESONANT) == 0
+        plan = self.plan_with_group_1_branch("zero")
+        with pytest.raises(SingularBranchError, match="^group 1: "):
+            scattering_from_capacitances(plan, 4e9, self.RESONANT)
+
+    def test_non_finite_branch_names_its_group(self):
+        plan = self.plan_with_group_1_branch("non-finite")
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SingularNetworkError, match="^group 1: .*rcond=nan"):
+                scattering_from_capacitances(plan, 4e9, self.RESONANT)
+
+    @given(st.sampled_from(["fc", "gc", "sc"]), st.integers(1, 4),
+           st.booleans(), st.floats(1e9, 16e9), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_two_inverse_reference(self, arch, d_bar, lossy, f, seed):
+        # the reference forms Z = Y^-1 per group, then (Z + z0 I)^-1 (Z - z0 I)
+        params = PARAMS if lossy else CircuitParams(
+            r=0.0, l0=2.5e-9, l=0.7e-9, r_tilde=0.0, l0_tilde=12.5e-9,
+            l_tilde=0.2e-9, z0=50.0)
+        g = {"fc": 1, "gc": 2, "sc": d_bar}[arch]
+        if arch == "sc":
+            d_bar = 1
+        topo = RisTopology(g * d_bar, g)
+        rng = np.random.default_rng(seed)
+        plan = random_plan(topo, (0.1e-12, 2e-12), (0.001e-12, 0.6e-12), rng)
+        expected = np.zeros((topo.d, topo.d), dtype=complex)
+        eye = np.eye(d_bar)
+        for k in range(g):
+            sl = topo.group_slice(k)
+            block = plan.c[sl, sl]
+            inter_z = inter_impedance(np.where(eye, 1.0, block), f, params)
+            z = np.linalg.inv(admittance_matrix(
+                self_impedance(np.diag(block), f, params), inter_z))
+            expected[sl, sl] = np.linalg.solve(z + params.z0 * eye, z - params.z0 * eye)
+        theta = scattering_from_capacitances(plan, f, params)
+        assert np.abs(theta - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -259,6 +259,39 @@ class TestPowerSweeps:
                     > blocked.mean_of(8, arch, "network_sum_power_w"))
 
 
+def test_every_run_path_snap_equals_exhaustive(monkeypatch):
+    # freq-response snaps every architecture at every frequency, network-power
+    # under both link modes; single-connected surfaces reach _snap directly,
+    # the others through snap_to_codebook
+    from bdris import optimizer
+    snap = optimizer._snap
+    calls = {"experiments": 0, "optimizer": 0}
+
+    def checked(where):
+        def spy(values, finite, arc, caps):
+            calls[where] += 1
+            picks = snap(values, finite, arc, caps)
+            targets = np.zeros(np.shape(values), dtype=complex)
+            targets[finite] = 1.0 / values[finite]
+            expected = caps[np.abs(targets[:, None] - arc.y[None, :]).argmin(axis=1)]
+            assert np.array_equal(picks, expected)
+            return picks
+        return spy
+
+    monkeypatch.setattr(experiments, "_snap", checked("experiments"))
+    monkeypatch.setattr(optimizer, "_snap", checked("optimizer"))
+    cfg = tiny_config(**{
+        "freq-response": {"d_values": [8], "grid_ghz": {"start": 7.0, "stop": 8.0,
+                                                        "step": 0.5}},
+        "network-power": {"d_grid": [8], "weight_sets": [[0.3, 0.7]],
+                          "link_modes": ["blocked", "available"]}})
+    cfg["simulation"]["trials"] = 2
+    cfg["optimization"]["fw_iterations"] = 20
+    freq_response(cfg)
+    network_power(cfg)
+    assert calls["experiments"] > 0 and calls["optimizer"] > 0
+
+
 class TestInterference:
     def test_degradation_positive_and_reference_flat(self):
         cfg = tiny_config(interference={

@@ -9,7 +9,7 @@ from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology
 from bdris.errors import DegenerateInputError
 from bdris.matrixkit import duplication_matrix, kron, vech
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
-                             _frank_wolfe_batch, _reduced_channel_block,
+                             _frank_wolfe_batch, _reduced_channel_block, _snap,
                              configure_fc, configure_gc,
                              frank_wolfe, frank_wolfe_batch, project_to_codebook,
                              relaxed_block_branches, snap_to_codebook,
@@ -19,6 +19,18 @@ from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
 PARAMS = CircuitParams.defaults()
 SELF_RANGE = (0.1e-12, 2e-12)
 INTER_RANGE = (0.001e-12, 0.6e-12)
+
+
+LOSSLESS = CircuitParams(r=0.0, l0=2.5e-9, l=0.7e-9, r_tilde=0.0, l0_tilde=12.5e-9,
+                         l_tilde=0.2e-9, z0=50.0)
+
+
+def exhaustive_snap(values, finite, codewords, caps):
+    """Nearest codeword by admittance distance over every codeword; argmin
+    keeps the first of equal distances, i.e. the smallest capacitance."""
+    targets = np.zeros(values.shape, dtype=complex)
+    targets[finite] = 1.0 / values[finite]
+    return caps[np.abs(targets[:, None] - 1.0 / codewords[None, :]).argmin(axis=1)]
 
 
 def crandn(rng, *shape):
@@ -452,6 +464,32 @@ class TestProjection:
         for kind in ("self", "inter"):
             assert np.all(errors[12, kind] <= errors[2, kind] + 1e-15)
             assert errors[12, kind].sum() < errors[2, kind].sum()
+
+    @given(st.booleans(), st.integers(1, 8), st.floats(1e9, 16e9),
+           st.sampled_from(["self", "inter"]),
+           st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                    max_size=40),
+           st.lists(st.integers(0, 255), max_size=20), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_arc_search_equals_exhaustive_argmin(self, lossy, bits, f, kind, plane,
+                                                 picks, seed):
+        params = PARAMS if lossy else LOSSLESS
+        cb = build_codebook(f, bits, SELF_RANGE, INTER_RANGE, params)
+        codewords, caps = getattr(cb, f"{kind}_z"), getattr(cb, f"{kind}_caps")
+        y = 1 / codewords
+        n = y.size
+        # admittance targets: anywhere in the plane, on a codeword, and
+        # halfway between neighbouring codewords (equidistant from both)
+        targets = np.concatenate([np.array(plane, dtype=complex),
+                                  y[[i % n for i in picks]],
+                                  (y[1:] + y[:-1]) / 2])
+        rng = np.random.default_rng(seed)
+        finite = rng.random(targets.size) > 0.1
+        with np.errstate(all="ignore"):
+            values = 1 / targets
+            got = _snap(values, finite, getattr(cb, f"{kind}_arc"), caps)
+            expected = exhaustive_snap(values, finite, codewords, caps)
+        assert np.array_equal(got, expected)
 
     def test_tie_breaks_to_smallest_capacitance(self):
         # two codewords whose admittances are exactly equidistant from the target
