@@ -13,9 +13,9 @@ from bdris.channel import (BLOCKED, NetworkScenario, PowerConfig,
                            sample_channels, stream_rng)
 from bdris.circuit import (CircuitParams, RisTopology, build_codebook,
                            random_plan, scattering_from_capacitances)
+from bdris.experiments import solve_trials
 from bdris.metrics import evaluate_received_powers
-from bdris.optimizer import (GroupAssignment, ObjectiveWeights, configure_fc,
-                             configure_gc)
+from bdris.optimizer import GroupAssignment, ObjectiveWeights, stack_fc
 
 D = 64
 F_STAR = 7.5e9
@@ -38,23 +38,23 @@ def main():
         result = evaluate_received_powers(channels, [theta], power)
         print(f"  {label:34s} {result.user_powers[0][0] * 1e3:8.4f} mW")
 
+    def configure(topo):
+        """Relaxed solve, branch retrieval and codebook snap of one surface."""
+        state = solve_trials([channels], weights, topo,
+                             GroupAssignment.single(0, topo, F_STAR), params.z0)[0]
+        return state, scattering_from_capacitances(state.plan({0: codebook}),
+                                                   F_STAR, params)
+
     print(f"one fading draw, D = {D}, priority frequency {F_STAR / 1e9:.1f} GHz")
-    fully = configure_fc(channels, weights, codebook, params)
-    print(f"relaxed optimum (upper reference)    "
-          f"{fully.relaxed.objective * power.p * 1e3:8.4f} mW")
-    report("fully-connected, configured", fully.scattering_at(F_STAR))
-
-    topo = RisTopology.group_connected(D, 2)
-    grouped = configure_gc(channels, weights, topo,
-                           GroupAssignment.single(0, topo, F_STAR),
-                           {0: codebook}, params)
-    report("group-connected (G=2), configured", grouped.scattering_at(F_STAR))
-
-    single_topo = RisTopology.single_connected(D)
-    single = configure_gc(channels, weights, single_topo,
-                          GroupAssignment.single(0, single_topo, F_STAR),
-                          {0: codebook}, params)
-    report("single-connected, configured", single.scattering_at(F_STAR))
+    fully, theta = configure(RisTopology.fully_connected(D))
+    r_hat, _ = stack_fc(channels, weights)
+    relaxed = np.linalg.norm(r_hat @ fully.thetas[0]) ** 2
+    print(f"relaxed optimum (upper reference)    {relaxed * power.p * 1e3:8.4f} mW")
+    report("fully-connected, configured", theta)
+    report("group-connected (G=2), configured",
+           configure(RisTopology.group_connected(D, 2))[1])
+    report("single-connected, configured",
+           configure(RisTopology.single_connected(D))[1])
 
     baseline = random_plan(RisTopology.fully_connected(D), SELF_RANGE, INTER_RANGE,
                            np.random.default_rng(0))

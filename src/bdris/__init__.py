@@ -20,12 +20,10 @@ from .circuit import (BranchImpedances, CapacitancePlan, CircuitParams, Codebook
 from .matrixkit import (duplication_matrix, kron, leading_right_singular_vector,
                         unvec, unvech, vec, vech, vech_indices)
 from .metrics import (AggregateResult, ResultRow, TrialResult, aggregate,
-                      evaluate_received_powers, network_sum_power, received_power,
-                      sum_power_per_bs, sum_spectral_efficiency_outdated)
-from .optimizer import (ConfiguredRis, FwConfig, GroupAssignment, GroupSolution,
-                        ObjectiveWeights, RelaxedSolution, configure_fc, configure_gc,
-                        frank_wolfe, project_to_codebook, relaxed_block_branches,
-                        snap_to_codebook, solve_fc_blocked, solve_fc_direct,
-                        solve_gc_blocked, solve_gc_direct, stack_fc, stack_gc)
+                      evaluate_received_powers, network_sum_power, sum_power_per_bs,
+                      sum_spectral_efficiency_outdated)
+from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, frank_wolfe,
+                        relaxed_block_branches, snap_to_codebook, stack_fc, stack_gc)
+from .experiments import TrialState, solve_trials
 
 __version__ = "0.1.0"

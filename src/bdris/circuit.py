@@ -348,7 +348,6 @@ class Codebook:
     """
 
     frequency: float
-    bits: int
     self_caps: np.ndarray
     self_z: np.ndarray
     inter_caps: np.ndarray
@@ -382,7 +381,6 @@ def build_codebook(f: float, bits: int, self_range: tuple[float, float],
     inter_caps = np.linspace(inter_range[0], inter_range[1], n)
     return Codebook(
         frequency=f,
-        bits=bits,
         self_caps=self_caps,
         self_z=self_impedance(self_caps, f, params),
         inter_caps=inter_caps,

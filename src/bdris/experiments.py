@@ -1,12 +1,14 @@
 """Named experiments: frequency response, target shifts, power sweeps, interference.
 
-This module holds the Monte Carlo engine.  Every experiment runs each of its
-grid points through :func:`_run_point`, the one trial loop: it draws per-trial
-fading on deterministic substreams, solves the relaxed problem with
-:func:`_solve_trials`, hands the frequency-independent solution to the
-experiment's ``evaluate`` (codebook projection, scattering, metrics), and
-redraws degenerate draws against one budget.  The experiment then aggregates
-mean and standard error per grid point.  The relaxed solve is done once per
+This module holds the Monte Carlo engine.  :func:`solve_trials` is the one
+configuration pipeline, public as ``bdris.solve_trials``: relaxed solve,
+branch retrieval, and a :class:`TrialState` that snaps to any codebook set.
+Every experiment runs each of its grid points through :func:`_run_point`, the
+one trial loop: it draws per-trial fading on deterministic substreams, solves
+the relaxed problem with :func:`solve_trials`, hands the frequency-independent
+solution to the experiment's ``evaluate`` (codebook projection, scattering,
+metrics), and redraws degenerate draws against one budget.  The experiment
+then aggregates mean and standard error per grid point.  The relaxed solve is done once per
 trial, outside any frequency loop; conditional-gradient solves are batched
 over trials *and* priority base stations in memory-bounded chunks, one
 solver call per chunk when the base stations' stacks share a shape.
@@ -82,22 +84,26 @@ def fc_target_bs(weights: ObjectiveWeights, frequencies: tuple[float, ...],
 
 
 @dataclass
-class _TrialState:
+class TrialState:
     """Frequency-independent part of one trial's configuration.
 
-    Holds the relaxed branch impedances per group (or, for one-element
-    groups, the vector of relaxed scalar impedances) plus each group's
-    priority base station, so plans can be snapped cheaply against any
-    codebook set.
+    ``thetas`` maps each priority base station to its relaxed stacked
+    solution (for a fully-connected surface, vech(Theta)).  The relaxed
+    branch impedances per group (or, for one-element groups, the vector of
+    relaxed scalar impedances) plus each group's priority base station let
+    plans be snapped cheaply against any codebook set.
     """
 
     topo: RisTopology
     group_bs: dict[int, int]
+    thetas: dict[int, np.ndarray]
     blocks: dict | None = None
     diag_z: np.ndarray | None = None
     diag_finite: np.ndarray | None = None
 
     def plan(self, codebooks: dict[int, Codebook]) -> CapacitancePlan:
+        """Capacitance plan snapping each group onto its priority base
+        station's codebook in ``codebooks``."""
         d = self.topo.d
         caps = np.zeros((d, d))
         if self.diag_z is not None:
@@ -116,18 +122,20 @@ class _TrialState:
 def _stacks(chans, weights: ObjectiveWeights, topo: RisTopology,
             assignment: GroupAssignment) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     if topo.g == 1:
-        return {assignment.bs[0]: stack_fc(chans, weights, drop_zero_rows=True)}
+        return {assignment.bs[0]: stack_fc(chans, weights)}
     return {bs: stack_gc(chans, weights, topo, bs) for bs in assignment.bs}
 
 
 def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
-                       assignment: GroupAssignment, z0: float) -> _TrialState:
+                       assignment: GroupAssignment, z0: float) -> TrialState:
+    """Trial state of the relaxed stacked solutions ``thetas`` (kept, not copied).
+
+    One-element groups take the scalar map z0 (1 + theta) / (1 - theta),
+    flagged infinite at a unit reflection coefficient; larger groups retrieve
+    their branches with :func:`relaxed_block_branches`.
+    """
     group_bs = {g: bs for s, bs in enumerate(assignment.bs)
                 for g in assignment.groups[s]}
-    if topo.g == 1:
-        matrix = unvech(thetas[assignment.bs[0]], topo.d)
-        return _TrialState(topo, group_bs,
-                           blocks={0: relaxed_block_branches(matrix, z0)})
     if topo.d_bar == 1:
         diag = np.zeros(topo.d, dtype=complex)
         for s, bs in enumerate(assignment.bs):
@@ -137,30 +145,40 @@ def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
         finite = np.abs(denom) >= 1e-14 * np.maximum(1.0, np.abs(diag))
         z = np.zeros(topo.d, dtype=complex)
         z[finite] = z0 * (1.0 + diag[finite]) / denom[finite]
-        return _TrialState(topo, group_bs, diag_z=z, diag_finite=finite)
+        return TrialState(topo, group_bs, thetas, diag_z=z, diag_finite=finite)
+    if topo.g == 1:
+        matrix = unvech(thetas[assignment.bs[0]], topo.d)
+        return TrialState(topo, group_bs, thetas,
+                          blocks={0: relaxed_block_branches(matrix, z0)})
     blocks = {}
     for s, bs in enumerate(assignment.bs):
         per_group = _split_blocks(thetas[bs], topo)
         for g in assignment.groups[s]:
             blocks[g] = relaxed_block_branches(per_group[g], z0)
-    return _TrialState(topo, group_bs, blocks=blocks)
+    return TrialState(topo, group_bs, thetas, blocks=blocks)
 
 
-def _solve_trials(chans_list, weights, topo, assignment, z0, direct: bool,
-                  fw: FwConfig | None) -> list[_TrialState]:
-    """Relaxed solves of a list of trials.
+def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
+                 assignment: GroupAssignment, z0: float,
+                 fw: FwConfig | None = None) -> list[TrialState]:
+    """Configure a surface for each channel draw in ``chans_list``.
 
-    Blocked links take the scaled leading right singular vector of each
-    trial's stack.  With direct links, ``fw`` drives one conditional-gradient
-    run per group of priority base stations whose stacks share a shape,
-    batched over the trials *and* those base stations (one instance per
-    trial and base station); an instance's result does not depend on the
-    batch it runs in.
+    Each priority base station of ``assignment`` solves its relaxed
+    sub-problem over the whole surface (radius 1 for a fully-connected
+    surface, sqrt(G) for G groups), and keeps the groups dedicated to it.
+    With ``fw=None`` the direct links are taken as blocked and each solution
+    is the scaled leading right singular vector of the trial's stack.  With
+    an :class:`FwConfig` the direct links count: one conditional-gradient run
+    per set of priority base stations whose stacks share a shape, batched
+    over the trials *and* those base stations (one instance per trial and
+    base station); an instance's result does not depend on the batch it
+    runs in.  Snap a returned state with :meth:`TrialState.plan`.
     """
+    assignment.validate(topo)
     radius = 1.0 if topo.g == 1 else float(np.sqrt(topo.g))
     stacks = [_stacks(c, weights, topo, assignment) for c in chans_list]
     thetas = {}
-    if direct:
+    if fw is not None:
         by_shape: dict[tuple[int, int], list[int]] = {}
         for bs in assignment.bs:
             by_shape.setdefault(stacks[0][bs][0].shape, []).append(bs)
@@ -203,12 +221,13 @@ def _direct_chunk(rows: int, cols: int, trials: int, instances: int) -> int:
 
 
 def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
-               weights, topo, assignment, z0, direct, fw, evaluate, context: str
+               weights, topo, assignment, z0, fw, evaluate, context: str
                ) -> dict[object, list[float]]:
     """Samples of every metric ``evaluate(chans, state)`` returns, one per trial.
 
     Each trial draws fading on its own substream and is solved by
-    :func:`_solve_trials`: conditional-gradient solves batched over
+    :func:`solve_trials` (``fw=None``: blocked direct links):
+    conditional-gradient solves batched over
     memory-bounded chunks of trials (each trial one instance per priority
     base station), closed-form solves one trial at a time.
     A draw whose evaluation raises :class:`DegenerateChannelError` is redrawn
@@ -221,11 +240,11 @@ def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
     samples: dict[object, list[float]] = {}
     chunk = (_direct_chunk(*_stack_shape(scenario, weights, topo, assignment), trials,
                            len(assignment.bs))
-             if direct else 1)
+             if fw is not None else 1)
     for start in range(0, trials, chunk):
         indices = range(start, min(start + chunk, trials))
         chans_list = [sample_channels(scenario, d, stream_rng(seed, t)) for t in indices]
-        states = _solve_trials(chans_list, weights, topo, assignment, z0, direct, fw)
+        states = solve_trials(chans_list, weights, topo, assignment, z0, fw)
         for t, chans, state in zip(indices, chans_list, states):
             attempt = 0
             while True:
@@ -241,8 +260,8 @@ def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
                     attempt += 1
                     chans = sample_channels(scenario, d,
                                             stream_rng(seed, t, attempt=attempt))
-                    state = _solve_trials([chans], weights, topo, assignment, z0,
-                                          direct, fw)[0]
+                    state = solve_trials([chans], weights, topo, assignment, z0,
+                                         fw)[0]
             for name, value in metrics.items():
                 samples.setdefault(name, []).append(float(value))
     return samples
@@ -317,7 +336,7 @@ def freq_response(cfg: dict) -> dict[str, AggregateResult]:
             label = f"{arch} D={d}"
             samples = _run_point(
                 scenario, d, seed, trials, weights, topo,
-                GroupAssignment.single(0, topo, freqs_hz[0]), params.z0, False, None,
+                GroupAssignment.single(0, topo, freqs_hz[0]), params.z0, None,
                 evaluate, context=f"freq-response {label}")
             rows.extend(_frequency_rows(ghz_values, label, samples, trials))
     return {"freq_response": AggregateResult(tuple(rows))}
@@ -358,7 +377,7 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
             topo = topology_for(arch, d, group_count)
             samples = _run_point(
                 scenario, d, seed, trials, weights, topo,
-                GroupAssignment.single(0, topo, f_star), params.z0, False, None,
+                GroupAssignment.single(0, topo, f_star), params.z0, None,
                 evaluate, context=f"target-shift {arch}")
             rows.extend(_frequency_rows(ghz_values, arch, samples, trials))
         tag = f"{target_ghz:g}".replace(".", "p")
@@ -385,7 +404,6 @@ def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
     power = power_config(cfg, scenario)
     nu = tuple(tuple(map(float, row)) for row in cfg["optimization"]["user_weights"])
     weights = ObjectiveWeights(mu=tuple(map(float, weight_set)), nu=nu)
-    direct = link_mode == AVAILABLE
     preferred = ghz(cfg["optimization"]["target_frequency_ghz"])
     codebooks = {b: build_codebook(f, bits, self_range, inter_range, params)
                  for b, f in enumerate(scenario.frequencies)}
@@ -412,7 +430,7 @@ def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
                 assignment = priority_assignment(weights, topo, scenario.frequencies)
             samples = _run_point(
                 scenario, d, seed, trials, weights, topo, assignment, params.z0,
-                direct, fw,
+                fw if link_mode == AVAILABLE else None,
                 lambda chans, state: evaluate(chans, state, codebooks),
                 context=f"{arch} D={d} {link_mode}")
             for name, values in samples.items():
@@ -506,7 +524,7 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
                 with_reference = arch == archs[0]
                 samples = _run_point(
                     scenario, d, seed, trials, weights, topo, assignment, params.z0,
-                    True, fw,
+                    fw,
                     lambda chans, state: evaluate(chans, state, with_reference),
                     context=f"interference {arch} D={d} at {position}")
                 mean, stderr = aggregate(samples[act_metric])

@@ -14,13 +14,6 @@ import numpy as np
 from .channel import ChannelSet, PowerConfig, effective_channels, zf_precoder
 
 
-def received_power(effective_row: np.ndarray, precoder: np.ndarray,
-                   p: float, alpha: float) -> float:
-    """|e^H p|^2 P alpha for one user's effective channel row and precoder."""
-    gain = np.asarray(effective_row) @ np.asarray(precoder)
-    return float(np.abs(gain) ** 2 * p * alpha)
-
-
 @dataclass(frozen=True)
 class TrialResult:
     """Per-user received powers of one trial, grouped by base station."""

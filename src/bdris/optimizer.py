@@ -1,4 +1,4 @@
-"""Relaxed reflection-matrix solvers and codebook-based capacitance configuration.
+"""Building blocks of the relaxed solve and the codebook snap.
 
 The received-power objective is linear in the non-redundant (lower-triangular)
 reflection coefficients once the channels are stacked into a reduced matrix,
@@ -6,7 +6,8 @@ so the relaxed problems are solved either in closed form via the leading
 right singular vector (blocked direct links) or by a conditional-gradient
 method over the norm ball (direct links present).  The relaxed solution is
 then mapped to hardware capacitances by snapping the recovered branch
-impedances onto a frequency-specific codebook.
+impedances onto a frequency-specific codebook.  The pipeline that chains
+these steps is :func:`bdris.experiments.solve_trials`.
 """
 
 from __future__ import annotations
@@ -17,18 +18,14 @@ import numpy as np
 
 from .circuit import (
     BranchImpedances,
-    CapacitancePlan,
-    CircuitParams,
     Codebook,
     CodewordArc,
     RisTopology,
     impedance_from_scattering,
     retrieve_branch_impedances,
-    scattering_from_capacitances,
 )
 from .channel import ChannelSet
-from .errors import DegenerateInputError, OpenCircuitError
-from .matrixkit import leading_right_singular_vector, unvech, vech_indices
+from .matrixkit import unvech, vech_indices
 
 
 @dataclass(frozen=True)
@@ -123,24 +120,6 @@ class FwConfig:
             raise ValueError("step_rule must be 'line-search' or 'diminishing'")
 
 
-@dataclass(frozen=True)
-class RelaxedSolution:
-    """Solution of one relaxed problem: coefficient vector, assembled matrix, objective."""
-
-    theta: np.ndarray
-    theta_matrix: np.ndarray
-    objective: float
-
-
-@dataclass(frozen=True)
-class GroupSolution:
-    """Per-group relaxed blocks plus the stacked solutions per priority base station."""
-
-    blocks: dict[int, np.ndarray]
-    stacked: dict[int, np.ndarray]
-    objectives: dict[int, float]
-
-
 def _reduced_channel_block(g: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Rows of the reduced stacked matrix for one user: (g^T kron f^H) D_d.
 
@@ -168,20 +147,20 @@ def _reduced_group_block(g: np.ndarray, f: np.ndarray, topology: RisTopology) ->
     return np.hstack(parts)
 
 
-def stack_fc(channels: ChannelSet, weights: ObjectiveWeights,
-             drop_zero_rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def stack_fc(channels: ChannelSet,
+             weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray]:
     """Weighted stacked matrix and direct-channel vector of the fully-connected problem.
 
     For any symmetric Theta, ||R theta + h||^2 with theta = vech(Theta)
     equals the weighted sum over users of ||f^H Theta G + h^H||^2.
-    Zero-weight users contribute all-zero rows; ``drop_zero_rows`` omits them
-    (same objective, smaller matrices).
+    Zero-weight users would contribute all-zero rows and are left out (same
+    objective, smaller matrices).
     """
     r_rows, h_rows = [], []
     for b in range(len(channels.g)):
         for k in range(len(channels.f[b])):
             w = weights.factor(b, k)
-            if drop_zero_rows and w == 0.0:
+            if w == 0.0:
                 continue
             r_rows.append(w * _reduced_channel_block(channels.g[b], channels.f[b][k]))
             h_rows.append(w * channels.h[b][k].conj())
@@ -295,88 +274,12 @@ def frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: i
     return _frank_wolfe_batch(r, h, radius, iterations, step_rule=step_rule)[0]
 
 
-def solve_fc_blocked(channels: ChannelSet, weights: ObjectiveWeights) -> RelaxedSolution:
-    """Closed-form relaxed solution for a fully-connected surface, blocked direct links.
-
-    The optimal coefficient vector is the leading right singular vector of
-    the weighted stacked matrix; the achieved objective is the squared
-    largest singular value.
-    """
-    r_hat, _ = stack_fc(channels, weights)
-    d = channels.num_ris_elements
-    if not np.any(r_hat):
-        raise DegenerateInputError("stacked channel matrix is zero")
-    theta, sigma = leading_right_singular_vector(r_hat)
-    return RelaxedSolution(theta=theta, theta_matrix=unvech(theta, d),
-                           objective=sigma ** 2)
-
-
-def solve_fc_direct(channels: ChannelSet, weights: ObjectiveWeights,
-                    fw: FwConfig = FwConfig()) -> RelaxedSolution:
-    """Conditional-gradient relaxed solution for a fully-connected surface
-    when the direct links contribute to the objective."""
-    r_hat, h_hat = stack_fc(channels, weights)
-    d = channels.num_ris_elements
-    theta, objective = frank_wolfe(r_hat, h_hat, radius=1.0, iterations=fw.iterations,
-                                   step_rule=fw.step_rule)
-    return RelaxedSolution(theta=theta, theta_matrix=unvech(theta, d),
-                           objective=objective)
-
-
 def _split_blocks(theta_stacked: np.ndarray, topology: RisTopology) -> list[np.ndarray]:
     n_bar = topology.d_bar * (topology.d_bar + 1) // 2
     return [
         unvech(theta_stacked[g * n_bar:(g + 1) * n_bar], topology.d_bar)
         for g in range(topology.g)
     ]
-
-
-def solve_gc_blocked(channels: ChannelSet, weights: ObjectiveWeights,
-                     topology: RisTopology, assignment: GroupAssignment) -> GroupSolution:
-    """Closed-form relaxed blocks for a group-connected surface, blocked links.
-
-    Each priority base station solves its own sub-problem over all group
-    coefficient blocks (scaled leading singular vector on the radius-sqrt(G)
-    ball); only the blocks of the groups dedicated to that base station are
-    retained.
-    """
-    assignment.validate(topology)
-    blocks, stacked, objectives = {}, {}, {}
-    scale = np.sqrt(topology.g)
-    for s, bs in enumerate(assignment.bs):
-        r_s, _ = stack_gc(channels, weights, topology, bs)
-        if not np.any(r_s):
-            raise DegenerateInputError(f"stacked channel matrix for base station {bs} is zero")
-        v, sigma = leading_right_singular_vector(r_s)
-        theta_s = scale * v
-        per_group = _split_blocks(theta_s, topology)
-        for g in assignment.groups[s]:
-            blocks[g] = per_group[g]
-        stacked[bs] = theta_s
-        objectives[bs] = (scale * sigma) ** 2
-    return GroupSolution(blocks=blocks, stacked=stacked, objectives=objectives)
-
-
-def solve_gc_direct(channels: ChannelSet, weights: ObjectiveWeights,
-                    topology: RisTopology, assignment: GroupAssignment,
-                    fw: FwConfig = FwConfig()) -> GroupSolution:
-    """Conditional-gradient relaxed blocks for a group-connected surface
-    when the direct links contribute; one independent sub-problem per
-    priority base station."""
-    assignment.validate(topology)
-    blocks, stacked, objectives = {}, {}, {}
-    radius = np.sqrt(topology.g)
-    for s, bs in enumerate(assignment.bs):
-        r_s, h_s = stack_gc(channels, weights, topology, bs)
-        theta_s, objective = frank_wolfe(r_s, h_s, radius=radius,
-                                         iterations=fw.iterations,
-                                         step_rule=fw.step_rule)
-        per_group = _split_blocks(theta_s, topology)
-        for g in assignment.groups[s]:
-            blocks[g] = per_group[g]
-        stacked[bs] = theta_s
-        objectives[bs] = objective
-    return GroupSolution(blocks=blocks, stacked=stacked, objectives=objectives)
 
 
 def _snap(values: np.ndarray, finite: np.ndarray, arc: CodewordArc,
@@ -402,22 +305,10 @@ def relaxed_block_branches(theta_block: np.ndarray, z0: float) -> BranchImpedanc
     """Branch impedances realizing one relaxed reflection block.
 
     Frequency independent: converts the block to its impedance matrix and
-    retrieves the non-redundant self and inter-element branches.  For a
-    single-element block this is the scalar map z0 (1 + theta) / (1 - theta),
-    flagged infinite at a unit reflection coefficient.
+    retrieves the non-redundant self and inter-element branches.  Surfaces of
+    one-element groups take the vectorized scalar map in
+    :func:`bdris.experiments.solve_trials` instead.
     """
-    theta_block = np.atleast_2d(np.asarray(theta_block, dtype=complex))
-    d = theta_block.shape[0]
-    if d == 1:
-        theta = complex(theta_block[0, 0])
-        denom = 1.0 - theta
-        none = np.zeros((1, 1), dtype=complex)
-        if abs(denom) < 1e-14 * max(1.0, abs(theta)):
-            return BranchImpedances(np.zeros(1, complex), np.array([False]),
-                                    none, np.zeros((1, 1), dtype=bool))
-        z_star = np.array([z0 * (1.0 + theta) / denom])
-        return BranchImpedances(z_star, np.array([True]),
-                                none, np.zeros((1, 1), dtype=bool))
     z_star = impedance_from_scattering(theta_block, z0)
     return retrieve_branch_impedances(z_star)
 
@@ -436,68 +327,3 @@ def snap_to_codebook(branches: BranchImpedances, codebook: Codebook) -> np.ndarr
         caps[iu, ju] = c_inter
         caps[ju, iu] = c_inter
     return caps
-
-
-def project_to_codebook(theta_block: np.ndarray, codebook: Codebook,
-                        z0: float) -> np.ndarray:
-    """Capacitance block realizing the relaxed reflection block at the codebook frequency.
-
-    Recovers the relaxed impedance matrix, retrieves its non-redundant self
-    and inter-element branch impedances, and snaps each onto the matching
-    codebook list (nearest codeword in admittance distance).
-    """
-    return snap_to_codebook(relaxed_block_branches(theta_block, z0), codebook)
-
-
-@dataclass(frozen=True)
-class ConfiguredRis:
-    """A practical capacitance plan plus the relaxed solution that produced it."""
-
-    plan: CapacitancePlan
-    relaxed: RelaxedSolution | GroupSolution
-    params: CircuitParams
-
-    def scattering_at(self, f: float) -> np.ndarray:
-        return scattering_from_capacitances(self.plan, f, self.params)
-
-
-def configure_fc(channels: ChannelSet, weights: ObjectiveWeights, codebook: Codebook,
-                 params: CircuitParams, direct: bool = False,
-                 fw: FwConfig = FwConfig()) -> ConfiguredRis:
-    """Full practical configuration of a fully-connected surface for one
-    priority frequency: relaxed solve, impedance retrieval, codebook snap."""
-    solution = (solve_fc_direct(channels, weights, fw) if direct
-                else solve_fc_blocked(channels, weights))
-    d = channels.num_ris_elements
-    try:
-        caps = project_to_codebook(solution.theta_matrix, codebook, params.z0)
-    except OpenCircuitError as exc:
-        raise OpenCircuitError(f"fully-connected block: {exc}") from exc
-    plan = CapacitancePlan(caps, RisTopology.fully_connected(d))
-    return ConfiguredRis(plan=plan, relaxed=solution, params=params)
-
-
-def configure_gc(channels: ChannelSet, weights: ObjectiveWeights, topology: RisTopology,
-                 assignment: GroupAssignment, codebooks: dict[int, Codebook],
-                 params: CircuitParams, direct: bool = False,
-                 fw: FwConfig = FwConfig()) -> ConfiguredRis:
-    """Full practical configuration of a group-connected (or single-connected)
-    surface, projecting each group's relaxed block onto the codebook of the
-    frequency of its priority base station.
-
-    ``codebooks`` maps each priority base station to the codebook built at
-    its target frequency.
-    """
-    solution = (solve_gc_direct(channels, weights, topology, assignment, fw) if direct
-                else solve_gc_blocked(channels, weights, topology, assignment))
-    caps = np.zeros((topology.d, topology.d))
-    for s, bs in enumerate(assignment.bs):
-        codebook = codebooks[bs]
-        for g in assignment.groups[s]:
-            sl = topology.group_slice(g)
-            try:
-                caps[sl, sl] = project_to_codebook(solution.blocks[g], codebook, params.z0)
-            except OpenCircuitError as exc:
-                raise OpenCircuitError(f"group {g}: {exc}") from exc
-    plan = CapacitancePlan(caps, topology)
-    return ConfiguredRis(plan=plan, relaxed=solution, params=params)

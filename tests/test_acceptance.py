@@ -20,14 +20,13 @@ from bdris.circuit import (CircuitParams, RisTopology, build_codebook, random_pl
 from bdris.cli import main as cli_main
 from bdris.config import (DEFAULT_CONFIG, base_scenario, cap_ranges, circuit_params,
                           ghz, power_config)
-from bdris.experiments import (_solve_trials, fc_target_bs, freq_response,
-                               interference, priority_assignment, target_shift,
+from bdris.experiments import (fc_target_bs, freq_response, interference,
+                               priority_assignment, solve_trials, target_shift,
                                topology_for)
 from bdris.matrixkit import duplication_matrix, vec, vech
 from bdris.metrics import evaluate_received_powers, sum_power_per_bs
-from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
-                             solve_fc_blocked, solve_fc_direct, solve_gc_blocked,
-                             solve_gc_direct, stack_fc)
+from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, stack_fc,
+                             stack_gc)
 
 PARAMS = CircuitParams.defaults()
 SEED = 1
@@ -61,6 +60,15 @@ def random_instance(rng, d, m, users_per_bs):
         f.append(tuple(crandn(rng, d) for _ in range(k_b)))
         h.append(tuple(np.zeros(m, dtype=complex) for _ in range(k_b)))
     return ChannelSet(g=tuple(g), f=tuple(f), h=tuple(h))
+
+
+def relaxed_thetas(ch, weights, topo, assignment, fw=None):
+    """The engine's relaxed stacked solution per priority base station."""
+    return solve_trials([ch], weights, topo, assignment, PARAMS.z0, fw)[0].thetas
+
+
+def relaxed_objective(r, h, theta):
+    return np.linalg.norm(r @ theta + h) ** 2
 
 
 def test_criterion_01_duplication_identity():
@@ -133,14 +141,17 @@ def test_criterion_05_closed_form_optimality():
             m = int(rng.integers(1, 5))
             ch = random_instance(rng, d, m, (1, 1))
             weights = ObjectiveWeights.uniform((1, 1))
-            sol = solve_fc_blocked(ch, weights)
-            r_hat, _ = stack_fc(ch, weights)
+            topo = RisTopology.fully_connected(d)
+            theta = relaxed_thetas(ch, weights, topo,
+                                   GroupAssignment.single(0, topo, 7.4e9))[0]
+            r_hat, h_hat = stack_fc(ch, weights)
+            objective = relaxed_objective(r_hat, h_hat, theta)
             sigma = np.linalg.svd(r_hat, compute_uv=False)[0]
-            assert abs(sol.objective - sigma ** 2) < 1e-9 * sigma ** 2
+            assert abs(objective - sigma ** 2) < 1e-9 * sigma ** 2
             samples = crandn(rng, d * (d + 1) // 2, 10_000)
             samples /= np.linalg.norm(samples, axis=0)
             best = (np.linalg.norm(r_hat @ samples, axis=0) ** 2).max()
-            assert sol.objective >= best - 1e-12 * sol.objective
+            assert objective >= best - 1e-12 * objective
 
 
 def test_criterion_06_conditional_gradient_matches_svd():
@@ -153,16 +164,23 @@ def test_criterion_06_conditional_gradient_matches_svd():
             m = int(rng.integers(1, 5))
             ch = random_instance(rng, d, m, (1, 1))
             weights = ObjectiveWeights.uniform((1, 1))
-            closed = solve_fc_blocked(ch, weights)
-            iterative = solve_fc_direct(ch, weights, fw)
-            assert abs(iterative.objective - closed.objective) < 1e-2 * closed.objective
+            topo = RisTopology.fully_connected(d)
+            assignment = GroupAssignment.single(0, topo, 7.4e9)
+            r_hat, h_hat = stack_fc(ch, weights)
+            closed = relaxed_objective(
+                r_hat, h_hat, relaxed_thetas(ch, weights, topo, assignment)[0])
+            iterative = relaxed_objective(
+                r_hat, h_hat, relaxed_thetas(ch, weights, topo, assignment, fw)[0])
+            assert abs(iterative - closed) < 1e-2 * closed
             topo = RisTopology(d, 2)
             assignment = GroupAssignment.even_split((0, 1), topo, (7.4e9, 8.0e9))
-            blocked = solve_gc_blocked(ch, weights, topo, assignment)
-            direct = solve_gc_direct(ch, weights, topo, assignment, fw)
+            blocked = relaxed_thetas(ch, weights, topo, assignment)
+            direct = relaxed_thetas(ch, weights, topo, assignment, fw)
             for bs in (0, 1):
-                gap = abs(direct.objectives[bs] - blocked.objectives[bs])
-                assert gap < 1e-2 * blocked.objectives[bs]
+                r_s, h_s = stack_gc(ch, weights, topo, bs)
+                closed = relaxed_objective(r_s, h_s, blocked[bs])
+                gap = abs(relaxed_objective(r_s, h_s, direct[bs]) - closed)
+                assert gap < 1e-2 * closed
 
 
 def test_criterion_07_zero_forcing_property():
@@ -308,8 +326,7 @@ def _paired_interference_degradation():
         for arch in out:
             topo = topology_for(arch, d, 2)
             assignment = GroupAssignment.single(0, topo, freqs[0])
-            states = _solve_trials(chans, weights, topo, assignment, params.z0,
-                                   True, fw)
+            states = solve_trials(chans, weights, topo, assignment, params.z0, fw)
             for ch, state in zip(chans, states):
                 theta = scattering_from_capacitances(
                     state.plan({0: codebook}), freqs[1], params)
@@ -343,8 +360,8 @@ def test_criterion_11_architecture_ordering():
                     else:
                         assignment = priority_assignment(weights, topo,
                                                          scenario.frequencies)
-                    state = _solve_trials([ch], weights, topo, assignment,
-                                          params.z0, False, None)[0]
+                    state = solve_trials([ch], weights, topo, assignment,
+                                         params.z0)[0]
                     plan = state.plan(codebooks)
                     thetas = [scattering_from_capacitances(plan, f, params)
                               for f in scenario.frequencies]

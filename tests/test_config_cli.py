@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -145,7 +146,7 @@ class TestResultsFiles:
         files = emit_plotdata(path, str(tmp_path / "curves"))
         assert len(files) == 2
         for f in files:
-            rows = [line.split() for line in open(f).read().splitlines()]
+            rows = [line.split() for line in Path(f).read_text().splitlines()]
             assert all(len(r) == 3 for r in rows)
 
     def test_plotdata_empty_warns(self, tmp_path, capsys):
@@ -257,3 +258,19 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", "import sys, bdris.cli; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_quick_demo_prints_five_results():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "quick_demo.py"
+    env = dict(os.environ, PYTHONPATH=str(Path(bdris.__file__).parents[1]))
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    labels = ("relaxed optimum (upper reference)", "fully-connected, configured",
+              "group-connected (G=2), configured", "single-connected, configured",
+              "random capacitances (baseline)")
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1 + len(labels)
+    for line, label in zip(lines[1:], labels):
+        match = re.fullmatch(rf"\s*{re.escape(label)}\s+(\d+\.\d{{4}}) mW", line)
+        assert match and float(match.group(1)) > 0, line

@@ -16,8 +16,8 @@ from bdris.config import DEFAULT_CONFIG
 from bdris.errors import DegenerateChannelError
 from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interference,
                                network_power, per_bs_power, priority_assignment,
-                               target_shift, topology_for)
-from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights, configure_gc
+                               solve_trials, target_shift, topology_for)
+from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
 
 PARAMS = CircuitParams.defaults()
 
@@ -129,7 +129,7 @@ class TestDirectBatching:
 
         monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
         experiments._run_point(sc, d, seed, trials, weights, topo, assignment,
-                               PARAMS.z0, True, fw, evaluate, context="batching")
+                               PARAMS.z0, fw, evaluate, context="batching")
         assert [n for n, _ in calls] == [4, 4, 2]
 
         radius = float(np.sqrt(topo.g))
@@ -377,9 +377,9 @@ class TestDedicatedConfigurationLooksRandomElsewhere:
             ch = sample_channels(sc, 8, stream_rng(31, t))
             other = sample_channels(sc, 8, stream_rng(31, t, purpose=2))
             for sample, source in ((matched, ch), (mismatched, other)):
-                configured = configure_gc(source, weights, topo, assignment,
-                                          codebooks, PARAMS)
-                sample.append(bs2_power(ch, configured.scattering_at(sc.frequencies[1])))
+                state = solve_trials([source], weights, topo, assignment, PARAMS.z0)[0]
+                sample.append(bs2_power(ch, scattering_from_capacitances(
+                    state.plan(codebooks), sc.frequencies[1], PARAMS)))
             plan = random_plan(topo, *ranges, stream_rng(31, t, purpose=3))
             uniform.append(bs2_power(ch, scattering_from_capacitances(
                 plan, sc.frequencies[1], PARAMS)))

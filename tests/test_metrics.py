@@ -8,9 +8,9 @@ from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
                            zf_precoder)
 from bdris.circuit import CircuitParams, RisTopology
 from bdris.errors import DegenerateChannelError
-from bdris.experiments import _run_point, _solve_trials
+from bdris.experiments import _run_point, solve_trials
 from bdris.metrics import (TrialResult, aggregate, evaluate_received_powers,
-                           network_sum_power, received_power, sum_power_per_bs,
+                           network_sum_power, sum_power_per_bs,
                            sum_spectral_efficiency_outdated)
 from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
 
@@ -50,18 +50,35 @@ class TestReceivedPower:
             np.linalg.norm(eff) ** 2 * 0.1, rel=1e-12)
 
     def test_matches_naive_scalar_evaluation(self):
+        # two users: |e_k^H p_k|^2 P alpha_k summed term by term
+        sc = scenario(BLOCKED, users=((25.0, 10.0), (35.0, 0.0)))
+        ch = sample_channels(sc, 4, stream_rng(0, 2))
         rng = np.random.default_rng(2)
-        e = crandn(rng, 6)
-        p = crandn(rng, 6)
-        expected = abs(sum(e[i] * p[i] for i in range(6))) ** 2 * 0.2 * 0.5
-        assert received_power(e, p, 0.2, 0.5) == pytest.approx(expected, rel=1e-12)
+        theta = crandn(rng, 4, 4)
+        theta = theta + theta.T
+        power = PowerConfig(p=0.2, alpha=((0.5, 0.25),), noise=1e-7)
+        result = evaluate_received_powers(ch, [theta], power)
+        e = effective_channels(ch, 0, theta)
+        p = zf_precoder(e)
+        for k in range(2):
+            gain = sum(e[k, i] * p[i, k] for i in range(6))
+            expected = abs(gain) ** 2 * 0.2 * power.alpha[0][k]
+            assert result.user_powers[0][k] == pytest.approx(expected, rel=1e-12)
 
     def test_linear_in_power_and_alpha(self):
+        sc = scenario(BLOCKED)
+        ch = sample_channels(sc, 4, stream_rng(0, 3))
         rng = np.random.default_rng(3)
-        e, p = crandn(rng, 4), crandn(rng, 4)
-        base = received_power(e, p, 0.1, 0.5)
-        assert received_power(e, p, 0.3, 0.5) == pytest.approx(3 * base, rel=1e-12)
-        assert received_power(e, p, 0.1, 1.0) == pytest.approx(2 * base, rel=1e-12)
+        theta = crandn(rng, 4, 4)
+        theta = theta + theta.T
+
+        def power(p, alpha):
+            config = PowerConfig(p=p, alpha=((alpha,),), noise=1e-7)
+            return evaluate_received_powers(ch, [theta], config).user_powers[0][0]
+
+        base = power(0.1, 0.5)
+        assert power(0.3, 0.5) == pytest.approx(3 * base, rel=1e-12)
+        assert power(0.1, 1.0) == pytest.approx(2 * base, rel=1e-12)
 
 
 class TestSums:
@@ -181,7 +198,7 @@ class TestRunMonteCarlo:
         fw = FwConfig(20) if direct else None
         return _run_point(sc, self.D, self.SEED, trials, self.WEIGHTS, topo,
                           GroupAssignment.single(0, topo, 7.4e9), PARAMS.z0,
-                          direct, fw, evaluate, context="stub point")
+                          fw, evaluate, context="stub point")
 
     def test_single_trial_reproduces_point_value(self):
         assert self.run(1, lambda chans, state: {"m": 42.0}) == {"m": [42.0]}
@@ -218,9 +235,9 @@ class TestRunMonteCarlo:
                 sample_channels(sc, self.D, stream_rng(self.SEED, t)).g[0][0, 0].real
                 for t in (1, 2, 3)]
             # the redrawn trial is solved again on its new draw
-            expected = _solve_trials([redrawn], self.WEIGHTS, topo,
-                                     GroupAssignment.single(0, topo, 7.4e9),
-                                     PARAMS.z0, direct, fw)[0]
+            expected = solve_trials([redrawn], self.WEIGHTS, topo,
+                                    GroupAssignment.single(0, topo, 7.4e9),
+                                    PARAMS.z0, fw)[0]
             assert np.array_equal(seen[1][1].blocks[0].self_z,
                                   expected.blocks[0].self_z)
 

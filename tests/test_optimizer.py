@@ -7,14 +7,13 @@ from bdris.channel import ChannelSet
 from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
                            build_codebook, random_plan, scattering_from_capacitances)
 from bdris.errors import DegenerateInputError
-from bdris.matrixkit import duplication_matrix, kron, vech
+from bdris.experiments import _state_from_thetas, solve_trials
+from bdris.matrixkit import (duplication_matrix, kron, leading_right_singular_vector,
+                             unvech, vech)
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
                              _frank_wolfe_batch, _reduced_channel_block, _snap,
-                             configure_fc, configure_gc,
-                             frank_wolfe, frank_wolfe_batch, project_to_codebook,
-                             relaxed_block_branches, snap_to_codebook,
-                             solve_fc_blocked, solve_fc_direct, solve_gc_blocked,
-                             solve_gc_direct, stack_fc, stack_gc)
+                             frank_wolfe, frank_wolfe_batch, snap_to_codebook,
+                             stack_fc, stack_gc)
 
 PARAMS = CircuitParams.defaults()
 SELF_RANGE = (0.1e-12, 2e-12)
@@ -47,6 +46,28 @@ def random_channels(rng, d, m, users_per_bs, direct=False, scales=None):
         h.append(tuple(crandn(rng, m) if direct else np.zeros(m, dtype=complex)
                        for _ in range(k_b)))
     return ChannelSet(g=tuple(g), f=tuple(f), h=tuple(h))
+
+
+def solve_one(ch, weights, topo=None, assignment=None, fw=None):
+    """The engine's state for one channel draw; by default the whole surface,
+    fully connected, serves base station 0."""
+    topo = topo or RisTopology.fully_connected(ch.num_ris_elements)
+    assignment = assignment or GroupAssignment.single(0, topo, 1e9)
+    return solve_trials([ch], weights, topo, assignment, PARAMS.z0, fw)[0]
+
+
+def relaxed_objective(r, h, theta):
+    return np.linalg.norm(r @ theta + h) ** 2
+
+
+def plan_from_theta(theta, topo, codebook):
+    """Capacitances the engine snaps a relaxed reflection matrix onto."""
+    stacked = np.concatenate([vech(theta[topo.group_slice(g), topo.group_slice(g)])
+                              for g in range(topo.g)])
+    state = _state_from_thetas({0: stacked}, topo,
+                               GroupAssignment.single(0, topo, codebook.frequency),
+                               PARAMS.z0)
+    return state.plan({0: codebook}).c
 
 
 def objective_direct(channels, weights, theta):
@@ -123,15 +144,18 @@ class TestStacking:
         lhs = np.linalg.norm(r_hat @ vech(theta) + h_hat) ** 2
         assert lhs == pytest.approx(objective_direct(ch, weights, theta), rel=1e-10)
 
-    def test_zero_weight_rows_are_zero(self):
+    def test_zero_weight_rows_are_dropped(self):
         rng = np.random.default_rng(3)
-        ch = random_channels(rng, 3, 2, (1, 1))
+        ch = random_channels(rng, 3, 2, (1, 1), direct=True)
         weights = ObjectiveWeights(mu=(1.0, 0.0), nu=((1.0,), (1.0,)))
-        r_hat, _ = stack_fc(ch, weights)
-        assert r_hat.shape[0] == 4
-        assert np.all(r_hat[2:] == 0)
-        r_drop, _ = stack_fc(ch, weights, drop_zero_rows=True)
-        assert np.array_equal(r_drop, r_hat[:2])
+        r_hat, h_hat = stack_fc(ch, weights)
+        assert r_hat.shape == (2, 6) and h_hat.shape == (2,)
+        # only base station 0's user rows remain
+        assert np.array_equal(r_hat, _reduced_channel_block(ch.g[0], ch.f[0][0]))
+        a = crandn(rng, 3, 3)
+        theta = a + a.T
+        lhs = np.linalg.norm(r_hat @ vech(theta) + h_hat) ** 2
+        assert lhs == pytest.approx(objective_direct(ch, weights, theta), rel=1e-12)
 
     def test_blocked_links_zero_offset(self):
         rng = np.random.default_rng(4)
@@ -162,64 +186,68 @@ class TestSolveFcBlocked:
         rng = np.random.default_rng(6)
         ch = random_channels(rng, 3, 1, (1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        sol = solve_fc_blocked(ch, weights)
+        theta = solve_one(ch, weights).thetas[0]
         r_hat, _ = stack_fc(ch, weights)
         expected = r_hat[0].conj()
         expected /= np.linalg.norm(expected)
         pivot = expected[np.flatnonzero(np.abs(expected) > 1e-12)[0]]
         expected *= np.conj(pivot) / abs(pivot)
-        assert np.abs(sol.theta - expected).max() < 1e-10
+        assert np.abs(theta - expected).max() < 1e-10
 
     def test_beats_random_sampling(self):
         rng = np.random.default_rng(7)
         ch = random_channels(rng, 4, 3, (1, 2))
         weights = ObjectiveWeights(mu=(0.4, 0.6), nu=((1.0,), (0.5, 0.5)))
-        sol = solve_fc_blocked(ch, weights)
-        r_hat, _ = stack_fc(ch, weights)
+        theta = solve_one(ch, weights).thetas[0]
+        r_hat, h_hat = stack_fc(ch, weights)
         samples = crandn(rng, 10, 10_000)
         samples /= np.linalg.norm(samples, axis=0)
         best = (np.linalg.norm(r_hat @ samples, axis=0) ** 2).max()
-        assert sol.objective >= best - 1e-12
+        assert relaxed_objective(r_hat, h_hat, theta) >= best - 1e-12
 
     def test_objective_is_squared_top_singular_value(self):
         rng = np.random.default_rng(8)
         ch = random_channels(rng, 5, 2, (2,))
         weights = ObjectiveWeights.uniform((2,))
-        sol = solve_fc_blocked(ch, weights)
-        r_hat, _ = stack_fc(ch, weights)
+        theta = solve_one(ch, weights).thetas[0]
+        r_hat, h_hat = stack_fc(ch, weights)
         sigma = np.linalg.svd(r_hat, compute_uv=False)[0]
-        assert sol.objective == pytest.approx(sigma ** 2, rel=1e-9)
-        assert objective_direct(ch, weights, sol.theta_matrix) == pytest.approx(
-            sol.objective, rel=1e-9)
+        objective = relaxed_objective(r_hat, h_hat, theta)
+        assert objective == pytest.approx(sigma ** 2, rel=1e-9)
+        assert objective_direct(ch, weights, unvech(theta, 5)) == pytest.approx(
+            objective, rel=1e-9)
 
     def test_scale_invariance_of_direction(self):
         rng = np.random.default_rng(9)
         ch = random_channels(rng, 3, 2, (1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        sol = solve_fc_blocked(ch, weights)
+        theta = solve_one(ch, weights).thetas[0]
         scaled = ChannelSet(
             g=tuple(3.0 * g for g in ch.g),
             f=ch.f,
             h=ch.h,
         )
-        sol2 = solve_fc_blocked(scaled, weights)
-        assert np.abs(sol.theta - sol2.theta).max() < 1e-9
-        assert sol2.objective == pytest.approx(9.0 * sol.objective, rel=1e-9)
+        theta2 = solve_one(scaled, weights).thetas[0]
+        assert np.abs(theta - theta2).max() < 1e-9
+        objective = relaxed_objective(*stack_fc(ch, weights), theta)
+        objective2 = relaxed_objective(*stack_fc(scaled, weights), theta2)
+        assert objective2 == pytest.approx(9.0 * objective, rel=1e-9)
 
     def test_feasibility_and_symmetry(self):
         rng = np.random.default_rng(10)
         ch = random_channels(rng, 6, 2, (2,))
-        sol = solve_fc_blocked(ch, ObjectiveWeights.uniform((2,)))
-        assert np.linalg.norm(sol.theta) <= 1 + 1e-9
-        assert np.abs(sol.theta_matrix - sol.theta_matrix.T).max() < 1e-10
-        assert np.linalg.norm(sol.theta_matrix) / np.sqrt(6) <= 1 + 1e-9
+        theta = solve_one(ch, ObjectiveWeights.uniform((2,))).thetas[0]
+        theta_matrix = unvech(theta, 6)
+        assert np.linalg.norm(theta) <= 1 + 1e-9
+        assert np.abs(theta_matrix - theta_matrix.T).max() < 1e-10
+        assert np.linalg.norm(theta_matrix) / np.sqrt(6) <= 1 + 1e-9
 
     def test_zero_channels_rejected(self):
         ch = ChannelSet(g=(np.zeros((3, 2), dtype=complex),),
                         f=((np.zeros(3, dtype=complex),),),
                         h=((np.zeros(2, dtype=complex),),))
         with pytest.raises(DegenerateInputError):
-            solve_fc_blocked(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)))
+            solve_one(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)))
 
 
 def reference_frank_wolfe_batch(r, h, radius, iterations, trace=False,
@@ -301,9 +329,11 @@ class TestFrankWolfe:
         rng = np.random.default_rng(11)
         ch = random_channels(rng, 8, 2, (1, 1))
         weights = ObjectiveWeights.uniform((1, 1))
-        closed = solve_fc_blocked(ch, weights)
-        iterative = solve_fc_direct(ch, weights, FwConfig(500))
-        assert abs(iterative.objective - closed.objective) / closed.objective < 1e-2
+        r_hat, h_hat = stack_fc(ch, weights)
+        closed = relaxed_objective(r_hat, h_hat, solve_one(ch, weights).thetas[0])
+        iterative = relaxed_objective(
+            r_hat, h_hat, solve_one(ch, weights, fw=FwConfig(500)).thetas[0])
+        assert abs(iterative - closed) / closed < 1e-2
 
     def test_zero_matrix_flat_objective(self):
         rng = np.random.default_rng(12)
@@ -316,11 +346,11 @@ class TestFrankWolfe:
         rng = np.random.default_rng(13)
         ch = random_channels(rng, 1, 2, (1,), direct=True)
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        sol = solve_fc_direct(ch, weights, FwConfig(2000))
+        theta = solve_one(ch, weights, fw=FwConfig(2000)).thetas[0]
         r_hat, h_hat = stack_fc(ch, weights)
         target_phase = np.angle(r_hat.conj().T @ h_hat)[0]
-        assert abs(sol.theta[0]) == pytest.approx(1.0, abs=1e-2)
-        assert np.angle(sol.theta[0]) == pytest.approx(target_phase, abs=1e-2)
+        assert abs(theta[0]) == pytest.approx(1.0, abs=1e-2)
+        assert np.angle(theta[0]) == pytest.approx(target_phase, abs=1e-2)
 
     def test_iterates_feasible_and_ascending_tail(self):
         rng = np.random.default_rng(14)
@@ -361,11 +391,13 @@ class TestSolveGc:
         ch = random_channels(rng, 4, 2, (1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         topo = RisTopology(4, 1)
-        assignment = GroupAssignment.single(0, topo, 1e9)
-        gc = solve_gc_blocked(ch, weights, topo, assignment)
-        fc = solve_fc_blocked(ch, weights)
-        assert np.abs(gc.blocks[0] - fc.theta_matrix).max() < 1e-10
-        assert gc.objectives[0] == pytest.approx(fc.objective, rel=1e-9)
+        # the one-group sub-problem, solved from its own stack
+        r_gc, _ = stack_gc(ch, weights, topo, 0)
+        v, sigma = leading_right_singular_vector(r_gc)
+        fc = solve_one(ch, weights, topo).thetas[0]
+        assert np.abs(unvech(v, 4) - unvech(fc, 4)).max() < 1e-10
+        assert sigma ** 2 == pytest.approx(
+            relaxed_objective(*stack_fc(ch, weights), fc), rel=1e-9)
 
     def test_single_connected_limit(self):
         rng = np.random.default_rng(17)
@@ -373,13 +405,13 @@ class TestSolveGc:
         ch = random_channels(rng, d, 3, (1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         topo = RisTopology.single_connected(d)
-        assignment = GroupAssignment.single(0, topo, 1e9)
-        gc = solve_gc_blocked(ch, weights, topo, assignment)
-        assert all(gc.blocks[g].shape == (1, 1) for g in range(d))
+        state = solve_one(ch, weights, topo)
+        # one coefficient, hence one scalar impedance, per element
+        assert state.thetas[0].shape == (d,) and state.diag_z.shape == (d,)
         # the diagonal-restricted stacked matrix has columns conj(f_e) g_e
         cols = (ch.g[0] * ch.f[0][0].conj()[:, None]).T
         v1 = np.linalg.svd(cols)[2][0].conj()
-        stacked = gc.stacked[0] / np.sqrt(d)
+        stacked = state.thetas[0] / np.sqrt(d)
         align = abs(np.vdot(v1, stacked)) / np.linalg.norm(stacked)
         assert align == pytest.approx(1.0, abs=1e-9)
 
@@ -389,13 +421,13 @@ class TestSolveGc:
         ch = random_channels(rng, 4, 2, (1, 1))
         weights = ObjectiveWeights(mu=(0.5, 0.5), nu=((1.0,), (1.0,)))
         assignment = GroupAssignment.even_split((0, 1), topo, (1e9, 2e9))
-        gc = solve_gc_blocked(ch, weights, topo, assignment)
+        gc = solve_one(ch, weights, topo, assignment)
         for bs in (0, 1):
-            r_s, _ = stack_gc(ch, weights, topo, bs)
+            r_s, h_s = stack_gc(ch, weights, topo, bs)
             samples = crandn(rng, r_s.shape[1], 10_000)
             samples *= np.sqrt(2) / np.linalg.norm(samples, axis=0)
             best = (np.linalg.norm(r_s @ samples, axis=0) ** 2).max()
-            assert gc.objectives[bs] >= best - 1e-12
+            assert relaxed_objective(r_s, h_s, gc.thetas[bs]) >= best - 1e-12
 
     def test_direct_matches_blocked_at_many_iterations(self):
         rng = np.random.default_rng(19)
@@ -403,22 +435,24 @@ class TestSolveGc:
         ch = random_channels(rng, 6, 2, (1, 1))
         weights = ObjectiveWeights.uniform((1, 1))
         assignment = GroupAssignment.even_split((0, 1), topo, (1e9, 2e9))
-        blocked = solve_gc_blocked(ch, weights, topo, assignment)
-        direct = solve_gc_direct(ch, weights, topo, assignment, FwConfig(500))
+        blocked = solve_one(ch, weights, topo, assignment)
+        direct = solve_one(ch, weights, topo, assignment, FwConfig(500))
         for bs in (0, 1):
-            rel = abs(direct.objectives[bs] - blocked.objectives[bs]) / blocked.objectives[bs]
+            r_s, h_s = stack_gc(ch, weights, topo, bs)
+            closed = relaxed_objective(r_s, h_s, blocked.thetas[bs])
+            rel = abs(relaxed_objective(r_s, h_s, direct.thetas[bs]) - closed) / closed
             assert rel < 1e-2
-            assert np.linalg.norm(direct.stacked[bs]) <= np.sqrt(2) + 1e-9
+            assert np.linalg.norm(direct.thetas[bs]) <= np.sqrt(2) + 1e-9
 
     def test_s1_g1_matches_fc_direct(self):
         rng = np.random.default_rng(20)
         ch = random_channels(rng, 3, 2, (1,), direct=True)
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         topo = RisTopology(3, 1)
-        assignment = GroupAssignment.single(0, topo, 1e9)
-        gc = solve_gc_direct(ch, weights, topo, assignment, FwConfig(300))
-        fc = solve_fc_direct(ch, weights, FwConfig(300))
-        assert np.abs(gc.blocks[0] - fc.theta_matrix).max() < 1e-12
+        # the one-group sub-problem, solved from its own stack
+        gc, _ = frank_wolfe(*stack_gc(ch, weights, topo, 0), 1.0, 300)
+        fc = solve_one(ch, weights, topo, fw=FwConfig(300)).thetas[0]
+        assert np.abs(unvech(gc, 3) - unvech(fc, 3)).max() < 1e-12
 
 
 class TestProjection:
@@ -434,22 +468,43 @@ class TestProjection:
         c[iu, ju] = inter
         c[ju, iu] = inter
         theta = scattering_from_capacitances(CapacitancePlan(c, topo), f_star, PARAMS)
-        recovered = project_to_codebook(theta, cb, PARAMS.z0)
+        recovered = plan_from_theta(theta, topo, cb)
         assert np.array_equal(recovered, c)
 
     def test_scalar_roundtrip(self):
         cb = build_codebook(8e9, 5, SELF_RANGE, INTER_RANGE, PARAMS)
-        topo = RisTopology.single_connected(1)
-        c = np.array([[cb.self_caps[13]]])
-        theta = scattering_from_capacitances(CapacitancePlan(c, topo), 8e9, PARAMS)
-        recovered = project_to_codebook(theta, cb, PARAMS.z0)
-        assert np.array_equal(recovered, c)
+        for topo in (RisTopology.single_connected(1), RisTopology.fully_connected(1)):
+            c = np.array([[cb.self_caps[13]]])
+            theta = scattering_from_capacitances(CapacitancePlan(c, topo), 8e9, PARAMS)
+            recovered = plan_from_theta(theta, topo, cb)
+            assert np.array_equal(recovered, c)
+
+    @pytest.mark.parametrize("topo", [RisTopology.fully_connected(1),
+                                      RisTopology.single_connected(1)],
+                             ids=["fully-connected", "single-connected"])
+    @pytest.mark.parametrize("direct", [False, True], ids=["blocked", "direct"])
+    def test_one_element_plans_follow_scalar_map(self, topo, direct):
+        # reference: z0 (1 + theta) / (1 - theta), an open circuit at theta = 1
+        cb = build_codebook(7.4e9, 6, SELF_RANGE, INTER_RANGE, PARAMS)
+        weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
+        fw = FwConfig(200) if direct else None
+        for t in range(20):
+            ch = random_channels(np.random.default_rng(7000 + t), 1, 3, (1,),
+                                 direct=direct)
+            state = solve_one(ch, weights, topo, fw=fw)
+            theta = complex(state.thetas[0][0])
+            finite = abs(1.0 - theta) >= 1e-14 * max(1.0, abs(theta))
+            z = PARAMS.z0 * (1.0 + theta) / (1.0 - theta) if finite else 0j
+            expected = exhaustive_snap(np.array([z]), np.array([finite]),
+                                       cb.self_z, cb.self_caps)
+            assert state.plan({0: cb}).c[0, 0] == expected[0]
+            # blocked links leave a unit coefficient: an open circuit
+            assert finite == direct
 
     def test_refinement_reduces_quantization_error(self):
         rng = np.random.default_rng(22)
         ch = random_channels(rng, 6, 3, (1,))
-        sol = solve_fc_blocked(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)))
-        branches = relaxed_block_branches(sol.theta_matrix, PARAMS.z0)
+        branches = solve_one(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),))).blocks[0]
         errors = {}
         for bits in (2, 12):
             cb = build_codebook(7.4e9, bits, SELF_RANGE, INTER_RANGE, PARAMS)
@@ -493,7 +548,7 @@ class TestProjection:
 
     def test_tie_breaks_to_smallest_capacitance(self):
         # two codewords whose admittances are exactly equidistant from the target
-        cb = Codebook(frequency=1e9, bits=1,
+        cb = Codebook(frequency=1e9,
                       self_caps=np.array([1e-12, 2e-12]),
                       self_z=np.array([2.0 + 0j, 4.0 + 0j]),   # admittances 0.5, 0.25
                       inter_caps=np.array([1e-12, 2e-12]),
@@ -524,9 +579,9 @@ class TestConfigure:
         ch = random_channels(rng, 6, 3, (1,), scales=(0.1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         cb = build_codebook(7.4e9, 6, SELF_RANGE, INTER_RANGE, PARAMS)
-        configured = configure_fc(ch, weights, cb, PARAMS)
+        plan = solve_one(ch, weights).plan({0: cb})
         for f in (4e9, 7.4e9, 12e9):
-            theta = configured.scattering_at(f)
+            theta = scattering_from_capacitances(plan, f, PARAMS)
             assert np.abs(theta - theta.T).max() < 1e-10
             assert np.linalg.eigvalsh(theta @ theta.conj().T).max() <= 1 + 1e-8
 
@@ -539,8 +594,8 @@ class TestConfigure:
         configured_p, random_p = [], []
         for t in range(100):
             ch = random_channels(np.random.default_rng(1000 + t), 16, 4, (1,))
-            configured = configure_fc(ch, weights, cb, PARAMS)
-            theta = configured.scattering_at(f_star)
+            theta = scattering_from_capacitances(solve_one(ch, weights).plan({0: cb}),
+                                                 f_star, PARAMS)
             configured_p.append(objective_direct(ch, weights, theta))
             plan = random_plan(topo, SELF_RANGE, INTER_RANGE,
                                np.random.default_rng(2000 + t))
@@ -558,10 +613,11 @@ class TestConfigure:
             ratios = []
             for t in range(10):
                 ch = random_channels(np.random.default_rng(3000 + t), 12, 3, (1,))
-                configured = configure_fc(ch, weights, cb, PARAMS)
-                theta = configured.scattering_at(f_star)
+                state = solve_one(ch, weights)
+                theta = scattering_from_capacitances(state.plan({0: cb}), f_star, PARAMS)
                 achieved = objective_direct(ch, weights, theta)
-                ratios.append(achieved / configured.relaxed.objective)
+                relaxed = relaxed_objective(*stack_fc(ch, weights), state.thetas[0])
+                ratios.append(achieved / relaxed)
             losses[bits] = float(np.mean(ratios))
         assert losses[6] > losses[2]
         assert losses[10] >= losses[6] - 0.02
@@ -574,8 +630,8 @@ class TestConfigure:
         assignment = GroupAssignment.even_split((0, 1), topo, (7.4e9, 8.0e9))
         codebooks = {b: build_codebook(f, 6, SELF_RANGE, INTER_RANGE, PARAMS)
                      for b, f in ((0, 7.4e9), (1, 8.0e9))}
-        configured = configure_gc(ch, weights, topo, assignment, codebooks, PARAMS)
-        theta = configured.scattering_at(7.4e9)
+        plan = solve_one(ch, weights, topo, assignment).plan(codebooks)
+        theta = scattering_from_capacitances(plan, 7.4e9, PARAMS)
         assert np.all(theta[:4, 4:] == 0)
         assert np.abs(theta - theta.T).max() < 1e-10
         assert np.linalg.eigvalsh(theta @ theta.conj().T).max() <= 1 + 1e-8
@@ -591,8 +647,8 @@ class TestConfigure:
         gains, baselines = [], []
         for t in range(60):
             ch = random_channels(np.random.default_rng(4000 + t), d, 3, (1, 1))
-            configured = configure_gc(ch, weights, topo, assignment, codebooks, PARAMS)
-            theta = configured.scattering_at(7.4e9)
+            plan = solve_one(ch, weights, topo, assignment).plan(codebooks)
+            theta = scattering_from_capacitances(plan, 7.4e9, PARAMS)
             assert np.count_nonzero(theta - np.diag(np.diag(theta))) == 0
             row = ch.f[0][0].conj() @ theta @ ch.g[0]
             gains.append(np.linalg.norm(row) ** 2)
@@ -610,9 +666,9 @@ class TestConfigure:
             ch = random_channels(rng, 4, 2, (1, 1))
             def bs0_term(mu0):
                 weights = ObjectiveWeights(mu=(mu0, 1.0), nu=((1.0,), (1.0,)))
-                sol = solve_fc_blocked(ch, weights)
+                theta = solve_one(ch, weights).thetas[0]
                 unweighted = ObjectiveWeights(mu=(1.0, 0.0), nu=((1.0,), (1.0,)))
-                return objective_direct(ch, unweighted, sol.theta_matrix)
+                return objective_direct(ch, unweighted, unvech(theta, 4))
             assert bs0_term(1.0) >= bs0_term(0.2) - 1e-12
 
     def test_quantization_consistency_on_realizable_targets(self):
@@ -629,7 +685,7 @@ class TestConfigure:
         gaps = []
         for bits in (3, 7, 11):
             cb = build_codebook(f_star, bits, SELF_RANGE, INTER_RANGE, PARAMS)
-            caps = project_to_codebook(theta_target, cb, PARAMS.z0)
+            caps = plan_from_theta(theta_target, topo, cb)
             theta_hat = scattering_from_capacitances(
                 CapacitancePlan(caps, topo), f_star, PARAMS)
             gaps.append(abs(objective_direct(ch, weights, theta_hat) - exact) / exact)
