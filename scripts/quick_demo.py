@@ -41,7 +41,7 @@ def main():
     def configure(topo):
         """Relaxed solve, branch retrieval and codebook snap of one surface."""
         state = solve_trials([channels], weights, topo,
-                             GroupAssignment.single(0, topo, F_STAR), params.z0)[0]
+                             GroupAssignment.single(0, topo), params.z0)[0]
         return state, scattering_from_capacitances(state.plan({0: codebook}),
                                                    F_STAR, params)
 

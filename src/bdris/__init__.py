@@ -12,10 +12,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .channel import (AVAILABLE, BLOCKED, ChannelSet, NetworkScenario, PowerConfig,
                       effective_channels, path_gain, sample_channels, stream_rng,
                       zf_precoder)
-from .circuit import (BranchImpedances, CapacitancePlan, CircuitParams, Codebook,
-                      RisTopology, admittance_matrix, build_codebook,
-                      impedance_from_scattering, inter_impedance, random_plan,
-                      retrieve_branch_impedances, scattering_from_capacitances,
+from .circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
+                      admittance_matrix, build_codebook, impedance_from_scattering,
+                      inter_impedance, random_plan, scattering_from_capacitances,
                       scattering_from_impedance, self_impedance)
 from .matrixkit import (duplication_matrix, kron, leading_right_singular_vector,
                         unvec, unvech, vec, vech, vech_indices)

@@ -176,13 +176,18 @@ def _inverse_guarded(a: np.ndarray, what: str) -> np.ndarray:
     LAPACK's xGECON only estimates ||a^-1||_1 from below (Hager 1984;
     Higham 1988), so this guard is never looser than the estimated one.
     A (g, n, n) stack is inverted at once; its error names the first failing
-    matrix as ``group k`` (all of them read rcond 0 if one is exactly singular).
+    matrix as ``group k``.
     """
     a = np.asarray(a, dtype=complex)
     try:
         inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:  # exactly singular
+    except np.linalg.LinAlgError:  # some matrix is exactly singular: find which
         inv = np.full_like(a, np.inf)
+        for i in np.ndindex(a.shape[:-2]):
+            try:
+                inv[i] = np.linalg.inv(a[i])
+            except np.linalg.LinAlgError:
+                pass
     # divided in turn, as xGECON does, so a huge product cannot overflow;
     # a zero matrix gives 0/0 = NaN, which fails as well
     with np.errstate(invalid="ignore"):
@@ -232,52 +237,6 @@ def impedance_from_scattering(theta: np.ndarray, z0: float) -> np.ndarray:
     except SingularNetworkError as exc:
         raise OpenCircuitError(str(exc)) from exc
     return 0.5 * (z + z.T)
-
-
-@dataclass(frozen=True)
-class BranchImpedances:
-    """Self and inter-element branch impedances recovered from a network matrix.
-
-    Branches whose recovered impedance is effectively infinite (decoupled
-    ports, vanishing row sums) are flagged non-finite instead of holding a
-    floating-point infinity; their impedance entry is zero and must not be
-    read.
-    """
-
-    self_z: np.ndarray       # (d,) complex
-    self_finite: np.ndarray  # (d,) bool
-    inter_z: np.ndarray      # (d, d) complex, symmetric where finite
-    inter_finite: np.ndarray  # (d, d) bool, False on the diagonal
-
-    @property
-    def order(self) -> int:
-        return self.self_z.size
-
-
-def retrieve_branch_impedances(z: np.ndarray) -> BranchImpedances:
-    """Invert the admittance assembly: recover branch impedances from Z.
-
-    With Y = Z^-1, the inter-element impedance between ports p and q is
-    -1/Y[p, q] and the self impedance of port p is 1/(row sum of Y at p).
-    Entries whose denominator is below 1e-15 * ||Y||_F are flagged infinite.
-    """
-    z = np.asarray(z, dtype=complex)
-    _require_symmetric(z, "impedance matrix")
-    d = z.shape[0]
-    y = _inverse_guarded(z, "impedance matrix")
-    y = 0.5 * (y + y.T)
-    threshold = 1e-15 * np.linalg.norm(y)
-
-    row_sums = y.sum(axis=1)
-    self_finite = np.abs(row_sums) >= threshold
-    self_z = np.zeros(d, dtype=complex)
-    self_z[self_finite] = 1.0 / row_sums[self_finite]
-
-    off = ~np.eye(d, dtype=bool)
-    inter_finite = off & (np.abs(y) >= threshold)
-    inter_z = np.zeros((d, d), dtype=complex)
-    inter_z[inter_finite] = -1.0 / y[inter_finite]
-    return BranchImpedances(self_z, self_finite, inter_z, inter_finite)
 
 
 class CodewordArc(NamedTuple):

@@ -28,13 +28,14 @@ from .circuit import CapacitancePlan, Codebook, RisTopology, build_codebook, \
 from .config import cap_ranges, circuit_params, ghz, power_config, \
     base_scenario, single_user_scenario
 from .errors import DegenerateChannelError
-from .matrixkit import leading_right_singular_vector, unvech
+from .matrixkit import leading_right_singular_vector, vech_indices
 from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
                       network_sum_power, sum_power_per_bs,
                       sum_spectral_efficiency_outdated)
+# _snap is not called here; the traced benchmark wraps it by name (ROADMAP item 1).
 from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, _snap,
-                        _split_blocks, frank_wolfe_batch, relaxed_block_branches,
-                        snap_to_codebook, stack_fc, stack_gc)
+                        frank_wolfe_batch, relaxed_block_branches, snap_to_codebook,
+                        stack_fc, stack_gc)
 
 logger = logging.getLogger(__name__)
 
@@ -56,17 +57,15 @@ def topology_for(architecture: str, d: int, group_count: int) -> RisTopology:
     raise ValueError(f"unknown architecture {architecture!r}")
 
 
-def priority_assignment(weights: ObjectiveWeights, topology: RisTopology,
-                        frequencies: tuple[float, ...]) -> GroupAssignment:
+def priority_assignment(weights: ObjectiveWeights,
+                        topology: RisTopology) -> GroupAssignment:
     """Dedicate the groups to the positive-weight base stations, evenly split.
 
     With a single positive-weight base station every group serves it; with
-    several, contiguous group subsets are assigned in base-station order,
-    each targeted at that base station's own operating frequency.
+    several, contiguous group subsets are assigned in base-station order.
     """
     priority = tuple(b for b, mu in enumerate(weights.mu) if mu > 0)
-    return GroupAssignment.even_split(
-        priority, topology, tuple(frequencies[b] for b in priority))
+    return GroupAssignment.even_split(priority, topology)
 
 
 def fc_target_bs(weights: ObjectiveWeights, frequencies: tuple[float, ...],
@@ -88,35 +87,30 @@ class TrialState:
     """Frequency-independent part of one trial's configuration.
 
     ``thetas`` maps each priority base station to its relaxed stacked
-    solution (for a fully-connected surface, vech(Theta)).  The relaxed
-    branch impedances per group (or, for one-element groups, the vector of
-    relaxed scalar impedances) plus each group's priority base station let
-    plans be snapped cheaply against any codebook set.
+    solution: vech of each group's block, one group after another (for a
+    fully-connected surface, vech(Theta)).  ``owner[k]`` is the priority base
+    station of group k, and ``self_y`` (g, d_bar) and ``inter_y``
+    (g, d_bar (d_bar - 1) / 2) hold the relaxed branch admittances of every
+    group (see :func:`relaxed_block_branches`), so plans snap cheaply
+    against any codebook set.
     """
 
     topo: RisTopology
-    group_bs: dict[int, int]
+    owner: np.ndarray
     thetas: dict[int, np.ndarray]
-    blocks: dict | None = None
-    diag_z: np.ndarray | None = None
-    diag_finite: np.ndarray | None = None
+    self_y: np.ndarray
+    inter_y: np.ndarray
 
     def plan(self, codebooks: dict[int, Codebook]) -> CapacitancePlan:
         """Capacitance plan snapping each group onto its priority base
         station's codebook in ``codebooks``."""
-        d = self.topo.d
-        caps = np.zeros((d, d))
-        if self.diag_z is not None:
-            for bs in sorted(set(self.group_bs.values())):
-                idx = np.array([g for g, owner in self.group_bs.items() if owner == bs])
-                cb = codebooks[bs]
-                caps[idx, idx] = _snap(self.diag_z[idx], self.diag_finite[idx],
-                                       cb.self_arc, cb.self_caps)
-            return CapacitancePlan(caps, self.topo)
-        for g, branches in self.blocks.items():
-            sl = self.topo.group_slice(g)
-            caps[sl, sl] = snap_to_codebook(branches, codebooks[self.group_bs[g]])
-        return CapacitancePlan(caps, self.topo)
+        g, n = self.topo.g, self.topo.d_bar
+        caps = np.zeros((g, n, g, n))  # caps[k, :, k] is group k's block
+        for bs in set(self.owner.tolist()):  # np.unique imports numpy.ma: 1 MiB of RSS
+            k = np.flatnonzero(self.owner == bs)
+            caps[k, :, k] = snap_to_codebook(self.self_y[k], self.inter_y[k],
+                                             codebooks[bs])
+        return CapacitancePlan(caps.reshape(self.topo.d, self.topo.d), self.topo)
 
 
 def _stacks(chans, weights: ObjectiveWeights, topo: RisTopology,
@@ -130,32 +124,20 @@ def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
                        assignment: GroupAssignment, z0: float) -> TrialState:
     """Trial state of the relaxed stacked solutions ``thetas`` (kept, not copied).
 
-    One-element groups take the scalar map z0 (1 + theta) / (1 - theta),
-    flagged infinite at a unit reflection coefficient; larger groups retrieve
-    their branches with :func:`relaxed_block_branches`.
+    Each group's block is taken from its priority base station's solution;
+    all blocks then retrieve their branches in one
+    :func:`relaxed_block_branches` call.
     """
-    group_bs = {g: bs for s, bs in enumerate(assignment.bs)
-                for g in assignment.groups[s]}
-    if topo.d_bar == 1:
-        diag = np.zeros(topo.d, dtype=complex)
-        for s, bs in enumerate(assignment.bs):
-            for g in assignment.groups[s]:
-                diag[g] = thetas[bs][g]
-        denom = 1.0 - diag
-        finite = np.abs(denom) >= 1e-14 * np.maximum(1.0, np.abs(diag))
-        z = np.zeros(topo.d, dtype=complex)
-        z[finite] = z0 * (1.0 + diag[finite]) / denom[finite]
-        return TrialState(topo, group_bs, thetas, diag_z=z, diag_finite=finite)
-    if topo.g == 1:
-        matrix = unvech(thetas[assignment.bs[0]], topo.d)
-        return TrialState(topo, group_bs, thetas,
-                          blocks={0: relaxed_block_branches(matrix, z0)})
-    blocks = {}
-    for s, bs in enumerate(assignment.bs):
-        per_group = _split_blocks(thetas[bs], topo)
-        for g in assignment.groups[s]:
-            blocks[g] = relaxed_block_branches(per_group[g], z0)
-    return TrialState(topo, group_bs, thetas, blocks=blocks)
+    g, n = topo.g, topo.d_bar
+    owner = np.zeros(g, dtype=int)
+    blocks = np.zeros((g, n, n), dtype=complex)
+    rows, cols = vech_indices(n)
+    for bs, groups in zip(assignment.bs, assignment.groups):
+        k = np.array(groups)
+        owner[k] = bs
+        blocks[k[:, None], rows, cols] = blocks[k[:, None], cols, rows] = \
+            thetas[bs].reshape(g, -1)[k]
+    return TrialState(topo, owner, thetas, *relaxed_block_branches(blocks, z0))
 
 
 def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
@@ -175,7 +157,7 @@ def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
     runs in.  Snap a returned state with :meth:`TrialState.plan`.
     """
     assignment.validate(topo)
-    radius = 1.0 if topo.g == 1 else float(np.sqrt(topo.g))
+    radius = float(np.sqrt(topo.g))
     stacks = [_stacks(c, weights, topo, assignment) for c in chans_list]
     thetas = {}
     if fw is not None:
@@ -336,7 +318,7 @@ def freq_response(cfg: dict) -> dict[str, AggregateResult]:
             label = f"{arch} D={d}"
             samples = _run_point(
                 scenario, d, seed, trials, weights, topo,
-                GroupAssignment.single(0, topo, freqs_hz[0]), params.z0, None,
+                GroupAssignment.single(0, topo), params.z0, None,
                 evaluate, context=f"freq-response {label}")
             rows.extend(_frequency_rows(ghz_values, label, samples, trials))
     return {"freq_response": AggregateResult(tuple(rows))}
@@ -377,7 +359,7 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
             topo = topology_for(arch, d, group_count)
             samples = _run_point(
                 scenario, d, seed, trials, weights, topo,
-                GroupAssignment.single(0, topo, f_star), params.z0, None,
+                GroupAssignment.single(0, topo), params.z0, None,
                 evaluate, context=f"target-shift {arch}")
             rows.extend(_frequency_rows(ghz_values, arch, samples, trials))
         tag = f"{target_ghz:g}".replace(".", "p")
@@ -424,10 +406,9 @@ def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
             topo = topology_for(arch, d, group_count)
             if topo.g == 1:
                 target = fc_target_bs(weights, scenario.frequencies, preferred)
-                assignment = GroupAssignment.single(target, topo,
-                                                    scenario.frequencies[target])
+                assignment = GroupAssignment.single(target, topo)
             else:
-                assignment = priority_assignment(weights, topo, scenario.frequencies)
+                assignment = priority_assignment(weights, topo)
             samples = _run_point(
                 scenario, d, seed, trials, weights, topo, assignment, params.z0,
                 fw if link_mode == AVAILABLE else None,
@@ -519,8 +500,7 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
         for arch in archs:
             for d in exp["d_grid"]:
                 topo = topology_for(arch, d, group_count)
-                assignment = GroupAssignment.single(aided, topo,
-                                                    scenario.frequencies[aided])
+                assignment = GroupAssignment.single(aided, topo)
                 with_reference = arch == archs[0]
                 samples = _run_point(
                     scenario, d, seed, trials, weights, topo, assignment, params.z0,

@@ -6,7 +6,7 @@ so the relaxed problems are solved either in closed form via the leading
 right singular vector (blocked direct links) or by a conditional-gradient
 method over the norm ball (direct links present).  The relaxed solution is
 then mapped to hardware capacitances by snapping the recovered branch
-impedances onto a frequency-specific codebook.  The pipeline that chains
+admittances onto a frequency-specific codebook.  The pipeline that chains
 these steps is :func:`bdris.experiments.solve_trials`.
 """
 
@@ -16,16 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    BranchImpedances,
-    Codebook,
-    CodewordArc,
-    RisTopology,
-    impedance_from_scattering,
-    retrieve_branch_impedances,
-)
+from .circuit import Codebook, CodewordArc, RisTopology, _inverse_guarded
 from .channel import ChannelSet
-from .matrixkit import unvech, vech_indices
+from .matrixkit import vech_indices
 
 
 @dataclass(frozen=True)
@@ -58,17 +51,16 @@ class GroupAssignment:
     """Disjoint dedication of surface groups to priority base stations.
 
     ``groups[s]`` lists the group indices serving priority base station
-    ``bs[s]``, whose codebook is built at ``frequencies[s]``.  The subsets
-    must cover all groups exactly once.
+    ``bs[s]``; a plan snaps them onto that base station's codebook.  The
+    subsets must cover all groups exactly once.
     """
 
     bs: tuple[int, ...]
     groups: tuple[tuple[int, ...], ...]
-    frequencies: tuple[float, ...]
 
     def __post_init__(self):
-        if not (len(self.bs) == len(self.groups) == len(self.frequencies)):
-            raise ValueError("need one group subset and one frequency per priority base station")
+        if len(self.bs) != len(self.groups):
+            raise ValueError("need one group subset per priority base station")
         if len(set(self.bs)) != len(self.bs):
             raise ValueError("priority base stations must be distinct")
         if any(len(g) == 0 for g in self.groups):
@@ -82,19 +74,18 @@ class GroupAssignment:
             raise ValueError(f"group subsets must cover exactly groups 0..{topology.g - 1}")
 
     @classmethod
-    def single(cls, bs: int, topology: RisTopology, frequency: float) -> "GroupAssignment":
-        return cls(bs=(bs,), groups=(tuple(range(topology.g)),), frequencies=(frequency,))
+    def single(cls, bs: int, topology: RisTopology) -> "GroupAssignment":
+        return cls(bs=(bs,), groups=(tuple(range(topology.g)),))
 
     @classmethod
-    def even_split(cls, bs: tuple[int, ...], topology: RisTopology,
-                   frequencies: tuple[float, ...]) -> "GroupAssignment":
+    def even_split(cls, bs: tuple[int, ...], topology: RisTopology) -> "GroupAssignment":
         """Contiguous, near-even partition of the groups over the priority BSs."""
         s = len(bs)
         if s > topology.g:
             raise ValueError("more priority base stations than groups")
         bounds = np.linspace(0, topology.g, s + 1).astype(int)
         groups = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(s))
-        return cls(bs=bs, groups=groups, frequencies=frequencies)
+        return cls(bs=bs, groups=groups)
 
 
 @dataclass(frozen=True)
@@ -120,31 +111,22 @@ class FwConfig:
             raise ValueError("step_rule must be 'line-search' or 'diminishing'")
 
 
-def _reduced_channel_block(g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Rows of the reduced stacked matrix for one user: (g^T kron f^H) D_d.
+def _reduced_channel_block(g: np.ndarray, f: np.ndarray, d_bar: int) -> np.ndarray:
+    """Rows of the reduced stacked matrix for one user, one group of ``d_bar``
+    consecutive elements after another: (g_k^T kron f_k^H) D_{d_bar} per group k.
 
     Built without forming the Kronecker product or the duplication matrix:
-    column (i, j), i >= j, of the product gathers conj(f_i) g[j, :] +
-    conj(f_j) g[i, :] (halved on the diagonal, where the two terms coincide).
+    column (i, j), i >= j, of group k's product gathers conj(f_i) g[j, :] +
+    conj(f_j) g[i, :] over the group's elements (halved on the diagonal,
+    where the two terms coincide).
     """
-    d = f.size
-    t = f.conj()[None, :, None] * g.T[:, None, :]
-    s = t + t.transpose(0, 2, 1)
-    rows, cols = vech_indices(d)
-    blk = s[:, rows, cols]
-    blk[:, rows == cols] *= 0.5
-    return blk
-
-
-def _reduced_group_block(g: np.ndarray, f: np.ndarray, topology: RisTopology) -> np.ndarray:
-    """Concatenated per-group reduced blocks for one user (block-diagonal surface)."""
-    if topology.d_bar == 1:
-        return (g * f.conj()[:, None]).T
-    parts = [
-        _reduced_channel_block(g[topology.group_slice(k)], f[topology.group_slice(k)])
-        for k in range(topology.g)
-    ]
-    return np.hstack(parts)
+    m = g.shape[1]
+    t = f.conj().reshape(-1, d_bar)[None, :, :, None] * g.T.reshape(m, -1, 1, d_bar)
+    s = t + t.transpose(0, 1, 3, 2)
+    rows, cols = vech_indices(d_bar)
+    blk = s[:, :, rows, cols]
+    blk[:, :, rows == cols] *= 0.5
+    return blk.reshape(m, -1)
 
 
 def stack_fc(channels: ChannelSet,
@@ -162,7 +144,8 @@ def stack_fc(channels: ChannelSet,
             w = weights.factor(b, k)
             if w == 0.0:
                 continue
-            r_rows.append(w * _reduced_channel_block(channels.g[b], channels.f[b][k]))
+            r_rows.append(w * _reduced_channel_block(channels.g[b], channels.f[b][k],
+                                                     channels.num_ris_elements))
             h_rows.append(w * channels.h[b][k].conj())
     return np.vstack(r_rows), np.concatenate(h_rows)
 
@@ -174,7 +157,8 @@ def stack_gc(channels: ChannelSet, weights: ObjectiveWeights, topology: RisTopol
     mu = np.sqrt(weights.mu[bs])
     for k in range(len(channels.f[bs])):
         w = mu * np.sqrt(weights.nu[bs][k])
-        r_rows.append(w * _reduced_group_block(channels.g[bs], channels.f[bs][k], topology))
+        r_rows.append(w * _reduced_channel_block(channels.g[bs], channels.f[bs][k],
+                                                 topology.d_bar))
         h_rows.append(w * channels.h[bs][k].conj())
     return np.vstack(r_rows), np.concatenate(h_rows)
 
@@ -274,56 +258,52 @@ def frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: i
     return _frank_wolfe_batch(r, h, radius, iterations, step_rule=step_rule)[0]
 
 
-def _split_blocks(theta_stacked: np.ndarray, topology: RisTopology) -> list[np.ndarray]:
-    n_bar = topology.d_bar * (topology.d_bar + 1) // 2
-    return [
-        unvech(theta_stacked[g * n_bar:(g + 1) * n_bar], topology.d_bar)
-        for g in range(topology.g)
-    ]
+def _snap(targets: np.ndarray, arc: CodewordArc, caps: np.ndarray) -> np.ndarray:
+    """Nearest-codeword capacitances for an array of branch admittance
+    targets; ties resolve to the smallest capacitance.
 
-
-def _snap(values: np.ndarray, finite: np.ndarray, arc: CodewordArc,
-          caps: np.ndarray) -> np.ndarray:
-    """Nearest-codeword capacitances; ties resolve to the smallest capacitance.
-
-    Distance is measured between branch ADMITTANCES (1/impedance), not raw
-    impedances: the network matrix is assembled from branch admittances, so
-    quantization error in admittance perturbs the realized reflection
-    linearly, whereas raw impedance distance over-weights the weakly coupled
-    (large-impedance) branches whose admittance barely matters.  Branches
-    flagged non-finite are open circuits with zero admittance and therefore
-    take the largest-impedance codeword.  The search runs along the codewords'
-    ``arc`` and picks what an exhaustive search over all codewords would.
+    Distance is measured between branch ADMITTANCES, not impedances: the
+    network matrix is assembled from branch admittances, so quantization
+    error in admittance perturbs the realized reflection linearly, whereas
+    impedance distance over-weights the weakly coupled (large-impedance)
+    branches whose admittance barely matters.  An open branch (zero
+    admittance) therefore takes the largest-impedance codeword.  The search
+    runs along the codewords' ``arc`` and picks what an exhaustive search
+    over all codewords would.
     """
-    values = np.asarray(values)
-    targets = np.zeros(values.shape, dtype=complex)
-    targets[finite] = 1.0 / values[finite]
-    return caps[arc.nearest(targets)]
+    return caps[arc.nearest(targets.ravel())].reshape(targets.shape)
 
 
-def relaxed_block_branches(theta_block: np.ndarray, z0: float) -> BranchImpedances:
-    """Branch impedances realizing one relaxed reflection block.
+def relaxed_block_branches(theta_blocks: np.ndarray, z0: float
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Branch admittances realizing a (g, d_bar, d_bar) stack of relaxed
+    reflection blocks.
 
-    Frequency independent: converts the block to its impedance matrix and
-    retrieves the non-redundant self and inter-element branches.  Surfaces of
-    one-element groups take the vectorized scalar map in
-    :func:`bdris.experiments.solve_trials` instead.
+    Frequency independent: each block's admittance matrix is
+    Y = (2 (I + Theta)^-1 - I) / z0, from one guarded inverse of the whole
+    stack, symmetrized.  Returns the (g, d_bar) self admittances (row sums of
+    Y) and the (g, d_bar (d_bar - 1) / 2) inter-element admittances (-Y on
+    the upper triangle, row by row).  An open port (Theta eigenvalue +1) is
+    a zero admittance, not an error; a short circuit (eigenvalue -1) raises
+    :class:`~bdris.errors.SingularNetworkError` naming its group.
     """
-    z_star = impedance_from_scattering(theta_block, z0)
-    return retrieve_branch_impedances(z_star)
+    n = theta_blocks.shape[-1]
+    eye = np.eye(n)
+    y = (2.0 * _inverse_guarded(eye + theta_blocks, "I + Theta") - eye) / z0
+    y = 0.5 * (y + y.transpose(0, 2, 1))
+    iu, ju = np.triu_indices(n, 1)
+    return y.sum(axis=2), -y[:, iu, ju]
 
 
-def snap_to_codebook(branches: BranchImpedances, codebook: Codebook) -> np.ndarray:
-    """Capacitance block whose branch impedances best match ``branches`` at the
-    codebook frequency (nearest codeword per branch, admittance distance)."""
-    d = branches.order
-    caps = np.zeros((d, d))
-    caps[np.diag_indices(d)] = _snap(branches.self_z, branches.self_finite,
-                                     codebook.self_arc, codebook.self_caps)
-    if d > 1:
-        iu, ju = np.triu_indices(d, 1)
-        c_inter = _snap(branches.inter_z[iu, ju], branches.inter_finite[iu, ju],
-                        codebook.inter_arc, codebook.inter_caps)
-        caps[iu, ju] = c_inter
-        caps[ju, iu] = c_inter
+def snap_to_codebook(self_y: np.ndarray, inter_y: np.ndarray,
+                     codebook: Codebook) -> np.ndarray:
+    """(g, d_bar, d_bar) capacitance blocks whose branches best match the
+    admittances :func:`relaxed_block_branches` returns, at the codebook
+    frequency (nearest codeword per branch, admittance distance)."""
+    g, n = self_y.shape
+    ii, (iu, ju) = np.arange(n), np.triu_indices(n, 1)
+    caps = np.zeros((g, n, n))
+    caps[:, ii, ii] = _snap(self_y, codebook.self_arc, codebook.self_caps)
+    caps[:, iu, ju] = caps[:, ju, iu] = _snap(inter_y, codebook.inter_arc,
+                                              codebook.inter_caps)
     return caps

@@ -143,7 +143,7 @@ def test_criterion_05_closed_form_optimality():
             weights = ObjectiveWeights.uniform((1, 1))
             topo = RisTopology.fully_connected(d)
             theta = relaxed_thetas(ch, weights, topo,
-                                   GroupAssignment.single(0, topo, 7.4e9))[0]
+                                   GroupAssignment.single(0, topo))[0]
             r_hat, h_hat = stack_fc(ch, weights)
             objective = relaxed_objective(r_hat, h_hat, theta)
             sigma = np.linalg.svd(r_hat, compute_uv=False)[0]
@@ -165,7 +165,7 @@ def test_criterion_06_conditional_gradient_matches_svd():
             ch = random_instance(rng, d, m, (1, 1))
             weights = ObjectiveWeights.uniform((1, 1))
             topo = RisTopology.fully_connected(d)
-            assignment = GroupAssignment.single(0, topo, 7.4e9)
+            assignment = GroupAssignment.single(0, topo)
             r_hat, h_hat = stack_fc(ch, weights)
             closed = relaxed_objective(
                 r_hat, h_hat, relaxed_thetas(ch, weights, topo, assignment)[0])
@@ -173,7 +173,7 @@ def test_criterion_06_conditional_gradient_matches_svd():
                 r_hat, h_hat, relaxed_thetas(ch, weights, topo, assignment, fw)[0])
             assert abs(iterative - closed) < 1e-2 * closed
             topo = RisTopology(d, 2)
-            assignment = GroupAssignment.even_split((0, 1), topo, (7.4e9, 8.0e9))
+            assignment = GroupAssignment.even_split((0, 1), topo)
             blocked = relaxed_thetas(ch, weights, topo, assignment)
             direct = relaxed_thetas(ch, weights, topo, assignment, fw)
             for bs in (0, 1):
@@ -325,7 +325,7 @@ def _paired_interference_degradation():
                  for t in range(start, min(start + chunk, TRIALS))]
         for arch in out:
             topo = topology_for(arch, d, 2)
-            assignment = GroupAssignment.single(0, topo, freqs[0])
+            assignment = GroupAssignment.single(0, topo)
             states = solve_trials(chans, weights, topo, assignment, params.z0, fw)
             for ch, state in zip(chans, states):
                 theta = scattering_from_capacitances(
@@ -355,11 +355,9 @@ def test_criterion_11_architecture_ordering():
                     topo = topology_for(arch, d, 2)
                     if topo.g == 1:
                         target = fc_target_bs(weights, scenario.frequencies, ghz(7.4))
-                        assignment = GroupAssignment.single(
-                            target, topo, scenario.frequencies[target])
+                        assignment = GroupAssignment.single(target, topo)
                     else:
-                        assignment = priority_assignment(weights, topo,
-                                                         scenario.frequencies)
+                        assignment = priority_assignment(weights, topo)
                     state = solve_trials([ch], weights, topo, assignment,
                                          params.z0)[0]
                     plan = state.plan(codebooks)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdris.circuit import (CONDITION_LIMIT, BranchImpedances, CapacitancePlan,
-                           CircuitParams, Codebook, RisTopology, admittance_matrix,
-                           build_codebook, impedance_from_scattering, inter_impedance,
-                           random_plan, retrieve_branch_impedances,
+from bdris.circuit import (CONDITION_LIMIT, CapacitancePlan, CircuitParams, Codebook,
+                           RisTopology, admittance_matrix, build_codebook,
+                           impedance_from_scattering, inter_impedance, random_plan,
                            scattering_from_capacitances, scattering_from_impedance,
                            self_impedance)
 from bdris.errors import (OpenCircuitError, SingularBranchError, SingularNetworkError)
+from bdris.optimizer import relaxed_block_branches
 
 PARAMS = CircuitParams.defaults()
 
@@ -221,13 +221,22 @@ class TestScatteringConversions:
         assert np.abs(z - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
+def reflection(y: np.ndarray, z0: float) -> np.ndarray:
+    """Theta = 2 (I + z0 Y)^-1 - I of one admittance matrix."""
+    eye = np.eye(y.shape[0])
+    theta = 2.0 * np.linalg.inv(eye + z0 * y) - eye
+    return 0.5 * (theta + theta.T)
+
+
 class TestRetrieveBranchImpedances:
+    """Branch retrieval from a reflection block; it returns the branch
+    admittances, the reciprocals of the branch impedances."""
+
     def test_single_port(self):
-        z = np.array([[7.0 - 3j]])
-        br = retrieve_branch_impedances(z)
-        assert br.self_finite[0]
-        assert br.self_z[0] == pytest.approx(7.0 - 3j)
-        assert not br.inter_finite.any()
+        theta = scattering_from_impedance(np.array([[7.0 - 3j]]), 50.0)
+        self_y, inter_y = relaxed_block_branches(theta[None], 50.0)
+        assert self_y[0, 0] == pytest.approx(1 / (7.0 - 3j))
+        assert inter_y.shape == (1, 0)
 
     def test_construct_then_invert(self):
         rng = np.random.default_rng(3)
@@ -235,44 +244,50 @@ class TestRetrieveBranchImpedances:
         self_z = crandn(rng, d) * 20 + 40
         inter = crandn(rng, d, d) * 100
         inter = inter + inter.T
-        y = admittance_matrix(self_z, inter)
-        z = np.linalg.inv(y)
-        br = retrieve_branch_impedances(0.5 * (z + z.T))
-        assert br.self_finite.all()
-        assert np.abs(br.self_z - self_z).max() < 1e-9 * np.abs(self_z).max()
-        off = ~np.eye(d, dtype=bool)
-        assert br.inter_finite[off].all()
-        assert np.abs(br.inter_z[off] - inter[off]).max() < 1e-9 * np.abs(inter[off]).max()
+        theta = reflection(admittance_matrix(self_z, inter), 50.0)
+        self_y, inter_y = relaxed_block_branches(theta[None], 50.0)
+        assert np.abs(1 / self_y[0] - self_z).max() < 1e-9 * np.abs(self_z).max()
+        iu, ju = np.triu_indices(d, 1)
+        assert (np.abs(1 / inter_y[0] - inter[iu, ju]).max()
+                < 1e-9 * np.abs(inter[iu, ju]).max())
 
     def test_roundtrip_through_admittance(self):
         rng = np.random.default_rng(4)
         a = crandn(rng, 4, 4)
-        z = a + a.T + 10 * np.eye(4)
-        br = retrieve_branch_impedances(z)
-        y = admittance_matrix(br.self_z, br.inter_z, br.inter_finite)
-        assert np.abs(np.linalg.inv(y) - z).max() < 1e-8 * np.abs(z).max()
+        s = a + a.T
+        theta = 0.8 * s / np.linalg.norm(s, 2)
+        self_y, inter_y = relaxed_block_branches(theta[None], 50.0)
+        iu, ju = np.triu_indices(4, 1)
+        inter_z = np.zeros((4, 4), dtype=complex)
+        inter_z[iu, ju] = inter_z[ju, iu] = 1 / inter_y[0]
+        rebuilt = reflection(admittance_matrix(1 / self_y[0], inter_z), 50.0)
+        assert np.abs(rebuilt - theta).max() < 1e-8 * np.abs(theta).max()
 
     def test_diagonal_impedance_flags_inter_infinite(self):
+        # decoupled ports: every inter-element admittance is exactly zero
         z = np.diag([30.0 + 5j, 40.0 - 2j, 25.0 + 0j])
-        br = retrieve_branch_impedances(z)
-        assert not br.inter_finite.any()
-        assert br.self_finite.all()
-        assert np.allclose(br.self_z, np.diag(z))
+        theta = scattering_from_impedance(z, 50.0)
+        self_y, inter_y = relaxed_block_branches(theta[None], 50.0)
+        assert not inter_y.any()
+        assert np.allclose(1 / self_y[0], np.diag(z))
 
     def test_singular_rejected(self):
+        # eigenvalue -1 along the all-ones vector: a short circuit
         with pytest.raises(SingularNetworkError):
-            retrieve_branch_impedances(np.ones((3, 3), dtype=complex))
+            relaxed_block_branches(-np.ones((1, 3, 3), dtype=complex) / 3, 50.0)
 
     @pytest.mark.parametrize("small,rejected", [(1e-13, True), (1e-11, False)])
     def test_guard_threshold(self, small, rejected):
-        # 1-norm condition 1/small, on either side of CONDITION_LIMIT
-        z = np.diag([1.0, small]).astype(complex)
+        # I + Theta = diag(1, small): 1-norm condition 1/small, on either
+        # side of CONDITION_LIMIT
+        theta = np.diag([0.0, small - 1.0]).astype(complex)[None]
         if rejected:
             with pytest.raises(SingularNetworkError, match="rcond="):
-                retrieve_branch_impedances(z)
+                relaxed_block_branches(theta, 50.0)
         else:
-            br = retrieve_branch_impedances(z)
-            assert np.allclose(br.self_z, [1.0, small], rtol=1e-12, atol=0)
+            self_y, _ = relaxed_block_branches(theta, 50.0)
+            expected = (2.0 / (1.0 + np.diag(theta[0])) - 1.0) / 50.0
+            assert np.allclose(self_y[0], expected, rtol=1e-12, atol=0)
 
 
 class TestCodebook:

@@ -197,7 +197,7 @@ class TestRunMonteCarlo:
         topo = RisTopology.fully_connected(self.D)
         fw = FwConfig(20) if direct else None
         return _run_point(sc, self.D, self.SEED, trials, self.WEIGHTS, topo,
-                          GroupAssignment.single(0, topo, 7.4e9), PARAMS.z0,
+                          GroupAssignment.single(0, topo), PARAMS.z0,
                           fw, evaluate, context="stub point")
 
     def test_single_trial_reproduces_point_value(self):
@@ -236,10 +236,10 @@ class TestRunMonteCarlo:
                 for t in (1, 2, 3)]
             # the redrawn trial is solved again on its new draw
             expected = solve_trials([redrawn], self.WEIGHTS, topo,
-                                    GroupAssignment.single(0, topo, 7.4e9),
+                                    GroupAssignment.single(0, topo),
                                     PARAMS.z0, fw)[0]
-            assert np.array_equal(seen[1][1].blocks[0].self_z,
-                                  expected.blocks[0].self_z)
+            assert np.array_equal(seen[1][1].self_y, expected.self_y)
+            assert np.array_equal(seen[1][1].inter_y, expected.inter_y)
 
     def test_too_many_degenerate_trials_fail(self):
         calls = []

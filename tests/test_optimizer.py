@@ -5,15 +5,16 @@ from hypothesis import strategies as st
 
 from bdris.channel import ChannelSet
 from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
-                           build_codebook, random_plan, scattering_from_capacitances)
-from bdris.errors import DegenerateInputError
+                           build_codebook, impedance_from_scattering, random_plan,
+                           scattering_from_capacitances)
+from bdris.errors import DegenerateInputError, SingularNetworkError
 from bdris.experiments import _state_from_thetas, solve_trials
 from bdris.matrixkit import (duplication_matrix, kron, leading_right_singular_vector,
                              unvech, vech)
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
                              _frank_wolfe_batch, _reduced_channel_block, _snap,
-                             frank_wolfe, frank_wolfe_batch, snap_to_codebook,
-                             stack_fc, stack_gc)
+                             frank_wolfe, frank_wolfe_batch, relaxed_block_branches,
+                             snap_to_codebook, stack_fc, stack_gc)
 
 PARAMS = CircuitParams.defaults()
 SELF_RANGE = (0.1e-12, 2e-12)
@@ -24,11 +25,9 @@ LOSSLESS = CircuitParams(r=0.0, l0=2.5e-9, l=0.7e-9, r_tilde=0.0, l0_tilde=12.5e
                          l_tilde=0.2e-9, z0=50.0)
 
 
-def exhaustive_snap(values, finite, codewords, caps):
-    """Nearest codeword by admittance distance over every codeword; argmin
+def exhaustive_snap(targets, codewords, caps):
+    """Nearest codeword to each admittance target over every codeword; argmin
     keeps the first of equal distances, i.e. the smallest capacitance."""
-    targets = np.zeros(values.shape, dtype=complex)
-    targets[finite] = 1.0 / values[finite]
     return caps[np.abs(targets[:, None] - 1.0 / codewords[None, :]).argmin(axis=1)]
 
 
@@ -52,7 +51,7 @@ def solve_one(ch, weights, topo=None, assignment=None, fw=None):
     """The engine's state for one channel draw; by default the whole surface,
     fully connected, serves base station 0."""
     topo = topo or RisTopology.fully_connected(ch.num_ris_elements)
-    assignment = assignment or GroupAssignment.single(0, topo, 1e9)
+    assignment = assignment or GroupAssignment.single(0, topo)
     return solve_trials([ch], weights, topo, assignment, PARAMS.z0, fw)[0]
 
 
@@ -65,7 +64,7 @@ def plan_from_theta(theta, topo, codebook):
     stacked = np.concatenate([vech(theta[topo.group_slice(g), topo.group_slice(g)])
                               for g in range(topo.g)])
     state = _state_from_thetas({0: stacked}, topo,
-                               GroupAssignment.single(0, topo, codebook.frequency),
+                               GroupAssignment.single(0, topo),
                                PARAMS.z0)
     return state.plan({0: codebook}).c
 
@@ -98,31 +97,35 @@ class TestObjectiveWeights:
 class TestGroupAssignment:
     def test_even_split(self):
         topo = RisTopology(8, 4)
-        a = GroupAssignment.even_split((0, 1), topo, (1e9, 2e9))
+        a = GroupAssignment.even_split((0, 1), topo)
         assert a.groups == ((0, 1), (2, 3))
         a.validate(topo)
 
     def test_disjointness_enforced(self):
         topo = RisTopology(8, 2)
-        bad = GroupAssignment(bs=(0, 1), groups=((0, 1), (1,)), frequencies=(1e9, 2e9))
+        bad = GroupAssignment(bs=(0, 1), groups=((0, 1), (1,)))
         with pytest.raises(ValueError):
             bad.validate(topo)
 
     def test_coverage_enforced(self):
         topo = RisTopology(8, 2)
-        bad = GroupAssignment(bs=(0,), groups=((0,),), frequencies=(1e9,))
+        bad = GroupAssignment(bs=(0,), groups=((0,),))
         with pytest.raises(ValueError):
             bad.validate(topo)
 
 
 class TestStacking:
     def test_reduced_block_matches_kron_times_duplication(self):
+        # one kron-times-duplication block per group of d_bar consecutive
+        # elements, side by side
         rng = np.random.default_rng(0)
-        for d, m in ((1, 3), (3, 2), (5, 4)):
+        for d, m, d_bar in ((1, 3, 1), (3, 2, 3), (5, 4, 5), (6, 2, 3), (4, 3, 1), (8, 2, 2)):
             g = crandn(rng, d, m)
             f = crandn(rng, d)
-            explicit = kron(g.T, f.conj()[None, :]) @ duplication_matrix(d)
-            assert np.abs(_reduced_channel_block(g, f) - explicit).max() < 1e-13
+            explicit = np.hstack([
+                kron(g[k:k + d_bar].T, f[k:k + d_bar].conj()[None, :])
+                @ duplication_matrix(d_bar) for k in range(0, d, d_bar)])
+            assert np.abs(_reduced_channel_block(g, f, d_bar) - explicit).max() < 1e-13
 
     def test_objective_identity_single_user(self):
         rng = np.random.default_rng(1)
@@ -151,7 +154,7 @@ class TestStacking:
         r_hat, h_hat = stack_fc(ch, weights)
         assert r_hat.shape == (2, 6) and h_hat.shape == (2,)
         # only base station 0's user rows remain
-        assert np.array_equal(r_hat, _reduced_channel_block(ch.g[0], ch.f[0][0]))
+        assert np.array_equal(r_hat, _reduced_channel_block(ch.g[0], ch.f[0][0], 3))
         a = crandn(rng, 3, 3)
         theta = a + a.T
         lhs = np.linalg.norm(r_hat @ vech(theta) + h_hat) ** 2
@@ -406,8 +409,9 @@ class TestSolveGc:
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         topo = RisTopology.single_connected(d)
         state = solve_one(ch, weights, topo)
-        # one coefficient, hence one scalar impedance, per element
-        assert state.thetas[0].shape == (d,) and state.diag_z.shape == (d,)
+        # one coefficient, hence one self admittance and no inter branch, per element
+        assert state.thetas[0].shape == (d,) and state.self_y.shape == (d, 1)
+        assert state.inter_y.shape == (d, 0)
         # the diagonal-restricted stacked matrix has columns conj(f_e) g_e
         cols = (ch.g[0] * ch.f[0][0].conj()[:, None]).T
         v1 = np.linalg.svd(cols)[2][0].conj()
@@ -420,7 +424,7 @@ class TestSolveGc:
         topo = RisTopology(4, 2)
         ch = random_channels(rng, 4, 2, (1, 1))
         weights = ObjectiveWeights(mu=(0.5, 0.5), nu=((1.0,), (1.0,)))
-        assignment = GroupAssignment.even_split((0, 1), topo, (1e9, 2e9))
+        assignment = GroupAssignment.even_split((0, 1), topo)
         gc = solve_one(ch, weights, topo, assignment)
         for bs in (0, 1):
             r_s, h_s = stack_gc(ch, weights, topo, bs)
@@ -434,7 +438,7 @@ class TestSolveGc:
         topo = RisTopology(6, 2)
         ch = random_channels(rng, 6, 2, (1, 1))
         weights = ObjectiveWeights.uniform((1, 1))
-        assignment = GroupAssignment.even_split((0, 1), topo, (1e9, 2e9))
+        assignment = GroupAssignment.even_split((0, 1), topo)
         blocked = solve_one(ch, weights, topo, assignment)
         direct = solve_one(ch, weights, topo, assignment, FwConfig(500))
         for bs in (0, 1):
@@ -455,21 +459,84 @@ class TestSolveGc:
         assert np.abs(unvech(gc, 3) - unvech(fc, 3)).max() < 1e-12
 
 
+def symmetric_block(rng, d, radius):
+    """Complex symmetric d x d matrix of spectral norm ``radius`` (< 1 keeps
+    I + Theta and I - Theta well conditioned)."""
+    a = crandn(rng, d, d)
+    s = a + a.T
+    return s * (radius / np.linalg.norm(s, 2))
+
+
+class TestRelaxedBlockBranches:
+    @given(st.sampled_from(["fully-connected", "group-connected", "single-connected"]),
+           st.integers(1, 6), st.integers(2, 4), st.floats(0.0, 0.9),
+           st.floats(1.0, 100.0), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_impedance_reference(self, arch, d_bar, g, radius, z0, seed):
+        # each group's branch admittances, from its priority base station's
+        # block, against Theta -> Z -> Y = Z^-1 one group at a time
+        topo = {"fully-connected": RisTopology.fully_connected(d_bar),
+                "group-connected": RisTopology.group_connected(g * d_bar, g),
+                "single-connected": RisTopology.single_connected(g)}[arch]
+        n = topo.d_bar
+        bs = (0,) if topo.g == 1 else (0, 1)
+        assignment = GroupAssignment.even_split(bs, topo)
+        rng = np.random.default_rng(seed)
+        blocks = {b: [symmetric_block(rng, n, radius) for _ in range(topo.g)] for b in bs}
+        thetas = {b: np.concatenate([vech(blk) for blk in blocks[b]]) for b in bs}
+        state = _state_from_thetas(thetas, topo, assignment, z0)
+        iu, ju = np.triu_indices(n, 1)
+        for b, groups in zip(assignment.bs, assignment.groups):
+            for k in groups:
+                assert state.owner[k] == b
+                y = np.linalg.inv(impedance_from_scattering(blocks[b][k], z0))
+                scale = np.abs(y).max()
+                assert np.abs(state.self_y[k] - y.sum(axis=1)).max() <= 1e-10 * scale
+                assert np.abs(state.inter_y[k] + y[iu, ju]).max(initial=0.0) <= 1e-10 * scale
+
+    def test_open_port_gives_zero_admittance_row(self):
+        # Theta eigenvalue +1 on element 0 of group 1: that port is open, so
+        # its self and inter-element admittances are zero, and no error
+        rng = np.random.default_rng(33)
+        blocks = np.stack([symmetric_block(rng, 3, 0.5) for _ in range(2)])
+        blocks[1, 0, :] = blocks[1, :, 0] = 0.0
+        blocks[1, 0, 0] = 1.0
+        self_y, inter_y = relaxed_block_branches(blocks, PARAMS.z0)
+        iu, _ = np.triu_indices(3, 1)
+        assert self_y[1, 0] == 0.0 and np.all(inter_y[1, iu == 0] == 0.0)
+        assert np.all(self_y[1, 1:] != 0.0) and np.all(inter_y[1, iu > 0] != 0.0)
+        cb = build_codebook(7.4e9, 4, SELF_RANGE, INTER_RANGE, PARAMS)
+        caps = snap_to_codebook(self_y, inter_y, cb)
+        assert caps[1, 0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
+
+    @pytest.mark.parametrize("k,gap", [(1, 0.0), (2, 1e-14)], ids=["exact", "near"])
+    def test_short_circuit_names_its_group(self, k, gap):
+        # Theta eigenvalue -1 (up to gap) in group k: a short-circuited port
+        rng = np.random.default_rng(34)
+        blocks = np.stack([symmetric_block(rng, 3, 0.5) for _ in range(3)])
+        blocks[k, 0, :] = blocks[k, :, 0] = 0.0
+        blocks[k, 0, 0] = -1.0 + gap
+        with pytest.raises(SingularNetworkError, match=f"^group {k}: "):
+            relaxed_block_branches(blocks, PARAMS.z0)
+
+
 class TestProjection:
     def test_synthesize_then_project_roundtrip(self):
+        # plan -> scatter -> retrieve -> plan is exact for every architecture
         rng = np.random.default_rng(21)
         f_star = 7.4e9
         cb = build_codebook(f_star, 4, SELF_RANGE, INTER_RANGE, PARAMS)
-        topo = RisTopology.fully_connected(4)
-        c = np.zeros((4, 4))
-        c[np.diag_indices(4)] = rng.choice(cb.self_caps, size=4)
-        iu, ju = np.triu_indices(4, 1)
-        inter = rng.choice(cb.inter_caps, size=iu.size)
-        c[iu, ju] = inter
-        c[ju, iu] = inter
-        theta = scattering_from_capacitances(CapacitancePlan(c, topo), f_star, PARAMS)
-        recovered = plan_from_theta(theta, topo, cb)
-        assert np.array_equal(recovered, c)
+        for topo in (RisTopology.fully_connected(4), RisTopology.group_connected(8, 2),
+                     RisTopology.single_connected(4)):
+            c = np.zeros((topo.d, topo.d))
+            c[np.diag_indices(topo.d)] = rng.choice(cb.self_caps, size=topo.d)
+            iu, ju = np.triu_indices(topo.d_bar, 1)
+            for k in range(topo.g):
+                block = c[topo.group_slice(k), topo.group_slice(k)]
+                block[iu, ju] = block[ju, iu] = rng.choice(cb.inter_caps, size=iu.size)
+            theta = scattering_from_capacitances(CapacitancePlan(c, topo), f_star, PARAMS)
+            recovered = plan_from_theta(theta, topo, cb)
+            assert np.array_equal(recovered, c), topo
 
     def test_scalar_roundtrip(self):
         cb = build_codebook(8e9, 5, SELF_RANGE, INTER_RANGE, PARAMS)
@@ -480,42 +547,40 @@ class TestProjection:
             assert np.array_equal(recovered, c)
 
     @pytest.mark.parametrize("topo", [RisTopology.fully_connected(1),
-                                      RisTopology.single_connected(1)],
-                             ids=["fully-connected", "single-connected"])
+                                      RisTopology.single_connected(1),
+                                      RisTopology.single_connected(8)],
+                             ids=["fully-connected", "single-connected",
+                                  "single-connected-8"])
     @pytest.mark.parametrize("direct", [False, True], ids=["blocked", "direct"])
     def test_one_element_plans_follow_scalar_map(self, topo, direct):
-        # reference: z0 (1 + theta) / (1 - theta), an open circuit at theta = 1
+        # reference: the admittance (1 - theta) / (z0 (1 + theta)) of each
+        # element, zero (an open circuit) at theta = 1
         cb = build_codebook(7.4e9, 6, SELF_RANGE, INTER_RANGE, PARAMS)
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         fw = FwConfig(200) if direct else None
         for t in range(20):
-            ch = random_channels(np.random.default_rng(7000 + t), 1, 3, (1,),
+            ch = random_channels(np.random.default_rng(7000 + t), topo.d, 3, (1,),
                                  direct=direct)
             state = solve_one(ch, weights, topo, fw=fw)
-            theta = complex(state.thetas[0][0])
-            finite = abs(1.0 - theta) >= 1e-14 * max(1.0, abs(theta))
-            z = PARAMS.z0 * (1.0 + theta) / (1.0 - theta) if finite else 0j
-            expected = exhaustive_snap(np.array([z]), np.array([finite]),
-                                       cb.self_z, cb.self_caps)
-            assert state.plan({0: cb}).c[0, 0] == expected[0]
-            # blocked links leave a unit coefficient: an open circuit
-            assert finite == direct
+            theta = state.thetas[0]
+            y = (1.0 - theta) / (PARAMS.z0 * (1.0 + theta))
+            expected = exhaustive_snap(y, cb.self_z, cb.self_caps)
+            assert np.array_equal(np.diag(state.plan({0: cb}).c), expected)
+            if topo.d == 1:
+                # blocked links leave a unit coefficient: an open circuit
+                assert (theta[0] == 1.0) != direct
 
     def test_refinement_reduces_quantization_error(self):
         rng = np.random.default_rng(22)
         ch = random_channels(rng, 6, 3, (1,))
-        branches = solve_one(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),))).blocks[0]
+        state = solve_one(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)))
         errors = {}
         for bits in (2, 12):
             cb = build_codebook(7.4e9, bits, SELF_RANGE, INTER_RANGE, PARAMS)
-            y_self = 1 / branches.self_z[branches.self_finite]
             errors[bits, "self"] = np.abs(
-                y_self[:, None] - 1 / cb.self_z[None, :]).min(axis=1)
-            iu, ju = np.triu_indices(6, 1)
-            fin = branches.inter_finite[iu, ju]
-            y_inter = 1 / branches.inter_z[iu, ju][fin]
+                state.self_y[0][:, None] - 1 / cb.self_z[None, :]).min(axis=1)
             errors[bits, "inter"] = np.abs(
-                y_inter[:, None] - 1 / cb.inter_z[None, :]).min(axis=1)
+                state.inter_y[0][:, None] - 1 / cb.inter_z[None, :]).min(axis=1)
         for kind in ("self", "inter"):
             assert np.all(errors[12, kind] <= errors[2, kind] + 1e-15)
             assert errors[12, kind].sum() < errors[2, kind].sum()
@@ -534,16 +599,16 @@ class TestProjection:
         y = 1 / codewords
         n = y.size
         # admittance targets: anywhere in the plane, on a codeword, and
-        # halfway between neighbouring codewords (equidistant from both)
+        # halfway between neighbouring codewords (equidistant from both);
+        # about one in ten zeroed (open branches)
         targets = np.concatenate([np.array(plane, dtype=complex),
                                   y[[i % n for i in picks]],
                                   (y[1:] + y[:-1]) / 2])
         rng = np.random.default_rng(seed)
-        finite = rng.random(targets.size) > 0.1
+        targets[rng.random(targets.size) <= 0.1] = 0.0
         with np.errstate(all="ignore"):
-            values = 1 / targets
-            got = _snap(values, finite, getattr(cb, f"{kind}_arc"), caps)
-            expected = exhaustive_snap(values, finite, codewords, caps)
+            got = _snap(targets, getattr(cb, f"{kind}_arc"), caps)
+            expected = exhaustive_snap(targets, codewords, caps)
         assert np.array_equal(got, expected)
 
     def test_tie_breaks_to_smallest_capacitance(self):
@@ -553,24 +618,16 @@ class TestProjection:
                       self_z=np.array([2.0 + 0j, 4.0 + 0j]),   # admittances 0.5, 0.25
                       inter_caps=np.array([1e-12, 2e-12]),
                       inter_z=np.array([2.0 + 0j, 4.0 + 0j]))
-        target = 1 / 0.375  # equidistant between the two admittances
-        from bdris.circuit import BranchImpedances
-        branches = BranchImpedances(
-            self_z=np.array([target + 0j]), self_finite=np.array([True]),
-            inter_z=np.zeros((1, 1), dtype=complex),
-            inter_finite=np.zeros((1, 1), dtype=bool))
-        caps = snap_to_codebook(branches, cb)
-        assert caps[0, 0] == 1e-12
+        target = np.array([[0.375 + 0j]])  # equidistant between the two admittances
+        caps = snap_to_codebook(target, np.zeros((1, 0), dtype=complex), cb)
+        assert caps[0, 0, 0] == 1e-12
 
     def test_infinite_branch_takes_largest_impedance_codeword(self):
+        # an open branch has zero admittance
         cb = build_codebook(7.4e9, 4, SELF_RANGE, INTER_RANGE, PARAMS)
-        from bdris.circuit import BranchImpedances
-        branches = BranchImpedances(
-            self_z=np.zeros(1, dtype=complex), self_finite=np.array([False]),
-            inter_z=np.zeros((1, 1), dtype=complex),
-            inter_finite=np.zeros((1, 1), dtype=bool))
-        caps = snap_to_codebook(branches, cb)
-        assert caps[0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
+        caps = snap_to_codebook(np.zeros((1, 1), dtype=complex),
+                                np.zeros((1, 0), dtype=complex), cb)
+        assert caps[0, 0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
 
 
 class TestConfigure:
@@ -627,7 +684,7 @@ class TestConfigure:
         ch = random_channels(rng, 8, 3, (1, 1))
         weights = ObjectiveWeights.uniform((1, 1))
         topo = RisTopology.group_connected(8, 2)
-        assignment = GroupAssignment.even_split((0, 1), topo, (7.4e9, 8.0e9))
+        assignment = GroupAssignment.even_split((0, 1), topo)
         codebooks = {b: build_codebook(f, 6, SELF_RANGE, INTER_RANGE, PARAMS)
                      for b, f in ((0, 7.4e9), (1, 8.0e9))}
         plan = solve_one(ch, weights, topo, assignment).plan(codebooks)
@@ -641,7 +698,7 @@ class TestConfigure:
         d = 10
         weights = ObjectiveWeights.uniform((1, 1))
         topo = RisTopology.single_connected(d)
-        assignment = GroupAssignment.even_split((0, 1), topo, (7.4e9, 8.0e9))
+        assignment = GroupAssignment.even_split((0, 1), topo)
         codebooks = {b: build_codebook(f, 6, SELF_RANGE, INTER_RANGE, PARAMS)
                      for b, f in ((0, 7.4e9), (1, 8.0e9))}
         gains, baselines = [], []
