@@ -46,9 +46,10 @@ def main():
                                                    F_STAR, params)
 
     print(f"one fading draw, D = {D}, priority frequency {F_STAR / 1e9:.1f} GHz")
-    fully, theta = configure(RisTopology.fully_connected(D))
-    r_hat, _ = stack_fc(channels, weights)
-    relaxed = np.linalg.norm(r_hat @ fully.thetas[0]) ** 2
+    theta = configure(RisTopology.fully_connected(D))[1]
+    # the relaxed optimum ||R theta||^2 on the unit ball is the top eigenvalue of
+    # the Gram matrix R R^H
+    relaxed = np.linalg.eigvalsh(stack_fc(channels, weights)[0])[-1]
     print(f"relaxed optimum (upper reference)    {relaxed * power.p * 1e3:8.4f} mW")
     report("fully-connected, configured", theta)
     report("group-connected (G=2), configured",

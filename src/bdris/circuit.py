@@ -261,6 +261,8 @@ class CodewordArc(NamedTuple):
         third codeword (a target far off, near a circle's centre, or NaN), and
         the target takes the exhaustive argmin instead.
         """
+        if targets.size == 0:  # e.g. a single-connected surface's inter branches
+            return np.zeros(0, dtype=np.intp)
         pos = np.searchsorted(self.keys, _arc_key(targets, self.centre, self.axis))
         _, lo, hi, _ = self.ring.take(pos, axis=0).T
         d_out1, d_lo, d_hi, d_out2 = np.abs(targets[:, None] - self.ring_y.take(pos, axis=0)).T

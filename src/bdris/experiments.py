@@ -9,9 +9,10 @@ the relaxed problem with :func:`solve_trials`, hands the frequency-independent
 solution to the experiment's ``evaluate`` (codebook projection, scattering,
 metrics), and redraws degenerate draws against one budget.  The experiment
 then aggregates mean and standard error per grid point.  The relaxed solve is done once per
-trial, outside any frequency loop; conditional-gradient solves are batched
-over trials *and* priority base stations in memory-bounded chunks, one
-solver call per chunk when the base stations' stacks share a shape.
+trial, outside any frequency loop, from each sub-problem's Gram matrix;
+conditional-gradient solves are batched over trials *and* priority base
+stations in memory-bounded chunks, one solver call per chunk when the base
+stations' Gram matrices share a size.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from .circuit import CapacitancePlan, Codebook, RisTopology, build_codebook, \
 from .config import cap_ranges, circuit_params, ghz, power_config, \
     base_scenario, single_user_scenario
 from .errors import DegenerateChannelError
-from .matrixkit import leading_right_singular_vector, vech_indices
+from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
 from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
                       network_sum_power, sum_power_per_bs,
                       sum_spectral_efficiency_outdated)
 # _snap is not called here; the traced benchmark wraps it by name (ROADMAP item 1).
 from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, _snap,
-                        frank_wolfe_batch, relaxed_block_branches, snap_to_codebook,
+                        first_column, frank_wolfe_batch, reduced_adjoint,
+                        relaxed_block_branches, snap_to_codebook, stack_factors,
                         stack_fc, stack_gc)
 
 logger = logging.getLogger(__name__)
@@ -114,10 +116,14 @@ class TrialState:
 
 
 def _stacks(chans, weights: ObjectiveWeights, topo: RisTopology,
-            assignment: GroupAssignment) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+            assignment: GroupAssignment) -> dict[int, tuple]:
+    """(Gram matrix, direct vector, row factors) per priority base station: one
+    sub-problem over every user if fully connected, else one over its users."""
     if topo.g == 1:
-        return {assignment.bs[0]: stack_fc(chans, weights)}
-    return {bs: stack_gc(chans, weights, topo, bs) for bs in assignment.bs}
+        return {assignment.bs[0]: (*stack_fc(chans, weights),
+                                   stack_factors(chans, weights, range(len(chans.g))))}
+    return {bs: (*stack_gc(chans, weights, topo, bs), stack_factors(chans, weights, (bs,)))
+            for bs in assignment.bs}
 
 
 def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
@@ -149,9 +155,10 @@ def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
     sub-problem over the whole surface (radius 1 for a fully-connected
     surface, sqrt(G) for G groups), and keeps the groups dedicated to it.
     With ``fw=None`` the direct links are taken as blocked and each solution
-    is the scaled leading right singular vector of the trial's stack.  With
-    an :class:`FwConfig` the direct links count: one conditional-gradient run
-    per set of priority base stations whose stacks share a shape, batched
+    is the scaled leading right singular vector of the reduced stacked matrix
+    R: R^H u for the leading eigenvector u of its Gram matrix.  With an
+    :class:`FwConfig` the direct links count: one conditional-gradient run
+    per set of priority base stations whose Gram matrices share a size, batched
     over the trials *and* those base stations (one instance per trial and
     base station); an instance's result does not depend on the batch it
     runs in.  Snap a returned state with :meth:`TrialState.plan`.
@@ -161,44 +168,47 @@ def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
     stacks = [_stacks(c, weights, topo, assignment) for c in chans_list]
     thetas = {}
     if fw is not None:
-        by_shape: dict[tuple[int, int], list[int]] = {}
+        by_rows: dict[int, list[int]] = {}
         for bs in assignment.bs:
-            by_shape.setdefault(stacks[0][bs][0].shape, []).append(bs)
-        for group in by_shape.values():
-            r = np.stack([s[bs][0] for s in stacks for bs in group])
-            h = np.stack([s[bs][1] for s in stacks for bs in group])
-            theta = frank_wolfe_batch(r, h, radius, fw.iterations,
-                                      step_rule=fw.step_rule)
-            theta = theta.reshape(len(stacks), len(group), -1)
-            for j, bs in enumerate(group):
-                thetas[bs] = theta[:, j]
+            by_rows.setdefault(len(stacks[0][bs][1]), []).append(bs)
+        for group in by_rows.values():
+            keys = [(i, bs) for i in range(len(stacks)) for bs in group]
+            grams, hs, factors = zip(*(stacks[i][bs] for i, bs in keys))
+            acc, c, _ = frank_wolfe_batch(np.stack(grams), np.stack(hs), radius,
+                                          fw.iterations,
+                                          np.stack([first_column(f) for f in factors]),
+                                          step_rule=fw.step_rule)
+            for key, f, acc_i, c_i in zip(keys, factors, acc, c):
+                thetas[key] = reduced_adjoint(f, acc_i, topo.g)
+                thetas[key][0] += c_i
     else:
-        for bs in assignment.bs:
-            thetas[bs] = [radius * leading_right_singular_vector(s[bs][0])[0]
-                          for s in stacks]
+        for i, stack in enumerate(stacks):
+            for bs, (gram, _, f) in stack.items():
+                v = _canonical_phase(reduced_adjoint(
+                    f, leading_right_singular_vector(gram)[0], topo.g))
+                # real division: a one-element solution is exactly 1
+                thetas[i, bs] = radius * (v.view(float) / np.linalg.norm(v)).view(complex)
     return [
-        _state_from_thetas({bs: thetas[bs][i] for bs in assignment.bs},
+        _state_from_thetas({bs: thetas[i, bs] for bs in assignment.bs},
                            topo, assignment, z0)
         for i in range(len(chans_list))
     ]
 
 
 def _stack_shape(scenario: NetworkScenario, weights: ObjectiveWeights,
-                 topo: RisTopology, assignment: GroupAssignment) -> tuple[int, int]:
-    """Shape of the stacked matrix :func:`_stacks` builds for the first priority
-    base station, worked out without sampling channels."""
-    if topo.g == 1:
-        users = sum(1 for b, count in enumerate(scenario.users_per_bs)
-                    for k in range(count) if weights.factor(b, k) != 0.0)
-        return scenario.m * users, topo.d * (topo.d + 1) // 2
-    users = scenario.users_per_bs[assignment.bs[0]]
-    return scenario.m * users, topo.g * topo.d_bar * (topo.d_bar + 1) // 2
+                 topo: RisTopology, assignment: GroupAssignment) -> int:
+    """Rows of the sub-problem :func:`_stacks` builds for the first priority
+    base station (its Gram matrix is rows x rows), worked out without
+    sampling channels."""
+    bss = range(scenario.num_bs) if topo.g == 1 else assignment.bs[:1]
+    return scenario.m * sum(weights.factor(b, k) != 0.0 for b in bss
+                            for k in range(scenario.users_per_bs[b]))
 
 
-def _direct_chunk(rows: int, cols: int, trials: int, instances: int) -> int:
-    """Trials per conditional-gradient chunk: ``instances`` solves of a
-    rows x cols stack per trial, about three copies of each held at once."""
-    per_trial = max(rows * cols * 16 * 3 * instances, 1)
+def _direct_chunk(rows: int, trials: int, instances: int) -> int:
+    """Trials per conditional-gradient chunk: ``instances`` rows x rows Gram
+    matrices per trial, held twice (the trials' stacks and the solver batch)."""
+    per_trial = max(rows * rows * 16 * 2 * instances, 1)
     return max(1, min(trials, BATCH_BYTES // per_trial))
 
 
@@ -220,7 +230,7 @@ def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
     allowed = max(1, int(MAX_DEGENERATE_FRACTION * trials))
     redraws = 0
     samples: dict[object, list[float]] = {}
-    chunk = (_direct_chunk(*_stack_shape(scenario, weights, topo, assignment), trials,
+    chunk = (_direct_chunk(_stack_shape(scenario, weights, topo, assignment), trials,
                            len(assignment.bs))
              if fw is not None else 1)
     for start in range(0, trials, chunk):

@@ -92,9 +92,9 @@ def leading_right_singular_vector(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit-norm right singular vector of the largest singular value, and that value.
 
     Computed from the top eigenpair of the smaller Gram matrix: for a wide
-    matrix (rows < cols, the shape of every stacked solver matrix) the
-    eigenvector u of a a^H gives v = a^H u / ||a^H u||; otherwise v is the top
-    eigenvector of a^H a.  The singular value is the square root of the
+    matrix (rows < cols) the eigenvector u of a a^H gives
+    v = a^H u / ||a^H u||; otherwise v is the top eigenvector of a^H a (for a
+    Hermitian positive semidefinite a, its top eigenvector, with sigma = lambda).  The singular value is the square root of the
     eigenvalue, accurate to machine precision relative to sigma because the
     eigenvalue's error is of order eps * sigma^2.  The cost is one Gram
     product and a min(rows, cols)-order eigensolve, an order of magnitude
@@ -125,4 +125,5 @@ def _canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     if significant.size:
         pivot = v[significant[0]]
         v = v * (np.conj(pivot) / np.abs(pivot))
+        v[significant[0]] = np.abs(pivot)  # exactly real, not up to rounding
     return v

@@ -1,13 +1,14 @@
 """Building blocks of the relaxed solve and the codebook snap.
 
 The received-power objective is linear in the non-redundant (lower-triangular)
-reflection coefficients once the channels are stacked into a reduced matrix,
-so the relaxed problems are solved either in closed form via the leading
-right singular vector (blocked direct links) or by a conditional-gradient
-method over the norm ball (direct links present).  The relaxed solution is
-then mapped to hardware capacitances by snapping the recovered branch
-admittances onto a frequency-specific codebook.  The pipeline that chains
-these steps is :func:`bdris.experiments.solve_trials`.
+reflection coefficients through a reduced stacked matrix R, so the relaxed
+problems are solved in closed form via R's leading right singular vector
+(blocked direct links) or by conditional gradient over the norm ball (direct
+links present).  Both need R only through R R^H and R^H c, which the
+symmetric structure gives in closed form from the channels: R is never
+formed.  The relaxed solution is then mapped to hardware capacitances by
+snapping the recovered branch admittances onto a frequency-specific codebook.
+The pipeline that chains these steps is :func:`bdris.experiments.solve_trials`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .circuit import Codebook, CodewordArc, RisTopology, _inverse_guarded
 from .channel import ChannelSet
+from .errors import DegenerateInputError
 from .matrixkit import vech_indices
 
 
@@ -111,56 +113,94 @@ class FwConfig:
             raise ValueError("step_rule must be 'line-search' or 'diminishing'")
 
 
-def _reduced_channel_block(g: np.ndarray, f: np.ndarray, d_bar: int) -> np.ndarray:
-    """Rows of the reduced stacked matrix for one user, one group of ``d_bar``
-    consecutive elements after another: (g_k^T kron f_k^H) D_{d_bar} per group k.
+def stack_factors(channels: ChannelSet, weights: ObjectiveWeights,
+                  bss) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per base station in ``bss``, the (users, D) stack of a = w_k conj(f_k) and
+    the (M, D) stack of b = g[:, m]: row (k, m) of the reduced stacked matrix R
+    holds a_i b_j + a_j b_i at each group's vech position (i, j), halved on the
+    diagonal, so it maps vech(Theta) to a^T Theta b.  Zero-weight users would
+    give all-zero rows and are left out."""
+    out = []
+    for b in bss:
+        a = [weights.factor(b, k) * f.conj() for k, f in enumerate(channels.f[b])
+             if weights.factor(b, k) != 0.0]
+        if a:
+            out.append((np.array(a), channels.g[b].T))
+    if not out:
+        raise DegenerateInputError(f"base stations {tuple(bss)} have no positive-weight user")
+    return out
 
-    Built without forming the Kronecker product or the duplication matrix:
-    column (i, j), i >= j, of group k's product gathers conj(f_i) g[j, :] +
-    conj(f_j) g[i, :] over the group's elements (halved on the diagonal,
-    where the two terms coincide).
+
+def _group_sums(x: np.ndarray, y: np.ndarray, g: int) -> np.ndarray:
+    """(len(x) len(y), g): per group, the sum over its elements of x_i conj(y_i)."""
+    return (x[:, None] * y.conj()[None]).reshape(len(x) * len(y), g, -1).sum(axis=2)
+
+
+def _gram(factors, g: int) -> np.ndarray:
+    """K = R R^H of the rows ``factors`` describe over g groups, in O(rows^2 D).
+
+    Per group, K_pq = (a.a')(b.b') + (a.b')(b.a') - sum_i a_i b_i a'_i b'_i
+    (primed vectors conjugated, dot products over the group's elements).
+    Summed over groups, the terms are one product over the elements, one over
+    the groups, and C C^H with C the elementwise products a * b.
     """
-    m = g.shape[1]
-    t = f.conj().reshape(-1, d_bar)[None, :, :, None] * g.T.reshape(m, -1, 1, d_bar)
-    s = t + t.transpose(0, 1, 3, 2)
-    rows, cols = vech_indices(d_bar)
-    blk = s[:, :, rows, cols]
-    blk[:, :, rows == cols] *= 0.5
-    return blk.reshape(m, -1)
+    def block(a, b, a2, b2):
+        u, m, u2, m2 = len(a), len(b), len(a2), len(b2)
+        aa = np.repeat(_group_sums(a, a2, g), b.shape[1] // g, axis=1)
+        t1 = (aa.reshape(u, u2, 1, -1) * b).reshape(-1, b.shape[1]) @ b2.conj().T
+        t2 = _group_sums(a, b2, g) @ _group_sums(b, a2, g).T
+        return (t1.reshape(u, u2, m, m2).transpose(0, 2, 1, 3)
+                + t2.reshape(u, m2, m, u2).transpose(0, 2, 3, 1)).reshape(u * m, u2 * m2)
+
+    c = np.concatenate([(a[:, None] * b[None]).reshape(-1, b.shape[1]) for a, b in factors])
+    return np.block([[block(*x, *y) for y in factors] for x in factors]) - c @ c.conj().T
+
+
+def reduced_adjoint(factors, c: np.ndarray, g: int) -> np.ndarray:
+    """R^H c without forming R: with X = sum over rows of c conj(a) conj(b)^T,
+    each group's diagonal block of X + X^T, diagonal halved, in vech order,
+    one group after another."""
+    x, start = 0.0, 0
+    for a, b in factors:
+        u, stop = len(a), start + len(a) * len(b)
+        w = c[start:stop].reshape(u, -1) @ b.conj()                  # (users, D)
+        x = x + np.matmul(a.conj().reshape(u, g, -1).transpose(1, 2, 0),
+                          w.reshape(u, g, -1).transpose(1, 0, 2))   # (g, d_bar, d_bar)
+        start = stop
+    rows, cols = vech_indices(x.shape[-1])
+    theta = x[:, rows, cols] + x[:, cols, rows]
+    theta[:, rows == cols] *= 0.5
+    return theta.ravel()
+
+
+def first_column(factors) -> np.ndarray:
+    """R e1, the image of the conditional gradient's fallback direction."""
+    return np.concatenate([np.outer(a[:, 0], b[:, 0]).ravel() for a, b in factors])
+
+
+def _stack(channels: ChannelSet, weights: ObjectiveWeights, bss,
+           g: int) -> tuple[np.ndarray, np.ndarray]:
+    h = [weights.factor(b, k) * channels.h[b][k].conj() for b in bss
+         for k in range(len(channels.f[b])) if weights.factor(b, k) != 0.0]
+    return _gram(stack_factors(channels, weights, bss), g), np.concatenate(h)
 
 
 def stack_fc(channels: ChannelSet,
              weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted stacked matrix and direct-channel vector of the fully-connected problem.
+    """Gram matrix K = R R^H and direct vector h of the fully-connected problem.
 
-    For any symmetric Theta, ||R theta + h||^2 with theta = vech(Theta)
-    equals the weighted sum over users of ||f^H Theta G + h^H||^2.
-    Zero-weight users would contribute all-zero rows and are left out (same
-    objective, smaller matrices).
-    """
-    r_rows, h_rows = [], []
-    for b in range(len(channels.g)):
-        for k in range(len(channels.f[b])):
-            w = weights.factor(b, k)
-            if w == 0.0:
-                continue
-            r_rows.append(w * _reduced_channel_block(channels.g[b], channels.f[b][k],
-                                                     channels.num_ris_elements))
-            h_rows.append(w * channels.h[b][k].conj())
-    return np.vstack(r_rows), np.concatenate(h_rows)
+    For symmetric Theta, ||R vech(Theta) + h||^2 is the weighted sum over
+    users of ||f^H Theta G + h^H||^2 (R as in :func:`stack_factors`).  The
+    solvers need R only through K, :func:`reduced_adjoint` and
+    :func:`first_column`, so R is never formed."""
+    return _stack(channels, weights, range(len(channels.g)), 1)
 
 
 def stack_gc(channels: ChannelSet, weights: ObjectiveWeights, topology: RisTopology,
              bs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked matrix and direct vector of one priority base station's sub-problem."""
-    r_rows, h_rows = [], []
-    mu = np.sqrt(weights.mu[bs])
-    for k in range(len(channels.f[bs])):
-        w = mu * np.sqrt(weights.nu[bs][k])
-        r_rows.append(w * _reduced_channel_block(channels.g[bs], channels.f[bs][k],
-                                                 topology.d_bar))
-        h_rows.append(w * channels.h[bs][k].conj())
-    return np.vstack(r_rows), np.concatenate(h_rows)
+    """Gram matrix and direct vector of one priority base station's sub-problem
+    over the whole group-connected surface (see :func:`stack_fc`)."""
+    return _stack(channels, weights, (bs,), topology.g)
 
 
 def frank_wolfe(r: np.ndarray, h: np.ndarray, radius: float, iterations: int,
@@ -174,48 +214,49 @@ def frank_wolfe(r: np.ndarray, h: np.ndarray, radius: float, iterations: int,
     Returns the final iterate, its objective, and (with ``trace=True``) the
     per-iteration objective history.
     """
-    theta, history = _frank_wolfe_batch(r[None], h[None], radius, iterations,
-                                        trace=trace, step_rule=step_rule)
+    acc, c, history = frank_wolfe_batch((r @ r.conj().T)[None], h[None], radius,
+                                        iterations, r[None, :, 0], step_rule, trace)
+    theta = r.conj().T @ acc[0]
+    theta[0] += c[0]
+    objective = float(np.linalg.norm(r @ theta + h) ** 2)
     if trace:
-        return theta[0], float(history[0, -1]), history[0]
-    return theta[0], float(history[0, -1])
+        return theta, objective, np.append(history[0], objective)
+    return theta, objective
 
 
-def _frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: int,
-                       trace: bool = False, step_rule: str = "line-search"
-                       ) -> tuple[np.ndarray, np.ndarray]:
+def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float, iterations: int,
+                      r_e1: np.ndarray, step_rule: str = "line-search",
+                      trace: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conditional gradient over a batch of independent instances.
 
-    ``r`` has shape (T, rows, cols) and ``h`` shape (T, rows).  Returns the
-    (T, cols) iterates and a (T, n) objective history (n = iterations when
-    tracing, else 1: just the final objective).
+    ``gram`` is the (T, rows, rows) stack of Gram matrices r r^H, ``h`` the
+    (T, rows) offsets and ``r_e1`` the (T, rows) first columns of r.  With
+    w = r theta + h the gradient direction r^H w only enters through r r^H w,
+    so the recursion runs in the row space at O(rows^2) per iteration, with
+    iterate theta = r^H acc + c e1 (e1: the fallback direction when the
+    gradient vanishes).  Returns (T, rows) ``acc`` and (T,) ``c`` (map them
+    with :func:`reduced_adjoint`) and the (T, iterations - 1) objectives
+    ||w||^2 before each iteration (empty unless tracing).  An instance's
+    arithmetic does not depend on its batch, so batches may be chunked.
 
     The objective is convex, so its maximum over the segment from the iterate
     to the direction-finding solution always sits at the far endpoint: exact
     line search is the full step, and it never decreases the objective.
 
-    Runs the recursion in the row space: with w = r theta + h, the gradient
-    direction r^H w only ever enters through r r^H w and theta itself is a
-    linear combination of r^H w iterates (plus the fixed fallback direction
-    e1 taken whenever the gradient vanishes), so each iteration costs
-    O(rows^2) via the Gram matrix instead of O(rows * cols).
-
     When every instance has a nonzero gradient (the normal case) an
     iteration takes the short update, which leaves out the terms the general
     update multiplies by an exact 0.0 or 1.0: the fallback direction
-    (``0.0 * r_col0``, ``+ 0.0`` on c) and, under line search, the discarded
+    (``0.0 * r_e1``, ``+ 0.0`` on c) and, under line search, the discarded
     iterate (``0.0 * acc``, ``0.0 * w``) and the unit weight of h.  Adding an
     exact zero or multiplying by one changes at most the sign of a zero
     result, so both updates give equal iterates; an iteration in which some
     instance's gradient vanishes (or is NaN) runs the general update.
     """
-    t, rows, cols = r.shape
-    gram = np.matmul(r, r.conj().transpose(0, 2, 1))   # (T, rows, rows)
-    r_col0 = r[:, :, 0]                                # image of the fallback e1
+    t, rows, _ = gram.shape
     w = h.astype(complex).copy()                       # residual at theta = 0
-    acc = np.zeros((t, rows), dtype=complex)           # theta = r^H acc + c e1
+    acc = np.zeros((t, rows), dtype=complex)
     c = np.zeros(t)
-    history = np.zeros((t, iterations if trace else 1))
+    history = np.zeros((t, iterations - 1 if trace else 0))
     line_search = step_rule == "line-search"
     for i in range(1, iterations):
         if trace:
@@ -240,22 +281,8 @@ def _frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: 
         fall = np.where(flat, step * radius, 0.0)
         acc = keep * acc + scale[:, None] * w
         c = keep * c + fall
-        w = keep * w + step * h + scale[:, None] * v + fall[:, None] * r_col0
-    theta = np.matmul(r.conj().transpose(0, 2, 1), acc[..., None])[..., 0]
-    theta[:, 0] += c
-    resid = np.matmul(r, theta[..., None])[..., 0] + h
-    history[:, -1] = np.einsum("tr,tr->t", resid.conj(), resid).real
-    return theta, history
-
-
-def frank_wolfe_batch(r: np.ndarray, h: np.ndarray, radius: float, iterations: int,
-                      step_rule: str = "line-search") -> np.ndarray:
-    """Conditional gradient over a (T, rows, cols) batch of independent instances.
-
-    Per-instance arithmetic does not depend on the batch it runs in, so
-    callers may split a batch into chunks to bound working memory.
-    """
-    return _frank_wolfe_batch(r, h, radius, iterations, step_rule=step_rule)[0]
+        w = keep * w + step * h + scale[:, None] * v + fall[:, None] * r_e1
+    return acc, c, history
 
 
 def _snap(targets: np.ndarray, arc: CodewordArc, caps: np.ndarray) -> np.ndarray:

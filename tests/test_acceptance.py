@@ -25,8 +25,8 @@ from bdris.experiments import (fc_target_bs, freq_response, interference,
                                topology_for)
 from bdris.matrixkit import duplication_matrix, vec, vech
 from bdris.metrics import evaluate_received_powers, sum_power_per_bs
-from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, stack_fc,
-                             stack_gc)
+from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
+from reference_stack import reduced_stack
 
 PARAMS = CircuitParams.defaults()
 SEED = 1
@@ -144,7 +144,7 @@ def test_criterion_05_closed_form_optimality():
             topo = RisTopology.fully_connected(d)
             theta = relaxed_thetas(ch, weights, topo,
                                    GroupAssignment.single(0, topo))[0]
-            r_hat, h_hat = stack_fc(ch, weights)
+            r_hat, h_hat = reduced_stack(ch, weights)
             objective = relaxed_objective(r_hat, h_hat, theta)
             sigma = np.linalg.svd(r_hat, compute_uv=False)[0]
             assert abs(objective - sigma ** 2) < 1e-9 * sigma ** 2
@@ -166,7 +166,7 @@ def test_criterion_06_conditional_gradient_matches_svd():
             weights = ObjectiveWeights.uniform((1, 1))
             topo = RisTopology.fully_connected(d)
             assignment = GroupAssignment.single(0, topo)
-            r_hat, h_hat = stack_fc(ch, weights)
+            r_hat, h_hat = reduced_stack(ch, weights)
             closed = relaxed_objective(
                 r_hat, h_hat, relaxed_thetas(ch, weights, topo, assignment)[0])
             iterative = relaxed_objective(
@@ -177,7 +177,7 @@ def test_criterion_06_conditional_gradient_matches_svd():
             blocked = relaxed_thetas(ch, weights, topo, assignment)
             direct = relaxed_thetas(ch, weights, topo, assignment, fw)
             for bs in (0, 1):
-                r_s, h_s = stack_gc(ch, weights, topo, bs)
+                r_s, h_s = reduced_stack(ch, weights, topo, bs)
                 closed = relaxed_objective(r_s, h_s, blocked[bs])
                 gap = abs(relaxed_objective(r_s, h_s, direct[bs]) - closed)
                 assert gap < 1e-2 * closed

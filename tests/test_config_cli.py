@@ -230,23 +230,38 @@ class TestBlasThreadDefault:
     def test_explicit_setting_is_kept(self):
         assert self.threads_seen_after_import("2") == "2"
 
-    def test_interference_csv_independent_of_thread_count(self, tmp_path):
+    @staticmethod
+    def csv_per_thread_count(tmp_path, experiment, settings, name, **sections):
         config = tmp_path / "tiny.yaml"
-        config.write_text(json.dumps({
-            "simulation": {"trials": 2},
-            "optimization": {"fw_iterations": 60},
-            "experiments": {"interference": {"ris_positions_m": [[40.0, 20.0]],
-                                             "d_grid": [8, 20]}}}))
+        config.write_text(json.dumps({"simulation": {"trials": 2}, **sections,
+                                      "experiments": {experiment: settings}}))
         csv = {}
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=str(Path(bdris.__file__).parents[1]))
             out = tmp_path / f"threads{threads}"
             subprocess.run(
-                [sys.executable, "-m", "bdris.cli", "run", "interference",
+                [sys.executable, "-m", "bdris.cli", "run", experiment,
                  "--config", str(config), "--seed", "3", "--out", str(out)],
                 env=env, capture_output=True, check=True, timeout=120)
-            csv[threads] = (out / "interference_x40_y20.csv").read_bytes()
+            csv[threads] = (out / name).read_bytes()
+        return csv
+
+    def test_interference_csv_independent_of_thread_count(self, tmp_path):
+        csv = self.csv_per_thread_count(
+            tmp_path, "interference",
+            {"ris_positions_m": [[40.0, 20.0]], "d_grid": [8, 20]},
+            "interference_x40_y20.csv", optimization={"fw_iterations": 60})
+        assert csv["1"] == csv["2"]
+
+    def test_freq_response_csv_independent_of_thread_count(self, tmp_path):
+        # the blocked-link eigensolve path; at D = 100 the bytes do depend on
+        # the thread count, through the network inverses of retrieval and
+        # scattering (see README), so this stays at small D
+        csv = self.csv_per_thread_count(
+            tmp_path, "freq-response",
+            {"d_values": [8, 20], "grid_ghz": {"start": 7.0, "stop": 8.0, "step": 0.5}},
+            "freq_response.csv")
         assert csv["1"] == csv["2"]
 
 

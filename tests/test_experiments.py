@@ -1,6 +1,8 @@
 import copy
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,20 @@ from bdris.errors import DegenerateChannelError
 from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interference,
                                network_power, per_bs_power, priority_assignment,
                                solve_trials, target_shift, topology_for)
-from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
+from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
+                             first_column, reduced_adjoint)
 
 PARAMS = CircuitParams.defaults()
+
+
+def bench_module(name):
+    """A module of the benchmark harness, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def tiny_config(**sections):
@@ -78,18 +91,50 @@ class TestHelpers:
             assignment = priority_assignment(weights, topo)
         stacks = experiments._stacks(sample_channels(sc, 8, stream_rng(0, 0)),
                                      weights, topo, assignment)
-        expected = next(iter(stacks.values()))[0].shape
-        assert experiments._stack_shape(sc, weights, topo, assignment) == expected
+        rows = experiments._stack_shape(sc, weights, topo, assignment)
+        gram, h, _ = next(iter(stacks.values()))
+        assert gram.shape == (rows, rows) and h.shape == (rows,)
 
     def test_traced_names_resolve(self):
         # the traced benchmark wraps these module globals by name
-        path = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
-        spec = importlib.util.spec_from_file_location("trace_child", path)
-        trace_child = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(trace_child)
+        trace_child = bench_module("trace_child")
         for module_name, attr, span, _count in trace_child.TARGETS:
             module = importlib.import_module(module_name)
             assert callable(getattr(module, attr, None)), (module_name, attr, span)
+
+    # each benchmark workload's config, shrunk to one trial at D = 8
+    TINY = {"freq-sweep": {"d_values": [8],
+                           "grid_ghz": {"start": 7.0, "stop": 8.0, "step": 0.5}},
+            "direct-links": {"ris_positions_m": [[40.0, 20.0]], "d_grid": [8]},
+            "power-grid": {"d_grid": [8]}}
+
+    @pytest.mark.parametrize("name", sorted(TINY))
+    def test_traced_spans_match_workload_prediction(self, name, monkeypatch, tmp_path):
+        # the benchmark's tracer, installed in process: every span the
+        # workload predicts records calls, and every predicted-zero span none
+        trace_child, workload = bench_module("trace_child"), bench_module("workloads")
+        import bdris.cli
+        for module_name, attr, _span, _count in trace_child.TARGETS:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, getattr(module, attr))  # restored after
+        for key, fn in RUNNERS.items():
+            monkeypatch.setitem(RUNNERS, key, fn)
+        tracer = trace_child.Tracer()
+        trace_child.install(tracer)
+        w = workload.WORKLOADS[name]
+        cfg = w.config()
+        cfg["simulation"]["trials"] = 1
+        cfg["experiments"][w.experiment].update(self.TINY[name])
+        cfg.setdefault("optimization", {})["fw_iterations"] = 5
+        path = tmp_path / "tiny.yaml"
+        path.write_text(json.dumps(cfg))
+        assert bdris.cli.main(["run", w.experiment, "--config", str(path), "--seed", "1",
+                               "--out", str(tmp_path / "out")]) == 0
+        calls = {span: 0 for span in workload.SPANS}
+        for record in tracer.spans:
+            calls[record[0]] += 1
+        assert [s for s in w.expected_spans() if calls[s] == 0] == []
+        assert [s for s in sorted(w.zero_spans) if calls[s] != 0] == []
 
 
 class TestDirectBatching:
@@ -104,21 +149,21 @@ class TestDirectBatching:
         topo = topology_for("group-connected", d, 2)
         assignment = priority_assignment(weights, topo)
         assert assignment.bs == (0, 1)
-        rows, cols = experiments._stack_shape(sc, weights, topo, assignment)
-        per_instance = rows * cols * 16 * 3
+        rows = experiments._stack_shape(sc, weights, topo, assignment)
+        per_instance = rows * rows * 16 * 2
         # room for two trials of two instances each, not three
         monkeypatch.setattr(experiments, "BATCH_BYTES", 5 * per_instance)
-        chunk = experiments._direct_chunk(rows, cols, trials, 2)
+        chunk = experiments._direct_chunk(rows, trials, 2)
         assert chunk == 2
         assert chunk * 2 * per_instance <= experiments.BATCH_BYTES
 
         calls = []
         solver = experiments.frank_wolfe_batch
 
-        def spy(r, h, *args, **kwargs):
-            theta = solver(r, h, *args, **kwargs)
-            calls.append((r.shape[0], theta))
-            return theta
+        def spy(gram, h, *args, **kwargs):
+            result = solver(gram, h, *args, **kwargs)
+            calls.append((gram.shape[0], result))
+            return result
 
         states = []
 
@@ -135,20 +180,26 @@ class TestDirectBatching:
         stacks = [experiments._stacks(sample_channels(sc, d, stream_rng(seed, t)),
                                       weights, topo, assignment)
                   for t in range(trials)]
-        for (_, theta), start in zip(calls, range(0, trials, chunk)):
+        for (_, (acc, c, _)), start in zip(calls, range(0, trials, chunk)):
             part = stacks[start:start + chunk]
-            theta = theta.reshape(len(part), 2, cols)
+            acc, c = acc.reshape(len(part), 2, rows), c.reshape(len(part), 2)
             separate = {bs: solver(np.stack([s[bs][0] for s in part]),
                                    np.stack([s[bs][1] for s in part]), radius,
-                                   fw.iterations, step_rule=fw.step_rule)
+                                   fw.iterations,
+                                   np.stack([first_column(s[bs][2]) for s in part]),
+                                   step_rule=fw.step_rule)
                         for bs in assignment.bs}
             for j, bs in enumerate(assignment.bs):
-                assert np.array_equal(theta[:, j], separate[bs])
+                assert np.array_equal(acc[:, j], separate[bs][0])
+                assert np.array_equal(c[:, j], separate[bs][1])
             # and each trial's state is built from its own instances
-            for i, state in enumerate(states[start:start + chunk]):
-                expected = experiments._state_from_thetas(
-                    {bs: separate[bs][i] for bs in assignment.bs}, topo, assignment,
-                    PARAMS.z0)
+            for i, (state, stack) in enumerate(zip(states[start:start + chunk], part)):
+                thetas = {}
+                for bs in assignment.bs:
+                    thetas[bs] = reduced_adjoint(stack[bs][2], separate[bs][0][i], topo.g)
+                    thetas[bs][0] += separate[bs][1][i]
+                expected = experiments._state_from_thetas(thetas, topo, assignment,
+                                                          PARAMS.z0)
                 for field in ("owner", "self_y", "inter_y"):
                     assert np.array_equal(getattr(state, field), getattr(expected, field))
 

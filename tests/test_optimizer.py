@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdris import circuit
 from bdris.channel import ChannelSet
 from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
                            build_codebook, impedance_from_scattering, random_plan,
@@ -12,9 +13,10 @@ from bdris.experiments import _state_from_thetas, solve_trials
 from bdris.matrixkit import (duplication_matrix, kron, leading_right_singular_vector,
                              unvech, vech)
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
-                             _frank_wolfe_batch, _reduced_channel_block, _snap,
-                             frank_wolfe, frank_wolfe_batch, relaxed_block_branches,
-                             snap_to_codebook, stack_fc, stack_gc)
+                             _snap, first_column, frank_wolfe,
+                             frank_wolfe_batch, reduced_adjoint, relaxed_block_branches,
+                             snap_to_codebook, stack_factors, stack_fc, stack_gc)
+from reference_stack import reduced_stack
 
 PARAMS = CircuitParams.defaults()
 SELF_RANGE = (0.1e-12, 2e-12)
@@ -114,51 +116,80 @@ class TestGroupAssignment:
             bad.validate(topo)
 
 
+def row_space_objective(gram, h, c):
+    """||R theta + h||^2 at theta = R^H c, which is ||K c + h||^2."""
+    return np.linalg.norm(gram @ c + h) ** 2
+
+
+def row_space_point(ch, weights, bss, topo, c):
+    """theta = R^H c from the closed-form adjoint, as a block-diagonal matrix."""
+    theta = reduced_adjoint(stack_factors(ch, weights, bss), c, topo.g)
+    full = np.zeros((topo.d, topo.d), dtype=complex)
+    for k, part in enumerate(theta.reshape(topo.g, -1)):
+        full[topo.group_slice(k), topo.group_slice(k)] = unvech(part, topo.d_bar)
+    return full
+
+
 class TestStacking:
     def test_reduced_block_matches_kron_times_duplication(self):
         # one kron-times-duplication block per group of d_bar consecutive
-        # elements, side by side
+        # elements, side by side: the Gram matrix and the adjoint of that R
         rng = np.random.default_rng(0)
         for d, m, d_bar in ((1, 3, 1), (3, 2, 3), (5, 4, 5), (6, 2, 3), (4, 3, 1), (8, 2, 2)):
-            g = crandn(rng, d, m)
-            f = crandn(rng, d)
+            ch = random_channels(rng, d, m, (1,))
+            weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
+            topo = RisTopology(d, d // d_bar)
+            g, f = ch.g[0], ch.f[0][0]
             explicit = np.hstack([
                 kron(g[k:k + d_bar].T, f[k:k + d_bar].conj()[None, :])
                 @ duplication_matrix(d_bar) for k in range(0, d, d_bar)])
-            assert np.abs(_reduced_channel_block(g, f, d_bar) - explicit).max() < 1e-13
+            gram, _ = stack_gc(ch, weights, topo, 0)
+            assert np.abs(gram - explicit @ explicit.conj().T).max() < 1e-13
+            c = crandn(rng, m)
+            theta = reduced_adjoint(stack_factors(ch, weights, (0,)), c, topo.g)
+            assert np.abs(theta - explicit.conj().T @ c).max() < 1e-13
 
     def test_objective_identity_single_user(self):
         rng = np.random.default_rng(1)
         ch = random_channels(rng, 2, 1, (1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        r_hat, h_hat = stack_fc(ch, weights)
-        a = crandn(rng, 2, 2)
-        theta = a + a.T
-        lhs = np.linalg.norm(r_hat @ vech(theta) + h_hat) ** 2
+        gram, h_hat = stack_fc(ch, weights)
+        c = crandn(rng, 1)
+        theta = row_space_point(ch, weights, (0,), RisTopology.fully_connected(2), c)
+        lhs = row_space_objective(gram, h_hat, c)
         assert lhs == pytest.approx(objective_direct(ch, weights, theta), rel=1e-12)
 
     def test_objective_identity_weighted_multiuser(self):
         rng = np.random.default_rng(2)
         ch = random_channels(rng, 4, 3, (2, 1), direct=True)
         weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((0.5, 0.5), (1.0,)))
-        r_hat, h_hat = stack_fc(ch, weights)
-        a = crandn(rng, 4, 4)
-        theta = a + a.T
-        lhs = np.linalg.norm(r_hat @ vech(theta) + h_hat) ** 2
+        gram, h_hat = stack_fc(ch, weights)
+        c = crandn(rng, 9)
+        theta = row_space_point(ch, weights, (0, 1), RisTopology.fully_connected(4), c)
+        lhs = row_space_objective(gram, h_hat, c)
         assert lhs == pytest.approx(objective_direct(ch, weights, theta), rel=1e-10)
 
     def test_zero_weight_rows_are_dropped(self):
         rng = np.random.default_rng(3)
         ch = random_channels(rng, 3, 2, (1, 1), direct=True)
         weights = ObjectiveWeights(mu=(1.0, 0.0), nu=((1.0,), (1.0,)))
-        r_hat, h_hat = stack_fc(ch, weights)
-        assert r_hat.shape == (2, 6) and h_hat.shape == (2,)
+        gram, h_hat = stack_fc(ch, weights)
+        assert gram.shape == (2, 2) and h_hat.shape == (2,)
         # only base station 0's user rows remain
-        assert np.array_equal(r_hat, _reduced_channel_block(ch.g[0], ch.f[0][0], 3))
-        a = crandn(rng, 3, 3)
-        theta = a + a.T
-        lhs = np.linalg.norm(r_hat @ vech(theta) + h_hat) ** 2
+        r_hat, _ = reduced_stack(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)), bs=0)
+        assert np.abs(gram - r_hat @ r_hat.conj().T).max() < 1e-13
+        c = crandn(rng, 2)
+        theta = row_space_point(ch, weights, (0, 1), RisTopology.fully_connected(3), c)
+        lhs = row_space_objective(gram, h_hat, c)
         assert lhs == pytest.approx(objective_direct(ch, weights, theta), rel=1e-12)
+
+    def test_sub_problem_without_weighted_users_rejected(self):
+        # a priority base station whose users all weigh zero has no rows
+        ch = random_channels(np.random.default_rng(35), 4, 2, (1, 1))
+        weights = ObjectiveWeights(mu=(1.0, 1.0), nu=((0.0,), (1.0,)))
+        with pytest.raises(DegenerateInputError, match="no positive-weight user"):
+            stack_gc(ch, weights, RisTopology(4, 2), 0)
+        assert stack_gc(ch, weights, RisTopology(4, 2), 1)[0].shape == (2, 2)
 
     def test_blocked_links_zero_offset(self):
         rng = np.random.default_rng(4)
@@ -171,16 +202,54 @@ class TestStacking:
         topo = RisTopology(4, 2)
         ch = random_channels(rng, 4, 3, (2,), direct=True)
         weights = ObjectiveWeights(mu=(0.8,), nu=((0.5, 0.5),))
-        r_s, h_s = stack_gc(ch, weights, topo, 0)
-        blocks = []
-        for g in range(2):
-            a = crandn(rng, 2, 2)
-            blocks.append(a + a.T)
-        theta = np.zeros((4, 4), dtype=complex)
-        theta[:2, :2], theta[2:, 2:] = blocks
-        stacked = np.concatenate([vech(b) for b in blocks])
-        lhs = np.linalg.norm(r_s @ stacked + h_s) ** 2
+        gram, h_s = stack_gc(ch, weights, topo, 0)
+        c = crandn(rng, 6)
+        theta = row_space_point(ch, weights, (0,), topo, c)
+        assert np.all(theta[:2, 2:] == 0) and np.all(theta[2:, :2] == 0)
+        lhs = row_space_objective(gram, h_s, c)
         assert lhs == pytest.approx(objective_direct(ch, weights, theta), rel=1e-10)
+
+
+class TestClosedFormStack:
+    """The run path's Gram matrix, adjoint, fallback column and blocked
+    solution against R built from kron and duplication_matrix."""
+
+    @given(st.sampled_from(["fully-connected", "group-connected", "single-connected"]),
+           st.integers(1, 6), st.integers(2, 4), st.integers(1, 4),
+           st.lists(st.integers(1, 2), min_size=1, max_size=2),
+           st.lists(st.booleans(), min_size=4, max_size=4), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_explicit_stack(self, arch, d_bar, g, m, users, zero, seed):
+        topo = {"fully-connected": RisTopology.fully_connected(d_bar),
+                "group-connected": RisTopology.group_connected(g * d_bar, g),
+                "single-connected": RisTopology.single_connected(g)}[arch]
+        rng = np.random.default_rng(seed)
+        ch = random_channels(rng, topo.d, m, tuple(users), direct=True)
+        # zero user weights where drawn, but base station 0's first user counts
+        nu = tuple(tuple(0.0 if zero[2 * b + k] and (b, k) != (0, 0)
+                         else float(rng.uniform(0.1, 1.0)) for k in range(n))
+                   for b, n in enumerate(users))
+        weights = ObjectiveWeights(mu=tuple(rng.uniform(0.1, 1.0, len(users))), nu=nu)
+        if topo.g == 1:
+            bss, (gram, h) = range(len(users)), stack_fc(ch, weights)
+            r, r_h = reduced_stack(ch, weights)
+        else:
+            bss, (gram, h) = (0,), stack_gc(ch, weights, topo, 0)
+            r, r_h = reduced_stack(ch, weights, topo, 0)
+        factors = stack_factors(ch, weights, bss)
+        exact = r @ r.conj().T
+        assert np.abs(gram - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert np.array_equal(h, r_h)
+        c = crandn(rng, len(h))
+        adjoint = r.conj().T @ c
+        scale = np.linalg.norm(r) * np.linalg.norm(c)
+        assert np.abs(reduced_adjoint(factors, c, topo.g) - adjoint).max() <= 1e-12 * scale
+        assert np.abs(first_column(factors) - r[:, 0]).max() <= 1e-15 * np.abs(r).max()
+        blocked = ChannelSet(g=ch.g, f=ch.f, h=tuple(tuple(0 * x for x in hb)
+                                                     for hb in ch.h))
+        theta = solve_one(blocked, weights, topo).thetas[0]
+        expected = np.sqrt(topo.g) * leading_right_singular_vector(r)[0]
+        assert np.abs(theta - expected).max() <= 1e-10
 
 
 class TestSolveFcBlocked:
@@ -190,7 +259,7 @@ class TestSolveFcBlocked:
         ch = random_channels(rng, 3, 1, (1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         theta = solve_one(ch, weights).thetas[0]
-        r_hat, _ = stack_fc(ch, weights)
+        r_hat, _ = reduced_stack(ch, weights)
         expected = r_hat[0].conj()
         expected /= np.linalg.norm(expected)
         pivot = expected[np.flatnonzero(np.abs(expected) > 1e-12)[0]]
@@ -202,7 +271,7 @@ class TestSolveFcBlocked:
         ch = random_channels(rng, 4, 3, (1, 2))
         weights = ObjectiveWeights(mu=(0.4, 0.6), nu=((1.0,), (0.5, 0.5)))
         theta = solve_one(ch, weights).thetas[0]
-        r_hat, h_hat = stack_fc(ch, weights)
+        r_hat, h_hat = reduced_stack(ch, weights)
         samples = crandn(rng, 10, 10_000)
         samples /= np.linalg.norm(samples, axis=0)
         best = (np.linalg.norm(r_hat @ samples, axis=0) ** 2).max()
@@ -213,7 +282,7 @@ class TestSolveFcBlocked:
         ch = random_channels(rng, 5, 2, (2,))
         weights = ObjectiveWeights.uniform((2,))
         theta = solve_one(ch, weights).thetas[0]
-        r_hat, h_hat = stack_fc(ch, weights)
+        r_hat, h_hat = reduced_stack(ch, weights)
         sigma = np.linalg.svd(r_hat, compute_uv=False)[0]
         objective = relaxed_objective(r_hat, h_hat, theta)
         assert objective == pytest.approx(sigma ** 2, rel=1e-9)
@@ -232,8 +301,8 @@ class TestSolveFcBlocked:
         )
         theta2 = solve_one(scaled, weights).thetas[0]
         assert np.abs(theta - theta2).max() < 1e-9
-        objective = relaxed_objective(*stack_fc(ch, weights), theta)
-        objective2 = relaxed_objective(*stack_fc(scaled, weights), theta2)
+        objective = relaxed_objective(*reduced_stack(ch, weights), theta)
+        objective2 = relaxed_objective(*reduced_stack(scaled, weights), theta2)
         assert objective2 == pytest.approx(9.0 * objective, rel=1e-9)
 
     def test_feasibility_and_symmetry(self):
@@ -253,18 +322,16 @@ class TestSolveFcBlocked:
             solve_one(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)))
 
 
-def reference_frank_wolfe_batch(r, h, radius, iterations, trace=False,
+def reference_frank_wolfe_batch(gram, h, radius, iterations, r_e1, trace=False,
                                 step_rule="line-search"):
     """The batched conditional gradient with the general update on every
     iteration (fallback terms weighted by exact zeros), kept as the oracle
     the solver's short update must reproduce bit for bit."""
-    t, rows, cols = r.shape
-    gram = np.matmul(r, r.conj().transpose(0, 2, 1))
-    r_col0 = r[:, :, 0]
+    t, rows, _ = gram.shape
     w = h.astype(complex).copy()
     acc = np.zeros((t, rows), dtype=complex)
     c = np.zeros(t)
-    history = np.zeros((t, iterations if trace else 1))
+    history = np.zeros((t, iterations - 1 if trace else 0))
     for i in range(1, iterations):
         if trace:
             history[:, i - 1] = np.einsum("tr,tr->t", w.conj(), w).real
@@ -278,24 +345,28 @@ def reference_frank_wolfe_batch(r, h, radius, iterations, trace=False,
         fall = np.where(flat, step * radius, 0.0)
         acc = keep * acc + scale[:, None] * w
         c = keep * c + fall
-        w = keep * w + step * h + scale[:, None] * v + fall[:, None] * r_col0
+        w = keep * w + step * h + scale[:, None] * v + fall[:, None] * r_e1
+    return acc, c, history
+
+
+def batch_theta(r, acc, c):
+    """theta = r^H acc + c e1 of each instance."""
     theta = np.matmul(r.conj().transpose(0, 2, 1), acc[..., None])[..., 0]
     theta[:, 0] += c
-    resid = np.matmul(r, theta[..., None])[..., 0] + h
-    history[:, -1] = np.einsum("tr,tr->t", resid.conj(), resid).real
-    return theta, history
+    return theta
 
 
 STEP_RULES = ("line-search", "diminishing")
 
 
 def assert_matches_reference(r, h, radius, iterations, trace, step_rule):
-    theta, history = _frank_wolfe_batch(r, h, radius, iterations, trace=trace,
-                                        step_rule=step_rule)
-    ref_theta, ref_history = reference_frank_wolfe_batch(
-        r, h, radius, iterations, trace=trace, step_rule=step_rule)
-    assert np.array_equal(theta, ref_theta)
-    assert np.array_equal(history, ref_history)
+    gram = np.matmul(r, r.conj().transpose(0, 2, 1))
+    got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0], trace=trace,
+                            step_rule=step_rule)
+    ref = reference_frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0],
+                                      trace=trace, step_rule=step_rule)
+    for x, y in zip(got, ref):
+        assert np.array_equal(x, y)
 
 
 class TestFrankWolfeReference:
@@ -332,7 +403,7 @@ class TestFrankWolfe:
         rng = np.random.default_rng(11)
         ch = random_channels(rng, 8, 2, (1, 1))
         weights = ObjectiveWeights.uniform((1, 1))
-        r_hat, h_hat = stack_fc(ch, weights)
+        r_hat, h_hat = reduced_stack(ch, weights)
         closed = relaxed_objective(r_hat, h_hat, solve_one(ch, weights).thetas[0])
         iterative = relaxed_objective(
             r_hat, h_hat, solve_one(ch, weights, fw=FwConfig(500)).thetas[0])
@@ -350,7 +421,7 @@ class TestFrankWolfe:
         ch = random_channels(rng, 1, 2, (1,), direct=True)
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         theta = solve_one(ch, weights, fw=FwConfig(2000)).thetas[0]
-        r_hat, h_hat = stack_fc(ch, weights)
+        r_hat, h_hat = reduced_stack(ch, weights)
         target_phase = np.angle(r_hat.conj().T @ h_hat)[0]
         assert abs(theta[0]) == pytest.approx(1.0, abs=1e-2)
         assert np.angle(theta[0]) == pytest.approx(target_phase, abs=1e-2)
@@ -369,7 +440,8 @@ class TestFrankWolfe:
         rng = np.random.default_rng(15)
         rs = crandn(rng, 7, 4, 9)
         hs = crandn(rng, 7, 4)
-        batch = frank_wolfe_batch(rs, hs, 1.3, 120)
+        grams = np.matmul(rs, rs.conj().transpose(0, 2, 1))
+        batch = batch_theta(rs, *frank_wolfe_batch(grams, hs, 1.3, 120, rs[:, :, 0])[:2])
         for i in range(7):
             single, _ = frank_wolfe(rs[i], hs[i], 1.3, 120)
             assert np.abs(batch[i] - single).max() < 1e-12
@@ -378,10 +450,12 @@ class TestFrankWolfe:
         rng = np.random.default_rng(30)
         rs = crandn(rng, 9, 3, 7)
         hs = crandn(rng, 9, 3)
-        whole = frank_wolfe_batch(rs, hs, 1.0, 80)
-        chunked = np.concatenate([frank_wolfe_batch(rs[a:b], hs[a:b], 1.0, 80)
-                                  for a, b in ((0, 2), (2, 3), (3, 9))])
-        assert np.array_equal(whole, chunked)
+        grams = np.matmul(rs, rs.conj().transpose(0, 2, 1))
+        whole = frank_wolfe_batch(grams, hs, 1.0, 80, rs[:, :, 0])
+        parts = [frank_wolfe_batch(grams[a:b], hs[a:b], 1.0, 80, rs[a:b, :, 0])
+                 for a, b in ((0, 2), (2, 3), (3, 9))]
+        for x, part in zip(whole, zip(*parts)):
+            assert np.array_equal(x, np.concatenate(part))
 
     def test_invalid_iterations(self):
         with pytest.raises(ValueError):
@@ -395,12 +469,12 @@ class TestSolveGc:
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         topo = RisTopology(4, 1)
         # the one-group sub-problem, solved from its own stack
-        r_gc, _ = stack_gc(ch, weights, topo, 0)
+        r_gc, _ = reduced_stack(ch, weights, topo, 0)
         v, sigma = leading_right_singular_vector(r_gc)
         fc = solve_one(ch, weights, topo).thetas[0]
         assert np.abs(unvech(v, 4) - unvech(fc, 4)).max() < 1e-10
         assert sigma ** 2 == pytest.approx(
-            relaxed_objective(*stack_fc(ch, weights), fc), rel=1e-9)
+            relaxed_objective(*reduced_stack(ch, weights), fc), rel=1e-9)
 
     def test_single_connected_limit(self):
         rng = np.random.default_rng(17)
@@ -427,7 +501,7 @@ class TestSolveGc:
         assignment = GroupAssignment.even_split((0, 1), topo)
         gc = solve_one(ch, weights, topo, assignment)
         for bs in (0, 1):
-            r_s, h_s = stack_gc(ch, weights, topo, bs)
+            r_s, h_s = reduced_stack(ch, weights, topo, bs)
             samples = crandn(rng, r_s.shape[1], 10_000)
             samples *= np.sqrt(2) / np.linalg.norm(samples, axis=0)
             best = (np.linalg.norm(r_s @ samples, axis=0) ** 2).max()
@@ -442,7 +516,7 @@ class TestSolveGc:
         blocked = solve_one(ch, weights, topo, assignment)
         direct = solve_one(ch, weights, topo, assignment, FwConfig(500))
         for bs in (0, 1):
-            r_s, h_s = stack_gc(ch, weights, topo, bs)
+            r_s, h_s = reduced_stack(ch, weights, topo, bs)
             closed = relaxed_objective(r_s, h_s, blocked.thetas[bs])
             rel = abs(relaxed_objective(r_s, h_s, direct.thetas[bs]) - closed) / closed
             assert rel < 1e-2
@@ -454,7 +528,7 @@ class TestSolveGc:
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
         topo = RisTopology(3, 1)
         # the one-group sub-problem, solved from its own stack
-        gc, _ = frank_wolfe(*stack_gc(ch, weights, topo, 0), 1.0, 300)
+        gc, _ = frank_wolfe(*reduced_stack(ch, weights, topo, 0), 1.0, 300)
         fc = solve_one(ch, weights, topo, fw=FwConfig(300)).thetas[0]
         assert np.abs(unvech(gc, 3) - unvech(fc, 3)).max() < 1e-12
 
@@ -629,6 +703,24 @@ class TestProjection:
                                 np.zeros((1, 0), dtype=complex), cb)
         assert caps[0, 0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
 
+    def test_empty_targets_skip_the_search(self, monkeypatch):
+        # a single-connected surface has no inter-element branches: its
+        # (g, 0) inter targets return no indices without an arc search
+        cb = build_codebook(7.4e9, 4, SELF_RANGE, INTER_RANGE, PARAMS)
+
+        def no_search(*args):
+            raise AssertionError("arc search on empty targets")
+
+        monkeypatch.setattr(circuit, "_arc_key", no_search)
+        picks = cb.inter_arc.nearest(np.zeros(0, dtype=complex))
+        assert picks.shape == (0,) and picks.dtype == np.intp
+        assert cb.inter_caps[picks].shape == (0,)
+        monkeypatch.undo()
+        self_y = np.full((3, 1), 1e-3 + 2e-3j)
+        caps = snap_to_codebook(self_y, np.zeros((3, 0), dtype=complex), cb)
+        expected = exhaustive_snap(self_y[:, 0], cb.self_z, cb.self_caps)
+        assert np.array_equal(caps, expected[:, None, None])
+
 
 class TestConfigure:
     def test_fc_produces_valid_scattering_everywhere(self):
@@ -673,7 +765,7 @@ class TestConfigure:
                 state = solve_one(ch, weights)
                 theta = scattering_from_capacitances(state.plan({0: cb}), f_star, PARAMS)
                 achieved = objective_direct(ch, weights, theta)
-                relaxed = relaxed_objective(*stack_fc(ch, weights), state.thetas[0])
+                relaxed = relaxed_objective(*reduced_stack(ch, weights), state.thetas[0])
                 ratios.append(achieved / relaxed)
             losses[bits] = float(np.mean(ratios))
         assert losses[6] > losses[2]
