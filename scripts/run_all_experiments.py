@@ -36,11 +36,12 @@ def main() -> int:
         rc = cli(["run", name, "--out", args.out] + extra)
         if rc != 0:
             return rc
+    failed = 0
     for entry in sorted(os.listdir(args.out)):
         if entry.endswith(".csv"):
-            cli(["plotdata", os.path.join(args.out, entry),
-                 "--out", os.path.join(args.out, "curves")])
-    return 0
+            failed += cli(["plotdata", os.path.join(args.out, entry),
+                           "--out", os.path.join(args.out, "curves")]) != 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

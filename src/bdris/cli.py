@@ -7,7 +7,7 @@ import os
 import sys
 
 from .config import (EXPERIMENTS, config_hash, load_config, validate_config)
-from .errors import ConfigError
+from .errors import ConfigError, RedrawBudgetError
 from .experiments import RUNNERS
 from .results import emit_plotdata, write_results
 
@@ -53,7 +53,11 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg["output"]["dir"]
     digest = config_hash(cfg)
     seed = cfg["simulation"]["seed"]
-    tables = RUNNERS[args.experiment](cfg)
+    try:
+        tables = RUNNERS[args.experiment](cfg)
+    except RedrawBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for name, table in tables.items():
         path = write_results(os.path.join(out_dir, f"{name}.csv"), table,
                              args.experiment, digest, seed)

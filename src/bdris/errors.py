@@ -23,3 +23,7 @@ class DegenerateChannelError(RuntimeError):
 
 class ConfigError(ValueError):
     """An experiment configuration violates a documented invariant."""
+
+
+class RedrawBudgetError(RuntimeError):
+    """A grid point redrew more of its trials than the redraw budget allows."""

@@ -3,22 +3,27 @@
 This module holds the Monte Carlo engine.  :func:`solve_trials` is the one
 configuration pipeline, public as ``bdris.solve_trials``: relaxed solve,
 branch retrieval, and a :class:`TrialState` that snaps to any codebook set.
-Every experiment runs each of its grid points through :func:`_run_point`, the
-one trial loop: it draws per-trial fading on deterministic substreams, solves
-the relaxed problem with :func:`solve_trials`, hands the frequency-independent
-solution to the experiment's ``evaluate`` (codebook projection, scattering,
-metrics), and redraws degenerate draws against one budget.  The experiment
-then aggregates mean and standard error per grid point.  The relaxed solve is done once per
-trial, outside any frequency loop, from each sub-problem's Gram matrix;
-conditional-gradient solves are batched over trials *and* priority base
-stations in memory-bounded chunks, one solver call per chunk when the base
-stations' Gram matrices share a size.
+Each experiment lists its grid points (:class:`Point`) and runs them all
+through :func:`_run_sweep`, the one trial loop.  It walks the (point, trial)
+units in point-major order, draws each trial's fading on its own
+deterministic substream, solves the relaxed problem once per trial
+(frequency blind, from each sub-problem's Gram matrix), hands the solution
+to the point's ``evaluate`` (codebook projection, scattering, metrics), and
+redraws failed draws against one budget per point.  The experiment then
+aggregates mean and standard error per grid point.
+
+Conditional-gradient solves are pooled across trials, priority base stations
+and grid points: consecutive direct-link units form batches of at most
+``BATCH_BYTES`` of Gram matrices, one solver call per Gram size in a batch.
+Blocked-link units are solved one at a time.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .circuit import CapacitancePlan, Codebook, RisTopology, build_codebook, \
     scattering_from_capacitances
 from .config import cap_ranges, circuit_params, ghz, power_config, \
     base_scenario, single_user_scenario
-from .errors import DegenerateChannelError
+from .errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
 from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
                       network_sum_power, sum_power_per_bs,
@@ -42,11 +47,17 @@ from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, _snap,
 logger = logging.getLogger(__name__)
 
 # A grid point aborts once more than this fraction of its trials hit
-# degenerate fading draws (each degenerate draw is redrawn and logged).
+# degenerate draws (each one is redrawn and logged).
 MAX_DEGENERATE_FRACTION = 0.01
 
-# Working-memory budget for batching conditional-gradient solves over trials.
-BATCH_BYTES = 250_000_000
+# Gram-matrix bytes of one conditional-gradient batch, a measured choice:
+# every solver call pays about 24 us of numpy overhead per iteration, while
+# batches far beyond the per-core L2 cache (2 MiB) stream their Gram
+# matrices from memory on every iteration.  A batch's channel draws are held
+# with it, so peak RSS grows with the budget (+1.7% at 800 KiB, +3.1% at
+# 1 MiB on the interference benchmark); 800 KiB still pairs the default
+# fully-connected sub-problem (160 rows, 400 KiB).  README has the timings.
+BATCH_BYTES = 800 << 10
 
 
 def topology_for(architecture: str, d: int, group_count: int) -> RisTopology:
@@ -115,15 +126,75 @@ class TrialState:
         return CapacitancePlan(caps.reshape(self.topo.d, self.topo.d), self.topo)
 
 
-def _stacks(chans, weights: ObjectiveWeights, topo: RisTopology,
-            assignment: GroupAssignment) -> dict[int, tuple]:
-    """(Gram matrix, direct vector, row factors) per priority base station: one
-    sub-problem over every user if fully connected, else one over its users."""
+def _factors(chans, weights: ObjectiveWeights, topo: RisTopology, bs: int):
+    """Row factors (see :func:`stack_factors`) of priority base station ``bs``'s
+    sub-problem: over every user if fully connected, else over its users."""
+    return stack_factors(chans, weights, range(len(chans.g)) if topo.g == 1 else (bs,))
+
+
+def _stack(chans, weights: ObjectiveWeights, topo: RisTopology,
+           bs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and direct vector of the sub-problem :func:`_factors` describes."""
     if topo.g == 1:
-        return {assignment.bs[0]: (*stack_fc(chans, weights),
-                                   stack_factors(chans, weights, range(len(chans.g))))}
-    return {bs: (*stack_gc(chans, weights, topo, bs), stack_factors(chans, weights, (bs,)))
-            for bs in assignment.bs}
+        return stack_fc(chans, weights)
+    return stack_gc(chans, weights, topo, bs)
+
+
+def _relaxed_solutions(draws) -> list[dict[int, np.ndarray]]:
+    """Relaxed stacked solution of each priority base station, per draw.
+
+    ``draws`` holds ``(chans, weights, topo, assignment, fw)`` tuples.  Each
+    priority base station solves its relaxed sub-problem over the whole
+    surface (radius 1 for a fully-connected surface, sqrt(G) for G groups).
+    With ``fw=None`` the direct links are taken as blocked and the solution
+    is the scaled leading right singular vector of the reduced stacked
+    matrix R: R^H u for the leading eigenvector u of its Gram matrix.  With
+    an :class:`FwConfig` the direct links count: the instances of every draw
+    (one per draw and priority base station) that share a Gram size and
+    solver settings run as one conditional-gradient batch, their Gram
+    matrices written straight into it.  An instance's result does not depend
+    on the batch it runs in.
+    """
+    thetas = [{} for _ in draws]
+    batches: dict[tuple[int, FwConfig], list] = {}
+    for i, (chans, weights, topo, assignment, fw) in enumerate(draws):
+        for bs in assignment.bs:
+            f = _factors(chans, weights, topo, bs)
+            if fw is not None:
+                rows = sum(len(a) * len(b) for a, b in f)
+                batches.setdefault((rows, fw), []).append((i, bs, f))
+                continue
+            gram, _ = _stack(chans, weights, topo, bs)
+            v = _canonical_phase(reduced_adjoint(
+                f, leading_right_singular_vector(gram)[0], topo.g))
+            # real division: a one-element solution is exactly 1
+            thetas[i][bs] = float(np.sqrt(topo.g)) * (
+                v.view(float) / np.linalg.norm(v)).view(complex)
+    for (rows, fw), instances in batches.items():
+        acc, c = _frank_wolfe_instances(draws, instances, rows, fw)
+        for (i, bs, f), acc_j, c_j in zip(instances, acc, c):
+            thetas[i][bs] = reduced_adjoint(f, acc_j, draws[i][2].g)
+            thetas[i][bs][0] += c_j
+    return thetas
+
+
+def _frank_wolfe_instances(draws, instances, rows: int, fw: FwConfig):
+    """Row-space coefficients ``(acc, c)`` of one conditional-gradient call over
+    ``instances`` ((draw index, base station, row factors) with ``rows``-row
+    sub-problems).  The Gram matrices are written straight into the batch,
+    which is freed on return."""
+    grams = np.empty((len(instances), rows, rows), dtype=complex)
+    hs = np.empty((len(instances), rows), dtype=complex)
+    e1 = np.empty((len(instances), rows), dtype=complex)
+    radius = np.empty(len(instances))
+    for j, (i, bs, f) in enumerate(instances):
+        chans, weights, topo = draws[i][:3]
+        grams[j], hs[j] = _stack(chans, weights, topo, bs)
+        e1[j] = first_column(f)
+        radius[j] = np.sqrt(topo.g)
+    acc, c, _ = frank_wolfe_batch(grams, hs, radius, fw.iterations, e1,
+                                  step_rule=fw.step_rule)
+    return acc, c
 
 
 def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
@@ -152,110 +223,138 @@ def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
     """Configure a surface for each channel draw in ``chans_list``.
 
     Each priority base station of ``assignment`` solves its relaxed
-    sub-problem over the whole surface (radius 1 for a fully-connected
-    surface, sqrt(G) for G groups), and keeps the groups dedicated to it.
-    With ``fw=None`` the direct links are taken as blocked and each solution
-    is the scaled leading right singular vector of the reduced stacked matrix
-    R: R^H u for the leading eigenvector u of its Gram matrix.  With an
-    :class:`FwConfig` the direct links count: one conditional-gradient run
-    per set of priority base stations whose Gram matrices share a size, batched
-    over the trials *and* those base stations (one instance per trial and
-    base station); an instance's result does not depend on the batch it
-    runs in.  Snap a returned state with :meth:`TrialState.plan`.
+    sub-problem and keeps the groups dedicated to it (see
+    :func:`_relaxed_solutions`): ``fw=None`` takes the direct links as
+    blocked, an :class:`FwConfig` runs one conditional-gradient batch over
+    every draw.  Branch retrieval raises
+    :class:`~bdris.errors.SingularNetworkError` on a short-circuited block.
+    Snap a returned state with :meth:`TrialState.plan`.
     """
     assignment.validate(topo)
-    radius = float(np.sqrt(topo.g))
-    stacks = [_stacks(c, weights, topo, assignment) for c in chans_list]
-    thetas = {}
-    if fw is not None:
-        by_rows: dict[int, list[int]] = {}
-        for bs in assignment.bs:
-            by_rows.setdefault(len(stacks[0][bs][1]), []).append(bs)
-        for group in by_rows.values():
-            keys = [(i, bs) for i in range(len(stacks)) for bs in group]
-            grams, hs, factors = zip(*(stacks[i][bs] for i, bs in keys))
-            acc, c, _ = frank_wolfe_batch(np.stack(grams), np.stack(hs), radius,
-                                          fw.iterations,
-                                          np.stack([first_column(f) for f in factors]),
-                                          step_rule=fw.step_rule)
-            for key, f, acc_i, c_i in zip(keys, factors, acc, c):
-                thetas[key] = reduced_adjoint(f, acc_i, topo.g)
-                thetas[key][0] += c_i
-    else:
-        for i, stack in enumerate(stacks):
-            for bs, (gram, _, f) in stack.items():
-                v = _canonical_phase(reduced_adjoint(
-                    f, leading_right_singular_vector(gram)[0], topo.g))
-                # real division: a one-element solution is exactly 1
-                thetas[i, bs] = radius * (v.view(float) / np.linalg.norm(v)).view(complex)
-    return [
-        _state_from_thetas({bs: thetas[i, bs] for bs in assignment.bs},
-                           topo, assignment, z0)
-        for i in range(len(chans_list))
-    ]
+    thetas = _relaxed_solutions([(c, weights, topo, assignment, fw) for c in chans_list])
+    return [_state_from_thetas(t, topo, assignment, z0) for t in thetas]
+
+
+@dataclass(frozen=True)
+class Point:
+    """One grid point of a sweep.
+
+    Its trials draw fading for ``scenario`` at ``d`` elements and configure
+    ``topo`` for ``weights`` under ``assignment``; ``fw=None`` takes the
+    direct links as blocked.  ``evaluate(chans, state)`` returns one trial's
+    metrics by name; ``context`` names the point in logs and errors.
+    """
+
+    scenario: NetworkScenario
+    d: int
+    topo: RisTopology
+    assignment: GroupAssignment
+    weights: ObjectiveWeights
+    fw: FwConfig | None
+    evaluate: Callable[[object, TrialState], dict]
+    context: str
+
+    def __post_init__(self):
+        self.assignment.validate(self.topo)
+
+    def problem(self, chans) -> tuple:
+        """The draw tuple :func:`_relaxed_solutions` solves for ``chans``."""
+        return chans, self.weights, self.topo, self.assignment, self.fw
 
 
 def _stack_shape(scenario: NetworkScenario, weights: ObjectiveWeights,
-                 topo: RisTopology, assignment: GroupAssignment) -> int:
-    """Rows of the sub-problem :func:`_stacks` builds for the first priority
-    base station (its Gram matrix is rows x rows), worked out without
-    sampling channels."""
-    bss = range(scenario.num_bs) if topo.g == 1 else assignment.bs[:1]
-    return scenario.m * sum(weights.factor(b, k) != 0.0 for b in bss
-                            for k in range(scenario.users_per_bs[b]))
+                 topo: RisTopology, assignment: GroupAssignment) -> dict[int, int]:
+    """Rows of each priority base station's sub-problem (its Gram matrix is
+    rows x rows), worked out without sampling channels."""
+    return {bs: scenario.m * sum(
+        weights.factor(b, k) != 0.0
+        for b in (range(scenario.num_bs) if topo.g == 1 else (bs,))
+        for k in range(scenario.users_per_bs[b])) for bs in assignment.bs}
 
 
-def _direct_chunk(rows: int, trials: int, instances: int) -> int:
-    """Trials per conditional-gradient chunk: ``instances`` rows x rows Gram
-    matrices per trial, held twice (the trials' stacks and the solver batch)."""
-    per_trial = max(rows * rows * 16 * 2 * instances, 1)
-    return max(1, min(trials, BATCH_BYTES // per_trial))
+def _batches(points: list[Point], trials: int):
+    """The (point, trial) units of a sweep in point-major order, grouped into
+    solver batches.
+
+    Consecutive direct-link units share a batch while their Gram matrices
+    (16 rows^2 bytes per instance) fit ``BATCH_BYTES``; a unit larger than
+    that forms a batch alone.  A blocked-link unit counts as unbounded, so it
+    always forms a batch of one.
+    """
+    batch, size = [], 0.0
+    for p, point in enumerate(points):
+        unit = float("inf") if point.fw is None else 16 * sum(
+            r * r for r in _stack_shape(point.scenario, point.weights, point.topo,
+                                        point.assignment).values())
+        for t in range(trials):
+            if batch and size + unit > BATCH_BYTES:
+                yield batch
+                batch, size = [], 0.0
+            batch.append((p, t))
+            size += unit
+    if batch:
+        yield batch
 
 
-def _run_point(scenario: NetworkScenario, d: int, seed: int, trials: int,
-               weights, topo, assignment, z0, fw, evaluate, context: str
-               ) -> dict[object, list[float]]:
-    """Samples of every metric ``evaluate(chans, state)`` returns, one per trial.
+def _solved_units(points: list[Point], units, seed: int, z0: float, attempt: int = 0):
+    """Yield (point index, trial, chans, state) for the (point, trial) ``units``.
 
-    Each trial draws fading on its own substream and is solved by
-    :func:`solve_trials` (``fw=None``: blocked direct links):
-    conditional-gradient solves batched over
-    memory-bounded chunks of trials (each trial one instance per priority
-    base station), closed-form solves one trial at a time.
-    A draw whose evaluation raises :class:`DegenerateChannelError` is redrawn
-    on the trial's next attempt substream and solved again; the point aborts
-    once its redraws exceed ``MAX_DEGENERATE_FRACTION`` of its trials (one
-    redraw is always tolerated).
+    Every unit is drawn first, on substream ``stream_rng(seed, t, attempt)``;
+    then all are solved together by :func:`_relaxed_solutions`, and each one
+    retrieves its branches as it is yielded.  A retrieval that raises
+    :class:`SingularNetworkError` yields that error as the state.
+    """
+    draws = [sample_channels(points[p].scenario, points[p].d,
+                             stream_rng(seed, t, attempt=attempt)) for p, t in units]
+    solutions = _relaxed_solutions([points[p].problem(chans)
+                                    for (p, _), chans in zip(units, draws)])
+    for (p, t), chans, solution in zip(units, draws, solutions):
+        try:
+            state = _state_from_thetas(solution, points[p].topo, points[p].assignment, z0)
+        except SingularNetworkError as exc:
+            state = exc
+        yield p, t, chans, state
+
+
+def _run_sweep(points: list[Point], seed: int, trials: int,
+               z0: float) -> list[dict[object, list[float]]]:
+    """Samples of every metric each point's ``evaluate`` returns, one per trial.
+
+    Each batch of units (see :func:`_batches`) is drawn and solved together
+    (:func:`_solved_units`); its units are then evaluated in order, and the
+    batch is released before the next one is drawn.  A draw whose retrieval
+    or evaluation raises :class:`DegenerateChannelError` or
+    :class:`SingularNetworkError` is redrawn on the trial's next attempt
+    substream and solved again on its own; the rest of its batch is
+    untouched.  A point raises :class:`RedrawBudgetError` once its redraws
+    exceed ``MAX_DEGENERATE_FRACTION`` of its trials (one redraw is always
+    tolerated).
     """
     allowed = max(1, int(MAX_DEGENERATE_FRACTION * trials))
-    redraws = 0
-    samples: dict[object, list[float]] = {}
-    chunk = (_direct_chunk(_stack_shape(scenario, weights, topo, assignment), trials,
-                           len(assignment.bs))
-             if fw is not None else 1)
-    for start in range(0, trials, chunk):
-        indices = range(start, min(start + chunk, trials))
-        chans_list = [sample_channels(scenario, d, stream_rng(seed, t)) for t in indices]
-        states = solve_trials(chans_list, weights, topo, assignment, z0, fw)
-        for t, chans, state in zip(indices, chans_list, states):
-            attempt = 0
+    redraws = [0] * len(points)
+    samples: list[dict[object, list[float]]] = [{} for _ in points]
+    for batch in _batches(points, trials):
+        for p, t, chans, state in _solved_units(points, batch, seed, z0):
+            point, attempt = points[p], 0
             while True:
                 try:
-                    metrics = evaluate(chans, state)
+                    if isinstance(state, SingularNetworkError):
+                        raise state  # retrieval failed: redraw like any other failure
+                    metrics = point.evaluate(chans, state)
                     break
-                except DegenerateChannelError:
-                    redraws += 1
-                    logger.warning("degenerate channel draw at %s; redrawing", context)
-                    if redraws > allowed:
-                        raise RuntimeError(f"more than {MAX_DEGENERATE_FRACTION:.0%} "
-                                           f"degenerate trials at {context}")
+                except (DegenerateChannelError, SingularNetworkError) as exc:
+                    redraws[p] += 1
+                    logger.warning("%s at %s; redrawing", type(exc).__name__, point.context)
+                    if redraws[p] > allowed:
+                        raise RedrawBudgetError(
+                            f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
+                            f"trials at {point.context}") from exc
                     attempt += 1
-                    chans = sample_channels(scenario, d,
-                                            stream_rng(seed, t, attempt=attempt))
-                    state = solve_trials([chans], weights, topo, assignment, z0,
-                                         fw)[0]
+                    _, _, chans, state = next(_solved_units(points, [(p, t)], seed, z0,
+                                                            attempt))
             for name, value in metrics.items():
-                samples.setdefault(name, []).append(float(value))
+                samples[p].setdefault(name, []).append(float(value))
+        del chans, state  # the batch's last unit: not held while the next is drawn
     return samples
 
 
@@ -312,25 +411,25 @@ def freq_response(cfg: dict) -> dict[str, AggregateResult]:
     codebooks = {f: build_codebook(f, bits, self_range, inter_range, params)
                  for f in freqs_hz}
     weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
+    scenario = single_user_scenario(cfg, bs, user, freqs_hz[0], BLOCKED)
+    power = power_config(cfg, scenario)
 
-    rows = []
+    def evaluate(chans, state):
+        return _tracked_powers(chans, freqs_hz,
+                               lambda f: state.plan({0: codebooks[f]}),
+                               params, power)
+
+    labels, points = [], []
     for d in exp["d_values"]:
-        scenario = single_user_scenario(cfg, bs, user, freqs_hz[0], BLOCKED)
-        power = power_config(cfg, scenario)
-
-        def evaluate(chans, state):
-            return _tracked_powers(chans, freqs_hz,
-                                   lambda f: state.plan({0: codebooks[f]}),
-                                   params, power)
-
         for arch in archs:
             topo = topology_for(arch, d, group_count)
-            label = f"{arch} D={d}"
-            samples = _run_point(
-                scenario, d, seed, trials, weights, topo,
-                GroupAssignment.single(0, topo), params.z0, None,
-                evaluate, context=f"freq-response {label}")
-            rows.extend(_frequency_rows(ghz_values, label, samples, trials))
+            labels.append(f"{arch} D={d}")
+            points.append(Point(scenario, d, topo, GroupAssignment.single(0, topo),
+                                weights, None, evaluate,
+                                f"freq-response {labels[-1]}"))
+    rows = []
+    for label, samples in zip(labels, _run_sweep(points, seed, trials, params.z0)):
+        rows.extend(_frequency_rows(ghz_values, label, samples, trials))
     return {"freq_response": AggregateResult(tuple(rows))}
 
 
@@ -350,7 +449,11 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
     d = exp["d"]
     weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
 
-    out = {}
+    def evaluate(chans, state, codebook, freqs_hz, power):
+        plan = state.plan({0: codebook})
+        return _tracked_powers(chans, freqs_hz, lambda f: plan, params, power)
+
+    out, curves, points = {}, [], []
     for target_ghz in exp["targets_ghz"]:
         f_star = ghz(target_ghz)
         ghz_values = _ghz_grid(target_ghz - exp["half_span_ghz"],
@@ -359,22 +462,20 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
         codebook = build_codebook(f_star, bits, self_range, inter_range, params)
         scenario = single_user_scenario(cfg, bs, user, f_star, BLOCKED)
         power = power_config(cfg, scenario)
-
-        def evaluate(chans, state):
-            plan = state.plan({0: codebook})
-            return _tracked_powers(chans, freqs_hz, lambda f: plan, params, power)
-
-        rows = []
+        name = "target_shift_" + f"{target_ghz:g}".replace(".", "p") + "ghz"
+        out[name] = []
         for arch in archs:
             topo = topology_for(arch, d, group_count)
-            samples = _run_point(
-                scenario, d, seed, trials, weights, topo,
-                GroupAssignment.single(0, topo), params.z0, None,
-                evaluate, context=f"target-shift {arch}")
-            rows.extend(_frequency_rows(ghz_values, arch, samples, trials))
-        tag = f"{target_ghz:g}".replace(".", "p")
-        out[f"target_shift_{tag}ghz"] = AggregateResult(tuple(rows))
-    return out
+            curves.append((name, ghz_values, arch))
+            points.append(Point(scenario, d, topo, GroupAssignment.single(0, topo),
+                                weights, None,
+                                partial(evaluate, codebook=codebook, freqs_hz=freqs_hz,
+                                        power=power),
+                                f"target-shift {arch}"))
+    for (name, ghz_values, arch), samples in zip(
+            curves, _run_sweep(points, seed, trials, params.z0)):
+        out[name].extend(_frequency_rows(ghz_values, arch, samples, trials))
+    return {name: AggregateResult(tuple(rows)) for name, rows in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +483,11 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
 # several base-station weight sets, with blocked or available direct links.
 
 
-def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
-                 d_grid: list[int]) -> AggregateResult:
-    trials, seed, archs = _sim_settings(cfg)
+def _power_points(cfg: dict, weight_set: list[float], link_mode: str,
+                  d_grid: list[int]) -> list[tuple[str, int, Point]]:
+    """(architecture, element count, point) of one power sweep, architecture
+    by architecture."""
+    _, _, archs = _sim_settings(cfg)
     params = circuit_params(cfg)
     self_range, inter_range = cap_ranges(cfg)
     bits = cfg["circuit"]["codebook_bits"]
@@ -400,8 +503,8 @@ def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
     codebooks = {b: build_codebook(f, bits, self_range, inter_range, params)
                  for b, f in enumerate(scenario.frequencies)}
 
-    def evaluate(chans, state, codebook_map):
-        plan = state.plan(codebook_map)
+    def evaluate(chans, state):
+        plan = state.plan(codebooks)
         thetas = [scattering_from_capacitances(plan, f, params)
                   for f in scenario.frequencies]
         result = evaluate_received_powers(chans, thetas, power)
@@ -410,7 +513,7 @@ def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
         metrics["network_sum_power_w"] = network_sum_power(result)
         return metrics
 
-    rows = []
+    points = []
     for arch in archs:
         for d in d_grid:
             topo = topology_for(arch, d, group_count)
@@ -419,30 +522,35 @@ def _power_sweep(cfg: dict, weight_set: list[float], link_mode: str,
                 assignment = GroupAssignment.single(target, topo)
             else:
                 assignment = priority_assignment(weights, topo)
-            samples = _run_point(
-                scenario, d, seed, trials, weights, topo, assignment, params.z0,
-                fw if link_mode == AVAILABLE else None,
-                lambda chans, state: evaluate(chans, state, codebooks),
-                context=f"{arch} D={d} {link_mode}")
-            for name, values in samples.items():
-                mean, stderr = aggregate(values)
-                rows.append(ResultRow("elements", int(d), arch, name, mean, stderr,
-                                      trials))
-    return AggregateResult(tuple(rows))
+            points.append((arch, d, Point(
+                scenario, d, topo, assignment, weights,
+                fw if link_mode == AVAILABLE else None, evaluate,
+                f"{arch} D={d} {link_mode}")))
+    return points
 
 
 def _power_experiment(cfg: dict, key: str, keep) -> dict[str, AggregateResult]:
     """One table per (weight set, link mode), holding the rows whose metric
-    name satisfies ``keep``."""
+    name satisfies ``keep``; every table's points run in one sweep."""
     exp = cfg["experiments"][key]
+    trials, seed, _ = _sim_settings(cfg)
     prefix = key.replace("-", "_")
-    out = {}
+    out, curves, points = {}, [], []
     for weight_set in exp["weight_sets"]:
         for mode in exp["link_modes"]:
-            result = _power_sweep(cfg, weight_set, mode, exp["d_grid"])
-            rows = tuple(r for r in result.rows if keep(r.metric))
-            out[f"{prefix}__{_weight_tag(weight_set)}__{mode}"] = AggregateResult(rows)
-    return out
+            name = f"{prefix}__{_weight_tag(weight_set)}__{mode}"
+            out[name] = []
+            for arch, d, point in _power_points(cfg, weight_set, mode, exp["d_grid"]):
+                curves.append((name, arch, d))
+                points.append(point)
+    for (name, arch, d), samples in zip(
+            curves, _run_sweep(points, seed, trials, circuit_params(cfg).z0)):
+        for metric, values in samples.items():
+            if keep(metric):
+                mean, stderr = aggregate(values)
+                out[name].append(ResultRow("elements", int(d), arch, metric, mean,
+                                           stderr, trials))
+    return {name: AggregateResult(tuple(rows)) for name, rows in out.items()}
 
 
 def per_bs_power(cfg: dict) -> dict[str, AggregateResult]:
@@ -483,7 +591,21 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
     ref_metric = f"sum_se_bs{victim + 1}_ref"
     act_metric = f"sum_se_bs{victim + 1}"
 
-    out = {}
+    def evaluate(chans, state, scenario, power, codebook, with_reference):
+        plan = state.plan({aided: codebook})
+        theta_at_victim = scattering_from_capacitances(
+            plan, scenario.frequencies[victim], params)
+        metrics = {act_metric: sum_spectral_efficiency_outdated(
+            chans, victim, theta_at_victim, power)}
+        if with_reference:
+            # Surface-free, so identical for every architecture: the
+            # first architecture's rows carry it.
+            d = chans.num_ris_elements
+            metrics[ref_metric] = sum_spectral_efficiency_outdated(
+                chans, victim, np.zeros((d, d), dtype=complex), power)
+        return metrics
+
+    out, curves, points = {}, [], []
     for position in exp["ris_positions_m"]:
         scenario = base_scenario(cfg, direct_links=AVAILABLE,
                                  ris_position=tuple(map(float, position)),
@@ -491,42 +613,28 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
         power = power_config(cfg, scenario)
         codebook = build_codebook(scenario.frequencies[aided], bits,
                                   self_range, inter_range, params)
-
-        def evaluate(chans, state, with_reference):
-            plan = state.plan({aided: codebook})
-            theta_at_victim = scattering_from_capacitances(
-                plan, scenario.frequencies[victim], params)
-            metrics = {act_metric: sum_spectral_efficiency_outdated(
-                chans, victim, theta_at_victim, power)}
-            if with_reference:
-                # Surface-free, so identical for every architecture: the
-                # first architecture's rows carry it.
-                d = chans.num_ris_elements
-                metrics[ref_metric] = sum_spectral_efficiency_outdated(
-                    chans, victim, np.zeros((d, d), dtype=complex), power)
-            return metrics
-
-        rows = []
+        name = "interference_" + f"x{position[0]:g}_y{position[1]:g}".replace(".", "p")
+        out[name] = []
         for arch in archs:
             for d in exp["d_grid"]:
                 topo = topology_for(arch, d, group_count)
-                assignment = GroupAssignment.single(aided, topo)
                 with_reference = arch == archs[0]
-                samples = _run_point(
-                    scenario, d, seed, trials, weights, topo, assignment, params.z0,
-                    fw,
-                    lambda chans, state: evaluate(chans, state, with_reference),
-                    context=f"interference {arch} D={d} at {position}")
-                mean, stderr = aggregate(samples[act_metric])
-                rows.append(ResultRow("elements", int(d), arch, act_metric,
-                                      mean, stderr, trials))
-                if with_reference:
-                    mean, stderr = aggregate(samples[ref_metric])
-                    rows.append(ResultRow("elements", int(d), "interference-free",
-                                          act_metric, mean, stderr, trials))
-        tag = f"x{position[0]:g}_y{position[1]:g}".replace(".", "p")
-        out[f"interference_{tag}"] = AggregateResult(tuple(rows))
-    return out
+                curves.append((name, arch, d, with_reference))
+                points.append(Point(
+                    scenario, d, topo, GroupAssignment.single(aided, topo), weights, fw,
+                    partial(evaluate, scenario=scenario, power=power, codebook=codebook,
+                            with_reference=with_reference),
+                    f"interference {arch} D={d} at {position}"))
+    for (name, arch, d, with_reference), samples in zip(
+            curves, _run_sweep(points, seed, trials, params.z0)):
+        mean, stderr = aggregate(samples[act_metric])
+        out[name].append(ResultRow("elements", int(d), arch, act_metric,
+                                   mean, stderr, trials))
+        if with_reference:
+            mean, stderr = aggregate(samples[ref_metric])
+            out[name].append(ResultRow("elements", int(d), "interference-free",
+                                       act_metric, mean, stderr, trials))
+    return {name: AggregateResult(tuple(rows)) for name, rows in out.items()}
 
 
 RUNNERS = {

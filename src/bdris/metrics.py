@@ -1,7 +1,7 @@
 """Received-power and spectral-efficiency metrics and result aggregation.
 
 The Monte Carlo trial loop that feeds these metrics, with its redraw policy
-for degenerate fading, is ``bdris.experiments._run_point``.
+for degenerate draws, is ``bdris.experiments._run_sweep``.
 """
 
 from __future__ import annotations

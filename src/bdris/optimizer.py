@@ -224,13 +224,16 @@ def frank_wolfe(r: np.ndarray, h: np.ndarray, radius: float, iterations: int,
     return theta, objective
 
 
-def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float, iterations: int,
-                      r_e1: np.ndarray, step_rule: str = "line-search",
+def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarray,
+                      iterations: int, r_e1: np.ndarray, step_rule: str = "line-search",
                       trace: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized conditional gradient over a batch of independent instances.
 
     ``gram`` is the (T, rows, rows) stack of Gram matrices r r^H, ``h`` the
-    (T, rows) offsets and ``r_e1`` the (T, rows) first columns of r.  With
+    (T, rows) offsets and ``r_e1`` the (T, rows) first columns of r.
+    ``radius`` is one ball radius for every instance, or a (T,) array of
+    per-instance radii; an instance's result is bitwise the same either way,
+    so instances of different surfaces can share a batch.  With
     w = r theta + h the gradient direction r^H w only enters through r r^H w,
     so the recursion runs in the row space at O(rows^2) per iteration, with
     iterate theta = r^H acc + c e1 (e1: the fallback direction when the

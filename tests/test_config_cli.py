@@ -179,6 +179,24 @@ class TestCli:
         assert rc == 1
         assert "codebook_bits" in capsys.readouterr().err
 
+    def test_run_reports_exhausted_redraw_budget(self, tmp_path, capsys, monkeypatch):
+        from bdris import experiments
+        from bdris.errors import DegenerateChannelError
+
+        def always(*args):
+            raise DegenerateChannelError("forced")
+
+        monkeypatch.setattr(experiments, "evaluate_received_powers", always)
+        overrides = []
+        for item in TINY_OVERRIDES:
+            overrides += ["--override", item]
+        rc = main(["run", "freq-response", "--out", str(tmp_path / "out")] + overrides)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: more than 1% degenerate trials at freq-response fully-connected D=8"]
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_experiment_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "no-such-study"])
@@ -289,3 +307,27 @@ def test_quick_demo_prints_five_results():
     for line, label in zip(lines[1:], labels):
         match = re.fullmatch(rf"\s*{re.escape(label)}\s+(\d+\.\d{{4}}) mW", line)
         assert match and float(match.group(1)) > 0, line
+
+
+@pytest.mark.parametrize("plotdata_rc, expected", [(0, 0), (1, 1)])
+def test_run_all_experiments_reports_failed_plotdata(tmp_path, monkeypatch, plotdata_rc,
+                                                     expected):
+    import importlib.util
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    calls = []
+
+    def fake_cli(argv):
+        calls.append(argv[0])
+        if argv[0] == "run":
+            (tmp_path / f"{argv[1]}.csv").write_text("")
+            return 0
+        return plotdata_rc
+
+    monkeypatch.setattr(module, "cli", fake_cli)
+    monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", "--out", str(tmp_path)])
+    assert module.main() == expected
+    # every results file is split even after a failure
+    assert calls == ["run"] * 5 + ["plotdata"] * 5

@@ -21,6 +21,7 @@ from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interferenc
                                solve_trials, target_shift, topology_for)
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
                              first_column, reduced_adjoint)
+from bdris.results import write_results
 
 PARAMS = CircuitParams.defaults()
 
@@ -89,11 +90,12 @@ class TestHelpers:
             assignment = GroupAssignment.single(0, topo)
         else:
             assignment = priority_assignment(weights, topo)
-        stacks = experiments._stacks(sample_channels(sc, 8, stream_rng(0, 0)),
-                                     weights, topo, assignment)
+        chans = sample_channels(sc, 8, stream_rng(0, 0))
         rows = experiments._stack_shape(sc, weights, topo, assignment)
-        gram, h, _ = next(iter(stacks.values()))
-        assert gram.shape == (rows, rows) and h.shape == (rows,)
+        assert list(rows) == list(assignment.bs)
+        for bs in assignment.bs:
+            gram, h = experiments._stack(chans, weights, topo, bs)
+            assert gram.shape == (rows[bs], rows[bs]) and h.shape == (rows[bs],)
 
     def test_traced_names_resolve(self):
         # the traced benchmark wraps these module globals by name
@@ -138,24 +140,24 @@ class TestHelpers:
 
 
 class TestDirectBatching:
+    SC = NetworkScenario(
+        bs_positions=((0.0, 0.0), (80.0, 0.0)),
+        user_positions=(((25.0, 10.0),), ((70.0, 10.0),)),
+        ris_position=(40.0, 20.0), m=3, frequencies=(7.4e9, 8.0e9),
+        eta_direct=3.5, eta_reflected=2.5, direct_links=AVAILABLE)
+
     def test_one_batch_per_chunk_over_trials_and_priority_bs(self, monkeypatch):
-        sc = NetworkScenario(
-            bs_positions=((0.0, 0.0), (80.0, 0.0)),
-            user_positions=(((25.0, 10.0),), ((70.0, 10.0),)),
-            ris_position=(40.0, 20.0), m=3, frequencies=(7.4e9, 8.0e9),
-            eta_direct=3.5, eta_reflected=2.5, direct_links=AVAILABLE)
+        sc = self.SC
         d, seed, trials, fw = 8, 7, 5, FwConfig(30)
         weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
         topo = topology_for("group-connected", d, 2)
         assignment = priority_assignment(weights, topo)
         assert assignment.bs == (0, 1)
         rows = experiments._stack_shape(sc, weights, topo, assignment)
-        per_instance = rows * rows * 16 * 2
+        assert rows[0] == rows[1]
+        per_instance = rows[0] * rows[0] * 16
         # room for two trials of two instances each, not three
         monkeypatch.setattr(experiments, "BATCH_BYTES", 5 * per_instance)
-        chunk = experiments._direct_chunk(rows, trials, 2)
-        assert chunk == 2
-        assert chunk * 2 * per_instance <= experiments.BATCH_BYTES
 
         calls = []
         solver = experiments.frank_wolfe_batch
@@ -172,17 +174,21 @@ class TestDirectBatching:
             return {"m": 0.0}
 
         monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
-        experiments._run_point(sc, d, seed, trials, weights, topo, assignment,
-                               PARAMS.z0, fw, evaluate, context="batching")
+        point = experiments.Point(sc, d, topo, assignment, weights, fw, evaluate,
+                                  "batching")
+        chunks = [[t for _, t in b] for b in experiments._batches([point], trials)]
+        assert chunks == [[0, 1], [2, 3], [4]]
+        experiments._run_sweep([point], seed, trials, PARAMS.z0)
         assert [n for n, _ in calls] == [4, 4, 2]
 
         radius = float(np.sqrt(topo.g))
-        stacks = [experiments._stacks(sample_channels(sc, d, stream_rng(seed, t)),
-                                      weights, topo, assignment)
-                  for t in range(trials)]
-        for (_, (acc, c, _)), start in zip(calls, range(0, trials, chunk)):
-            part = stacks[start:start + chunk]
-            acc, c = acc.reshape(len(part), 2, rows), c.reshape(len(part), 2)
+        draws = [sample_channels(sc, d, stream_rng(seed, t)) for t in range(trials)]
+        stacks = [{bs: (*experiments._stack(c, weights, topo, bs),
+                        experiments._factors(c, weights, topo, bs))
+                   for bs in assignment.bs} for c in draws]
+        for (_, (acc, c, _)), chunk in zip(calls, chunks):
+            part = [stacks[t] for t in chunk]
+            acc, c = acc.reshape(len(part), 2, rows[0]), c.reshape(len(part), 2)
             separate = {bs: solver(np.stack([s[bs][0] for s in part]),
                                    np.stack([s[bs][1] for s in part]), radius,
                                    fw.iterations,
@@ -193,7 +199,7 @@ class TestDirectBatching:
                 assert np.array_equal(acc[:, j], separate[bs][0])
                 assert np.array_equal(c[:, j], separate[bs][1])
             # and each trial's state is built from its own instances
-            for i, (state, stack) in enumerate(zip(states[start:start + chunk], part)):
+            for i, (state, stack) in enumerate(zip([states[t] for t in chunk], part)):
                 thetas = {}
                 for bs in assignment.bs:
                     thetas[bs] = reduced_adjoint(stack[bs][2], separate[bs][0][i], topo.g)
@@ -202,6 +208,81 @@ class TestDirectBatching:
                                                           PARAMS.z0)
                 for field in ("owner", "self_y", "inter_y"):
                     assert np.array_equal(getattr(state, field), getattr(expected, field))
+
+    def test_batches_span_points_and_split_by_gram_size(self, monkeypatch):
+        # fully connected: one 6-row instance per trial (both base stations);
+        # group connected: two 3-row instances.  A blocked point between
+        # them closes the open batch and runs each trial alone.
+        sc = self.SC
+        weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
+        fc, gc = topology_for("fully-connected", 8, 2), topology_for("group-connected", 8, 2)
+        fw = FwConfig(10)
+
+        def point(topo, fw):
+            assignment = (GroupAssignment.single(0, topo) if topo.g == 1
+                          else priority_assignment(weights, topo))
+            return experiments.Point(sc, 8, topo, assignment, weights, fw,
+                                     lambda chans, state: {"m": 0.0}, "mixed")
+
+        points = [point(fc, fw), point(gc, fw), point(fc, None), point(gc, fw)]
+        monkeypatch.setattr(experiments, "BATCH_BYTES", 6 * 6 * 16 + 2 * 3 * 3 * 16)
+        assert list(experiments._batches(points, 2)) == [
+            [(0, 0)], [(0, 1), (1, 0)], [(1, 1)], [(2, 0)], [(2, 1)], [(3, 0), (3, 1)]]
+        calls = []
+        solver = experiments.frank_wolfe_batch
+
+        def spy(gram, h, radius, *args, **kwargs):
+            calls.append((gram.shape, np.asarray(radius).tolist()))
+            return solver(gram, h, radius, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
+        experiments._run_sweep(points, 2, 2, PARAMS.z0)
+        root2 = float(np.sqrt(2))
+        assert calls == [((1, 6, 6), [1.0]), ((1, 6, 6), [1.0]),
+                         ((2, 3, 3), [root2, root2]), ((2, 3, 3), [root2, root2]),
+                         ((4, 3, 3), [root2] * 4)]
+
+    @pytest.mark.parametrize("runner, key", [(interference, "interference"),
+                                             (network_power, "network-power")])
+    def test_csv_bytes_independent_of_batch_budget(self, monkeypatch, tmp_path, runner,
+                                                   key):
+        cfg = tiny_config(**{key: {"d_grid": [4, 8]}})
+        cfg["simulation"]["trials"] = 2
+        cfg["optimization"]["fw_iterations"] = 25
+        if key == "interference":
+            cfg["experiments"][key]["ris_positions_m"] = [[40.0, 20.0], [60.0, 20.0]]
+        else:
+            cfg["experiments"][key]["weight_sets"] = [[0.3, 0.7], [1.0, 0.0]]
+        outputs = []
+        for budget in (1, experiments.BATCH_BYTES, 10 ** 9):
+            monkeypatch.setattr(experiments, "BATCH_BYTES", budget)
+            out = tmp_path / str(budget)
+            for name, table in runner(copy.deepcopy(cfg)).items():
+                write_results(str(out / f"{name}.csv"), table, key, "hash", 5)
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1] == outputs[2]
+        # two positions; two weight sets times both link modes
+        assert len(outputs[0]) == (2 if key == "interference" else 4)
+
+    def test_direct_links_pool_grid_points(self, monkeypatch):
+        # the direct-links benchmark's shape (three positions, four sizes,
+        # three architectures), shrunk: fewer solver calls than grid points
+        cfg = tiny_config(interference={"ris_positions_m": [[20.0, 20.0], [40.0, 20.0]],
+                                        "d_grid": [4, 8]})
+        cfg["simulation"]["trials"] = 2
+        cfg["optimization"]["fw_iterations"] = 5
+        calls = []
+        solver = experiments.frank_wolfe_batch
+
+        def spy(gram, *args, **kwargs):
+            calls.append(gram.shape[0])
+            return solver(gram, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
+        interference(cfg)
+        points = 2 * 2 * len(cfg["simulation"]["architectures"])
+        assert sum(calls) == points * 2
+        assert len(calls) < points
 
 
 class TestFreqResponse:

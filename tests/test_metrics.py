@@ -7,8 +7,9 @@ from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
                            effective_channels, sample_channels, stream_rng,
                            zf_precoder)
 from bdris.circuit import CircuitParams, RisTopology
-from bdris.errors import DegenerateChannelError
-from bdris.experiments import _run_point, solve_trials
+from bdris import experiments
+from bdris.errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
+from bdris.experiments import Point, _run_sweep, solve_trials
 from bdris.metrics import (TrialResult, aggregate, evaluate_received_powers,
                            network_sum_power, sum_power_per_bs,
                            sum_spectral_efficiency_outdated)
@@ -186,19 +187,20 @@ class TestAggregation:
 
 
 class TestRunMonteCarlo:
-    """The Monte Carlo engine, ``experiments._run_point``, under stub metrics."""
+    """The Monte Carlo engine, ``experiments._run_sweep``, under stub metrics."""
 
     D = 4
     SEED = 3
     WEIGHTS = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
 
-    def run(self, trials, evaluate, direct=False):
-        sc = scenario(AVAILABLE if direct else BLOCKED)
+    def point(self, evaluate, direct=False, context="stub point"):
         topo = RisTopology.fully_connected(self.D)
-        fw = FwConfig(20) if direct else None
-        return _run_point(sc, self.D, self.SEED, trials, self.WEIGHTS, topo,
-                          GroupAssignment.single(0, topo), PARAMS.z0,
-                          fw, evaluate, context="stub point")
+        return Point(scenario(AVAILABLE if direct else BLOCKED), self.D, topo,
+                     GroupAssignment.single(0, topo), self.WEIGHTS,
+                     FwConfig(20) if direct else None, evaluate, context)
+
+    def run(self, trials, evaluate, direct=False):
+        return _run_sweep([self.point(evaluate, direct)], self.SEED, trials, PARAMS.z0)[0]
 
     def test_single_trial_reproduces_point_value(self):
         assert self.run(1, lambda chans, state: {"m": 42.0}) == {"m": [42.0]}
@@ -214,6 +216,13 @@ class TestRunMonteCarlo:
         sc = scenario(BLOCKED)
         assert few == [sample_channels(sc, self.D, stream_rng(self.SEED, t)).g[0][0, 0].real
                        for t in range(4)]
+        # and so does pooling the trials of several points into one batch
+        pooled = _run_sweep([self.point(first_gain, direct=True)] * 2, self.SEED, 4,
+                            PARAMS.z0)
+        direct = [sample_channels(scenario(AVAILABLE), self.D,
+                                  stream_rng(self.SEED, t)).g[0][0, 0].real
+                  for t in range(4)]
+        assert [s["m"] for s in pooled] == [direct, direct]
 
     def test_degenerate_trials_redrawn(self):
         for direct in (False, True):
@@ -249,6 +258,75 @@ class TestRunMonteCarlo:
             raise DegenerateChannelError("always")
 
         # 1% of 100 trials is one tolerated redraw; the second aborts
-        with pytest.raises(RuntimeError, match="degenerate trials at stub point"):
+        with pytest.raises(RedrawBudgetError, match="degenerate trials at stub point"):
             self.run(100, evaluate)
         assert len(calls) == 2
+
+    def states_by_draw(self, monkeypatch, trials, fail_retrieval=(), fail_evaluation=()):
+        """Per trial, (first-gain sample, state) of a pooled direct-link sweep
+        over two points, with ``SingularNetworkError`` forced on the
+        retrieval calls or evaluations whose 0-based indices are given."""
+        retrieve, calls, evaluations = experiments.relaxed_block_branches, [], []
+
+        def flaky_retrieve(*args):
+            calls.append(1)
+            if len(calls) - 1 in fail_retrieval:
+                raise SingularNetworkError("forced short circuit")
+            return retrieve(*args)
+
+        def evaluate(chans, state):
+            evaluations.append(state)
+            if len(evaluations) - 1 in fail_evaluation:
+                raise SingularNetworkError("forced in scattering")
+            return {"m": chans.g[0][0, 0].real}
+
+        monkeypatch.setattr(experiments, "relaxed_block_branches", flaky_retrieve)
+        points = [self.point(evaluate, direct=True, context=f"point {i}") for i in (0, 1)]
+        assert [len(b) for b in experiments._batches(points, trials)] == [2 * trials]
+        samples = _run_sweep(points, self.SEED, trials, PARAMS.z0)
+        monkeypatch.setattr(experiments, "relaxed_block_branches", retrieve)
+        return [s["m"] for s in samples], evaluations
+
+    def test_singular_network_redrawn_in_pooled_batch(self, monkeypatch):
+        # one batch holds both points' trials; trial 1 of point 0 fails in
+        # retrieval, trial 2 of point 1 in evaluation (scattering)
+        clean, clean_states = self.states_by_draw(monkeypatch, 3)
+        retrieved, retrieved_states = self.states_by_draw(monkeypatch, 3, fail_retrieval={1})
+        evaluated, evaluated_states = self.states_by_draw(monkeypatch, 3,
+                                                          fail_evaluation={5})
+        sc = scenario(AVAILABLE)
+
+        def redrawn(t):
+            return sample_channels(sc, self.D, stream_rng(self.SEED, t, attempt=1))
+
+        assert retrieved == [[clean[0][0], redrawn(1).g[0][0, 0].real, clean[0][2]],
+                             clean[1]]
+        assert evaluated == [clean[0], [*clean[1][:2], redrawn(2).g[0][0, 0].real]]
+        # each point spends its own budget: one redraw apiece is tolerated
+        both, _ = self.states_by_draw(monkeypatch, 3, fail_retrieval={1},
+                                      fail_evaluation={5})
+        assert both == [retrieved[0], evaluated[1]]
+        # every other unit of the batch keeps bitwise-identical results: a
+        # unit failing retrieval is never evaluated, one failing evaluation
+        # is evaluated once more after its redraw
+        topo = RisTopology.fully_connected(self.D)
+        assert len(retrieved_states) == 6 and len(evaluated_states) == 7
+        for got, want in [*zip(retrieved_states[:1] + retrieved_states[2:],
+                               clean_states[:1] + clean_states[2:]),
+                          *zip(evaluated_states[:6], clean_states)]:
+            assert np.array_equal(got.self_y, want.self_y)
+            assert np.array_equal(got.inter_y, want.inter_y)
+        # and each redrawn unit is solved again on its new draw
+        for t, state in ((1, retrieved_states[1]), (2, evaluated_states[6])):
+            expected = solve_trials([redrawn(t)], self.WEIGHTS, topo,
+                                    GroupAssignment.single(0, topo), PARAMS.z0,
+                                    FwConfig(20))[0]
+            assert np.array_equal(state.self_y, expected.self_y)
+            assert np.array_equal(state.inter_y, expected.inter_y)
+
+    @pytest.mark.parametrize("place", ["retrieval", "evaluation"])
+    def test_singular_networks_share_the_redraw_budget(self, monkeypatch, place):
+        # one redraw of 3 trials is tolerated per point; the second aborts it
+        fail = {"fail_" + place: {0, 1}}
+        with pytest.raises(RedrawBudgetError, match="degenerate trials at point 0$"):
+            self.states_by_draw(monkeypatch, 3, **fail)

@@ -326,7 +326,9 @@ def reference_frank_wolfe_batch(gram, h, radius, iterations, r_e1, trace=False,
                                 step_rule="line-search"):
     """The batched conditional gradient with the general update on every
     iteration (fallback terms weighted by exact zeros), kept as the oracle
-    the solver's short update must reproduce bit for bit."""
+    the solver's short update must reproduce bit for bit.  ``radius`` is a
+    scalar or a (T,) array of per-instance radii."""
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), gram.shape[:1])
     t, rows, _ = gram.shape
     w = h.astype(complex).copy()
     acc = np.zeros((t, rows), dtype=complex)
@@ -379,6 +381,31 @@ class TestFrankWolfeReference:
         rng = np.random.default_rng(seed)
         assert_matches_reference(crandn(rng, t, rows, cols), crandn(rng, t, rows),
                                  radius, iterations, trace, step_rule)
+
+    @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 12),
+           st.integers(1, 60), st.sampled_from(STEP_RULES), st.booleans(),
+           st.booleans(), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_array_radius_equals_per_instance_scalar_calls(self, t, rows, cols, iterations,
+                                                           step_rule, trace, flat, seed):
+        rng = np.random.default_rng(seed)
+        r, h = crandn(rng, t, rows, cols), crandn(rng, t, rows)
+        if flat:
+            r[0] = 0.0      # instance 0's gradient vanishes: the general update runs
+        radius = rng.uniform(0.5, 3.0, t)
+        gram = np.matmul(r, r.conj().transpose(0, 2, 1))
+        got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0], trace=trace,
+                                step_rule=step_rule)
+        ref = reference_frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0],
+                                          trace=trace, step_rule=step_rule)
+        for x, y in zip(got, ref):
+            assert np.array_equal(x, y)
+        for i in range(t):
+            one = frank_wolfe_batch(gram[i:i + 1], h[i:i + 1], float(radius[i]),
+                                    iterations, r[i:i + 1, :, 0], trace=trace,
+                                    step_rule=step_rule)
+            for x, y in zip(got, one):
+                assert np.array_equal(x[i:i + 1], y)
 
     @pytest.mark.parametrize("step_rule", STEP_RULES)
     @pytest.mark.parametrize("trace", [False, True])
