@@ -10,8 +10,8 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .channel import (AVAILABLE, BLOCKED, ChannelSet, NetworkScenario, PowerConfig,
-                      effective_channels, path_gain, sample_channels, stream_rng,
-                      zf_precoder)
+                      effective_channels, effective_from_rows, path_gain,
+                      sample_channels, stream_rng, zf_precoder)
 from .circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
                       admittance_matrix, build_codebook, impedance_from_scattering,
                       inter_impedance, random_plan, scattering_from_capacitances,

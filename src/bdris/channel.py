@@ -170,9 +170,13 @@ def sample_channels(scenario: NetworkScenario, d: int,
 
 def effective_channels(channels: ChannelSet, b: int, theta: np.ndarray) -> np.ndarray:
     """Rows e_k^H = f_k^H Theta G + h_k^H of base station b's users."""
-    f_rows = np.array([fk.conj() for fk in channels.f[b]])
-    h_rows = np.array([hk.conj() for hk in channels.h[b]])
-    return f_rows @ theta @ channels.g[b] + h_rows
+    return effective_from_rows(channels, b, np.conj(channels.f[b]) @ theta)
+
+
+def effective_from_rows(channels: ChannelSet, b: int, rows: np.ndarray) -> np.ndarray:
+    """The same rows from the reflected user rows ``rows`` = F_b^H Theta, where
+    F_b^H = ``np.conj(channels.f[b])`` stacks the rows f_k^H."""
+    return rows @ channels.g[b] + np.conj(channels.h[b])
 
 
 def zf_precoder(effective: np.ndarray) -> np.ndarray:

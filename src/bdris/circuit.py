@@ -3,10 +3,10 @@
 Each reflecting element is grounded through a tunable resonant branch
 (self impedance) and, depending on the architecture, connected to other
 elements of its group through tunable varactor branches (inter-element
-impedances).  The pipeline capacitances -> branch impedances -> admittance
-matrix Y -> scattering matrix 2 (I + z0 Y)^-1 - I is implemented here for
-fully-connected (one group), group-connected, and single-connected
-(one element per group) surfaces; it never forms the impedance matrix.
+impedances).  The pipeline capacitances -> branch impedances -> A = I + z0 Y
+-> scattering matrix 2 A^-1 - I (or just the user rows the metrics read) runs
+here for fully-connected (one group), group-connected and single-connected
+(one element per group) surfaces, never forming the impedance matrix.
 
 All quantities are SI internally: Hz, farads, henries, ohms.
 """
@@ -19,6 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OpenCircuitError, SingularBranchError, SingularNetworkError
+from .matrixkit import strict_upper_indices
 
 # Inversions abort rather than return garbage past this conditioning: the
 # exact 1-norm condition number ||A||_1 ||A^-1||_1, never below the estimate
@@ -385,38 +386,53 @@ def random_plan(topology: RisTopology, self_range: tuple[float, float],
     return CapacitancePlan(c, topology)
 
 
-def scattering_from_capacitances(plan: CapacitancePlan, f: float,
-                                 params: CircuitParams) -> np.ndarray:
-    """Scattering matrix produced by a capacitance plan at frequency ``f``.
-
-    Groups are independent, so the result is block-diagonal with symmetric
-    blocks.  Each group's admittance matrix Y is assembled from its branch
-    impedances, and all groups' blocks Theta = 2 (I + z0 Y)^-1 - I come from
-    one guarded inverse of the (g, d_bar, d_bar) stack.  That is
-    (Z + z0 I)^-1 (Z - z0 I) with Z = Y^-1, but Z is never formed, so a
-    singular Y (say, open self branches) is no error.
-    """
-    topo = plan.topology
-    g, n = topo.g, topo.d_bar
-    if n == 1:
-        # Every port only has its self branch: the network is a stack of
-        # decoupled one-ports with reflection (z - z0) / (z + z0).
-        z = self_impedance(np.diag(plan.c), f, params)
-        return np.diag((z - params.z0) / (z + params.z0))
-
-    diagonal = (np.arange(g), slice(None), np.arange(g))  # blocks of a (g, n, g, n) view
-    blocks = plan.c.reshape(g, n, g, n)[diagonal]
-    ii, (iu, ju) = np.arange(n), np.triu_indices(n, 1)
+def _network_matrices(plan: CapacitancePlan, f: float, params: CircuitParams) -> np.ndarray:
+    """(g, d_bar, d_bar) stack of every group's A = I + z0 Y at ``f``, from its branches."""
+    g, n = plan.topology.g, plan.topology.d_bar
+    blocks = plan.c.reshape(g, n, g, n)[np.arange(g), :, np.arange(g)]
+    ii, (iu, ju) = np.arange(n), strict_upper_indices(n)
     self_z = self_impedance(blocks[:, ii, ii], f, params)
     inter_z = inter_impedance(blocks[:, iu, ju], f, params)
     zero = (self_z == 0).any(axis=1) | (inter_z == 0).any(axis=1)
     if zero.any():
         raise SingularBranchError(f"group {zero.argmax()}: zero branch impedance")
-    y = np.zeros((g, n, n), dtype=complex)
-    y[:, iu, ju] = y[:, ju, iu] = -1.0 / inter_z
-    y[:, ii, ii] = 1.0 / self_z - y.sum(axis=2)
-    eye = np.eye(n)
-    theta = 2.0 * _inverse_guarded(eye + params.z0 * y, "I + z0*Y") - eye
-    out = np.zeros((g, n, g, n), dtype=complex)
-    out[diagonal] = 0.5 * (theta + theta.transpose(0, 2, 1))
-    return out.reshape(topo.d, topo.d)
+    a = np.zeros((g, n, n), dtype=complex)
+    a[:, iu, ju] = a[:, ju, iu] = -params.z0 / inter_z
+    a[:, ii, ii] = 1.0 + params.z0 / self_z - a.sum(axis=2)
+    return a
+
+
+def scattering_from_capacitances(plan: CapacitancePlan, f: float, params: CircuitParams,
+                                 left: np.ndarray | None = None) -> np.ndarray:
+    """Scattering matrix Theta of a capacitance plan at frequency ``f``, or with
+    ``left`` (D, K) only the rows left^T Theta the metrics read.
+
+    Theta is block-diagonal with symmetric blocks 2 A^-1 - I, A = I + z0 Y
+    (:func:`_network_matrices`), without forming Z = Y^-1, so a singular Y
+    (open self branches) is no error.  Each group takes one solve with K
+    right-hand sides, never an inverse: left^T Theta = 2 (A^-1 left)^T - left^T
+    (``left=None``: the identity).  R, R~ >= 0 give every branch Re y >= 0, so
+    Herm(A) = I + z0 Re Y >= I, sigma_min(A) >= 1 and ||A^-1||_1 <= sqrt(n):
+    the O(n^2) bound 1 / (sqrt(n) ||A||_1) never exceeds the exact rcond, and
+    refusing below 1 / CONDITION_LIMIT (or a non-finite solve) is never looser
+    than :func:`_inverse_guarded`.  The error names the first failing group.
+    """
+    topo = plan.topology
+    g, n = topo.g, topo.d_bar
+    left = np.eye(topo.d) if left is None else left
+    if n == 1:
+        # Every port only has its self branch: the network is a stack of
+        # decoupled one-ports with reflection (z - z0) / (z + z0).
+        z = self_impedance(np.diag(plan.c), f, params)
+        return left.T * ((z - params.z0) / (z + params.z0))
+    a, rhs = _network_matrices(plan, f, params), left.reshape(g, n, -1)
+    rcond = 1.0 / (np.sqrt(n) * np.linalg.norm(a, 1, axis=(-2, -1)))
+    ok = rcond >= 1.0 / CONDITION_LIMIT  # NaN fails too
+    if ok.all():
+        x = np.linalg.solve(a, rhs)
+        ok = np.isfinite(x).all(axis=(-2, -1))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise SingularNetworkError(
+            f"group {k}: I + z0*Y is singular or ill-conditioned (rcond={rcond[k]:.2e})")
+    return (2.0 * x - rhs).transpose(2, 0, 1).reshape(-1, topo.d)

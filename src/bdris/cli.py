@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 
@@ -36,6 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _LevelPrefix(logging.Formatter):  # "warning: ...", like the "error:" lines
+    def format(self, record: logging.LogRecord) -> str:
+        return f"{record.levelname.lower()}: {record.getMessage()}"
+
+
 def _cmd_run(args) -> int:
     try:
         cfg, lines, source = load_config(args.config, args.override)
@@ -53,11 +59,16 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg["output"]["dir"]
     digest = config_hash(cfg)
     seed = cfg["simulation"]["seed"]
+    handler = logging.StreamHandler()  # the current sys.stderr
+    handler.setFormatter(_LevelPrefix())
+    logging.getLogger("bdris").addHandler(handler)
     try:
         tables = RUNNERS[args.experiment](cfg)
     except RedrawBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logging.getLogger("bdris").removeHandler(handler)
     for name, table in tables.items():
         path = write_results(os.path.join(out_dir, f"{name}.csv"), table,
                              args.experiment, digest, seed)

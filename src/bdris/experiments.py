@@ -375,10 +375,10 @@ def _weight_tag(weight_set: list[float]) -> str:
 def _tracked_powers(chans, freqs_hz, plan_at, params, power) -> dict[int, float]:
     """Received power of the single tracked user at each frequency index, with
     the surface set to ``plan_at(f)`` and its scattering evaluated at f."""
-    out = {}
+    out, left = {}, np.conj(chans.f[0]).T
     for fi, f in enumerate(freqs_hz):
-        theta = scattering_from_capacitances(plan_at(f), f, params)
-        out[fi] = evaluate_received_powers(chans, [theta], power).user_powers[0][0]
+        rows = scattering_from_capacitances(plan_at(f), f, params, left)
+        out[fi] = evaluate_received_powers(chans, [rows], power).user_powers[0][0]
     return out
 
 
@@ -505,9 +505,9 @@ def _power_points(cfg: dict, weight_set: list[float], link_mode: str,
 
     def evaluate(chans, state):
         plan = state.plan(codebooks)
-        thetas = [scattering_from_capacitances(plan, f, params)
-                  for f in scenario.frequencies]
-        result = evaluate_received_powers(chans, thetas, power)
+        rows = [scattering_from_capacitances(plan, f, params, np.conj(chans.f[b]).T)
+                for b, f in enumerate(scenario.frequencies)]
+        result = evaluate_received_powers(chans, rows, power)
         per_bs = sum_power_per_bs(result)
         metrics = {f"sum_power_bs{b + 1}_w": v for b, v in enumerate(per_bs)}
         metrics["network_sum_power_w"] = network_sum_power(result)
@@ -593,16 +593,15 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
 
     def evaluate(chans, state, scenario, power, codebook, with_reference):
         plan = state.plan({aided: codebook})
-        theta_at_victim = scattering_from_capacitances(
-            plan, scenario.frequencies[victim], params)
+        rows_at_victim = scattering_from_capacitances(
+            plan, scenario.frequencies[victim], params, np.conj(chans.f[victim]).T)
         metrics = {act_metric: sum_spectral_efficiency_outdated(
-            chans, victim, theta_at_victim, power)}
+            chans, victim, rows_at_victim, power)}
         if with_reference:
             # Surface-free, so identical for every architecture: the
             # first architecture's rows carry it.
-            d = chans.num_ris_elements
             metrics[ref_metric] = sum_spectral_efficiency_outdated(
-                chans, victim, np.zeros((d, d), dtype=complex), power)
+                chans, victim, np.zeros_like(rows_at_victim), power)
         return metrics
 
     out, curves, points = {}, [], []

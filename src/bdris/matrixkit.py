@@ -9,6 +9,8 @@ of truth for the coefficient layout consumed by the solvers.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DegenerateInputError
@@ -37,6 +39,14 @@ def vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
     # triu_indices enumerates the upper triangle row by row; swapping the two
     # arrays walks the lower triangle column by column, which is vech order.
     cols, rows = np.triu_indices(d)
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
+def strict_upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, built once per order and read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
 

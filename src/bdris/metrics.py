@@ -1,5 +1,8 @@
 """Received-power and spectral-efficiency metrics and result aggregation.
 
+The metrics read Theta only through base station b's reflected user rows
+F_b^H Theta (K_b, D), so they take those: ``np.conj(channels.f[b]) @ theta``.
+
 The Monte Carlo trial loop that feeds these metrics, with its redraw policy
 for degenerate draws, is ``bdris.experiments._run_sweep``.
 """
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, PowerConfig, effective_channels, zf_precoder
+from .channel import ChannelSet, PowerConfig, effective_from_rows, zf_precoder
 
 
 @dataclass(frozen=True)
@@ -29,17 +32,17 @@ def network_sum_power(result: TrialResult) -> float:
     return float(sum(sum_power_per_bs(result)))
 
 
-def evaluate_received_powers(channels: ChannelSet, thetas: list[np.ndarray],
+def evaluate_received_powers(channels: ChannelSet, rows: list[np.ndarray],
                              power: PowerConfig) -> TrialResult:
     """Received powers under synchronized zero-forcing precoding.
 
-    ``thetas[b]`` is the reflection matrix at base station b's operating
-    frequency; precoders are derived from the same effective channels the
-    signal propagates through.
+    ``rows[b]`` holds base station b's reflected user rows F_b^H Theta, with
+    Theta at its operating frequency; precoders are derived from the same
+    effective channels the signal propagates through.
     """
     per_bs = []
-    for b, theta in enumerate(thetas):
-        eff = effective_channels(channels, b, theta)
+    for b, reflected in enumerate(rows):
+        eff = effective_from_rows(channels, b, reflected)
         cross = eff @ zf_precoder(eff)
         per_bs.append(tuple(
             float(np.abs(cross[k, k]) ** 2 * power.p * power.alpha[b][k])
@@ -49,22 +52,19 @@ def evaluate_received_powers(channels: ChannelSet, thetas: list[np.ndarray],
 
 
 def sum_spectral_efficiency_outdated(channels: ChannelSet, b: int,
-                                     theta_actual: np.ndarray, power: PowerConfig,
-                                     theta_assumed: np.ndarray | None = None) -> float:
+                                     rows_actual: np.ndarray, power: PowerConfig,
+                                     rows_assumed: np.ndarray | None = None) -> float:
     """Sum spectral efficiency of base station b under outdated channel knowledge.
 
     Precoders are zero-forced against the effective channels the base station
     believes in: by default the direct channels alone (it is unaware of the
-    reflecting surface), or optionally a stale reflection matrix
-    ``theta_assumed``.  The received symbols propagate through
-    ``theta_actual``, so residual inter-user interference enters each user's
-    SINR.
+    reflecting surface), or optionally stale reflected user rows
+    ``rows_assumed``.  The received symbols propagate through the rows
+    ``rows_actual``, so residual inter-user interference enters each SINR.
     """
-    d = channels.num_ris_elements
-    if theta_assumed is None:
-        theta_assumed = np.zeros((d, d), dtype=complex)
-    precoders = zf_precoder(effective_channels(channels, b, theta_assumed))
-    cross = effective_channels(channels, b, theta_actual) @ precoders
+    assumed = np.zeros_like(rows_actual) if rows_assumed is None else rows_assumed
+    precoders = zf_precoder(effective_from_rows(channels, b, assumed))
+    cross = effective_from_rows(channels, b, rows_actual) @ precoders
     k_users = cross.shape[0]
     se = 0.0
     for k in range(k_users):

@@ -20,7 +20,7 @@ import numpy as np
 from .circuit import Codebook, CodewordArc, RisTopology, _inverse_guarded
 from .channel import ChannelSet
 from .errors import DegenerateInputError
-from .matrixkit import vech_indices
+from .matrixkit import strict_upper_indices, vech_indices
 
 
 @dataclass(frozen=True)
@@ -321,7 +321,7 @@ def relaxed_block_branches(theta_blocks: np.ndarray, z0: float
     eye = np.eye(n)
     y = (2.0 * _inverse_guarded(eye + theta_blocks, "I + Theta") - eye) / z0
     y = 0.5 * (y + y.transpose(0, 2, 1))
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = strict_upper_indices(n)
     return y.sum(axis=2), -y[:, iu, ju]
 
 
@@ -331,7 +331,7 @@ def snap_to_codebook(self_y: np.ndarray, inter_y: np.ndarray,
     admittances :func:`relaxed_block_branches` returns, at the codebook
     frequency (nearest codeword per branch, admittance distance)."""
     g, n = self_y.shape
-    ii, (iu, ju) = np.arange(n), np.triu_indices(n, 1)
+    ii, (iu, ju) = np.arange(n), strict_upper_indices(n)
     caps = np.zeros((g, n, n))
     caps[:, ii, ii] = _snap(self_y, codebook.self_arc, codebook.self_caps)
     caps[:, iu, ju] = caps[:, ju, iu] = _snap(inter_y, codebook.inter_arc,

@@ -218,6 +218,7 @@ def _freq_response_curves():
     return freq_response(cfg)["freq_response"]
 
 
+@pytest.mark.slow
 def test_criterion_08_frequency_response_reproduction():
     with criterion(8, "desk-scale frequency response: peak level, bandwidth, "
                       "architecture gap"):
@@ -236,6 +237,7 @@ def test_criterion_08_frequency_response_reproduction():
         assert np.all(margin >= needed)
 
 
+@pytest.mark.slow
 def test_criterion_09_target_shift_reproduction():
     with criterion(9, "fixed-plan sweep: maximum at the priority frequency and "
                       "sharper fully-connected falloff"):
@@ -264,6 +266,7 @@ def test_criterion_09_target_shift_reproduction():
         assert fc_drop > sc_drop
 
 
+@pytest.mark.slow
 def test_criterion_10_interference_reproduction():
     with criterion(10, "outdated-CSI interference grows toward the victim and "
                        "sits in the expected band"):
@@ -328,13 +331,14 @@ def _paired_interference_degradation():
             assignment = GroupAssignment.single(0, topo)
             states = solve_trials(chans, weights, topo, assignment, params.z0, fw)
             for ch, state in zip(chans, states):
-                theta = scattering_from_capacitances(
-                    state.plan({0: codebook}), freqs[1], params)
+                rows = scattering_from_capacitances(
+                    state.plan({0: codebook}), freqs[1], params, np.conj(ch.f[1]).T)
                 out[arch].append(
-                    sum_spectral_efficiency_outdated(ch, 1, theta, power))
+                    sum_spectral_efficiency_outdated(ch, 1, rows, power))
     return {arch: np.array(values) for arch, values in out.items()}
 
 
+@pytest.mark.slow
 def test_criterion_11_architecture_ordering():
     with criterion(11, "sum-power ordering fully >= group >= single with "
                        "2-stderr separation from D = 60"):
@@ -361,9 +365,10 @@ def test_criterion_11_architecture_ordering():
                     state = solve_trials([ch], weights, topo, assignment,
                                          params.z0)[0]
                     plan = state.plan(codebooks)
-                    thetas = [scattering_from_capacitances(plan, f, params)
-                              for f in scenario.frequencies]
-                    result = evaluate_received_powers(ch, thetas, power)
+                    rows = [scattering_from_capacitances(plan, f, params,
+                                                         np.conj(ch.f[b]).T)
+                            for b, f in enumerate(scenario.frequencies)]
+                    result = evaluate_received_powers(ch, rows, power)
                     samples[arch].append(sum_power_per_bs(result))
             arrays = {arch: np.array(samples[arch]) for arch in archs}
             for b in (0, 1):

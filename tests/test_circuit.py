@@ -8,6 +8,7 @@ from bdris.circuit import (CONDITION_LIMIT, CapacitancePlan, CircuitParams, Code
                            impedance_from_scattering, inter_impedance, random_plan,
                            scattering_from_capacitances, scattering_from_impedance,
                            self_impedance)
+from bdris.circuit import _network_matrices
 from bdris.errors import (OpenCircuitError, SingularBranchError, SingularNetworkError)
 from bdris.optimizer import relaxed_block_branches
 
@@ -505,3 +506,59 @@ class TestScatteringFromCapacitances:
             expected[sl, sl] = np.linalg.solve(z + params.z0 * eye, z - params.z0 * eye)
         theta = scattering_from_capacitances(plan, f, params)
         assert np.abs(theta - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+LOSSLESS = CircuitParams(r=0.0, l0=2.5e-9, l=0.7e-9, r_tilde=0.0, l0_tilde=12.5e-9,
+                         l_tilde=0.2e-9, z0=50.0)
+
+
+def passive_plan(arch, d_bar, seed):
+    """A plan with capacitances log-uniform over 1 fF .. 100 pF, far past the
+    tunable ranges, so branches sit on both sides of resonance."""
+    g = {"fc": 1, "gc": 2, "sc": d_bar}[arch]
+    if arch == "sc":
+        d_bar = 1
+    d = g * d_bar
+    c = np.triu(10.0 ** np.random.default_rng(seed).uniform(-15, -10, (d, d)))
+    return CapacitancePlan(c + np.triu(c, 1).T, RisTopology(d, g))
+
+
+class TestPassiveSolve:
+    """Passive branches bound I + z0 Y, which the scattering guard relies on."""
+
+    CASES = (st.sampled_from(["fc", "gc", "sc"]), st.integers(1, 6), st.booleans(),
+             st.floats(1e9, 16e9), st.integers(0, 2 ** 31 - 1))
+
+    @given(*CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_smallest_singular_value_at_least_one(self, arch, d_bar, lossy, f, seed):
+        a = _network_matrices(passive_plan(arch, d_bar, seed), f,
+                              PARAMS if lossy else LOSSLESS)
+        assert np.linalg.svd(a, compute_uv=False).min() >= 1 - 1e-12
+
+    @given(*CASES)
+    @settings(max_examples=150, deadline=None)
+    def test_bound_never_exceeds_exact_rcond(self, arch, d_bar, lossy, f, seed):
+        a = _network_matrices(passive_plan(arch, d_bar, seed), f,
+                              PARAMS if lossy else LOSSLESS)
+        norm = np.linalg.norm(a, 1, axis=(-2, -1))
+        bound = 1.0 / (np.sqrt(a.shape[-1]) * norm)
+        exact = 1.0 / (norm * np.linalg.norm(np.linalg.inv(a), 1, axis=(-2, -1)))
+        assert np.all(bound <= exact * (1 + 1e-12))
+
+    @given(*CASES, st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_full_product(self, arch, d_bar, lossy, f, seed, k):
+        plan, params = passive_plan(arch, d_bar, seed), PARAMS if lossy else LOSSLESS
+        left = crandn(np.random.default_rng(seed + 1), plan.topology.d, k)
+        expected = left.T @ scattering_from_capacitances(plan, f, params)
+        rows = scattering_from_capacitances(plan, f, params, left)
+        assert rows.shape == expected.shape
+        assert np.abs(rows - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_rows_refuse_like_full_matrix(self):
+        full = TestScatteringFromCapacitances
+        plan = full.plan_with_group_1_branch("non-finite")
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(SingularNetworkError, match="^group 1: .*rcond=nan"):
+                scattering_from_capacitances(plan, 4e9, full.RESONANT, np.ones((4, 1)))

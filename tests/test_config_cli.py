@@ -1,5 +1,6 @@
 import copy
 import json
+import logging
 import os
 import re
 import subprocess
@@ -193,9 +194,35 @@ class TestCli:
         rc = main(["run", "freq-response", "--out", str(tmp_path / "out")] + overrides)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [
+        # one redraw is tolerated; the second exceeds the budget
+        assert err.splitlines() == 2 * [
+            "warning: DegenerateChannelError at freq-response fully-connected D=8; "
+            "redrawing"] + [
             "error: more than 1% degenerate trials at freq-response fully-connected D=8"]
         assert not (tmp_path / "out").exists()
+
+    def test_run_prints_redraw_warnings(self, tmp_path, capsys, monkeypatch):
+        from bdris import experiments
+        from bdris.errors import DegenerateChannelError
+
+        powers, calls = experiments.evaluate_received_powers, []
+
+        def fail_first(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise DegenerateChannelError("forced")
+            return powers(*args)
+
+        monkeypatch.setattr(experiments, "evaluate_received_powers", fail_first)
+        overrides = []
+        for item in TINY_OVERRIDES:
+            overrides += ["--override", item]
+        rc = main(["run", "freq-response", "--out", str(tmp_path)] + overrides)
+        assert rc == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: DegenerateChannelError at freq-response fully-connected D=8; "
+            "redrawing"]
+        assert not logging.getLogger("bdris").handlers  # removed after the run
 
     def test_unknown_experiment_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

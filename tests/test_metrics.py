@@ -45,7 +45,7 @@ class TestReceivedPower:
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
         power = PowerConfig.uniform(sc, 0.1, 1e-7)
-        result = evaluate_received_powers(ch, [theta], power)
+        result = evaluate_received_powers(ch, [np.conj(ch.f[0]) @ theta], power)
         eff = effective_channels(ch, 0, theta)
         assert result.user_powers[0][0] == pytest.approx(
             np.linalg.norm(eff) ** 2 * 0.1, rel=1e-12)
@@ -58,7 +58,7 @@ class TestReceivedPower:
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
         power = PowerConfig(p=0.2, alpha=((0.5, 0.25),), noise=1e-7)
-        result = evaluate_received_powers(ch, [theta], power)
+        result = evaluate_received_powers(ch, [np.conj(ch.f[0]) @ theta], power)
         e = effective_channels(ch, 0, theta)
         p = zf_precoder(e)
         for k in range(2):
@@ -71,11 +71,11 @@ class TestReceivedPower:
         ch = sample_channels(sc, 4, stream_rng(0, 3))
         rng = np.random.default_rng(3)
         theta = crandn(rng, 4, 4)
-        theta = theta + theta.T
+        rows = np.conj(ch.f[0]) @ (theta + theta.T)
 
         def power(p, alpha):
             config = PowerConfig(p=p, alpha=((alpha,),), noise=1e-7)
-            return evaluate_received_powers(ch, [theta], config).user_powers[0][0]
+            return evaluate_received_powers(ch, [rows], config).user_powers[0][0]
 
         base = power(0.1, 0.5)
         assert power(0.3, 0.5) == pytest.approx(3 * base, rel=1e-12)
@@ -106,7 +106,8 @@ class TestSpectralEfficiencyOutdated:
         sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
         ch = sample_channels(sc, 4, stream_rng(5, 0))
         power = PowerConfig.uniform(sc, 0.1, 1e-7)
-        se = sum_spectral_efficiency_outdated(ch, 0, np.zeros((4, 4)), power)
+        se = sum_spectral_efficiency_outdated(ch, 0, np.conj(ch.f[0]) @ np.zeros((4, 4)),
+                                              power)
         # reference: perfect zero-forcing on the true (direct-only) channels
         eff = effective_channels(ch, 0, np.zeros((4, 4)))
         prec = zf_precoder(eff)
@@ -123,8 +124,9 @@ class TestSpectralEfficiencyOutdated:
         theta = theta + theta.T
         p1 = PowerConfig.uniform(sc, 0.1, 1e-7)
         p2 = PowerConfig.uniform(sc, 0.1, 1e-6)
-        assert (sum_spectral_efficiency_outdated(ch, 0, theta, p1)
-                > sum_spectral_efficiency_outdated(ch, 0, theta, p2))
+        rows = np.conj(ch.f[0]) @ theta
+        assert (sum_spectral_efficiency_outdated(ch, 0, rows, p1)
+                > sum_spectral_efficiency_outdated(ch, 0, rows, p2))
 
     def test_matches_brute_force_sinr(self):
         sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
@@ -133,7 +135,7 @@ class TestSpectralEfficiencyOutdated:
         theta = crandn(rng, 3, 3)
         theta = theta + theta.T
         power = PowerConfig.uniform(sc, 0.1, 1e-7)
-        se = sum_spectral_efficiency_outdated(ch, 0, theta, power)
+        se = sum_spectral_efficiency_outdated(ch, 0, np.conj(ch.f[0]) @ theta, power)
         prec = zf_precoder(effective_channels(ch, 0, np.zeros((3, 3))))
         actual = effective_channels(ch, 0, theta)
         expected = 0.0
