@@ -10,9 +10,7 @@ import os
 import sys
 
 from bdris.cli import main as cli
-
-EXPERIMENTS = ["freq-response", "target-shift", "per-bs-power", "network-power",
-               "interference"]
+from bdris.experiments import RUNNERS
 
 
 def main() -> int:
@@ -31,7 +29,7 @@ def main() -> int:
     if args.config is not None:
         extra += ["--config", args.config]
 
-    for name in EXPERIMENTS:
+    for name in RUNNERS:
         print(f"== {name}")
         rc = cli(["run", name, "--out", args.out] + extra)
         if rc != 0:

@@ -133,15 +133,12 @@ def _resonant_branch(c, f, r, l0, l):
     return complex(z) if z.ndim == 0 else z
 
 
-def admittance_matrix(self_z: np.ndarray, inter_z: np.ndarray | None = None,
-                      inter_mask: np.ndarray | None = None) -> np.ndarray:
+def admittance_matrix(self_z: np.ndarray, inter_z: np.ndarray | None = None) -> np.ndarray:
     """Admittance matrix of the branch network.
 
     Off-diagonal entries are -1/inter_z[p, q]; diagonal entries are
     1/self_z[p] plus the sum of the reciprocal inter-element impedances
-    leaving port p.  ``inter_mask`` marks which off-diagonal branches exist
-    (default: all of them when ``inter_z`` is given, none otherwise); absent
-    branches contribute zero admittance.
+    leaving port p.  Without ``inter_z`` the ports are uncoupled.
     """
     self_z = np.atleast_1d(np.asarray(self_z, dtype=complex))
     d = self_z.size
@@ -153,17 +150,12 @@ def admittance_matrix(self_z: np.ndarray, inter_z: np.ndarray | None = None,
         inter_z = np.asarray(inter_z, dtype=complex)
         if inter_z.shape != (d, d):
             raise ValueError(f"inter impedance matrix must be {d}x{d}")
-        if inter_mask is None:
-            inter_mask = ~np.eye(d, dtype=bool)
-        else:
-            inter_mask = np.asarray(inter_mask, dtype=bool) & ~np.eye(d, dtype=bool)
-        if not np.array_equal(inter_mask, inter_mask.T):
-            raise ValueError("inter-element branch mask must be symmetric")
-        if np.any(inter_z[inter_mask] != inter_z.T[inter_mask]):
+        off = ~np.eye(d, dtype=bool)
+        if np.any(inter_z[off] != inter_z.T[off]):
             raise ValueError("inter-element impedances must be symmetric")
-        if np.any(inter_z[inter_mask] == 0):
+        if np.any(inter_z[off] == 0):
             raise SingularBranchError("zero inter-element impedance has undefined admittance")
-        inv_inter[inter_mask] = 1.0 / inter_z[inter_mask]
+        inv_inter[off] = 1.0 / inter_z[off]
 
     y = -inv_inter
     y[np.diag_indices(d)] = 1.0 / self_z + inv_inter.sum(axis=1)

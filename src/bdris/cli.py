@@ -7,7 +7,7 @@ import logging
 import os
 import sys
 
-from .config import (EXPERIMENTS, config_hash, load_config, validate_config)
+from .config import config_hash, load_config, validate_config
 from .errors import ConfigError, RedrawBudgetError
 from .experiments import RUNNERS
 from .results import emit_plotdata, write_results
@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a named experiment and write CSV results")
-    run.add_argument("experiment", choices=EXPERIMENTS)
+    run.add_argument("experiment", choices=RUNNERS)
     run.add_argument("--config", default=None, help="YAML config (merged over defaults)")
     run.add_argument("--seed", type=int, default=None, help="override simulation.seed")
     run.add_argument("--trials", type=int, default=None, help="override simulation.trials")
@@ -48,10 +48,9 @@ def _cmd_run(args) -> int:
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg["simulation"]["seed"] = args.seed
-    if args.trials is not None:
-        cfg["simulation"]["trials"] = args.trials
+    for key, value in (("seed", args.seed), ("trials", args.trials)):
+        if value is not None and isinstance(cfg["simulation"], dict):  # else reported below
+            cfg["simulation"][key] = value
     errors = validate_config(cfg, source, lines)
     if errors:
         print("\n".join(errors), file=sys.stderr)

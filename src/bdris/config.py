@@ -8,6 +8,7 @@ everything downstream of this module is SI.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -20,9 +21,6 @@ from .errors import ConfigError
 
 ARCHITECTURES = ("fully-connected", "group-connected", "single-connected")
 
-EXPERIMENTS = ("freq-response", "target-shift", "per-bs-power", "network-power",
-               "interference")
-
 DEFAULT_CONFIG: dict = {
     "scenario": {
         "bs_positions_m": [[0.0, 0.0], [80.0, 0.0]],
@@ -33,7 +31,6 @@ DEFAULT_CONFIG: dict = {
         "frequencies_ghz": [7.4, 8.0],
         "eta_direct": 3.5,
         "eta_reflected": 2.5,
-        "direct_links": "blocked",
     },
     "circuit": {
         "r_ohm": 1.0,
@@ -48,7 +45,6 @@ DEFAULT_CONFIG: dict = {
         "codebook_bits": 6,
     },
     "optimization": {
-        "bs_weights": [0.3, 0.7],
         "user_weights": [[0.5, 0.5], [0.5, 0.5]],
         "target_frequency_ghz": 7.4,
         "fw_iterations": 500,
@@ -215,37 +211,61 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
 
 
+def _is_point(p) -> bool:
+    return isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+
+
+def _has_bool(x) -> bool:
+    return isinstance(x, bool) or isinstance(x, list) and any(map(_has_bool, x))
+
+
+def _check_against(chk: _Check, cfg: dict, defaults: dict, prefix: str = ""):
+    """Report keys the defaults lack, mappings and lists given as another type,
+    and booleans, which no key takes (``true`` would pass as the integer 1)."""
+    for key, value in cfg.items():
+        path, default = f"{prefix}{key}", defaults.get(key)
+        if key not in defaults:
+            chk.fail(path, "unknown key")
+        elif isinstance(default, dict) and isinstance(value, dict):
+            _check_against(chk, value, default, path + ".")
+        elif isinstance(default, (dict, list)) and not isinstance(value, type(default)):
+            chk.fail(path, "must be a " + ("mapping" if isinstance(default, dict) else "list"))
+        elif _has_bool(value):
+            chk.fail(path, "must not be a boolean")
+
+
 def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = None) -> list[str]:
     """Check every invariant the pipeline relies on; return error messages."""
     chk = _Check(source, lines or {})
+    _check_against(chk, cfg, DEFAULT_CONFIG)
+    if chk.errors:  # the checks below rely on the defaults' layout
+        return chk.errors
 
     sc = cfg.get("scenario", {})
     bs = sc.get("bs_positions_m", [])
     users = sc.get("user_positions_m", [])
+    layout = [len(u) if isinstance(u, list) else 0 for u in users]
     freqs = sc.get("frequencies_ghz", [])
-    chk.require(isinstance(bs, list) and len(bs) >= 1,
-                "scenario.bs_positions_m", "need at least one base station")
+    chk.require(len(bs) >= 1, "scenario.bs_positions_m", "need at least one base station")
     chk.require(len(users) == len(bs),
                 "scenario.user_positions_m", "need one user list per base station")
-    chk.require(len(freqs) == len(bs),
-                "scenario.frequencies_ghz", "need one operating frequency per base station")
-    for b, user_list in enumerate(users if isinstance(users, list) else []):
-        chk.require(isinstance(user_list, list) and len(user_list) >= 1,
-                    "scenario.user_positions_m", f"base station {b + 1} needs at least one user")
-    for path, positions in (("scenario.bs_positions_m", bs),
-                            ("scenario.ris_position_m", [sc.get("ris_position_m", [0, 0])])):
-        flat = np.asarray(positions, dtype=float).ravel() if positions else np.array([np.nan])
-        chk.require(bool(np.all(np.isfinite(flat))), path, "positions must be finite")
+    chk.require(len(freqs) == len(bs) and all(_is_number(f) and f > 0 for f in freqs),
+                "scenario.frequencies_ghz",
+                "need one operating frequency > 0 per base station")
+    for b, k in enumerate(layout):
+        chk.require(k >= 1, "scenario.user_positions_m",
+                    f"base station {b + 1} needs at least one user")
+    for path, points in (("scenario.bs_positions_m", bs),
+                         ("scenario.user_positions_m",
+                          [p for u in users if isinstance(u, list) for p in u]),
+                         ("scenario.ris_position_m", [sc.get("ris_position_m")])):
+        chk.require(all(map(_is_point, points)), path, "positions must be finite (x, y) pairs")
     m = sc.get("m_antennas", 0)
     chk.require(isinstance(m, int) and m >= 1, "scenario.m_antennas", "must be a positive integer")
-    if isinstance(users, list) and all(isinstance(u, list) for u in users):
-        max_users = max((len(u) for u in users), default=0)
-        chk.require(m >= max_users, "scenario.m_antennas",
-                    "zero-forcing needs at least as many antennas as users per base station")
+    chk.require(not isinstance(m, int) or m >= max(layout, default=0), "scenario.m_antennas",
+                "zero-forcing needs at least as many antennas as users per base station")
     for key in ("eta_direct", "eta_reflected"):
         chk.require(_is_number(sc.get(key)) and sc.get(key) > 0, f"scenario.{key}", "must be > 0")
-    chk.require(sc.get("direct_links") in (BLOCKED, AVAILABLE),
-                "scenario.direct_links", f"must be '{BLOCKED}' or '{AVAILABLE}'")
 
     ci = cfg.get("circuit", {})
     for key in ("r_ohm", "l_nh", "r_tilde_ohm", "l_tilde_nh"):
@@ -254,31 +274,21 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
         chk.require(_is_number(ci.get(key)) and ci.get(key) > 0, f"circuit.{key}", "must be > 0")
     for key in ("self_cap_range_pf", "inter_cap_range_pf"):
         rng = ci.get(key, [])
-        ok = (isinstance(rng, list) and len(rng) == 2 and all(_is_number(x) for x in rng)
-              and 0 < rng[0] < rng[1])
+        ok = len(rng) == 2 and all(_is_number(x) for x in rng) and 0 < rng[0] < rng[1]
         chk.require(ok, f"circuit.{key}", "must be a positive increasing pair")
     bits = ci.get("codebook_bits", 0)
     chk.require(isinstance(bits, int) and bits >= 1, "circuit.codebook_bits",
                 "must be an integer >= 1")
 
     op = cfg.get("optimization", {})
-    mu = op.get("bs_weights", [])
     nu = op.get("user_weights", [])
-    chk.require(isinstance(mu, list) and len(mu) == len(bs) and all(
-        _is_number(w) and w >= 0 for w in mu),
-        "optimization.bs_weights", "need one weight >= 0 per base station")
-    nu_ok = (isinstance(nu, list) and len(nu) == len(users)
-             and all(isinstance(row, list) and len(row) == len(u)
-                     and all(_is_number(w) and w >= 0 for w in row)
-                     for row, u in zip(nu, users)))
-    chk.require(nu_ok, "optimization.user_weights",
-                "need one weight >= 0 per user, matching the scenario layout")
-    if isinstance(mu, list) and nu_ok and mu:
-        products = [m_ * w for m_, row in zip(mu, nu) for w in row]
-        chk.require(any(p > 0 for p in products), "optimization.bs_weights",
-                    "at least one (bs weight x user weight) product must be positive")
+    nu_ok = chk.require(
+        len(nu) == len(users) and all(
+            isinstance(row, list) and len(row) == k and all(_is_number(w) and w >= 0 for w in row)
+            for row, k in zip(nu, layout)),
+        "optimization.user_weights", "need one weight >= 0 per user, matching the scenario layout")
     target = op.get("target_frequency_ghz")
-    chk.require(_is_number(target) and target in [float(f) for f in freqs],
+    chk.require(_is_number(target) and target in [float(f) for f in freqs if _is_number(f)],
                 "optimization.target_frequency_ghz",
                 "must be one of scenario.frequencies_ghz")
     iters = op.get("fw_iterations", 0)
@@ -295,34 +305,32 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     for key in ("total_dbm", "noise_dbm"):
         chk.require(_is_number(pw.get(key)), f"power.{key}", "must be a finite number")
     alpha = pw.get("alpha", [])
-    alpha_ok = (isinstance(alpha, list) and len(alpha) == len(users)
-                and all(isinstance(row, list) and len(row) == len(u) for row, u in zip(alpha, users)))
-    chk.require(alpha_ok, "power.alpha", "need one power fraction per user")
-    if alpha_ok:
-        for b, row in enumerate(alpha):
-            chk.require(all(_is_number(a) and a >= 0 for a in row) and sum(row) <= 1 + 1e-12,
-                        "power.alpha", f"base station {b + 1} fractions must be >= 0 and sum to <= 1")
+    alpha_ok = chk.require(
+        len(alpha) == len(users)
+        and all(isinstance(row, list) and len(row) == k for row, k in zip(alpha, layout)),
+        "power.alpha", "need one power fraction per user")
+    for b, row in enumerate(alpha if alpha_ok else []):
+        chk.require(all(_is_number(a) and a >= 0 for a in row) and sum(row) <= 1 + 1e-12,
+                    "power.alpha", f"base station {b + 1} fractions must be >= 0 and sum to <= 1")
 
     sim = cfg.get("simulation", {})
     chk.require(isinstance(sim.get("trials"), int) and sim.get("trials") >= 1,
                 "simulation.trials", "must be an integer >= 1")
     chk.require(isinstance(sim.get("seed"), int), "simulation.seed", "must be an integer")
     archs = sim.get("architectures", [])
-    chk.require(isinstance(archs, list) and archs
-                and all(a in ARCHITECTURES for a in archs),
+    chk.require(archs and all(a in ARCHITECTURES for a in archs),
                 "simulation.architectures", f"entries must be among {ARCHITECTURES}")
 
     exps = cfg.get("experiments", {})
     all_d: list[int] = []
     for name in ("per-bs-power", "network-power", "interference"):
         grid = exps.get(name, {}).get("d_grid", [])
-        chk.require(isinstance(grid, list) and grid and all(
-            isinstance(d, int) and d >= 1 for d in grid),
-            f"experiments.{name}.d_grid", "must be a non-empty list of positive integers")
+        chk.require(grid and all(isinstance(d, int) and d >= 1 for d in grid),
+                    f"experiments.{name}.d_grid", "must be a non-empty list of positive integers")
         all_d.extend(d for d in grid if isinstance(d, int))
     fr = exps.get("freq-response", {})
     dv = fr.get("d_values", [])
-    chk.require(isinstance(dv, list) and dv and all(isinstance(d, int) and d >= 1 for d in dv),
+    chk.require(dv and all(isinstance(d, int) and d >= 1 for d in dv),
                 "experiments.freq-response.d_values",
                 "must be a non-empty list of positive integers")
     all_d.extend(d for d in dv if isinstance(d, int))
@@ -330,61 +338,73 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     chk.require(isinstance(ts_d, int) and ts_d >= 1, "experiments.target-shift.d",
                 "must be a positive integer")
     all_d.append(ts_d if isinstance(ts_d, int) else 0)
-    if isinstance(g, int) and g >= 1:
-        group_archs_requested = not isinstance(archs, list) or "group-connected" in archs
+    if isinstance(g, int) and g >= 1 and "group-connected" in archs:
         for d in all_d:
-            if group_archs_requested and d >= 1 and d % g:
+            if d >= 1 and d % g:
                 chk.fail("optimization.group_count",
                          f"group count {g} must divide every element count (found D={d})")
     grid_spec = fr.get("grid_ghz", {})
-    grid_ok = (isinstance(grid_spec, dict)
-               and all(_is_number(grid_spec.get(k)) for k in ("start", "stop", "step"))
+    grid_ok = (all(_is_number(grid_spec.get(k)) for k in ("start", "stop", "step"))
                and grid_spec.get("step", 0) > 0
                and grid_spec.get("start", 0) > 0
                and grid_spec.get("stop", 0) >= grid_spec.get("start", 1))
     chk.require(grid_ok, "experiments.freq-response.grid_ghz",
                 "need positive start/stop/step with stop >= start")
     ts = exps.get("target-shift", {})
-    chk.require(isinstance(ts.get("targets_ghz"), list) and ts.get("targets_ghz"),
-                "experiments.target-shift.targets_ghz", "must be a non-empty list")
     chk.require(_is_number(ts.get("step_ghz")) and ts.get("step_ghz", 0) > 0,
                 "experiments.target-shift.step_ghz", "must be > 0")
-    chk.require(_is_number(ts.get("half_span_ghz")) and ts.get("half_span_ghz", 0) > 0,
-                "experiments.target-shift.half_span_ghz", "must be > 0")
+    half = ts.get("half_span_ghz")
+    half_ok = chk.require(_is_number(half) and half > 0,
+                          "experiments.target-shift.half_span_ghz", "must be > 0")
+    targets = ts.get("targets_ghz", [])
+    chk.require(targets and all(_is_number(t) and t > (half if half_ok else 0) for t in targets),
+                "experiments.target-shift.targets_ghz",
+                "must be a non-empty list of frequencies above half_span_ghz")
+    for name in ("freq-response", "target-shift"):
+        tracked = exps.get(name, {})
+        tb, tu = tracked.get("tracked_bs"), tracked.get("tracked_user")
+        if chk.require(isinstance(tb, int) and 1 <= tb <= len(layout),
+                       f"experiments.{name}.tracked_bs", "must be a 1-based base station index"):
+            chk.require(isinstance(tu, int) and 1 <= tu <= layout[tb - 1],
+                        f"experiments.{name}.tracked_user",
+                        f"must be a 1-based index of base station {tb}'s users")
+    # The group-connected and single-connected surfaces split their groups over
+    # the base stations a set weights; a fully-connected one serves them jointly.
+    split = any(a != "fully-connected" for a in archs)
     for name in ("per-bs-power", "network-power"):
         ws = exps.get(name, {}).get("weight_sets", [])
-        ws_ok = (isinstance(ws, list) and ws and all(
-            isinstance(w, list) and len(w) == len(bs)
-            and all(_is_number(x) and x >= 0 for x in w) and any(x > 0 for x in w)
-            for w in ws))
-        chk.require(ws_ok, f"experiments.{name}.weight_sets",
-                    "each set needs one weight >= 0 per base station, not all zero")
+        ws_ok = chk.require(
+            ws and all(isinstance(w, list) and len(w) == len(bs)
+                       and all(_is_number(x) and x >= 0 for x in w) and any(x > 0 for x in w)
+                       for w in ws),
+            f"experiments.{name}.weight_sets",
+            "each set needs one weight >= 0 per base station, not all zero")
+        for i, w in enumerate(ws if ws_ok and nu_ok else []):
+            served = [any(v > 0 for v in row) for x, row in zip(w, nu) if x > 0]
+            chk.require(all(served) if split else any(served), f"experiments.{name}.weight_sets",
+                        f"set {i + 1}: {'every' if split else 'some'} base station it weights "
+                        f"needs a positive weight in optimization.user_weights")
         modes = exps.get(name, {}).get("link_modes", [])
-        chk.require(isinstance(modes, list) and modes
-                    and all(mode in (BLOCKED, AVAILABLE) for mode in modes),
+        chk.require(modes and all(mode in (BLOCKED, AVAILABLE) for mode in modes),
                     f"experiments.{name}.link_modes",
                     f"entries must be '{BLOCKED}' or '{AVAILABLE}'")
     itf = exps.get("interference", {})
     pos = itf.get("ris_positions_m", [])
-    chk.require(isinstance(pos, list) and pos, "experiments.interference.ris_positions_m",
-                "must be a non-empty list of positions")
-    chk.require(_is_number(itf.get("interferer_frequency_ghz")),
-                "experiments.interference.interferer_frequency_ghz", "must be a number")
+    chk.require(pos and all(map(_is_point, pos)), "experiments.interference.ris_positions_m",
+                "must be a non-empty list of finite (x, y) positions")
+    f_itf = itf.get("interferer_frequency_ghz")
+    chk.require(_is_number(f_itf) and f_itf > 0,
+                "experiments.interference.interferer_frequency_ghz", "must be > 0")
     victim = itf.get("victim_bs", 0)
-    chk.require(isinstance(victim, int) and 1 <= victim <= len(bs),
-                "experiments.interference.victim_bs",
-                "must be a 1-based base station index")
-    for key in ("tracked_bs", "tracked_user"):
-        val = fr.get(key, 0)
-        chk.require(isinstance(val, int) and val >= 1, f"experiments.freq-response.{key}",
-                    "must be a 1-based index")
+    if chk.require(isinstance(victim, int) and 1 <= victim <= len(bs),
+                   "experiments.interference.victim_bs", "must be a 1-based base station index"):
+        aided = 2 if victim == 1 else 1  # the first base station other than the victim
+        if chk.require(aided <= len(bs), "experiments.interference.victim_bs",
+                       "interference needs a second base station, which the surface aids"):
+            chk.require(not nu_ok or any(w > 0 for w in nu[aided - 1]),
+                        "optimization.user_weights",
+                        f"base station {aided}, which interference aids, needs a positive weight")
     return chk.errors
-
-
-def require_valid(cfg: dict, source: str = "<config>", lines: dict | None = None):
-    errors = validate_config(cfg, source, lines)
-    if errors:
-        raise ConfigError("\n".join(errors))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +427,7 @@ def cap_ranges(cfg: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     return (picofarad(lo), picofarad(hi)), (picofarad(lo_t), picofarad(hi_t))
 
 
-def base_scenario(cfg: dict, direct_links: str | None = None,
+def base_scenario(cfg: dict, direct_links: str,
                   ris_position: tuple[float, float] | None = None,
                   frequencies: tuple[float, ...] | None = None) -> NetworkScenario:
     sc = cfg["scenario"]
@@ -422,24 +442,17 @@ def base_scenario(cfg: dict, direct_links: str | None = None,
         else tuple(ghz(f) for f in sc["frequencies_ghz"]),
         eta_direct=float(sc["eta_direct"]),
         eta_reflected=float(sc["eta_reflected"]),
-        direct_links=direct_links if direct_links is not None else sc["direct_links"],
+        direct_links=direct_links,
     )
 
 
 def single_user_scenario(cfg: dict, bs: int, user: int, frequency: float,
-                         direct_links: str = BLOCKED) -> NetworkScenario:
+                         direct_links: str) -> NetworkScenario:
     """Scenario reduced to one base station serving one of its users."""
-    sc = cfg["scenario"]
-    return NetworkScenario(
-        bs_positions=(tuple(map(float, sc["bs_positions_m"][bs])),),
-        user_positions=((tuple(map(float, sc["user_positions_m"][bs][user])),),),
-        ris_position=tuple(map(float, sc["ris_position_m"])),
-        m=int(sc["m_antennas"]),
-        frequencies=(frequency,),
-        eta_direct=float(sc["eta_direct"]),
-        eta_reflected=float(sc["eta_reflected"]),
-        direct_links=direct_links,
-    )
+    full = base_scenario(cfg, direct_links)
+    return dataclasses.replace(full, bs_positions=(full.bs_positions[bs],),
+                               user_positions=((full.user_positions[bs][user],),),
+                               frequencies=(frequency,))
 
 
 def power_config(cfg: dict, scenario: NetworkScenario) -> PowerConfig:

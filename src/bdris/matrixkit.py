@@ -76,11 +76,6 @@ def unvech(theta: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; satisfies vec(A X C) = (C^T kron A) vec(X)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def duplication_matrix(d: int) -> np.ndarray:
     """0/1 matrix D_d of shape (d^2, d(d+1)/2) with D_d @ vech(A) = vec(A) for symmetric A.
 

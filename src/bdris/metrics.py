@@ -52,18 +52,15 @@ def evaluate_received_powers(channels: ChannelSet, rows: list[np.ndarray],
 
 
 def sum_spectral_efficiency_outdated(channels: ChannelSet, b: int,
-                                     rows_actual: np.ndarray, power: PowerConfig,
-                                     rows_assumed: np.ndarray | None = None) -> float:
+                                     rows_actual: np.ndarray, power: PowerConfig) -> float:
     """Sum spectral efficiency of base station b under outdated channel knowledge.
 
-    Precoders are zero-forced against the effective channels the base station
-    believes in: by default the direct channels alone (it is unaware of the
-    reflecting surface), or optionally stale reflected user rows
-    ``rows_assumed``.  The received symbols propagate through the rows
-    ``rows_actual``, so residual inter-user interference enters each SINR.
+    Precoders are zero-forced against the direct channels alone: the base
+    station is unaware of the reflecting surface.  The received symbols
+    propagate through the reflected user rows ``rows_actual``, so residual
+    inter-user interference enters each SINR.
     """
-    assumed = np.zeros_like(rows_actual) if rows_assumed is None else rows_assumed
-    precoders = zf_precoder(effective_from_rows(channels, b, assumed))
+    precoders = zf_precoder(effective_from_rows(channels, b, np.zeros_like(rows_actual)))
     cross = effective_from_rows(channels, b, rows_actual) @ precoders
     k_users = cross.shape[0]
     se = 0.0
@@ -94,9 +91,6 @@ class AggregateResult:
 
     def mean_of(self, value, architecture: str, metric: str) -> float:
         return self._one(value, architecture, metric).mean
-
-    def stderr_of(self, value, architecture: str, metric: str) -> float:
-        return self._one(value, architecture, metric).stderr
 
     def _one(self, value, architecture: str, metric: str) -> ResultRow:
         hits = [r for r in self.rows

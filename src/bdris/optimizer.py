@@ -203,27 +203,6 @@ def stack_gc(channels: ChannelSet, weights: ObjectiveWeights, topology: RisTopol
     return _stack(channels, weights, (bs,), topology.g)
 
 
-def frank_wolfe(r: np.ndarray, h: np.ndarray, radius: float, iterations: int,
-                trace: bool = False, step_rule: str = "line-search"):
-    """Conditional-gradient ascent of ||r theta + h||^2 over the ball ||theta|| <= radius.
-
-    Starts from theta = 0 and takes the direction maximizing the inner
-    product with the conjugate gradient 2 r^H (r theta + h).  With the
-    default exact line search the objective is non-decreasing every
-    iteration; the "diminishing" rule uses the step 2/(i + 2) instead.
-    Returns the final iterate, its objective, and (with ``trace=True``) the
-    per-iteration objective history.
-    """
-    acc, c, history = frank_wolfe_batch((r @ r.conj().T)[None], h[None], radius,
-                                        iterations, r[None, :, 0], step_rule, trace)
-    theta = r.conj().T @ acc[0]
-    theta[0] += c[0]
-    objective = float(np.linalg.norm(r @ theta + h) ** 2)
-    if trace:
-        return theta, objective, np.append(history[0], objective)
-    return theta, objective
-
-
 def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarray,
                       iterations: int, r_e1: np.ndarray, step_rule: str = "line-search",
                       trace: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,13 +12,7 @@ COLUMNS = ("variable", "value", "architecture", "metric", "mean", "stderr", "tri
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    return repr(x) if isinstance(x, float) else str(x)
 
 
 def write_results(path: str, result: AggregateResult, experiment: str,

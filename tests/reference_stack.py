@@ -2,13 +2,14 @@
 
 The package never forms R: its solvers work from the Gram matrix R R^H and
 the adjoint R^H c, both computed from the channels.  Tests build R here from
-``kron`` and ``duplication_matrix`` as an independent reference.
+``np.kron`` and ``duplication_matrix`` as an independent reference.
 """
 
 import numpy as np
 
 from bdris.circuit import RisTopology
-from bdris.matrixkit import duplication_matrix, kron
+from bdris.matrixkit import duplication_matrix
+from bdris.optimizer import frank_wolfe_batch
 
 
 def reduced_stack(channels, weights, topology=None, bs=None):
@@ -28,7 +29,22 @@ def reduced_stack(channels, weights, topology=None, bs=None):
             if w == 0.0:
                 continue
             r_rows.append(w * np.hstack([
-                kron(g[sl].T, f[sl].conj()[None, :]) @ dup
+                np.kron(g[sl].T, f[sl].conj()[None, :]) @ dup
                 for sl in map(topology.group_slice, range(topology.g))]))
             h_rows.append(w * channels.h[b][k].conj())
     return np.vstack(r_rows), np.concatenate(h_rows)
+
+
+def frank_wolfe(r, h, radius, iterations, trace=False):
+    """Conditional-gradient ascent of ||r theta + h||^2 over ||theta|| <= radius
+    for one instance given by R itself: ``frank_wolfe_batch`` on a batch of one.
+    Returns theta and its objective, and with ``trace=True`` also the
+    objective before each iteration followed by the final one."""
+    acc, c, history = frank_wolfe_batch((r @ r.conj().T)[None], h[None], radius,
+                                        iterations, r[None, :, 0], trace=trace)
+    theta = r.conj().T @ acc[0]
+    theta[0] += c[0]
+    objective = float(np.linalg.norm(r @ theta + h) ** 2)
+    if trace:
+        return theta, objective, np.append(history[0], objective)
+    return theta, objective

@@ -137,13 +137,6 @@ class TestAdmittanceMatrix:
         with pytest.raises(SingularBranchError):
             admittance_matrix(np.array([1.0 + 0j, 1.0]), inter)
 
-    def test_mask_removes_branches(self):
-        self_z = np.array([2.0 + 0j, 2.0])
-        inter = np.array([[0, 4.0], [4.0, 0]], dtype=complex)
-        mask = np.zeros((2, 2), dtype=bool)
-        y = admittance_matrix(self_z, inter, mask)
-        assert np.allclose(y, np.diag([0.5, 0.5]))
-
 
 class TestScatteringConversions:
     def test_matched_load(self):

@@ -92,14 +92,140 @@ class TestValidation:
         assert any(e.startswith(f"{path}:2: circuit.codebook_bits") for e in errors)
 
 
+ONE_BS = ["scenario.bs_positions_m=[[0.0, 0.0]]", "scenario.user_positions_m=[[[25.0, 10.0]]]",
+          "scenario.frequencies_ghz=[7.4]", "optimization.user_weights=[[1.0]]",
+          "power.alpha=[[1.0]]", "experiments.per-bs-power.weight_sets=[[1.0]]",
+          "experiments.network-power.weight_sets=[[1.0]]",
+          "experiments.interference.victim_bs=1"]
+NO_BS1_USERS = "optimization.user_weights=[[0.0, 0.0], [0.5, 0.5]]"
+
+# One row per validation rule: (overrides, dotted path the error must name).
+RULES = [
+    (["optimization.fw_iteration=3"], "optimization.fw_iteration"),
+    (["optimization.bs_weights=[0.3, 0.7]"], "optimization.bs_weights"),
+    (["scenario.direct_links=blocked"], "scenario.direct_links"),
+    (["scenario=5"], "scenario"),
+    (["experiments.freq-response.grid_ghz=[1.0, 16.0]"], "experiments.freq-response.grid_ghz"),
+    (["scenario.user_positions_m=5"], "scenario.user_positions_m"),
+    (["simulation.trials=true"], "simulation.trials"),
+    (["experiments.freq-response.d_values=[true]"], "experiments.freq-response.d_values"),
+    (["scenario.bs_positions_m=[]"], "scenario.bs_positions_m"),
+    (["scenario.bs_positions_m=[[0.0, 0.0], [.nan, 0.0]]"], "scenario.bs_positions_m"),
+    (["scenario.bs_positions_m=[[0.0, 0.0], [80.0]]"], "scenario.bs_positions_m"),
+    (["scenario.user_positions_m=[[[25.0, 10.0], [35.0]], [[70.0, 10.0]]]"],
+     "scenario.user_positions_m"),
+    (["scenario.ris_position_m=[40.0, 20.0, 1.0]"], "scenario.ris_position_m"),
+    (["scenario.frequencies_ghz=[0.0, 8.0]"], "scenario.frequencies_ghz"),
+    (["scenario.user_positions_m=[[], [[70.0, 10.0]]]"], "scenario.user_positions_m"),
+    (["scenario.m_antennas=1"], "scenario.m_antennas"),
+    (["scenario.eta_direct=0"], "scenario.eta_direct"),
+    (["circuit.r_ohm=-1"], "circuit.r_ohm"),
+    (["circuit.z0_ohm=0"], "circuit.z0_ohm"),
+    (["circuit.inter_cap_range_pf=[0.6, 0.001]"], "circuit.inter_cap_range_pf"),
+    (["circuit.codebook_bits=0"], "circuit.codebook_bits"),
+    (["optimization.user_weights=[[0.5, -0.5], [0.5, 0.5]]"], "optimization.user_weights"),
+    (["optimization.target_frequency_ghz=9.9"], "optimization.target_frequency_ghz"),
+    (["optimization.fw_iterations=0"], "optimization.fw_iterations"),
+    (["optimization.fw_step_rule=exact"], "optimization.fw_step_rule"),
+    (["optimization.group_count=3"], "optimization.group_count"),
+    (["power.noise_dbm=.inf"], "power.noise_dbm"),
+    (["power.alpha=[[0.5], [0.5, 0.5]]"], "power.alpha"),
+    (["power.alpha=[[0.7, 0.7], [0.5, 0.5]]"], "power.alpha"),
+    (["simulation.trials=0"], "simulation.trials"),
+    (["simulation.seed=1.5"], "simulation.seed"),
+    (["simulation.architectures=[mesh]"], "simulation.architectures"),
+    (["experiments.interference.d_grid=[]"], "experiments.interference.d_grid"),
+    (["experiments.freq-response.d_values=[0]"], "experiments.freq-response.d_values"),
+    (["experiments.target-shift.d=0"], "experiments.target-shift.d"),
+    (["experiments.freq-response.grid_ghz={start: 8.0, stop: 7.0, step: 0.5}"],
+     "experiments.freq-response.grid_ghz"),
+    (["experiments.target-shift.targets_ghz=[]"], "experiments.target-shift.targets_ghz"),
+    (["experiments.target-shift.targets_ghz=[0.5]"], "experiments.target-shift.targets_ghz"),
+    (["experiments.target-shift.step_ghz=0"], "experiments.target-shift.step_ghz"),
+    (["experiments.target-shift.half_span_ghz=0"], "experiments.target-shift.half_span_ghz"),
+    (["experiments.freq-response.tracked_bs=3"], "experiments.freq-response.tracked_bs"),
+    (["experiments.target-shift.tracked_bs=0"], "experiments.target-shift.tracked_bs"),
+    (["experiments.freq-response.tracked_user=3"], "experiments.freq-response.tracked_user"),
+    (["experiments.target-shift.tracked_user=0"], "experiments.target-shift.tracked_user"),
+    (["experiments.per-bs-power.weight_sets=[[0.0, 0.0]]"],
+     "experiments.per-bs-power.weight_sets"),
+    ([NO_BS1_USERS, "experiments.network-power.weight_sets=[[1.0, 0.0]]"],
+     "experiments.network-power.weight_sets"),
+    ([NO_BS1_USERS, "experiments.per-bs-power.weight_sets=[[0.3, 0.7]]"],
+     "experiments.per-bs-power.weight_sets"),
+    (["experiments.network-power.link_modes=[sometimes]"],
+     "experiments.network-power.link_modes"),
+    (["experiments.interference.ris_positions_m=[]"],
+     "experiments.interference.ris_positions_m"),
+    (["experiments.interference.ris_positions_m=[[40.0, a]]"],
+     "experiments.interference.ris_positions_m"),
+    (["experiments.interference.interferer_frequency_ghz=0"],
+     "experiments.interference.interferer_frequency_ghz"),
+    (["experiments.interference.victim_bs=3"], "experiments.interference.victim_bs"),
+    (ONE_BS, "experiments.interference.victim_bs"),
+    ([NO_BS1_USERS], "optimization.user_weights"),
+]
+
+
+@pytest.mark.parametrize("overrides, path", RULES, ids=[p for _, p in RULES])
+def test_rule_names_its_path(overrides, path):
+    cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)
+    assert any(e.startswith(f"<config>: {path}: ") for e in validate_config(cfg))
+
+
+@pytest.mark.parametrize("overrides", [
+    # a fully-connected surface serves the weighted base stations jointly
+    ["simulation.architectures=[fully-connected]", NO_BS1_USERS,
+     "experiments.per-bs-power.weight_sets=[[0.3, 0.7]]",
+     "experiments.network-power.weight_sets=[[0.3, 0.7]]",
+     "experiments.interference.victim_bs=1"],
+    ["experiments.target-shift.tracked_bs=2", "experiments.target-shift.tracked_user=2"],
+])
+def test_runnable_configs_pass(overrides):
+    assert validate_config(apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)) == []
+
+
+# Configs that validation let through, or crashed on, before it checked them:
+# (experiment, file, line, dotted path named at that line).
+REJECTED_FILES = [
+    ("network-power", "optimization:\n  user_weights: [[0, 0], [0.5, 0.5]]\n"
+     "experiments:\n  network-power:\n    weight_sets: [[1, 0]]\n",
+     5, "experiments.network-power.weight_sets"),
+    ("interference", "optimization:\n  user_weights: [[0, 0], [0.5, 0.5]]\n",
+     2, "optimization.user_weights"),
+    ("freq-response", "experiments:\n  freq-response:\n    tracked_bs: 3\n",
+     3, "experiments.freq-response.tracked_bs"),
+    ("target-shift", "experiments:\n  target-shift:\n    tracked_bs: 0\n",
+     3, "experiments.target-shift.tracked_bs"),
+    ("freq-response", "scenario: 5\n", 1, "scenario"),
+    ("freq-response", "simulation: 5\n", 1, "simulation"),
+    ("freq-response", "optimization:\n  fw_iteration: 3\n", 2, "optimization.fw_iteration"),
+    ("freq-response", "simulation:\n  trials: true\n", 2, "simulation.trials"),
+]
+
+
+@pytest.mark.parametrize("experiment, text, line, path", REJECTED_FILES,
+                         ids=[p for *_, p in REJECTED_FILES])
+def test_rejected_file_names_path_and_line(experiment, text, line, path, tmp_path, capsys):
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    assert main(["validate", str(config)]) == 1
+    assert f"{config}:{line}: {path}: " in capsys.readouterr().err
+    assert main(["run", experiment, "--config", str(config), "--seed", "1",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}:{line}: {path}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestOverridesAndHash:
     def test_override_types(self):
         cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG),
                               ["simulation.trials=7",
-                               "scenario.direct_links=available",
+                               "optimization.fw_step_rule=diminishing",
                                "experiments.freq-response.d_values=[4, 8]"])
         assert cfg["simulation"]["trials"] == 7
-        assert cfg["scenario"]["direct_links"] == "available"
+        assert cfg["optimization"]["fw_step_rule"] == "diminishing"
         assert cfg["experiments"]["freq-response"]["d_values"] == [4, 8]
 
     def test_bad_override_rejected(self):

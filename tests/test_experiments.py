@@ -14,7 +14,7 @@ from bdris.channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, \
 from bdris.circuit import CircuitParams, RisTopology, build_codebook, random_plan, \
     scattering_from_capacitances
 from bdris import experiments
-from bdris.config import DEFAULT_CONFIG
+from bdris.config import DEFAULT_CONFIG, load_config, validate_config
 from bdris.errors import DegenerateChannelError
 from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interference,
                                network_power, per_bs_power, priority_assignment,
@@ -96,6 +96,12 @@ class TestHelpers:
         for bs in assignment.bs:
             gram, h = experiments._stack(chans, weights, topo, bs)
             assert gram.shape == (rows[bs], rows[bs]) and h.shape == (rows[bs],)
+
+    @pytest.mark.parametrize("name", ["freq-sweep", "direct-links", "power-grid"])
+    def test_workload_config_validates(self, name, tmp_path):
+        path = bench_module("workloads").WORKLOADS[name].write_config(tmp_path)
+        cfg, lines, source = load_config(str(path))
+        assert validate_config(cfg, source, lines) == []
 
     def test_traced_names_resolve(self):
         # the traced benchmark wraps these module globals by name

@@ -10,13 +10,13 @@ from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology
                            scattering_from_capacitances)
 from bdris.errors import DegenerateInputError, SingularNetworkError
 from bdris.experiments import _state_from_thetas, solve_trials
-from bdris.matrixkit import (duplication_matrix, kron, leading_right_singular_vector,
+from bdris.matrixkit import (duplication_matrix, leading_right_singular_vector,
                              unvech, vech)
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
-                             _snap, first_column, frank_wolfe,
-                             frank_wolfe_batch, reduced_adjoint, relaxed_block_branches,
-                             snap_to_codebook, stack_factors, stack_fc, stack_gc)
-from reference_stack import reduced_stack
+                             _snap, first_column, frank_wolfe_batch, reduced_adjoint,
+                             relaxed_block_branches, snap_to_codebook, stack_factors,
+                             stack_fc, stack_gc)
+from reference_stack import frank_wolfe, reduced_stack
 
 PARAMS = CircuitParams.defaults()
 SELF_RANGE = (0.1e-12, 2e-12)
@@ -141,7 +141,7 @@ class TestStacking:
             topo = RisTopology(d, d // d_bar)
             g, f = ch.g[0], ch.f[0][0]
             explicit = np.hstack([
-                kron(g[k:k + d_bar].T, f[k:k + d_bar].conj()[None, :])
+                np.kron(g[k:k + d_bar].T, f[k:k + d_bar].conj()[None, :])
                 @ duplication_matrix(d_bar) for k in range(0, d, d_bar)])
             gram, _ = stack_gc(ch, weights, topo, 0)
             assert np.abs(gram - explicit @ explicit.conj().T).max() < 1e-13
