@@ -156,10 +156,11 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         path, raw = item.split("=", 1)
         keys = path.strip().split(".")
         target = out
-        for key in keys[:-1]:
-            if not isinstance(target.get(key), dict):
-                target[key] = {}
-            target = target[key]
+        for i, key in enumerate(keys[:-1]):
+            target = target.setdefault(key, {})
+            if not isinstance(target, dict):
+                raise ConfigError(f"override {item!r}: {'.'.join(keys[:i + 1])} "
+                                  f"is not a mapping")
         target[keys[-1]] = yaml.safe_load(raw)
     return out
 
@@ -384,6 +385,13 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
             chk.require(all(served) if split else any(served), f"experiments.{name}.weight_sets",
                         f"set {i + 1}: {'every' if split else 'some'} base station it weights "
                         f"needs a positive weight in optimization.user_weights")
+        grid = [d for d in exps.get(name, {}).get("d_grid", []) if isinstance(d, int) and d >= 1]
+        groups = min(([g] if isinstance(g, int) and g >= 1 and "group-connected" in archs
+                      else []) + (grid if "single-connected" in archs else []), default=len(bs))
+        for i, w in enumerate(ws if ws_ok else []):
+            chk.require(sum(x > 0 for x in w) <= groups, f"experiments.{name}.weight_sets",
+                        f"set {i + 1} weights more base stations than the {groups} groups "
+                        f"a split surface divides among them")
         modes = exps.get(name, {}).get("link_modes", [])
         chk.require(modes and all(mode in (BLOCKED, AVAILABLE) for mode in modes),
                     f"experiments.{name}.link_modes",
@@ -398,7 +406,7 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     victim = itf.get("victim_bs", 0)
     if chk.require(isinstance(victim, int) and 1 <= victim <= len(bs),
                    "experiments.interference.victim_bs", "must be a 1-based base station index"):
-        aided = 2 if victim == 1 else 1  # the first base station other than the victim
+        aided = aided_bs(victim - 1) + 1
         if chk.require(aided <= len(bs), "experiments.interference.victim_bs",
                        "interference needs a second base station, which the surface aids"):
             chk.require(not nu_ok or any(w > 0 for w in nu[aided - 1]),
@@ -425,6 +433,12 @@ def cap_ranges(cfg: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     lo, hi = ci["self_cap_range_pf"]
     lo_t, hi_t = ci["inter_cap_range_pf"]
     return (picofarad(lo), picofarad(hi)), (picofarad(lo_t), picofarad(hi_t))
+
+
+def aided_bs(victim: int) -> int:
+    """Base station the interference experiment's surface aids: the first one
+    other than the victim (both 0-based)."""
+    return 1 if victim == 0 else 0
 
 
 def base_scenario(cfg: dict, direct_links: str,
@@ -456,14 +470,11 @@ def single_user_scenario(cfg: dict, bs: int, user: int, frequency: float,
 
 
 def power_config(cfg: dict, scenario: NetworkScenario) -> PowerConfig:
-    """Power budget for a scenario; uniform fractions when the configured
-    alpha layout does not match the scenario's user layout."""
+    """Power budget of ``power``, whose alpha layout must match the scenario's."""
     pw = cfg["power"]
-    p = dbm_to_watts(pw["total_dbm"])
-    noise = dbm_to_watts(pw["noise_dbm"])
-    alpha = pw.get("alpha")
-    layout = tuple(len(row) for row in alpha) if isinstance(alpha, list) else ()
-    if layout == scenario.users_per_bs:
-        return PowerConfig(p=p, alpha=tuple(tuple(map(float, row)) for row in alpha),
-                           noise=noise)
-    return PowerConfig.uniform(scenario, p, noise)
+    alpha = tuple(tuple(map(float, row)) for row in pw["alpha"])
+    if tuple(map(len, alpha)) != scenario.users_per_bs:
+        raise ValueError(f"power.alpha layout {tuple(map(len, alpha))} does not match "
+                         f"the scenario's users per base station {scenario.users_per_bs}")
+    return PowerConfig(p=dbm_to_watts(pw["total_dbm"]), alpha=alpha,
+                       noise=dbm_to_watts(pw["noise_dbm"]))

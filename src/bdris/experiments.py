@@ -3,14 +3,15 @@
 This module holds the Monte Carlo engine.  :func:`solve_trials` is the one
 configuration pipeline, public as ``bdris.solve_trials``: relaxed solve,
 branch retrieval, and a :class:`TrialState` that snaps to any codebook set.
-Each experiment lists its grid points (:class:`Point`) and runs them all
-through :func:`_run_sweep`, the one trial loop.  It walks the (point, trial)
+Each experiment builds one list of curves, each a table name, a grid point
+(:class:`Point`) and a rows function, and runs all their points through
+:func:`_run_sweep`, the one trial loop.  It walks the (point, trial)
 units in point-major order, draws each trial's fading on its own
 deterministic substream, solves the relaxed problem once per trial
 (frequency blind, from each sub-problem's Gram matrix), hands the solution
 to the point's ``evaluate`` (codebook projection, scattering, metrics), and
-redraws failed draws against one budget per point.  The experiment then
-aggregates mean and standard error per grid point.
+redraws failed draws against one budget per point.  Each curve's rows
+function then aggregates its point's samples into mean and standard error.
 
 Conditional-gradient solves are pooled across trials, priority base stations
 and grid points: consecutive direct-link units form batches of at most
@@ -23,16 +24,15 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .channel import (AVAILABLE, BLOCKED, NetworkScenario, sample_channels,
+from .channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, sample_channels,
                       stream_rng)
 from .circuit import CapacitancePlan, Codebook, RisTopology, build_codebook, \
     scattering_from_capacitances
-from .config import cap_ranges, circuit_params, ghz, power_config, \
-    base_scenario, single_user_scenario
+from .config import aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, \
+    power_config, base_scenario, single_user_scenario
 from .errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
 from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
@@ -358,124 +358,113 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
     return samples
 
 
-def _sim_settings(cfg: dict) -> tuple[int, int, tuple[str, ...]]:
-    sim = cfg["simulation"]
-    return int(sim["trials"]), int(sim["seed"]), tuple(sim["architectures"])
-
-
 def _ghz_grid(start: float, stop: float, step: float) -> np.ndarray:
     return np.round(np.arange(float(start), float(stop) + float(step) / 2.0,
                               float(step)), 9)
 
 
-def _weight_tag(weight_set: list[float]) -> str:
-    return "mu_" + "_".join(f"{w:g}" for w in weight_set)
+class _Settings:
+    """What every experiment reads of a validated config.
 
+    An experiment is a list of curves, each a (table name, :class:`Point`,
+    rows function); :meth:`tabulate` runs all their points in one sweep.
+    """
 
-def _tracked_powers(chans, freqs_hz, plan_at, params, power) -> dict[int, float]:
-    """Received power of the single tracked user at each frequency index, with
-    the surface set to ``plan_at(f)`` and its scattering evaluated at f."""
-    out, left = {}, np.conj(chans.f[0]).T
-    for fi, f in enumerate(freqs_hz):
-        rows = scattering_from_capacitances(plan_at(f), f, params, left)
-        out[fi] = evaluate_received_powers(chans, [rows], power).user_powers[0][0]
-    return out
+    def __init__(self, cfg: dict):
+        sim, op = cfg["simulation"], cfg["optimization"]
+        self.trials, self.seed = int(sim["trials"]), int(sim["seed"])
+        self.archs = tuple(sim["architectures"])
+        self.params = circuit_params(cfg)
+        self.cap_ranges = cap_ranges(cfg)
+        self.bits = cfg["circuit"]["codebook_bits"]
+        self.group_count = op["group_count"]
+        self.fw = FwConfig(op["fw_iterations"], op["fw_step_rule"])
+        self.nu = tuple(tuple(map(float, row)) for row in op["user_weights"])
 
+    def codebook(self, f: float) -> Codebook:
+        return build_codebook(f, self.bits, *self.cap_ranges, self.params)
 
-def _frequency_rows(ghz_values, label: str, samples, trials: int) -> list[ResultRow]:
-    rows = []
-    for fi, f_ghz in enumerate(ghz_values):
-        mean, stderr = aggregate(samples[fi])
-        rows.append(ResultRow("frequency_ghz", float(f_ghz), label,
-                              "received_power_w", mean, stderr, trials))
-    return rows
+    def row(self, variable: str, value, label: str, metric: str, samples) -> ResultRow:
+        return ResultRow(variable, value, label, metric, *aggregate(samples), self.trials)
+
+    def tabulate(self, curves) -> dict[str, AggregateResult]:
+        """Tables of ``curves``: each curve's rows function turns the samples
+        of its point (see :func:`_run_sweep`) into the rows it appends to its
+        table, in curve order."""
+        tables: dict[str, list[ResultRow]] = {}
+        for (name, _, rows), samples in zip(curves, _run_sweep(
+                [point for _, point, _ in curves], self.seed, self.trials, self.params.z0)):
+            tables.setdefault(name, []).extend(rows(samples))
+        return {name: AggregateResult(tuple(rows)) for name, rows in tables.items()}
 
 
 # ---------------------------------------------------------------------------
-# freq-response: received power versus operating frequency, surface
-# reconfigured (re-projected onto that frequency's codebook) at every grid
-# point; the relaxed solve is frequency blind and done once per trial.
+# freq-response / target-shift: received power of one tracked user, served
+# alone with the whole power budget, versus operating frequency.  The relaxed
+# solve is frequency blind and done once per trial; freq-response re-projects
+# it onto each frequency's codebook, target-shift holds the plan snapped onto
+# its target frequency's codebook.
+
+_TRACKED = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
+
+
+def _tracked_curves(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
+                    codebooks: list[Codebook], grid) -> list:
+    """Curves of table ``name``, one per (label, architecture, element count)
+    in ``grid``, of the tracked user's received power at ``ghz_values``.
+
+    At each frequency the surface is snapped onto that frequency's entry of
+    ``codebooks``, re-snapped only where the entry changes: one plan is held
+    at a time.  The scenario operates at ``codebooks[0]``'s frequency.
+    """
+    exp, pw = cfg["experiments"][key], cfg["power"]
+    scenario = single_user_scenario(cfg, exp["tracked_bs"] - 1, exp["tracked_user"] - 1,
+                                    codebooks[0].frequency, BLOCKED)
+    power = PowerConfig(dbm_to_watts(pw["total_dbm"]), ((1.0,),),
+                        dbm_to_watts(pw["noise_dbm"]))
+    freqs = [ghz(f) for f in ghz_values]
+
+    def evaluate(chans, state):
+        left, held, out = np.conj(chans.f[0]).T, None, {}
+        for fi, (f, codebook) in enumerate(zip(freqs, codebooks)):
+            if codebook is not held:
+                held, plan = codebook, state.plan({0: codebook})
+            rows = scattering_from_capacitances(plan, f, s.params, left)
+            out[fi] = evaluate_received_powers(chans, [rows], power).user_powers[0][0]
+        return out
+
+    curves = []
+    for label, arch, d in grid:
+        topo = topology_for(arch, d, s.group_count)
+        curves.append((name, Point(scenario, d, topo, GroupAssignment.single(0, topo),
+                                   _TRACKED, None, evaluate, f"{key} {label}"),
+                       lambda samples, label=label: [
+                           s.row("frequency_ghz", float(x), label, "received_power_w",
+                                 samples[fi]) for fi, x in enumerate(ghz_values)]))
+    return curves
 
 
 def freq_response(cfg: dict) -> dict[str, AggregateResult]:
-    exp = cfg["experiments"]["freq-response"]
-    trials, seed, archs = _sim_settings(cfg)
-    params = circuit_params(cfg)
-    self_range, inter_range = cap_ranges(cfg)
-    bits = cfg["circuit"]["codebook_bits"]
-    group_count = cfg["optimization"]["group_count"]
-    bs, user = exp["tracked_bs"] - 1, exp["tracked_user"] - 1
+    s, exp = _Settings(cfg), cfg["experiments"]["freq-response"]
     grid = exp["grid_ghz"]
     ghz_values = _ghz_grid(grid["start"], grid["stop"], grid["step"])
-    freqs_hz = [ghz(f) for f in ghz_values]
-    codebooks = {f: build_codebook(f, bits, self_range, inter_range, params)
-                 for f in freqs_hz}
-    weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-    scenario = single_user_scenario(cfg, bs, user, freqs_hz[0], BLOCKED)
-    power = power_config(cfg, scenario)
-
-    def evaluate(chans, state):
-        return _tracked_powers(chans, freqs_hz,
-                               lambda f: state.plan({0: codebooks[f]}),
-                               params, power)
-
-    labels, points = [], []
-    for d in exp["d_values"]:
-        for arch in archs:
-            topo = topology_for(arch, d, group_count)
-            labels.append(f"{arch} D={d}")
-            points.append(Point(scenario, d, topo, GroupAssignment.single(0, topo),
-                                weights, None, evaluate,
-                                f"freq-response {labels[-1]}"))
-    rows = []
-    for label, samples in zip(labels, _run_sweep(points, seed, trials, params.z0)):
-        rows.extend(_frequency_rows(ghz_values, label, samples, trials))
-    return {"freq_response": AggregateResult(tuple(rows))}
-
-
-# ---------------------------------------------------------------------------
-# target-shift: configure once for a priority frequency, then sweep the
-# operating frequency with the capacitance plan held fixed.
+    return s.tabulate(_tracked_curves(
+        s, cfg, "freq-response", "freq_response", ghz_values,
+        [s.codebook(ghz(f)) for f in ghz_values],
+        [(f"{arch} D={d}", arch, d) for d in exp["d_values"] for arch in s.archs]))
 
 
 def target_shift(cfg: dict) -> dict[str, AggregateResult]:
-    exp = cfg["experiments"]["target-shift"]
-    trials, seed, archs = _sim_settings(cfg)
-    params = circuit_params(cfg)
-    self_range, inter_range = cap_ranges(cfg)
-    bits = cfg["circuit"]["codebook_bits"]
-    group_count = cfg["optimization"]["group_count"]
-    bs, user = exp["tracked_bs"] - 1, exp["tracked_user"] - 1
-    d = exp["d"]
-    weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-
-    def evaluate(chans, state, codebook, freqs_hz, power):
-        plan = state.plan({0: codebook})
-        return _tracked_powers(chans, freqs_hz, lambda f: plan, params, power)
-
-    out, curves, points = {}, [], []
-    for target_ghz in exp["targets_ghz"]:
-        f_star = ghz(target_ghz)
-        ghz_values = _ghz_grid(target_ghz - exp["half_span_ghz"],
-                               target_ghz + exp["half_span_ghz"], exp["step_ghz"])
-        freqs_hz = [ghz(f) for f in ghz_values]
-        codebook = build_codebook(f_star, bits, self_range, inter_range, params)
-        scenario = single_user_scenario(cfg, bs, user, f_star, BLOCKED)
-        power = power_config(cfg, scenario)
-        name = "target_shift_" + f"{target_ghz:g}".replace(".", "p") + "ghz"
-        out[name] = []
-        for arch in archs:
-            topo = topology_for(arch, d, group_count)
-            curves.append((name, ghz_values, arch))
-            points.append(Point(scenario, d, topo, GroupAssignment.single(0, topo),
-                                weights, None,
-                                partial(evaluate, codebook=codebook, freqs_hz=freqs_hz,
-                                        power=power),
-                                f"target-shift {arch}"))
-    for (name, ghz_values, arch), samples in zip(
-            curves, _run_sweep(points, seed, trials, params.z0)):
-        out[name].extend(_frequency_rows(ghz_values, arch, samples, trials))
-    return {name: AggregateResult(tuple(rows)) for name, rows in out.items()}
+    s, exp = _Settings(cfg), cfg["experiments"]["target-shift"]
+    curves = []
+    for target in exp["targets_ghz"]:
+        ghz_values = _ghz_grid(target - exp["half_span_ghz"],
+                               target + exp["half_span_ghz"], exp["step_ghz"])
+        curves += _tracked_curves(
+            s, cfg, "target-shift", "target_shift_" + f"{target:g}".replace(".", "p") + "ghz",
+            ghz_values, [s.codebook(ghz(target))] * len(ghz_values),
+            [(arch, arch, exp["d"]) for arch in s.archs])
+    return s.tabulate(curves)
 
 
 # ---------------------------------------------------------------------------
@@ -483,74 +472,45 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
 # several base-station weight sets, with blocked or available direct links.
 
 
-def _power_points(cfg: dict, weight_set: list[float], link_mode: str,
-                  d_grid: list[int]) -> list[tuple[str, int, Point]]:
-    """(architecture, element count, point) of one power sweep, architecture
-    by architecture."""
-    _, _, archs = _sim_settings(cfg)
-    params = circuit_params(cfg)
-    self_range, inter_range = cap_ranges(cfg)
-    bits = cfg["circuit"]["codebook_bits"]
-    group_count = cfg["optimization"]["group_count"]
-    fw = FwConfig(cfg["optimization"]["fw_iterations"],
-                  cfg["optimization"]["fw_step_rule"])
-
-    scenario = base_scenario(cfg, direct_links=link_mode)
-    power = power_config(cfg, scenario)
-    nu = tuple(tuple(map(float, row)) for row in cfg["optimization"]["user_weights"])
-    weights = ObjectiveWeights(mu=tuple(map(float, weight_set)), nu=nu)
+def _power_experiment(cfg: dict, key: str, keep) -> dict[str, AggregateResult]:
+    """One table per (weight set, link mode), holding the rows whose metric
+    name satisfies ``keep``."""
+    s, exp = _Settings(cfg), cfg["experiments"][key]
+    scenarios = {mode: base_scenario(cfg, direct_links=mode) for mode in (BLOCKED, AVAILABLE)}
+    power = power_config(cfg, scenarios[BLOCKED])  # the same users under either mode
+    freqs = scenarios[BLOCKED].frequencies
+    codebooks = {b: s.codebook(f) for b, f in enumerate(freqs)}
     preferred = ghz(cfg["optimization"]["target_frequency_ghz"])
-    codebooks = {b: build_codebook(f, bits, self_range, inter_range, params)
-                 for b, f in enumerate(scenario.frequencies)}
 
     def evaluate(chans, state):
         plan = state.plan(codebooks)
-        rows = [scattering_from_capacitances(plan, f, params, np.conj(chans.f[b]).T)
-                for b, f in enumerate(scenario.frequencies)]
+        rows = [scattering_from_capacitances(plan, f, s.params, np.conj(chans.f[b]).T)
+                for b, f in enumerate(freqs)]
         result = evaluate_received_powers(chans, rows, power)
-        per_bs = sum_power_per_bs(result)
-        metrics = {f"sum_power_bs{b + 1}_w": v for b, v in enumerate(per_bs)}
+        metrics = {f"sum_power_bs{b + 1}_w": v for b, v in enumerate(sum_power_per_bs(result))}
         metrics["network_sum_power_w"] = network_sum_power(result)
         return metrics
 
-    points = []
-    for arch in archs:
-        for d in d_grid:
-            topo = topology_for(arch, d, group_count)
-            if topo.g == 1:
-                target = fc_target_bs(weights, scenario.frequencies, preferred)
-                assignment = GroupAssignment.single(target, topo)
-            else:
-                assignment = priority_assignment(weights, topo)
-            points.append((arch, d, Point(
-                scenario, d, topo, assignment, weights,
-                fw if link_mode == AVAILABLE else None, evaluate,
-                f"{arch} D={d} {link_mode}")))
-    return points
-
-
-def _power_experiment(cfg: dict, key: str, keep) -> dict[str, AggregateResult]:
-    """One table per (weight set, link mode), holding the rows whose metric
-    name satisfies ``keep``; every table's points run in one sweep."""
-    exp = cfg["experiments"][key]
-    trials, seed, _ = _sim_settings(cfg)
-    prefix = key.replace("-", "_")
-    out, curves, points = {}, [], []
+    curves = []
     for weight_set in exp["weight_sets"]:
+        weights = ObjectiveWeights(mu=tuple(map(float, weight_set)), nu=s.nu)
+        tag = "_".join(f"{w:g}" for w in weight_set)
         for mode in exp["link_modes"]:
-            name = f"{prefix}__{_weight_tag(weight_set)}__{mode}"
-            out[name] = []
-            for arch, d, point in _power_points(cfg, weight_set, mode, exp["d_grid"]):
-                curves.append((name, arch, d))
-                points.append(point)
-    for (name, arch, d), samples in zip(
-            curves, _run_sweep(points, seed, trials, circuit_params(cfg).z0)):
-        for metric, values in samples.items():
-            if keep(metric):
-                mean, stderr = aggregate(values)
-                out[name].append(ResultRow("elements", int(d), arch, metric, mean,
-                                           stderr, trials))
-    return {name: AggregateResult(tuple(rows)) for name, rows in out.items()}
+            for arch in s.archs:
+                for d in exp["d_grid"]:
+                    topo = topology_for(arch, d, s.group_count)
+                    assignment = (
+                        GroupAssignment.single(fc_target_bs(weights, freqs, preferred), topo)
+                        if topo.g == 1 else priority_assignment(weights, topo))
+                    curves.append((
+                        f"{key.replace('-', '_')}__mu_{tag}__{mode}",
+                        Point(scenarios[mode], d, topo, assignment, weights,
+                              s.fw if mode == AVAILABLE else None, evaluate,
+                              f"{arch} D={d} {mode}"),
+                        lambda samples, arch=arch, d=d: [
+                            s.row("elements", int(d), arch, metric, values)
+                            for metric, values in samples.items() if keep(metric)]))
+    return s.tabulate(curves)
 
 
 def per_bs_power(cfg: dict) -> dict[str, AggregateResult]:
@@ -570,70 +530,46 @@ def network_power(cfg: dict) -> dict[str, AggregateResult]:
 
 
 def interference(cfg: dict) -> dict[str, AggregateResult]:
-    exp = cfg["experiments"]["interference"]
-    trials, seed, archs = _sim_settings(cfg)
-    params = circuit_params(cfg)
-    self_range, inter_range = cap_ranges(cfg)
-    bits = cfg["circuit"]["codebook_bits"]
-    group_count = cfg["optimization"]["group_count"]
-    fw = FwConfig(cfg["optimization"]["fw_iterations"],
-                  cfg["optimization"]["fw_step_rule"])
-
+    s, exp = _Settings(cfg), cfg["experiments"]["interference"]
     victim = exp["victim_bs"] - 1
-    num_bs = len(cfg["scenario"]["bs_positions_m"])
-    aided = min(b for b in range(num_bs) if b != victim)
+    aided = aided_bs(victim)
     freqs = [ghz(f) for f in cfg["scenario"]["frequencies_ghz"]]
     freqs[victim] = ghz(exp["interferer_frequency_ghz"])
+    weights = ObjectiveWeights(mu=tuple(float(b == aided) for b in range(len(freqs))),
+                               nu=s.nu)
+    codebook = s.codebook(freqs[aided])
+    power = power_config(cfg, base_scenario(cfg, direct_links=AVAILABLE))
+    metric = f"sum_se_bs{victim + 1}"
 
-    nu = tuple(tuple(map(float, row)) for row in cfg["optimization"]["user_weights"])
-    mu = tuple(1.0 if b == aided else 0.0 for b in range(num_bs))
-    weights = ObjectiveWeights(mu=mu, nu=nu)
-    ref_metric = f"sum_se_bs{victim + 1}_ref"
-    act_metric = f"sum_se_bs{victim + 1}"
+    def evaluator(reference: bool):
+        def evaluate(chans, state):
+            rows = scattering_from_capacitances(state.plan({aided: codebook}), freqs[victim],
+                                                s.params, np.conj(chans.f[victim]).T)
+            out = {metric: sum_spectral_efficiency_outdated(chans, victim, rows, power)}
+            if reference:  # surface-free, so the first architecture's rows carry it
+                out["interference-free"] = sum_spectral_efficiency_outdated(
+                    chans, victim, np.zeros_like(rows), power)
+            return out
+        return evaluate
 
-    def evaluate(chans, state, scenario, power, codebook, with_reference):
-        plan = state.plan({aided: codebook})
-        rows_at_victim = scattering_from_capacitances(
-            plan, scenario.frequencies[victim], params, np.conj(chans.f[victim]).T)
-        metrics = {act_metric: sum_spectral_efficiency_outdated(
-            chans, victim, rows_at_victim, power)}
-        if with_reference:
-            # Surface-free, so identical for every architecture: the
-            # first architecture's rows carry it.
-            metrics[ref_metric] = sum_spectral_efficiency_outdated(
-                chans, victim, np.zeros_like(rows_at_victim), power)
-        return metrics
-
-    out, curves, points = {}, [], []
+    curves = []
     for position in exp["ris_positions_m"]:
         scenario = base_scenario(cfg, direct_links=AVAILABLE,
                                  ris_position=tuple(map(float, position)),
                                  frequencies=tuple(freqs))
-        power = power_config(cfg, scenario)
-        codebook = build_codebook(scenario.frequencies[aided], bits,
-                                  self_range, inter_range, params)
         name = "interference_" + f"x{position[0]:g}_y{position[1]:g}".replace(".", "p")
-        out[name] = []
-        for arch in archs:
+        for arch in s.archs:
             for d in exp["d_grid"]:
-                topo = topology_for(arch, d, group_count)
-                with_reference = arch == archs[0]
-                curves.append((name, arch, d, with_reference))
-                points.append(Point(
-                    scenario, d, topo, GroupAssignment.single(aided, topo), weights, fw,
-                    partial(evaluate, scenario=scenario, power=power, codebook=codebook,
-                            with_reference=with_reference),
-                    f"interference {arch} D={d} at {position}"))
-    for (name, arch, d, with_reference), samples in zip(
-            curves, _run_sweep(points, seed, trials, params.z0)):
-        mean, stderr = aggregate(samples[act_metric])
-        out[name].append(ResultRow("elements", int(d), arch, act_metric,
-                                   mean, stderr, trials))
-        if with_reference:
-            mean, stderr = aggregate(samples[ref_metric])
-            out[name].append(ResultRow("elements", int(d), "interference-free",
-                                       act_metric, mean, stderr, trials))
-    return {name: AggregateResult(tuple(rows)) for name, rows in out.items()}
+                topo = topology_for(arch, d, s.group_count)
+                curves.append((
+                    name, Point(scenario, d, topo, GroupAssignment.single(aided, topo),
+                                weights, s.fw, evaluator(arch == s.archs[0]),
+                                f"interference {arch} D={d} at {position}"),
+                    lambda samples, arch=arch, d=d: [
+                        s.row("elements", int(d), label, metric, samples[key])
+                        for label, key in ((arch, metric), ("interference-free",) * 2)
+                        if key in samples]))
+    return s.tabulate(curves)
 
 
 RUNNERS = {

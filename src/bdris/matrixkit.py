@@ -93,36 +93,26 @@ def duplication_matrix(d: int) -> np.ndarray:
     return dd
 
 
-def leading_right_singular_vector(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit-norm right singular vector of the largest singular value, and that value.
+def leading_right_singular_vector(k: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit-norm leading singular vector of a Hermitian positive semidefinite
+    matrix, and its singular value.
 
-    Computed from the top eigenpair of the smaller Gram matrix: for a wide
-    matrix (rows < cols) the eigenvector u of a a^H gives
-    v = a^H u / ||a^H u||; otherwise v is the top eigenvector of a^H a (for a
-    Hermitian positive semidefinite a, its top eigenvector, with sigma = lambda).  The singular value is the square root of the
-    eigenvalue, accurate to machine precision relative to sigma because the
-    eigenvalue's error is of order eps * sigma^2.  The cost is one Gram
-    product and a min(rows, cols)-order eigensolve, an order of magnitude
-    below a thin SVD of the same matrix.
+    For such a matrix these are its top eigenpair, taken from one
+    ``eigh(k)``, which reads only the lower triangle.  For the Gram matrix
+    K = R R^H of a matrix R they are R's leading left singular vector and
+    squared singular value.
 
     The phase is normalized so the first entry with magnitude above 1e-12 is
     real and nonnegative, making the returned vector a canonical
     representative of the (phase-ambiguous) singular direction.
     """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    if not np.any(a):
+    k = np.asarray(k)
+    if k.ndim != 2 or k.shape[0] != k.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {k.shape}")
+    if not np.any(k):
         raise DegenerateInputError("all-zero matrix has no leading singular direction")
-    ah = a.conj().T
-    if a.shape[0] < a.shape[1]:
-        eigvals, eigvecs = np.linalg.eigh(a @ ah)
-        v = ah @ eigvecs[:, -1]
-        v /= np.linalg.norm(v)
-    else:
-        eigvals, eigvecs = np.linalg.eigh(ah @ a)
-        v = eigvecs[:, -1]
-    return _canonical_phase(v), float(np.sqrt(max(eigvals[-1], 0.0)))
+    eigvals, eigvecs = np.linalg.eigh(k)
+    return _canonical_phase(eigvecs[:, -1]), float(max(eigvals[-1], 0.0))
 
 
 def _canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:

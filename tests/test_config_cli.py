@@ -218,6 +218,33 @@ def test_rejected_file_names_path_and_line(experiment, text, line, path, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides, path", [
+    # group-connected: two weighted base stations, one group
+    (["optimization.group_count=1"], "experiments.per-bs-power.weight_sets"),
+    # single-connected: as many groups as elements, one at D = 1
+    (["simulation.architectures=[single-connected]",
+      "experiments.network-power.d_grid=[1, 20]"], "experiments.network-power.weight_sets"),
+])
+def test_weight_set_needs_a_group_per_weighted_bs(overrides, path):
+    cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)
+    assert any(e.startswith(f"<config>: {path}: set 1 weights more base stations")
+               for e in validate_config(cfg))
+
+
+def test_three_bs_over_two_groups_rejected(tmp_path, capsys):
+    # three weighted base stations, two groups: the run died splitting them
+    text = ("scenario:\n  bs_positions_m: [[0, 0], [80, 0], [40, 60]]\n"
+            "  user_positions_m: [[[25, 10]], [[70, 10]], [[40, 40]]]\n"
+            "  frequencies_ghz: [7.4, 8.0, 8.6]\n"
+            "optimization:\n  user_weights: [[1], [1], [1]]\n"
+            "power:\n  alpha: [[1], [1], [1]]\n"
+            "simulation:\n  architectures: [group-connected]\n"
+            "experiments:\n  per-bs-power:\n    weight_sets: [[1, 1, 0]]\n"
+            "  network-power:\n    weight_sets: [[1, 1, 1]]\n")
+    test_rejected_file_names_path_and_line(
+        "network-power", text, 15, "experiments.network-power.weight_sets", tmp_path, capsys)
+
+
 class TestOverridesAndHash:
     def test_override_types(self):
         cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG),
@@ -232,6 +259,20 @@ class TestOverridesAndHash:
         from bdris.errors import ConfigError
         with pytest.raises(ConfigError):
             apply_overrides({}, ["no_equals_sign"])
+
+    def test_override_into_non_mapping_rejected(self, tmp_path, capsys):
+        from bdris.errors import ConfigError
+        overrides = ["scenario=5", "scenario.m_antennas=3"]
+        with pytest.raises(ConfigError, match="'scenario.m_antennas=3': scenario is not"):
+            apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)
+        with pytest.raises(ConfigError, match=": experiments.interference.d_grid is not"):
+            apply_overrides(copy.deepcopy(DEFAULT_CONFIG),
+                            ["experiments.interference.d_grid.first=4"])
+        assert main(["run", "freq-response", "--out", str(tmp_path / "out"),
+                     "--override", overrides[0], "--override", overrides[1]]) == 1
+        err = capsys.readouterr().err
+        assert "scenario is not a mapping" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_hash_stability_and_sensitivity(self):
         a = config_hash(copy.deepcopy(DEFAULT_CONFIG))

@@ -366,6 +366,41 @@ def test_frequency_sweeps_redraw_degenerate_draws(monkeypatch, runner, key, sect
         runner(copy.deepcopy(cfg))
 
 
+@pytest.mark.parametrize("runner, key, section, per_trial_and_point", [
+    (freq_response, "freq-response", FREQ_SWEEPS[0][2], 3),  # one per frequency
+    (target_shift, "target-shift", FREQ_SWEEPS[1][2], 1),  # the plan is held
+], ids=["freq-response", "target-shift"])
+def test_tracked_user_snap_counts(monkeypatch, runner, key, section, per_trial_and_point):
+    snap, calls = experiments.snap_to_codebook, []
+
+    def spy(*args):
+        calls.append(1)
+        return snap(*args)
+
+    monkeypatch.setattr(experiments, "snap_to_codebook", spy)
+    cfg = tiny_config(**{key: section})
+    runner(cfg)
+    points = len(cfg["simulation"]["architectures"])
+    assert len(calls) == cfg["simulation"]["trials"] * points * per_trial_and_point
+
+
+@pytest.mark.parametrize("runner, key, section", [s[:3] for s in FREQ_SWEEPS],
+                         ids=["freq-response", "target-shift"])
+def test_tracked_user_gets_whole_budget(runner, key, section):
+    cfg = tiny_config(**{key: section})
+    cfg["simulation"]["trials"] = 1
+    skewed = copy.deepcopy(cfg)
+    skewed["power"]["alpha"] = [[0.1, 0.9], [0.5, 0.5]]
+    assert runner(cfg) == runner(skewed)
+
+
+def test_power_config_rejects_layout_mismatch():
+    from bdris.config import power_config, single_user_scenario
+    scenario = single_user_scenario(DEFAULT_CONFIG, 0, 0, 7.4e9, BLOCKED)
+    with pytest.raises(ValueError, match="power.alpha layout"):
+        power_config(DEFAULT_CONFIG, scenario)
+
+
 class TestPowerSweeps:
     def test_per_bs_power_blocked(self):
         cfg = tiny_config(**{"per-bs-power": {

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdris.errors import DegenerateInputError
-from bdris.matrixkit import (duplication_matrix, leading_right_singular_vector, unvec,
-                             unvech, vec, vech, vech_indices)
+from bdris.matrixkit import (_canonical_phase, duplication_matrix,
+                             leading_right_singular_vector, unvec, unvech, vec, vech,
+                             vech_indices)
 
 
 def crandn(rng, *shape):
@@ -179,36 +180,41 @@ class TestLeadingRightSingularVector:
         assert np.allclose(v, [1.0, 0.0])
 
     def test_rank_one(self):
+        # K = a a^H for a = c u w^H: K = |c|^2 ||w||^2 u u^H
         rng = np.random.default_rng(7)
         u = crandn(rng, 4)
         w = crandn(rng, 3)
         c = 2.0 - 1.5j
         a = c * np.outer(u, w.conj())
-        v, sigma = leading_right_singular_vector(a)
-        assert sigma == pytest.approx(abs(c) * np.linalg.norm(u) * np.linalg.norm(w))
-        # v matches w up to the canonical phase
-        w_unit = w / np.linalg.norm(w)
-        w_unit = w_unit * np.conj(w_unit[0]) / abs(w_unit[0])
-        assert np.allclose(v, w_unit)
+        v, sigma = leading_right_singular_vector(a @ a.conj().T)
+        assert sigma == pytest.approx((abs(c) * np.linalg.norm(u) * np.linalg.norm(w)) ** 2)
+        # v matches u up to the canonical phase
+        u_unit = u / np.linalg.norm(u)
+        u_unit = u_unit * np.conj(u_unit[0]) / abs(u_unit[0])
+        assert np.allclose(v, u_unit)
 
     def test_maximizes_over_random_vectors(self):
         rng = np.random.default_rng(8)
         a = crandn(rng, 8, 6)
-        v, sigma = leading_right_singular_vector(a)
-        assert np.linalg.norm(a @ v) == pytest.approx(sigma)
-        x = crandn(rng, 6, 1000)
+        k = a @ a.conj().T
+        v, sigma = leading_right_singular_vector(k)
+        assert np.vdot(v, k @ v).real == pytest.approx(sigma)
+        x = crandn(rng, 8, 1000)
         x /= np.linalg.norm(x, axis=0)
-        assert np.linalg.norm(a @ x, axis=0).max() <= sigma + 1e-12
+        assert np.einsum("ij,ij->j", x.conj(), k @ x).real.max() <= sigma * (1 + 1e-12)
 
     def test_phase_normalization(self):
         rng = np.random.default_rng(9)
         a = crandn(rng, 5, 5)
-        v, _ = leading_right_singular_vector(a)
+        k = a @ a.conj().T
+        v, _ = leading_right_singular_vector(k)
         pivot = v[np.flatnonzero(np.abs(v) > 1e-12)[0]]
         assert abs(pivot.imag) < 1e-12 and pivot.real > 0
-        # a global phase on the input does not change the canonical output
-        v2, _ = leading_right_singular_vector(np.exp(0.7j) * a)
-        assert np.allclose(v, v2)
+        # a unitary similarity by a diagonal phase moves the direction by the
+        # same phases, which the canonical form then removes from the pivot
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
+        v2, _ = leading_right_singular_vector(phases[:, None] * k * phases.conj())
+        assert np.allclose(v2, _canonical_phase(phases * v))
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -217,15 +223,21 @@ class TestLeadingRightSingularVector:
     @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_svd(self, rows, cols, seed):
-        # wide, tall and square inputs, against the thin SVD as the oracle
+        # Gram matrices K = a a^H of wide, tall and square a, against the thin
+        # SVD of a as the oracle: K's leading direction is a's leading left
+        # singular vector, its value the squared singular value
         a = crandn(np.random.default_rng(seed), rows, cols)
-        _, s, vh = np.linalg.svd(a, full_matrices=False)
+        u, s, _ = np.linalg.svd(a, full_matrices=False)
         # the singular direction is defined only up to phase when the top
         # singular value is (nearly) repeated
         assume(s.size == 1 or s[0] - s[1] > 1e-4 * s[0])
-        v, sigma = leading_right_singular_vector(a)
-        assert abs(sigma - s[0]) <= 1e-12 * s[0]
-        expected = vh[0].conj()
+        v, sigma = leading_right_singular_vector(a @ a.conj().T)
+        assert abs(sigma - s[0] ** 2) <= 1e-12 * s[0] ** 2
+        expected = u[:, 0]
         pivot = expected[np.flatnonzero(np.abs(expected) > 1e-12)[0]]
         expected = expected * np.conj(pivot) / np.abs(pivot)
         assert np.abs(v - expected).max() <= 1e-10
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            leading_right_singular_vector(np.ones((2, 3)))
