@@ -81,14 +81,6 @@ class RisTopology:
     def d_bar(self) -> int:
         return self.d // self.g
 
-    @property
-    def architecture(self) -> str:
-        if self.g == 1:
-            return "fully-connected"
-        if self.g == self.d:
-            return "single-connected"
-        return "group-connected"
-
     def group_slice(self, k: int) -> slice:
         if not 0 <= k < self.g:
             raise ValueError(f"group index {k} out of range for {self.g} groups")
@@ -344,47 +336,50 @@ def build_codebook(f: float, bits: int, self_range: tuple[float, float],
 
 @dataclass(frozen=True)
 class CapacitancePlan:
-    """Symmetric matrix of tunable capacitances for one surface.
+    """Tunable branch capacitances of one surface, group by group.
 
-    Diagonal entries drive the self branches, off-diagonal entries the
-    inter-element branches.  Entries outside the blocks of ``topology`` are
-    absent branches and are ignored by the circuit.
+    ``self_c`` (g, d_bar) drives each group's self branches and ``inter_c``
+    (g, d_bar (d_bar - 1) / 2) its inter-element branches, on the strict
+    upper triangle row by row: the layout
+    :func:`~bdris.optimizer.relaxed_block_branches` returns.  The topology
+    follows from the shapes.
     """
 
-    c: np.ndarray
-    topology: RisTopology
+    self_c: np.ndarray
+    inter_c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        if c.shape != (self.topology.d, self.topology.d):
-            raise ValueError(f"capacitance matrix must be {self.topology.d}x{self.topology.d}")
-        if not np.array_equal(c, c.T):
-            raise ValueError("capacitance matrix must be symmetric")
-        object.__setattr__(self, "c", c)
+        self_c, inter_c = np.asarray(self.self_c, float), np.asarray(self.inter_c, float)
+        g, n = self_c.shape if self_c.ndim == 2 else (0, 0)
+        if not g * n or inter_c.shape != (g, n * (n - 1) // 2):
+            raise ValueError(f"capacitance shapes {self_c.shape} and {inter_c.shape} are not "
+                             "(g, d_bar) and (g, d_bar (d_bar - 1) / 2)")
+        object.__setattr__(self, "self_c", self_c)
+        object.__setattr__(self, "inter_c", inter_c)
+
+    @property
+    def topology(self) -> RisTopology:
+        g, n = self.self_c.shape
+        return RisTopology(g * n, g)
 
 
 def random_plan(topology: RisTopology, self_range: tuple[float, float],
                 inter_range: tuple[float, float], rng: np.random.Generator) -> CapacitancePlan:
-    """Capacitances drawn uniformly within the tunable ranges (baseline plans)."""
-    d = topology.d
-    c = np.zeros((d, d))
-    c[np.diag_indices(d)] = rng.uniform(*self_range, size=d)
-    for k in range(topology.g):
-        sl = topology.group_slice(k)
-        d_bar = topology.d_bar
-        block = rng.uniform(*inter_range, size=(d_bar, d_bar))
-        block = np.triu(block, 1)
-        c[sl, sl] += block + block.T
-    return CapacitancePlan(c, topology)
+    """Capacitances drawn uniformly within the tunable ranges (baseline plans): all
+    self branches, then per group the strict upper triangle of a (d_bar, d_bar) draw."""
+    g, n = topology.g, topology.d_bar
+    self_c = rng.uniform(*self_range, size=(g, n))
+    iu, ju = strict_upper_indices(n)
+    inter_c = [rng.uniform(*inter_range, size=(n, n))[iu, ju] for _ in range(g)]
+    return CapacitancePlan(self_c, np.array(inter_c))
 
 
 def _network_matrices(plan: CapacitancePlan, f: float, params: CircuitParams) -> np.ndarray:
     """(g, d_bar, d_bar) stack of every group's A = I + z0 Y at ``f``, from its branches."""
-    g, n = plan.topology.g, plan.topology.d_bar
-    blocks = plan.c.reshape(g, n, g, n)[np.arange(g), :, np.arange(g)]
+    g, n = plan.self_c.shape
     ii, (iu, ju) = np.arange(n), strict_upper_indices(n)
-    self_z = self_impedance(blocks[:, ii, ii], f, params)
-    inter_z = inter_impedance(blocks[:, iu, ju], f, params)
+    self_z = self_impedance(plan.self_c, f, params)
+    inter_z = inter_impedance(plan.inter_c, f, params)
     zero = (self_z == 0).any(axis=1) | (inter_z == 0).any(axis=1)
     if zero.any():
         raise SingularBranchError(f"group {zero.argmax()}: zero branch impedance")
@@ -409,13 +404,12 @@ def scattering_from_capacitances(plan: CapacitancePlan, f: float, params: Circui
     refusing below 1 / CONDITION_LIMIT (or a non-finite solve) is never looser
     than :func:`_inverse_guarded`.  The error names the first failing group.
     """
-    topo = plan.topology
-    g, n = topo.g, topo.d_bar
-    left = np.eye(topo.d) if left is None else left
+    (g, n), d = plan.self_c.shape, plan.self_c.size
+    left = np.eye(d) if left is None else left
     if n == 1:
         # Every port only has its self branch: the network is a stack of
         # decoupled one-ports with reflection (z - z0) / (z + z0).
-        z = self_impedance(np.diag(plan.c), f, params)
+        z = self_impedance(plan.self_c.ravel(), f, params)
         return left.T * ((z - params.z0) / (z + params.z0))
     a, rhs = _network_matrices(plan, f, params), left.reshape(g, n, -1)
     rcond = 1.0 / (np.sqrt(n) * np.linalg.norm(a, 1, axis=(-2, -1)))
@@ -427,4 +421,4 @@ def scattering_from_capacitances(plan: CapacitancePlan, f: float, params: Circui
         k = int(np.argmin(ok))
         raise SingularNetworkError(
             f"group {k}: I + z0*Y is singular or ill-conditioned (rcond={rcond[k]:.2e})")
-    return (2.0 * x - rhs).transpose(2, 0, 1).reshape(-1, topo.d)
+    return (2.0 * x - rhs).transpose(2, 0, 1).reshape(-1, d)

@@ -246,6 +246,8 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     bs = sc.get("bs_positions_m", [])
     users = sc.get("user_positions_m", [])
     layout = [len(u) if isinstance(u, list) else 0 for u in users]
+    k_max = max(layout, default=0)
+    user_points = [p for u in users if isinstance(u, list) for p in u]
     freqs = sc.get("frequencies_ghz", [])
     chk.require(len(bs) >= 1, "scenario.bs_positions_m", "need at least one base station")
     chk.require(len(users) == len(bs),
@@ -257,13 +259,15 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
         chk.require(k >= 1, "scenario.user_positions_m",
                     f"base station {b + 1} needs at least one user")
     for path, points in (("scenario.bs_positions_m", bs),
-                         ("scenario.user_positions_m",
-                          [p for u in users if isinstance(u, list) for p in u]),
+                         ("scenario.user_positions_m", user_points),
                          ("scenario.ris_position_m", [sc.get("ris_position_m")])):
         chk.require(all(map(_is_point, points)), path, "positions must be finite (x, y) pairs")
+    for b, (p, u) in enumerate(zip(bs, users)):  # a zero distance has no path gain
+        chk.require(not isinstance(u, list) or p not in u, "scenario.user_positions_m",
+                    f"a user of base station {b + 1} sits on it")
     m = sc.get("m_antennas", 0)
     chk.require(isinstance(m, int) and m >= 1, "scenario.m_antennas", "must be a positive integer")
-    chk.require(not isinstance(m, int) or m >= max(layout, default=0), "scenario.m_antennas",
+    chk.require(not isinstance(m, int) or m >= k_max, "scenario.m_antennas",
                 "zero-forcing needs at least as many antennas as users per base station")
     for key in ("eta_direct", "eta_reflected"):
         chk.require(_is_number(sc.get(key)) and sc.get(key) > 0, f"scenario.{key}", "must be > 0")
@@ -396,10 +400,20 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
         chk.require(modes and all(mode in (BLOCKED, AVAILABLE) for mode in modes),
                     f"experiments.{name}.link_modes",
                     f"entries must be '{BLOCKED}' or '{AVAILABLE}'")
+        # F_b^H Theta G_b has rank <= D: zero-forcing K_b users needs D >= K_b
+        few = [d for d in grid if d < k_max]
+        chk.require(BLOCKED not in modes or not few, f"experiments.{name}.d_grid",
+                    f"blocked links zero-force {k_max} users of a base station only "
+                    f"with D >= {k_max} elements (found D={few})")
     itf = exps.get("interference", {})
     pos = itf.get("ris_positions_m", [])
     chk.require(pos and all(map(_is_point, pos)), "experiments.interference.ris_positions_m",
                 "must be a non-empty list of finite (x, y) positions")
+    for path, surfaces in (("scenario.ris_position_m", [sc.get("ris_position_m")]),
+                           ("experiments.interference.ris_positions_m", pos)):
+        for p in surfaces:
+            chk.require(p not in bs + user_points, path,
+                        f"the surface at {p} sits on a base station or user")
     f_itf = itf.get("interferer_frequency_ghz")
     chk.require(_is_number(f_itf) and f_itf > 0,
                 "experiments.interference.interferer_frequency_ghz", "must be > 0")

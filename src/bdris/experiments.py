@@ -108,7 +108,6 @@ class TrialState:
     against any codebook set.
     """
 
-    topo: RisTopology
     owner: np.ndarray
     thetas: dict[int, np.ndarray]
     self_y: np.ndarray
@@ -117,13 +116,12 @@ class TrialState:
     def plan(self, codebooks: dict[int, Codebook]) -> CapacitancePlan:
         """Capacitance plan snapping each group onto its priority base
         station's codebook in ``codebooks``."""
-        g, n = self.topo.g, self.topo.d_bar
-        caps = np.zeros((g, n, g, n))  # caps[k, :, k] is group k's block
+        self_c, inter_c = np.empty(self.self_y.shape), np.empty(self.inter_y.shape)
         for bs in set(self.owner.tolist()):  # np.unique imports numpy.ma: 1 MiB of RSS
             k = np.flatnonzero(self.owner == bs)
-            caps[k, :, k] = snap_to_codebook(self.self_y[k], self.inter_y[k],
-                                             codebooks[bs])
-        return CapacitancePlan(caps.reshape(self.topo.d, self.topo.d), self.topo)
+            self_c[k], inter_c[k] = snap_to_codebook(self.self_y[k], self.inter_y[k],
+                                                     codebooks[bs])
+        return CapacitancePlan(self_c, inter_c)
 
 
 def _factors(chans, weights: ObjectiveWeights, topo: RisTopology, bs: int):
@@ -214,7 +212,7 @@ def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
         owner[k] = bs
         blocks[k[:, None], rows, cols] = blocks[k[:, None], cols, rows] = \
             thetas[bs].reshape(g, -1)[k]
-    return TrialState(topo, owner, thetas, *relaxed_block_branches(blocks, z0))
+    return TrialState(owner, thetas, *relaxed_block_branches(blocks, z0))
 
 
 def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,

@@ -305,14 +305,9 @@ def relaxed_block_branches(theta_blocks: np.ndarray, z0: float
 
 
 def snap_to_codebook(self_y: np.ndarray, inter_y: np.ndarray,
-                     codebook: Codebook) -> np.ndarray:
-    """(g, d_bar, d_bar) capacitance blocks whose branches best match the
-    admittances :func:`relaxed_block_branches` returns, at the codebook
-    frequency (nearest codeword per branch, admittance distance)."""
-    g, n = self_y.shape
-    ii, (iu, ju) = np.arange(n), strict_upper_indices(n)
-    caps = np.zeros((g, n, n))
-    caps[:, ii, ii] = _snap(self_y, codebook.self_arc, codebook.self_caps)
-    caps[:, iu, ju] = caps[:, ju, iu] = _snap(inter_y, codebook.inter_arc,
-                                              codebook.inter_caps)
-    return caps
+                     codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """Self and inter-element capacitances (the layout of :func:`relaxed_block_branches`)
+    whose branches best match those admittances at the codebook frequency
+    (nearest codeword per branch, admittance distance)."""
+    return (_snap(self_y, codebook.self_arc, codebook.self_caps),
+            _snap(inter_y, codebook.inter_arc, codebook.inter_caps))

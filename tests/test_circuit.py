@@ -11,6 +11,7 @@ from bdris.circuit import (CONDITION_LIMIT, CapacitancePlan, CircuitParams, Code
 from bdris.circuit import _network_matrices
 from bdris.errors import (OpenCircuitError, SingularBranchError, SingularNetworkError)
 from bdris.optimizer import relaxed_block_branches
+from plan_matrix import plan_from_matrix, plan_matrix
 
 PARAMS = CircuitParams.defaults()
 
@@ -43,9 +44,9 @@ class TestCircuitParams:
 
 class TestRisTopology:
     def test_architectures(self):
-        assert RisTopology.fully_connected(8).architecture == "fully-connected"
-        assert RisTopology.group_connected(8, 2).architecture == "group-connected"
-        assert RisTopology.single_connected(8).architecture == "single-connected"
+        assert RisTopology.fully_connected(8) == RisTopology(8, 1)
+        assert RisTopology.group_connected(8, 2).d_bar == 4
+        assert RisTopology.single_connected(8) == RisTopology(8, 8)
         assert RisTopology(8, 8).d_bar == 1
 
     def test_group_must_divide(self):
@@ -353,7 +354,7 @@ class TestScatteringFromCapacitances:
     def test_single_connected_diagonal(self):
         topo = RisTopology.single_connected(2)
         c = np.diag([0.4e-12, 1.1e-12])
-        theta = scattering_from_capacitances(CapacitancePlan(c, topo), 7e9, PARAMS)
+        theta = scattering_from_capacitances(plan_from_matrix(c, topo), 7e9, PARAMS)
         assert np.allclose(theta, np.diag(np.diag(theta)))
         for p in range(2):
             z = self_impedance(c[p, p], 7e9, PARAMS)
@@ -362,14 +363,13 @@ class TestScatteringFromCapacitances:
     def test_phase_coverage_two_elements(self):
         # sweeping the three capacitances at one frequency reaches almost the
         # entire phase range of every scattering coefficient
-        topo = RisTopology.fully_connected(2)
         c_self = np.linspace(0.1e-12, 2e-12, 14)
         c_int = np.linspace(0.001e-12, 0.6e-12, 14)
         angles = {key: [] for key in ((0, 0), (1, 1), (0, 1))}
         for c1 in c_self:
             for c2 in c_self:
                 for ci in c_int:
-                    plan = CapacitancePlan(np.array([[c1, ci], [ci, c2]]), topo)
+                    plan = CapacitancePlan([[c1, c2]], [[ci]])
                     theta = scattering_from_capacitances(plan, 7e9, PARAMS)
                     for key in angles:
                         angles[key].append(np.angle(theta[key]))
@@ -413,22 +413,25 @@ class TestScatteringFromCapacitances:
         # with the inter-element capacitance fixed, at least one capacitance
         # pair sees the first reflection coefficient move by more than 90
         # degrees between 4 and 6 GHz
-        topo = RisTopology.fully_connected(2)
         best = 0.0
         for c1 in np.linspace(0.1e-12, 2e-12, 12):
             for c2 in np.linspace(0.1e-12, 2e-12, 12):
-                plan = CapacitancePlan(np.array([[c1, 0.2e-12], [0.2e-12, c2]]), topo)
+                plan = CapacitancePlan([[c1, c2]], [[0.2e-12]])
                 t4 = scattering_from_capacitances(plan, 4e9, PARAMS)[0, 0]
                 t6 = scattering_from_capacitances(plan, 6e9, PARAMS)[0, 0]
                 best = max(best, abs(np.angle(t6 / t4)))
         assert np.degrees(best) > 90.0
 
     def test_plan_validation(self):
-        topo = RisTopology.fully_connected(2)
-        with pytest.raises(ValueError):
-            CapacitancePlan(np.array([[1e-12, 2e-12], [3e-12, 1e-12]]), topo)
-        with pytest.raises(ValueError):
-            CapacitancePlan(np.eye(3) * 1e-12, topo)
+        # the layout holds one triangle per group, so a plan cannot be
+        # asymmetric; its topology follows from the shapes
+        plan = CapacitancePlan([[1e-12, 1e-12]], [[2e-12]])
+        assert plan.topology == RisTopology.fully_connected(2)
+        for self_c, inter_c in (([[1e-12, 1e-12]], [[2e-12, 3e-12]]),
+                                ([[1e-12, 1e-12]], [[2e-12], [3e-12]]),
+                                ([1e-12, 1e-12], [2e-12]), (np.zeros((0, 3)), np.zeros((0, 3)))):
+            with pytest.raises(ValueError, match="capacitance shapes"):
+                CapacitancePlan(self_c, inter_c)
 
     def test_open_self_branches_give_unitary_scattering(self):
         # every self branch sits at its lossless parallel resonance (open),
@@ -441,7 +444,7 @@ class TestScatteringFromCapacitances:
         f = 1.0 / (2 * np.pi * np.sqrt(1e-9 * c_self))
         c = np.full((4, 4), 0.2e-12)
         c[np.diag_indices(4)] = c_self
-        theta = scattering_from_capacitances(CapacitancePlan(c, topo), f, lossless)
+        theta = scattering_from_capacitances(plan_from_matrix(c, topo), f, lossless)
         assert np.all(theta[:2, 2:] == 0) and np.all(theta[2:, :2] == 0)
         assert np.abs(theta - theta.T).max() < 1e-12
         assert np.linalg.norm(theta @ theta.conj().T - np.eye(4)) < 1e-12
@@ -455,7 +458,7 @@ class TestScatteringFromCapacitances:
             c[3, 3] = 1e-12
         else:
             c[2, 3] = c[3, 2] = np.inf  # the inter branch comes out NaN
-        return CapacitancePlan(c, RisTopology.group_connected(4, 2))
+        return plan_from_matrix(c, RisTopology.group_connected(4, 2))
 
     # r = 0 and an inductance one rounding step off 1 / (w^2 c) put the
     # series path of a 1 pF self branch at 4 GHz exactly at resonance
@@ -492,13 +495,31 @@ class TestScatteringFromCapacitances:
         eye = np.eye(d_bar)
         for k in range(g):
             sl = topo.group_slice(k)
-            block = plan.c[sl, sl]
+            block = plan_matrix(plan)[sl, sl]
             inter_z = inter_impedance(np.where(eye, 1.0, block), f, params)
             z = np.linalg.inv(admittance_matrix(
                 self_impedance(np.diag(block), f, params), inter_z))
             expected[sl, sl] = np.linalg.solve(z + params.z0 * eye, z - params.z0 * eye)
         theta = scattering_from_capacitances(plan, f, params)
         assert np.abs(theta - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("g", [1, 3, 6], ids=["fc", "gc", "sc"])
+    def test_random_plan_keeps_its_draw_sequence(self, g):
+        # the draws of a D x D plan: all D self values, then one
+        # (d_bar, d_bar) block per group whose strict upper triangle is
+        # mirrored; baselines (criteria 4 and 7) rest on these values
+        topo, ranges = RisTopology(6, g), ((0.1e-12, 2e-12), (0.001e-12, 0.6e-12))
+        rng = np.random.default_rng(41)
+        c = np.zeros((6, 6))
+        c[np.diag_indices(6)] = rng.uniform(*ranges[0], size=6)
+        for k in range(g):
+            block = np.triu(rng.uniform(*ranges[1], size=(topo.d_bar, topo.d_bar)), 1)
+            c[topo.group_slice(k), topo.group_slice(k)] += block + block.T
+        drawn = np.random.default_rng(41)
+        plan = random_plan(topo, *ranges, drawn)
+        assert plan.topology == topo
+        assert np.array_equal(plan_matrix(plan), c)
+        assert drawn.random() == rng.random()  # no draw more or fewer
 
 
 LOSSLESS = CircuitParams(r=0.0, l0=2.5e-9, l=0.7e-9, r_tilde=0.0, l0_tilde=12.5e-9,
@@ -513,7 +534,7 @@ def passive_plan(arch, d_bar, seed):
         d_bar = 1
     d = g * d_bar
     c = np.triu(10.0 ** np.random.default_rng(seed).uniform(-15, -10, (d, d)))
-    return CapacitancePlan(c + np.triu(c, 1).T, RisTopology(d, g))
+    return plan_from_matrix(c + np.triu(c, 1).T, RisTopology(d, g))
 
 
 class TestPassiveSolve:

@@ -180,6 +180,10 @@ def test_rule_names_its_path(overrides, path):
      "experiments.network-power.weight_sets=[[0.3, 0.7]]",
      "experiments.interference.victim_bs=1"],
     ["experiments.target-shift.tracked_bs=2", "experiments.target-shift.tracked_user=2"],
+    # fewer elements than users: one tracked user, or direct links to zero-force over
+    ["simulation.architectures=[fully-connected]", "experiments.freq-response.d_values=[1]",
+     "experiments.target-shift.d=1", "experiments.interference.d_grid=[1]",
+     "experiments.network-power.d_grid=[1]", "experiments.network-power.link_modes=[available]"],
 ])
 def test_runnable_configs_pass(overrides):
     assert validate_config(apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)) == []
@@ -201,6 +205,16 @@ REJECTED_FILES = [
     ("freq-response", "simulation: 5\n", 1, "simulation"),
     ("freq-response", "optimization:\n  fw_iteration: 3\n", 2, "optimization.fw_iteration"),
     ("freq-response", "simulation:\n  trials: true\n", 2, "simulation.trials"),
+    # co-located nodes: a zero distance has no path gain
+    ("freq-response", "scenario:\n  ris_position_m: [0.0, 0.0]\n", 2, "scenario.ris_position_m"),
+    ("interference", "experiments:\n  interference:\n    ris_positions_m: [[0.0, 0.0]]\n",
+     3, "experiments.interference.ris_positions_m"),
+    ("per-bs-power", "scenario:\n  user_positions_m: [[[0, 0], [35, 0]], [[70, 10], [55, 0]]]\n",
+     2, "scenario.user_positions_m"),
+    # blocked links, one element, two users per base station: every draw degenerates
+    ("network-power", "simulation:\n  architectures: [fully-connected]\nexperiments:\n"
+     "  network-power:\n    d_grid: [1]\n    link_modes: [blocked]\n",
+     5, "experiments.network-power.d_grid"),
 ]
 
 

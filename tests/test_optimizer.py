@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bdris import circuit
 from bdris.channel import ChannelSet
-from bdris.circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
+from bdris.circuit import (CircuitParams, Codebook, RisTopology,
                            build_codebook, impedance_from_scattering, random_plan,
                            scattering_from_capacitances)
 from bdris.errors import DegenerateInputError, SingularNetworkError
@@ -15,6 +15,7 @@ from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
                              _snap, first_column, frank_wolfe_batch, reduced_adjoint,
                              relaxed_block_branches, snap_to_codebook, stack_factors,
                              stack_fc, stack_gc)
+from plan_matrix import plan_from_matrix, plan_matrix
 from reference_stack import frank_wolfe, reduced_stack
 
 PARAMS = CircuitParams.defaults()
@@ -61,13 +62,13 @@ def relaxed_objective(r, h, theta):
 
 
 def plan_from_theta(theta, topo, codebook):
-    """Capacitances the engine snaps a relaxed reflection matrix onto."""
+    """Capacitance plan the engine snaps a relaxed reflection matrix onto."""
     stacked = np.concatenate([vech(theta[topo.group_slice(g), topo.group_slice(g)])
                               for g in range(topo.g)])
     state = _state_from_thetas({0: stacked}, topo,
                                GroupAssignment.single(0, topo),
                                PARAMS.z0)
-    return state.plan({0: codebook}).c
+    return state.plan({0: codebook})
 
 
 def objective_direct(channels, weights, theta):
@@ -608,8 +609,8 @@ class TestRelaxedBlockBranches:
         assert self_y[1, 0] == 0.0 and np.all(inter_y[1, iu == 0] == 0.0)
         assert np.all(self_y[1, 1:] != 0.0) and np.all(inter_y[1, iu > 0] != 0.0)
         cb = build_codebook(7.4e9, 4, SELF_RANGE, INTER_RANGE, PARAMS)
-        caps = snap_to_codebook(self_y, inter_y, cb)
-        assert caps[1, 0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
+        self_c, _ = snap_to_codebook(self_y, inter_y, cb)
+        assert self_c[1, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
 
     @pytest.mark.parametrize("k,gap", [(1, 0.0), (2, 1e-14)], ids=["exact", "near"])
     def test_short_circuit_names_its_group(self, k, gap):
@@ -636,17 +637,17 @@ class TestProjection:
             for k in range(topo.g):
                 block = c[topo.group_slice(k), topo.group_slice(k)]
                 block[iu, ju] = block[ju, iu] = rng.choice(cb.inter_caps, size=iu.size)
-            theta = scattering_from_capacitances(CapacitancePlan(c, topo), f_star, PARAMS)
+            theta = scattering_from_capacitances(plan_from_matrix(c, topo), f_star, PARAMS)
             recovered = plan_from_theta(theta, topo, cb)
-            assert np.array_equal(recovered, c), topo
+            assert np.array_equal(plan_matrix(recovered), c), topo
 
     def test_scalar_roundtrip(self):
         cb = build_codebook(8e9, 5, SELF_RANGE, INTER_RANGE, PARAMS)
         for topo in (RisTopology.single_connected(1), RisTopology.fully_connected(1)):
             c = np.array([[cb.self_caps[13]]])
-            theta = scattering_from_capacitances(CapacitancePlan(c, topo), 8e9, PARAMS)
+            theta = scattering_from_capacitances(plan_from_matrix(c, topo), 8e9, PARAMS)
             recovered = plan_from_theta(theta, topo, cb)
-            assert np.array_equal(recovered, c)
+            assert np.array_equal(plan_matrix(recovered), c)
 
     @pytest.mark.parametrize("topo", [RisTopology.fully_connected(1),
                                       RisTopology.single_connected(1),
@@ -667,7 +668,7 @@ class TestProjection:
             theta = state.thetas[0]
             y = (1.0 - theta) / (PARAMS.z0 * (1.0 + theta))
             expected = exhaustive_snap(y, cb.self_z, cb.self_caps)
-            assert np.array_equal(np.diag(state.plan({0: cb}).c), expected)
+            assert np.array_equal(state.plan({0: cb}).self_c.ravel(), expected)
             if topo.d == 1:
                 # blocked links leave a unit coefficient: an open circuit
                 assert (theta[0] == 1.0) != direct
@@ -721,15 +722,15 @@ class TestProjection:
                       inter_caps=np.array([1e-12, 2e-12]),
                       inter_z=np.array([2.0 + 0j, 4.0 + 0j]))
         target = np.array([[0.375 + 0j]])  # equidistant between the two admittances
-        caps = snap_to_codebook(target, np.zeros((1, 0), dtype=complex), cb)
-        assert caps[0, 0, 0] == 1e-12
+        self_c, _ = snap_to_codebook(target, np.zeros((1, 0), dtype=complex), cb)
+        assert self_c[0, 0] == 1e-12
 
     def test_infinite_branch_takes_largest_impedance_codeword(self):
         # an open branch has zero admittance
         cb = build_codebook(7.4e9, 4, SELF_RANGE, INTER_RANGE, PARAMS)
-        caps = snap_to_codebook(np.zeros((1, 1), dtype=complex),
-                                np.zeros((1, 0), dtype=complex), cb)
-        assert caps[0, 0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
+        self_c, _ = snap_to_codebook(np.zeros((1, 1), dtype=complex),
+                                     np.zeros((1, 0), dtype=complex), cb)
+        assert self_c[0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
 
     def test_empty_targets_skip_the_search(self, monkeypatch):
         # a single-connected surface has no inter-element branches: its
@@ -745,9 +746,9 @@ class TestProjection:
         assert cb.inter_caps[picks].shape == (0,)
         monkeypatch.undo()
         self_y = np.full((3, 1), 1e-3 + 2e-3j)
-        caps = snap_to_codebook(self_y, np.zeros((3, 0), dtype=complex), cb)
+        self_c, inter_c = snap_to_codebook(self_y, np.zeros((3, 0), dtype=complex), cb)
         expected = exhaustive_snap(self_y[:, 0], cb.self_z, cb.self_caps)
-        assert np.array_equal(caps, expected[:, None, None])
+        assert np.array_equal(self_c, expected[:, None]) and inter_c.shape == (3, 0)
 
 
 class TestConfigure:
@@ -862,9 +863,8 @@ class TestConfigure:
         gaps = []
         for bits in (3, 7, 11):
             cb = build_codebook(f_star, bits, SELF_RANGE, INTER_RANGE, PARAMS)
-            caps = plan_from_theta(theta_target, topo, cb)
             theta_hat = scattering_from_capacitances(
-                CapacitancePlan(caps, topo), f_star, PARAMS)
+                plan_from_theta(theta_target, topo, cb), f_star, PARAMS)
             gaps.append(abs(objective_direct(ch, weights, theta_hat) - exact) / exact)
         assert gaps[2] < gaps[0]
         assert gaps[2] < 1e-2
