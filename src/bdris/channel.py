@@ -101,10 +101,13 @@ class PowerConfig:
 
 
 def path_gain(distance: float, exponent: float) -> float:
-    """Distance power-law gain d^-exponent."""
+    """Distance power-law gain d^-exponent; ValueError unless d > 0 and it is finite."""
     if distance <= 0:
         raise ValueError("distance must be > 0")
-    return float(distance) ** -exponent
+    try:
+        return float(distance) ** -exponent
+    except OverflowError:
+        raise ValueError(f"the path gain at distance {distance} overflows") from None
 
 
 @dataclass(frozen=True)

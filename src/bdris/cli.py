@@ -42,18 +42,26 @@ class _LevelPrefix(logging.Formatter):  # "warning: ...", like the "error:" line
         return f"{record.levelname.lower()}: {record.getMessage()}"
 
 
-def _cmd_run(args) -> int:
+def _validated(path: str | None, overrides=(), **simulation) -> dict | None:
+    """The config of ``path`` and ``overrides`` with the given ``simulation``
+    keys set, or None once every fault is printed as an ``error:`` line."""
     try:
-        cfg, lines, source = load_config(args.config, args.override)
+        cfg, lines, source = load_config(path, overrides)
     except (OSError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for key, value in (("seed", args.seed), ("trials", args.trials)):
+        return None
+    for key, value in simulation.items():
         if value is not None and isinstance(cfg["simulation"], dict):  # else reported below
             cfg["simulation"][key] = value
     errors = validate_config(cfg, source, lines)
-    if errors:
-        print("\n".join(errors), file=sys.stderr)
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
+    return None if errors else cfg
+
+
+def _cmd_run(args) -> int:
+    cfg = _validated(args.config, args.override, seed=args.seed, trials=args.trials)
+    if cfg is None:
         return 1
     out_dir = args.out or cfg["output"]["dir"]
     digest = config_hash(cfg)
@@ -75,23 +83,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
-    try:
-        cfg, lines, source = load_config(args.path)
-    except OSError as exc:
-        print(f"error: cannot read {args.path}: {exc}", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    errors = validate_config(cfg, source, lines)
-    if errors:
-        print("\n".join(errors), file=sys.stderr)
-        return 1
-    print(f"{args.path}: valid")
-    return 0
-
-
 def _cmd_plotdata(args) -> int:
     try:
         written = emit_plotdata(args.results, args.out)
@@ -107,9 +98,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
         return _cmd_run(args)
-    if args.command == "validate":
-        return _cmd_validate(args)
-    return _cmd_plotdata(args)
+    if args.command == "plotdata":
+        return _cmd_plotdata(args)
+    if _validated(args.path) is None:
+        return 1
+    print(f"{args.path}: valid")
+    return 0
 
 
 if __name__ == "__main__":

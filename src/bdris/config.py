@@ -11,92 +11,17 @@ import copy
 import dataclasses
 import hashlib
 import json
+import os
+import re
 
 import numpy as np
 import yaml
 
-from .channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig
+from .channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, _dist, path_gain
 from .circuit import CircuitParams
 from .errors import ConfigError
 
 ARCHITECTURES = ("fully-connected", "group-connected", "single-connected")
-
-DEFAULT_CONFIG: dict = {
-    "scenario": {
-        "bs_positions_m": [[0.0, 0.0], [80.0, 0.0]],
-        "user_positions_m": [[[25.0, 10.0], [35.0, 0.0]],
-                             [[70.0, 10.0], [55.0, 0.0]]],
-        "ris_position_m": [40.0, 20.0],
-        "m_antennas": 40,
-        "frequencies_ghz": [7.4, 8.0],
-        "eta_direct": 3.5,
-        "eta_reflected": 2.5,
-    },
-    "circuit": {
-        "r_ohm": 1.0,
-        "l0_nh": 2.5,
-        "l_nh": 0.7,
-        "r_tilde_ohm": 1.0,
-        "l0_tilde_nh": 12.5,
-        "l_tilde_nh": 0.2,
-        "z0_ohm": 50.0,
-        "self_cap_range_pf": [0.1, 2.0],
-        "inter_cap_range_pf": [0.001, 0.6],
-        "codebook_bits": 6,
-    },
-    "optimization": {
-        "user_weights": [[0.5, 0.5], [0.5, 0.5]],
-        "target_frequency_ghz": 7.4,
-        "fw_iterations": 500,
-        "fw_step_rule": "line-search",
-        "group_count": 2,
-    },
-    "power": {
-        "total_dbm": 20.0,
-        "noise_dbm": -40.0,
-        "alpha": [[0.5, 0.5], [0.5, 0.5]],
-    },
-    "simulation": {
-        "trials": 200,
-        "seed": 1,
-        "architectures": list(ARCHITECTURES),
-    },
-    "experiments": {
-        "freq-response": {
-            "d_values": [60, 100],
-            "grid_ghz": {"start": 1.0, "stop": 16.0, "step": 0.5},
-            "tracked_bs": 1,
-            "tracked_user": 1,
-        },
-        "target-shift": {
-            "targets_ghz": [7.4, 8.0],
-            "half_span_ghz": 1.0,
-            "step_ghz": 0.1,
-            "d": 100,
-            "tracked_bs": 1,
-            "tracked_user": 1,
-        },
-        "per-bs-power": {
-            "d_grid": [20, 40, 60, 80, 100],
-            "weight_sets": [[0.3, 0.7], [1.0, 0.0], [0.0, 1.0]],
-            "link_modes": ["blocked", "available"],
-        },
-        "network-power": {
-            "d_grid": [20, 40, 60, 80, 100],
-            "weight_sets": [[0.3, 0.7], [1.0, 0.0], [0.0, 1.0]],
-            "link_modes": ["blocked", "available"],
-        },
-        "interference": {
-            "ris_positions_m": [[20.0, 20.0], [40.0, 20.0], [60.0, 20.0]],
-            "d_grid": [20, 40, 60, 80],
-            "interferer_frequency_ghz": 8.4,
-            "victim_bs": 2,
-        },
-    },
-    "output": {
-        "dir": "results",
-    },
-}
 
 
 def ghz(x) -> float:
@@ -125,26 +50,44 @@ def _deep_merge(base: dict, update: dict) -> dict:
     return out
 
 
-def _walk_lines(node, prefix: str, lines: dict):
+class _Loader(yaml.SafeLoader):
+    """The one loader of config texts: ``yaml.safe_load``'s YAML 1.1, except that
+    exponent forms without a dot or sign (``1e-3``, ``1E5``) read as floats."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+    r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"), "-+0123456789.")
+
+
+def _walk_lines(node, prefix: str, lines: dict, source: str):
     if isinstance(node, yaml.MappingNode):
         for key_node, value_node in node.value:
             path = f"{prefix}.{key_node.value}" if prefix else str(key_node.value)
+            if path in lines:  # a plain load would keep only the last one
+                raise ConfigError(f"{source}:{key_node.start_mark.line + 1}: {path}: repeated key")
             lines[path] = key_node.start_mark.line + 1
-            _walk_lines(value_node, path, lines)
+            _walk_lines(value_node, path, lines, source)
 
 
-def load_yaml_with_lines(text: str) -> tuple[dict, dict]:
-    """Parse YAML and record the source line of every (dotted) key path."""
-    data = yaml.safe_load(text)
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError("top level of a config file must be a mapping")
+def load_yaml_with_lines(text: str, source: str) -> tuple[object, dict]:
+    """Parse one YAML text once: its data and the line of every dotted key path.
+    Malformed YAML and repeated keys raise :class:`ConfigError` naming ``source`` and line."""
     lines: dict = {}
-    root = yaml.compose(text)
-    if root is not None:
-        _walk_lines(root, "", lines)
-    return data, lines
+    try:
+        loader = _Loader(text)  # rejects non-printable characters
+        root = loader.get_single_node()
+        _walk_lines(root, "", lines, source)
+        return (None if root is None else loader.construct_document(root)), lines
+    except yaml.MarkedYAMLError as exc:
+        problem = ", ".join(filter(None, (exc.context, exc.problem)))
+        raise ConfigError(f"{source}:{exc.problem_mark.line + 1}: {problem}")
+    except yaml.reader.ReaderError as exc:  # exc.character is a code point
+        line = text.count("\n", 0, exc.position) + 1
+        raise ConfigError(f"{source}:{line}: unacceptable character #x{exc.character:04x}")
+
+
+with open(os.path.join(os.path.dirname(__file__), "default.yaml"), encoding="utf-8") as _fh:
+    DEFAULT_CONFIG: dict = load_yaml_with_lines(_fh.read(), "default.yaml")[0]
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
@@ -161,7 +104,7 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
             if not isinstance(target, dict):
                 raise ConfigError(f"override {item!r}: {'.'.join(keys[:i + 1])} "
                                   f"is not a mapping")
-        target[keys[-1]] = yaml.safe_load(raw)
+        target[keys[-1]] = load_yaml_with_lines(raw, f"override {item!r}")[0]
     return out
 
 
@@ -171,17 +114,18 @@ def load_config(path: str | None = None, overrides: list[str] | None = None
 
     Returns (config, key line map, source label for messages).
     """
-    lines: dict = {}
-    source = "<defaults>"
-    user: dict = {}
+    user, lines, source = None, {}, "<defaults>"
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            user, lines = load_yaml_with_lines(fh.read())
         source = str(path)
-    cfg = _deep_merge(DEFAULT_CONFIG, user)
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg, lines, source
+        try:
+            with open(path, encoding="utf-8") as fh:
+                user, lines = load_yaml_with_lines(fh.read(), source)
+        except UnicodeDecodeError as exc:  # read() decodes the whole file at once
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"{source}:{line}: not UTF-8 text ({exc.reason})")
+        if not isinstance(user, (dict, type(None))):
+            raise ConfigError(f"{source}: top level of a config file must be a mapping")
+    return apply_overrides(_deep_merge(DEFAULT_CONFIG, user or {}), overrides or []), lines, source
 
 
 def config_hash(cfg: dict) -> str:
@@ -214,6 +158,16 @@ def _is_number(x) -> bool:
 
 def _is_point(p) -> bool:
     return isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+
+
+def _gainless(p, others, eta) -> bool:
+    """Whether a drawn link from point ``p`` to one of ``others`` lacks a finite, positive
+    :func:`~bdris.channel.path_gain` at ``eta``; invalid input is left to its own rules."""
+    try:
+        return _is_number(eta) and eta > 0 and _is_point(p) and any(
+            _is_point(q) and not path_gain(_dist(p, q), eta) > 0 for q in others)
+    except ValueError:
+        return True
 
 
 def _has_bool(x) -> bool:
@@ -262,9 +216,6 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
                          ("scenario.user_positions_m", user_points),
                          ("scenario.ris_position_m", [sc.get("ris_position_m")])):
         chk.require(all(map(_is_point, points)), path, "positions must be finite (x, y) pairs")
-    for b, (p, u) in enumerate(zip(bs, users)):  # a zero distance has no path gain
-        chk.require(not isinstance(u, list) or p not in u, "scenario.user_positions_m",
-                    f"a user of base station {b + 1} sits on it")
     m = sc.get("m_antennas", 0)
     chk.require(isinstance(m, int) and m >= 1, "scenario.m_antennas", "must be a positive integer")
     chk.require(not isinstance(m, int) or m >= k_max, "scenario.m_antennas",
@@ -409,11 +360,16 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     pos = itf.get("ris_positions_m", [])
     chk.require(pos and all(map(_is_point, pos)), "experiments.interference.ris_positions_m",
                 "must be a non-empty list of finite (x, y) positions")
+    for b, (p, u) in enumerate(zip(bs, users)):
+        chk.require(not _gainless(p, u if isinstance(u, list) else [], sc.get("eta_direct")),
+                    "scenario.user_positions_m",
+                    f"a user of base station {b + 1} has no finite, positive path gain from it")
     for path, surfaces in (("scenario.ris_position_m", [sc.get("ris_position_m")]),
                            ("experiments.interference.ris_positions_m", pos)):
         for p in surfaces:
-            chk.require(p not in bs + user_points, path,
-                        f"the surface at {p} sits on a base station or user")
+            chk.require(not _gainless(p, bs + user_points, sc.get("eta_reflected")), path,
+                        f"the surface at {p} has no finite, positive path gain to some "
+                        f"base station or user")
     f_itf = itf.get("interferer_frequency_ghz")
     chk.require(_is_number(f_itf) and f_itf > 0,
                 "experiments.interference.interferer_frequency_ghz", "must be > 0")

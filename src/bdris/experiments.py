@@ -21,6 +21,7 @@ Blocked-link units are solved one at a time.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -294,24 +295,15 @@ def _batches(points: list[Point], trials: int):
         yield batch
 
 
-def _solved_units(points: list[Point], units, seed: int, z0: float, attempt: int = 0):
-    """Yield (point index, trial, chans, state) for the (point, trial) ``units``.
-
-    Every unit is drawn first, on substream ``stream_rng(seed, t, attempt)``;
-    then all are solved together by :func:`_relaxed_solutions`, and each one
-    retrieves its branches as it is yielded.  A retrieval that raises
-    :class:`SingularNetworkError` yields that error as the state.
-    """
+def _solved_units(points: list[Point], units, seed: int, attempt: int = 0) -> list:
+    """((point index, trial), chans, relaxed solution) of each unit in ``units``:
+    every unit is drawn first, on substream ``stream_rng(seed, t, attempt)``,
+    then all are solved together by :func:`_relaxed_solutions`."""
     draws = [sample_channels(points[p].scenario, points[p].d,
                              stream_rng(seed, t, attempt=attempt)) for p, t in units]
     solutions = _relaxed_solutions([points[p].problem(chans)
                                     for (p, _), chans in zip(units, draws)])
-    for (p, t), chans, solution in zip(units, draws, solutions):
-        try:
-            state = _state_from_thetas(solution, points[p].topo, points[p].assignment, z0)
-        except SingularNetworkError as exc:
-            state = exc
-        yield p, t, chans, state
+    return list(zip(units, draws, solutions))
 
 
 def _run_sweep(points: list[Point], seed: int, trials: int,
@@ -332,13 +324,12 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
     redraws = [0] * len(points)
     samples: list[dict[object, list[float]]] = [{} for _ in points]
     for batch in _batches(points, trials):
-        for p, t, chans, state in _solved_units(points, batch, seed, z0):
-            point, attempt = points[p], 0
-            while True:
+        for (p, t), chans, solution in _solved_units(points, batch, seed):
+            point = points[p]
+            for attempt in itertools.count(1):
                 try:
-                    if isinstance(state, SingularNetworkError):
-                        raise state  # retrieval failed: redraw like any other failure
-                    metrics = point.evaluate(chans, state)
+                    metrics = point.evaluate(chans, _state_from_thetas(
+                        solution, point.topo, point.assignment, z0))
                     break
                 except (DegenerateChannelError, SingularNetworkError) as exc:
                     redraws[p] += 1
@@ -347,12 +338,10 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
                         raise RedrawBudgetError(
                             f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
                             f"trials at {point.context}") from exc
-                    attempt += 1
-                    _, _, chans, state = next(_solved_units(points, [(p, t)], seed, z0,
-                                                            attempt))
+                    _, chans, solution = _solved_units(points, [(p, t)], seed, attempt)[0]
             for name, value in metrics.items():
                 samples[p].setdefault(name, []).append(float(value))
-        del chans, state  # the batch's last unit: not held while the next is drawn
+        del chans, solution  # the batch's last unit: not held while the next is drawn
     return samples
 
 

@@ -72,6 +72,11 @@ class TestPathGain:
         with pytest.raises(ValueError):
             path_gain(0.0, 2.5)
 
+    def test_overflowing_gain_rejected_vanishing_gain_zero(self):
+        with pytest.raises(ValueError, match="overflows"):
+            path_gain(1e-200, 2.5)
+        assert path_gain(1e200, 2.5) == 0.0
+
 
 class TestSampleChannels:
     def test_shapes(self):

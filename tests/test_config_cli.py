@@ -51,12 +51,6 @@ class TestDefaults:
         assert DEFAULT_CONFIG["power"]["noise_dbm"] == -40.0
         assert DEFAULT_CONFIG["circuit"]["codebook_bits"] == 6
 
-    def test_shipped_yaml_matches_defaults(self):
-        import yaml
-        with open("configs/default.yaml", "r", encoding="utf-8") as fh:
-            shipped = yaml.safe_load(fh)
-        assert shipped == DEFAULT_CONFIG
-
 
 class TestValidation:
     def test_defaults_valid(self):
@@ -243,6 +237,90 @@ def test_weight_set_needs_a_group_per_weighted_bs(overrides, path):
     cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)
     assert any(e.startswith(f"<config>: {path}: set 1 weights more base stations")
                for e in validate_config(cfg))
+
+
+# Config files that died with a traceback, or passed as valid, before the one
+# loader and the path-gain rule: (experiment, bytes, line, start of the message).
+MALFORMED_FILES = [
+    ("freq-response", b"scenario: [1, 2\n", 2, "while parsing a flow sequence"),
+    ("freq-response", b"simulation:\n  trials: 3\n  seed: \xff\n", 3, "not UTF-8 text"),
+    ("freq-response", b"simulation:\n  trials: *nope\n", 2, "found undefined alias 'nope'"),
+    ("freq-response", b"simulation:\n  trials: 3\nsimulation:\n  seed: 2\n", 3,
+     "simulation: repeated key"),
+    # a node a hair from another, or too far for its path gain to be a positive float
+    ("freq-response", b"scenario:\n  ris_position_m: [0.0, 1.0e-200]\n", 2,
+     "scenario.ris_position_m: the surface at [0.0, 1e-200] has no finite, positive"),
+    ("interference", b"scenario:\n  user_positions_m: [[[0.0, 1.0e-200], [35.0, 0.0]], "
+     b"[[70.0, 10.0], [55.0, 0.0]]]\n", 2,
+     "scenario.user_positions_m: a user of base station 1 has no finite, positive"),
+    ("freq-response", b"scenario:\n  ris_position_m: [1.0e+200, 0.0]\n", 2,
+     "scenario.ris_position_m: the surface at [1e+200, 0.0] has no finite, positive"),
+]
+
+
+@pytest.mark.parametrize("experiment, text, line, message", MALFORMED_FILES,
+                         ids=["unclosed-flow", "not-utf8", "undefined-alias", "repeated-key",
+                              "surface-near", "user-near", "surface-far"])
+def test_malformed_file_is_one_error_line(experiment, text, line, message, tmp_path, capsys):
+    config = tmp_path / "bad.yaml"
+    config.write_bytes(text)
+    for argv in (["validate", str(config)], ["run", experiment, "--config", str(config),
+                                            "--trials", "1", "--out", str(tmp_path / "out")]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {config}:{line}: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("scenario.m_antennas=[1",
+     "override 'scenario.m_antennas=[1':1: while parsing a flow sequence"),
+    ("scenario.ris_position_m=[0.0, 1e-200]",
+     "<defaults>: scenario.ris_position_m: the surface at [0.0, 1e-200] has no finite"),
+], ids=["unclosed-flow", "surface-near"])
+def test_malformed_override_is_one_error_line(override, message, tmp_path, capsys):
+    assert main(["run", "freq-response", "--trials", "1", "--out", str(tmp_path / "out"),
+                 "--override", override]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_exponent_forms_read_as_floats(tmp_path, capsys):
+    path = tmp_path / "cfg.yaml"
+    path.write_text("circuit:\n  r_ohm: 1e-3\n  r_tilde_ohm: 1.0e200\n  z0_ohm: 1E5\n")
+    cfg, lines, source = load_config(str(path), ["circuit.l_nh=1e-3", "circuit.l_tilde_nh=1.0e200",
+                                                 "circuit.l0_nh=1E5", "simulation.trials=2"])
+    values = [cfg["circuit"][key] for key in ("r_ohm", "r_tilde_ohm", "z0_ohm",
+                                              "l_nh", "l_tilde_nh", "l0_nh")]
+    assert values == 2 * [1e-3, 1e200, 1e5]
+    assert all(type(v) is float for v in values)
+    assert type(cfg["simulation"]["trials"]) is int  # integers stay integers
+    assert validate_config(cfg, source, lines) == []
+    path.write_text("circuit:\n  r_ohm: 1e-3\n")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == f"{path}: valid\n"
+
+
+def test_validate_outside_the_repository_finds_the_defaults(tmp_path):
+    (tmp_path / "cfg.yaml").write_text("simulation:\n  trials: 3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bdris.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-m", "bdris.cli", "validate", "cfg.yaml"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "cfg.yaml: valid\n", "")
+
+
+def test_pyproject_ships_the_defaults():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+    assert "default.yaml" in package_data["bdris"]
+    assert (root / "src" / "bdris" / "default.yaml").is_file()
 
 
 def test_three_bs_over_two_groups_rejected(tmp_path, capsys):
