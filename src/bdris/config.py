@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -22,6 +23,7 @@ from .circuit import CircuitParams
 from .errors import ConfigError
 
 ARCHITECTURES = ("fully-connected", "group-connected", "single-connected")
+MAX_GRID_STEPS = 100_000  # validation rejects a finer frequency grid unbuilt
 
 
 def ghz(x) -> float:
@@ -34,6 +36,12 @@ def picofarad(x) -> float:
 
 def nanohenry(x) -> float:
     return float(x) * 1e-9
+
+
+def ghz_grid(start, stop, step) -> np.ndarray:
+    """GHz values from ``start`` to ``stop`` inclusive in steps of ``step``."""
+    return np.round(np.arange(float(start), float(stop) + float(step) / 2.0,
+                              float(step)), 9)
 
 
 def dbm_to_watts(x) -> float:
@@ -53,6 +61,14 @@ def _deep_merge(base: dict, update: dict) -> dict:
 class _Loader(yaml.SafeLoader):
     """The one loader of config texts: ``yaml.safe_load``'s YAML 1.1, except that
     exponent forms without a dot or sign (``1e-3``, ``1E5``) read as floats."""
+
+    def compose_node(self, parent, index):  # an alias inside its own anchor: no walk ends
+        event = self.peek_event()  # a collection's end mark is set once it is composed
+        if isinstance(event, yaml.AliasEvent) and not getattr(
+                self.anchors.get(event.anchor), "end_mark", True):
+            raise yaml.composer.ComposerError(
+                None, None, f"found recursive alias {event.anchor!r}", event.start_mark)
+        return super().compose_node(parent, index)
 
 
 _Loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
@@ -135,254 +151,216 @@ def config_hash(cfg: dict) -> str:
     ).hexdigest()
 
 
-class _Check:
-    def __init__(self, source: str, lines: dict):
-        self.source = source
-        self.lines = lines
-        self.errors: list[str] = []
-
-    def fail(self, path: str, message: str):
-        line = self.lines.get(path)
-        anchor = f"{self.source}:{line}" if line else self.source
-        self.errors.append(f"{anchor}: {path}: {message}")
-
-    def require(self, condition: bool, path: str, message: str) -> bool:
-        if not condition:
-            self.fail(path, message)
-        return bool(condition)
+def _kind(default, many: bool = False) -> str:
+    if isinstance(default, list):
+        return ("lists of " if many else "a list of ") + _kind(default[0], True)
+    return {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+            str: ("a string", "strings"), dict: ("a mapping", "mappings")}[type(default)][many]
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+def _fits(value, default) -> bool:
+    """Whether ``value`` has ``default``'s type; each list entry, its first entry's."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):  # an int too large for a float is not finite
+        return type(value) in (int, float) and _holds(lambda: math.isfinite(value))
+    return type(value) is type(default)
 
 
-def _is_point(p) -> bool:
-    return isinstance(p, list) and len(p) == 2 and all(map(_is_number, p))
+def _check_against(require, value, default, path: str = ""):
+    """Report unknown and missing keys, and every value that does not fit its default."""
+    if require(_fits(value, default), path, "must be " + _kind(default)) \
+            and isinstance(default, dict):
+        for key in [*value, *(k for k in default if k not in value)]:
+            sub = f"{path}.{key}" if path else str(key)
+            if require(key in default, sub, "unknown key") and require(
+                    key in value, sub, "missing key"):
+                _check_against(require, value[key], default[key], sub)
+
+
+def _holds(test) -> bool:
+    """Whether ``test()`` is true; a computation that overflows or raises ValueError is not."""
+    try:
+        return bool(test())
+    except (OverflowError, ValueError):
+        return False
 
 
 def _gainless(p, others, eta) -> bool:
-    """Whether a drawn link from point ``p`` to one of ``others`` lacks a finite, positive
-    :func:`~bdris.channel.path_gain` at ``eta``; invalid input is left to its own rules."""
-    try:
-        return _is_number(eta) and eta > 0 and _is_point(p) and any(
-            _is_point(q) and not path_gain(_dist(p, q), eta) > 0 for q in others)
-    except ValueError:
-        return True
+    """Whether a link from ``p`` to one of ``others`` lacks a positive :func:`path_gain`."""
+    return not _holds(lambda: all(path_gain(_dist(p, q), eta) > 0 for q in others))
 
 
-def _has_bool(x) -> bool:
-    return isinstance(x, bool) or isinstance(x, list) and any(map(_has_bool, x))
-
-
-def _check_against(chk: _Check, cfg: dict, defaults: dict, prefix: str = ""):
-    """Report keys the defaults lack, mappings and lists given as another type,
-    and booleans, which no key takes (``true`` would pass as the integer 1)."""
-    for key, value in cfg.items():
-        path, default = f"{prefix}{key}", defaults.get(key)
-        if key not in defaults:
-            chk.fail(path, "unknown key")
-        elif isinstance(default, dict) and isinstance(value, dict):
-            _check_against(chk, value, default, path + ".")
-        elif isinstance(default, (dict, list)) and not isinstance(value, type(default)):
-            chk.fail(path, "must be a " + ("mapping" if isinstance(default, dict) else "list"))
-        elif _has_bool(value):
-            chk.fail(path, "must not be a boolean")
+def _grid_fills(start, stop, step) -> bool:
+    """Whether :func:`ghz_grid` gives a frequency in ``MAX_GRID_STEPS`` steps, counted first."""
+    return _holds(lambda: stop - start <= MAX_GRID_STEPS * step
+                  and len(ghz_grid(start, stop, step)) > 0)
 
 
 def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = None) -> list[str]:
-    """Check every invariant the pipeline relies on; return error messages."""
-    chk = _Check(source, lines or {})
-    _check_against(chk, cfg, DEFAULT_CONFIG)
-    if chk.errors:  # the checks below rely on the defaults' layout
-        return chk.errors
+    """Check every invariant the pipeline relies on; return error messages. Each value
+    must first have the type of its default in ``default.yaml``; the rules then check values."""
+    errors: list[str] = []
 
-    sc = cfg.get("scenario", {})
-    bs = sc.get("bs_positions_m", [])
-    users = sc.get("user_positions_m", [])
-    layout = [len(u) if isinstance(u, list) else 0 for u in users]
+    def require(condition, path: str, message: str) -> bool:
+        if not condition:
+            line = (lines or {}).get(path)
+            errors.append(f"{source}{f':{line}' if line else ''}: {path}: {message}")
+        return bool(condition)
+
+    _check_against(require, cfg, DEFAULT_CONFIG)
+    if errors:
+        return errors
+
+    sc, ci, op, pw = cfg["scenario"], cfg["circuit"], cfg["optimization"], cfg["power"]
+    sim, exps = cfg["simulation"], cfg["experiments"]
+    fr, ts, itf = exps["freq-response"], exps["target-shift"], exps["interference"]
+    bs, users, freqs = sc["bs_positions_m"], sc["user_positions_m"], sc["frequencies_ghz"]
+    layout = [len(u) for u in users]
     k_max = max(layout, default=0)
-    user_points = [p for u in users if isinstance(u, list) for p in u]
-    freqs = sc.get("frequencies_ghz", [])
-    chk.require(len(bs) >= 1, "scenario.bs_positions_m", "need at least one base station")
-    chk.require(len(users) == len(bs),
-                "scenario.user_positions_m", "need one user list per base station")
-    chk.require(len(freqs) == len(bs) and all(_is_number(f) and f > 0 for f in freqs),
-                "scenario.frequencies_ghz",
-                "need one operating frequency > 0 per base station")
+    user_points = [p for u in users for p in u]
+    require(len(bs) >= 1, "scenario.bs_positions_m", "need at least one base station")
+    require(len(users) == len(bs), "scenario.user_positions_m",
+            "need one user list per base station")
+    require(len(freqs) == len(bs) and all(f > 0 for f in freqs), "scenario.frequencies_ghz",
+            "need one operating frequency > 0 per base station")
     for b, k in enumerate(layout):
-        chk.require(k >= 1, "scenario.user_positions_m",
-                    f"base station {b + 1} needs at least one user")
-    for path, points in (("scenario.bs_positions_m", bs),
-                         ("scenario.user_positions_m", user_points),
-                         ("scenario.ris_position_m", [sc.get("ris_position_m")])):
-        chk.require(all(map(_is_point, points)), path, "positions must be finite (x, y) pairs")
-    m = sc.get("m_antennas", 0)
-    chk.require(isinstance(m, int) and m >= 1, "scenario.m_antennas", "must be a positive integer")
-    chk.require(not isinstance(m, int) or m >= k_max, "scenario.m_antennas",
-                "zero-forcing needs at least as many antennas as users per base station")
+        require(k >= 1, "scenario.user_positions_m",
+                f"base station {b + 1} needs at least one user")
+    points_ok = all([require(all(len(p) == 2 for p in points), path,
+                             "positions must be finite (x, y) pairs")
+                     for path, points in (("scenario.bs_positions_m", bs),
+                                          ("scenario.user_positions_m", user_points),
+                                          ("scenario.ris_position_m", [sc["ris_position_m"]]))])
+    require(sc["m_antennas"] >= 1, "scenario.m_antennas", "must be a positive integer")
+    require(sc["m_antennas"] >= k_max, "scenario.m_antennas",
+            "zero-forcing needs at least as many antennas as users per base station")
     for key in ("eta_direct", "eta_reflected"):
-        chk.require(_is_number(sc.get(key)) and sc.get(key) > 0, f"scenario.{key}", "must be > 0")
+        require(sc[key] > 0, f"scenario.{key}", "must be > 0")
 
-    ci = cfg.get("circuit", {})
     for key in ("r_ohm", "l_nh", "r_tilde_ohm", "l_tilde_nh"):
-        chk.require(_is_number(ci.get(key)) and ci.get(key) >= 0, f"circuit.{key}", "must be >= 0")
+        require(ci[key] >= 0, f"circuit.{key}", "must be >= 0")
     for key in ("l0_nh", "l0_tilde_nh", "z0_ohm"):
-        chk.require(_is_number(ci.get(key)) and ci.get(key) > 0, f"circuit.{key}", "must be > 0")
+        require(ci[key] > 0, f"circuit.{key}", "must be > 0")
     for key in ("self_cap_range_pf", "inter_cap_range_pf"):
-        rng = ci.get(key, [])
-        ok = len(rng) == 2 and all(_is_number(x) for x in rng) and 0 < rng[0] < rng[1]
-        chk.require(ok, f"circuit.{key}", "must be a positive increasing pair")
-    bits = ci.get("codebook_bits", 0)
-    chk.require(isinstance(bits, int) and bits >= 1, "circuit.codebook_bits",
-                "must be an integer >= 1")
+        require(len(ci[key]) == 2 and 0 < ci[key][0] < ci[key][1], f"circuit.{key}",
+                "must be a positive increasing pair")
+    require(ci["codebook_bits"] >= 1, "circuit.codebook_bits", "must be an integer >= 1")
 
-    op = cfg.get("optimization", {})
-    nu = op.get("user_weights", [])
-    nu_ok = chk.require(
-        len(nu) == len(users) and all(
-            isinstance(row, list) and len(row) == k and all(_is_number(w) and w >= 0 for w in row)
-            for row, k in zip(nu, layout)),
-        "optimization.user_weights", "need one weight >= 0 per user, matching the scenario layout")
-    target = op.get("target_frequency_ghz")
-    chk.require(_is_number(target) and target in [float(f) for f in freqs if _is_number(f)],
-                "optimization.target_frequency_ghz",
-                "must be one of scenario.frequencies_ghz")
-    iters = op.get("fw_iterations", 0)
-    chk.require(isinstance(iters, int) and iters >= 1, "optimization.fw_iterations",
-                "must be an integer >= 1")
-    chk.require(op.get("fw_step_rule") in ("line-search", "diminishing"),
-                "optimization.fw_step_rule",
-                "must be 'line-search' or 'diminishing'")
-    g = op.get("group_count", 0)
-    chk.require(isinstance(g, int) and g >= 1, "optimization.group_count",
-                "must be an integer >= 1")
+    nu = op["user_weights"]
+    nu_ok = require(len(nu) == len(users) and all(len(row) == k and all(w >= 0 for w in row)
+                                                  for row, k in zip(nu, layout)),
+                    "optimization.user_weights",
+                    "need one weight >= 0 per user, matching the scenario layout")
+    require(op["target_frequency_ghz"] in [float(f) for f in freqs],
+            "optimization.target_frequency_ghz", "must be one of scenario.frequencies_ghz")
+    require(op["fw_iterations"] >= 1, "optimization.fw_iterations", "must be an integer >= 1")
+    require(op["fw_step_rule"] in ("line-search", "diminishing"), "optimization.fw_step_rule",
+            "must be 'line-search' or 'diminishing'")
+    g = op["group_count"]
+    require(g >= 1, "optimization.group_count", "must be an integer >= 1")
 
-    pw = cfg.get("power", {})
-    for key in ("total_dbm", "noise_dbm"):
-        chk.require(_is_number(pw.get(key)), f"power.{key}", "must be a finite number")
-    alpha = pw.get("alpha", [])
-    alpha_ok = chk.require(
-        len(alpha) == len(users)
-        and all(isinstance(row, list) and len(row) == k for row, k in zip(alpha, layout)),
-        "power.alpha", "need one power fraction per user")
-    for b, row in enumerate(alpha if alpha_ok else []):
-        chk.require(all(_is_number(a) and a >= 0 for a in row) and sum(row) <= 1 + 1e-12,
-                    "power.alpha", f"base station {b + 1} fractions must be >= 0 and sum to <= 1")
+    for key in ("total_dbm", "noise_dbm"):  # the run's conversion, which may overflow
+        require(_holds(lambda: 0 < dbm_to_watts(pw[key]) < math.inf), f"power.{key}",
+                "must convert to a finite power > 0 in watts")
+    alpha = pw["alpha"]
+    if require(len(alpha) == len(users) and all(len(row) == k for row, k in zip(alpha, layout)),
+               "power.alpha", "need one power fraction per user"):
+        for b, row in enumerate(alpha):
+            require(all(a >= 0 for a in row) and sum(row) <= 1 + 1e-12, "power.alpha",
+                    f"base station {b + 1} fractions must be >= 0 and sum to <= 1")
 
-    sim = cfg.get("simulation", {})
-    chk.require(isinstance(sim.get("trials"), int) and sim.get("trials") >= 1,
-                "simulation.trials", "must be an integer >= 1")
-    chk.require(isinstance(sim.get("seed"), int), "simulation.seed", "must be an integer")
-    archs = sim.get("architectures", [])
-    chk.require(archs and all(a in ARCHITECTURES for a in archs),
-                "simulation.architectures", f"entries must be among {ARCHITECTURES}")
+    require(sim["trials"] >= 1, "simulation.trials", "must be an integer >= 1")
+    require(sim["seed"] >= 0, "simulation.seed", "must be an integer >= 0")
+    archs = sim["architectures"]
+    require(archs and all(a in ARCHITECTURES for a in archs), "simulation.architectures",
+            f"entries must be among {ARCHITECTURES}")
 
-    exps = cfg.get("experiments", {})
-    all_d: list[int] = []
-    for name in ("per-bs-power", "network-power", "interference"):
-        grid = exps.get(name, {}).get("d_grid", [])
-        chk.require(grid and all(isinstance(d, int) and d >= 1 for d in grid),
-                    f"experiments.{name}.d_grid", "must be a non-empty list of positive integers")
-        all_d.extend(d for d in grid if isinstance(d, int))
-    fr = exps.get("freq-response", {})
-    dv = fr.get("d_values", [])
-    chk.require(dv and all(isinstance(d, int) and d >= 1 for d in dv),
-                "experiments.freq-response.d_values",
+    d_lists = {f"experiments.{name}.{key}": exps[name][key] for name, key in (
+        ("per-bs-power", "d_grid"), ("network-power", "d_grid"), ("interference", "d_grid"),
+        ("freq-response", "d_values"))}
+    for path, ds in d_lists.items():
+        require(ds and all(d >= 1 for d in ds), path,
                 "must be a non-empty list of positive integers")
-    all_d.extend(d for d in dv if isinstance(d, int))
-    ts_d = exps.get("target-shift", {}).get("d", 0)
-    chk.require(isinstance(ts_d, int) and ts_d >= 1, "experiments.target-shift.d",
-                "must be a positive integer")
-    all_d.append(ts_d if isinstance(ts_d, int) else 0)
-    if isinstance(g, int) and g >= 1 and "group-connected" in archs:
-        for d in all_d:
-            if d >= 1 and d % g:
-                chk.fail("optimization.group_count",
-                         f"group count {g} must divide every element count (found D={d})")
-    grid_spec = fr.get("grid_ghz", {})
-    grid_ok = (all(_is_number(grid_spec.get(k)) for k in ("start", "stop", "step"))
-               and grid_spec.get("step", 0) > 0
-               and grid_spec.get("start", 0) > 0
-               and grid_spec.get("stop", 0) >= grid_spec.get("start", 1))
-    chk.require(grid_ok, "experiments.freq-response.grid_ghz",
-                "need positive start/stop/step with stop >= start")
-    ts = exps.get("target-shift", {})
-    chk.require(_is_number(ts.get("step_ghz")) and ts.get("step_ghz", 0) > 0,
-                "experiments.target-shift.step_ghz", "must be > 0")
-    half = ts.get("half_span_ghz")
-    half_ok = chk.require(_is_number(half) and half > 0,
-                          "experiments.target-shift.half_span_ghz", "must be > 0")
-    targets = ts.get("targets_ghz", [])
-    chk.require(targets and all(_is_number(t) and t > (half if half_ok else 0) for t in targets),
-                "experiments.target-shift.targets_ghz",
-                "must be a non-empty list of frequencies above half_span_ghz")
+    require(ts["d"] >= 1, "experiments.target-shift.d", "must be a positive integer")
+    for d in [d for ds in d_lists.values() for d in ds] + [ts["d"]]:
+        require(g < 1 or "group-connected" not in archs or d < 1 or d % g == 0,
+                "optimization.group_count",
+                f"group count {g} must divide every element count (found D={d})")
+    start, stop, step = (fr["grid_ghz"][k] for k in ("start", "stop", "step"))
+    if require(step > 0 and start > 0 and stop >= start, "experiments.freq-response.grid_ghz",
+               "need positive start/stop/step with stop >= start"):
+        require(_grid_fills(start, stop, step), "experiments.freq-response.grid_ghz",
+                f"must give at least one frequency, in at most {MAX_GRID_STEPS} steps")
+    step_ok = require(ts["step_ghz"] > 0, "experiments.target-shift.step_ghz", "must be > 0")
+    half = ts["half_span_ghz"]
+    half_ok = require(half > 0, "experiments.target-shift.half_span_ghz", "must be > 0")
+    targets = ts["targets_ghz"]
+    if require(targets and all(t > (half if half_ok else 0) for t in targets),
+               "experiments.target-shift.targets_ghz",
+               "must be a non-empty list of frequencies above half_span_ghz") and step_ok:
+        for t in targets:
+            require(_grid_fills(t - half, t + half, ts["step_ghz"]),
+                    "experiments.target-shift.targets_ghz", f"the grid around {t} must give "
+                    f"at least one frequency, in at most {MAX_GRID_STEPS} steps")
     for name in ("freq-response", "target-shift"):
-        tracked = exps.get(name, {})
-        tb, tu = tracked.get("tracked_bs"), tracked.get("tracked_user")
-        if chk.require(isinstance(tb, int) and 1 <= tb <= len(layout),
-                       f"experiments.{name}.tracked_bs", "must be a 1-based base station index"):
-            chk.require(isinstance(tu, int) and 1 <= tu <= layout[tb - 1],
-                        f"experiments.{name}.tracked_user",
-                        f"must be a 1-based index of base station {tb}'s users")
+        tb, tu = exps[name]["tracked_bs"], exps[name]["tracked_user"]
+        if require(1 <= tb <= len(layout), f"experiments.{name}.tracked_bs",
+                   "must be a 1-based base station index"):
+            require(1 <= tu <= layout[tb - 1], f"experiments.{name}.tracked_user",
+                    f"must be a 1-based index of base station {tb}'s users")
     # The group-connected and single-connected surfaces split their groups over
     # the base stations a set weights; a fully-connected one serves them jointly.
     split = any(a != "fully-connected" for a in archs)
     for name in ("per-bs-power", "network-power"):
-        ws = exps.get(name, {}).get("weight_sets", [])
-        ws_ok = chk.require(
-            ws and all(isinstance(w, list) and len(w) == len(bs)
-                       and all(_is_number(x) and x >= 0 for x in w) and any(x > 0 for x in w)
-                       for w in ws),
-            f"experiments.{name}.weight_sets",
-            "each set needs one weight >= 0 per base station, not all zero")
+        ws, modes = exps[name]["weight_sets"], exps[name]["link_modes"]
+        ws_ok = require(ws and all(len(w) == len(bs) and all(x >= 0 for x in w)
+                                   and any(x > 0 for x in w) for w in ws),
+                        f"experiments.{name}.weight_sets",
+                        "each set needs one weight >= 0 per base station, not all zero")
         for i, w in enumerate(ws if ws_ok and nu_ok else []):
             served = [any(v > 0 for v in row) for x, row in zip(w, nu) if x > 0]
-            chk.require(all(served) if split else any(served), f"experiments.{name}.weight_sets",
-                        f"set {i + 1}: {'every' if split else 'some'} base station it weights "
-                        f"needs a positive weight in optimization.user_weights")
-        grid = [d for d in exps.get(name, {}).get("d_grid", []) if isinstance(d, int) and d >= 1]
-        groups = min(([g] if isinstance(g, int) and g >= 1 and "group-connected" in archs
-                      else []) + (grid if "single-connected" in archs else []), default=len(bs))
+            require(all(served) if split else any(served), f"experiments.{name}.weight_sets",
+                    f"set {i + 1}: {'every' if split else 'some'} base station it weights "
+                    f"needs a positive weight in optimization.user_weights")
+        grid = [d for d in exps[name]["d_grid"] if d >= 1]
+        groups = min(([g] if g >= 1 and "group-connected" in archs else [])
+                     + (grid if "single-connected" in archs else []), default=len(bs))
         for i, w in enumerate(ws if ws_ok else []):
-            chk.require(sum(x > 0 for x in w) <= groups, f"experiments.{name}.weight_sets",
-                        f"set {i + 1} weights more base stations than the {groups} groups "
-                        f"a split surface divides among them")
-        modes = exps.get(name, {}).get("link_modes", [])
-        chk.require(modes and all(mode in (BLOCKED, AVAILABLE) for mode in modes),
-                    f"experiments.{name}.link_modes",
-                    f"entries must be '{BLOCKED}' or '{AVAILABLE}'")
+            require(sum(x > 0 for x in w) <= groups, f"experiments.{name}.weight_sets",
+                    f"set {i + 1} weights more base stations than the {groups} groups "
+                    f"a split surface divides among them")
+        require(modes and all(mode in (BLOCKED, AVAILABLE) for mode in modes),
+                f"experiments.{name}.link_modes", f"entries must be '{BLOCKED}' or '{AVAILABLE}'")
         # F_b^H Theta G_b has rank <= D: zero-forcing K_b users needs D >= K_b
         few = [d for d in grid if d < k_max]
-        chk.require(BLOCKED not in modes or not few, f"experiments.{name}.d_grid",
-                    f"blocked links zero-force {k_max} users of a base station only "
-                    f"with D >= {k_max} elements (found D={few})")
-    itf = exps.get("interference", {})
-    pos = itf.get("ris_positions_m", [])
-    chk.require(pos and all(map(_is_point, pos)), "experiments.interference.ris_positions_m",
-                "must be a non-empty list of finite (x, y) positions")
-    for b, (p, u) in enumerate(zip(bs, users)):
-        chk.require(not _gainless(p, u if isinstance(u, list) else [], sc.get("eta_direct")),
-                    "scenario.user_positions_m",
-                    f"a user of base station {b + 1} has no finite, positive path gain from it")
-    for path, surfaces in (("scenario.ris_position_m", [sc.get("ris_position_m")]),
-                           ("experiments.interference.ris_positions_m", pos)):
-        for p in surfaces:
-            chk.require(not _gainless(p, bs + user_points, sc.get("eta_reflected")), path,
-                        f"the surface at {p} has no finite, positive path gain to some "
-                        f"base station or user")
-    f_itf = itf.get("interferer_frequency_ghz")
-    chk.require(_is_number(f_itf) and f_itf > 0,
-                "experiments.interference.interferer_frequency_ghz", "must be > 0")
-    victim = itf.get("victim_bs", 0)
-    if chk.require(isinstance(victim, int) and 1 <= victim <= len(bs),
-                   "experiments.interference.victim_bs", "must be a 1-based base station index"):
+        require(BLOCKED not in modes or not few, f"experiments.{name}.d_grid",
+                f"blocked links zero-force {k_max} users of a base station only "
+                f"with D >= {k_max} elements (found D={few})")
+    pos = itf["ris_positions_m"]
+    pos_ok = require(pos and all(len(p) == 2 for p in pos),
+                     "experiments.interference.ris_positions_m",
+                     "must be a non-empty list of finite (x, y) positions")
+    for b, (p, u) in enumerate(zip(bs, users) if points_ok and sc["eta_direct"] > 0 else []):
+        require(not _gainless(p, u, sc["eta_direct"]), "scenario.user_positions_m",
+                f"a user of base station {b + 1} has no finite, positive path gain from it")
+    for path, surfaces in (("scenario.ris_position_m", [sc["ris_position_m"]]),
+                           ("experiments.interference.ris_positions_m", pos if pos_ok else [])):
+        for p in surfaces if points_ok and sc["eta_reflected"] > 0 else []:
+            require(not _gainless(p, bs + user_points, sc["eta_reflected"]), path,
+                    f"the surface at {p} has no finite, positive path gain to some "
+                    f"base station or user")
+    require(itf["interferer_frequency_ghz"] > 0,
+            "experiments.interference.interferer_frequency_ghz", "must be > 0")
+    victim = itf["victim_bs"]
+    if require(1 <= victim <= len(bs), "experiments.interference.victim_bs",
+               "must be a 1-based base station index"):
         aided = aided_bs(victim - 1) + 1
-        if chk.require(aided <= len(bs), "experiments.interference.victim_bs",
-                       "interference needs a second base station, which the surface aids"):
-            chk.require(not nu_ok or any(w > 0 for w in nu[aided - 1]),
-                        "optimization.user_weights",
-                        f"base station {aided}, which interference aids, needs a positive weight")
-    return chk.errors
+        if require(aided <= len(bs), "experiments.interference.victim_bs",
+                   "interference needs a second base station, which the surface aids"):
+            require(not nu_ok or any(w > 0 for w in nu[aided - 1]), "optimization.user_weights",
+                    f"base station {aided}, which interference aids, needs a positive weight")
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +377,8 @@ def circuit_params(cfg: dict) -> CircuitParams:
 
 
 def cap_ranges(cfg: dict) -> tuple[tuple[float, float], tuple[float, float]]:
-    ci = cfg["circuit"]
-    lo, hi = ci["self_cap_range_pf"]
-    lo_t, hi_t = ci["inter_cap_range_pf"]
-    return (picofarad(lo), picofarad(hi)), (picofarad(lo_t), picofarad(hi_t))
+    return tuple(tuple(map(picofarad, cfg["circuit"][key]))
+                 for key in ("self_cap_range_pf", "inter_cap_range_pf"))
 
 
 def aided_bs(victim: int) -> int:

@@ -32,7 +32,7 @@ from .channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, sample_c
                       stream_rng)
 from .circuit import CapacitancePlan, Codebook, RisTopology, build_codebook, \
     scattering_from_capacitances
-from .config import aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, \
+from .config import aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, ghz_grid, \
     power_config, base_scenario, single_user_scenario
 from .errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
@@ -345,11 +345,6 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
     return samples
 
 
-def _ghz_grid(start: float, stop: float, step: float) -> np.ndarray:
-    return np.round(np.arange(float(start), float(stop) + float(step) / 2.0,
-                              float(step)), 9)
-
-
 class _Settings:
     """What every experiment reads of a validated config.
 
@@ -433,8 +428,7 @@ def _tracked_curves(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
 
 def freq_response(cfg: dict) -> dict[str, AggregateResult]:
     s, exp = _Settings(cfg), cfg["experiments"]["freq-response"]
-    grid = exp["grid_ghz"]
-    ghz_values = _ghz_grid(grid["start"], grid["stop"], grid["step"])
+    ghz_values = ghz_grid(**exp["grid_ghz"])
     return s.tabulate(_tracked_curves(
         s, cfg, "freq-response", "freq_response", ghz_values,
         [s.codebook(ghz(f)) for f in ghz_values],
@@ -445,8 +439,8 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
     s, exp = _Settings(cfg), cfg["experiments"]["target-shift"]
     curves = []
     for target in exp["targets_ghz"]:
-        ghz_values = _ghz_grid(target - exp["half_span_ghz"],
-                               target + exp["half_span_ghz"], exp["step_ghz"])
+        ghz_values = ghz_grid(target - exp["half_span_ghz"],
+                              target + exp["half_span_ghz"], exp["step_ghz"])
         curves += _tracked_curves(
             s, cfg, "target-shift", "target_shift_" + f"{target:g}".replace(".", "p") + "ghz",
             ghz_values, [s.codebook(ghz(target))] * len(ghz_values),

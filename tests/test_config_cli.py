@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import logging
 import os
@@ -8,11 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdris
 from bdris.cli import main
 from bdris.config import (DEFAULT_CONFIG, apply_overrides, config_hash,
                           dbm_to_watts, load_config, validate_config)
+from bdris.experiments import RUNNERS
 from bdris.results import emit_plotdata, read_results, write_results
 from bdris.metrics import AggregateResult, ResultRow
 
@@ -158,6 +162,8 @@ RULES = [
     (["experiments.interference.victim_bs=3"], "experiments.interference.victim_bs"),
     (ONE_BS, "experiments.interference.victim_bs"),
     ([NO_BS1_USERS], "optimization.user_weights"),
+    (["output.dir=5"], "output.dir"),
+    (["power.total_dbm=1e300"], "power.total_dbm"),
 ]
 
 
@@ -165,6 +171,164 @@ RULES = [
 def test_rule_names_its_path(overrides, path):
     cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)
     assert any(e.startswith(f"<config>: {path}: ") for e in validate_config(cfg))
+
+
+# The one type rule: each value has the type of its default in default.yaml.
+@pytest.mark.parametrize("override, message", [
+    ("scenario.m_antennas=4.0", "scenario.m_antennas: must be an integer"),
+    ("simulation.seed=true", "simulation.seed: must be an integer"),
+    ("scenario.eta_direct=.nan", "scenario.eta_direct: must be a finite number"),
+    ("scenario.eta_direct=1" + "0" * 330, "scenario.eta_direct: must be a finite number"),
+    ("circuit.r_ohm=[1.0]", "circuit.r_ohm: must be a finite number"),
+    ("optimization.fw_step_rule=5", "optimization.fw_step_rule: must be a string"),
+    ("output.dir=null", "output.dir: must be a string"),
+    ("simulation.architectures=fully-connected",
+     "simulation.architectures: must be a list of strings"),
+    ("experiments.freq-response.d_values=[4.0]",
+     "experiments.freq-response.d_values: must be a list of integers"),
+    ("scenario.user_positions_m=[[[25.0, 10.0]], [70.0, 10.0]]",
+     "scenario.user_positions_m: must be a list of lists of lists of finite numbers"),
+    ("experiments.freq-response.grid_ghz={start: 1.0, stop: 2.0}",
+     "experiments.freq-response.grid_ghz.step: missing key"),
+], ids=["float-for-int", "bool-for-int", "nan", "huge-int", "list-for-float", "int-for-str",
+        "null-for-str", "str-for-list", "float-in-int-list", "flat-nested-list", "missing-key"])
+def test_type_fault_message(override, message):
+    cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), [override])
+    assert validate_config(cfg) == [f"<config>: {message}"]
+
+
+def _leaves(tree, prefix=()):
+    for key, value in tree.items():
+        yield from _leaves(value, prefix + (key,)) if isinstance(value, dict) else [prefix + (key,)]
+
+
+# Anything a YAML file can hold, including the integers, floats and nesting
+# the type rule must reject without raising.
+_YAML_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**400, 10**400) | st.floats()
+    | st.sampled_from([1e300, -1e300, float("nan"), float("inf"), -float("inf")])
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(_leaves(DEFAULT_CONFIG))), _YAML_VALUES)
+def test_validation_never_raises(path, value):
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    before = copy.deepcopy(cfg)
+    errors = validate_config(cfg)
+    assert isinstance(errors, list) and all(isinstance(e, str) for e in errors)
+    assert cfg == before  # validation changes no value, so no CSV byte or hash moves
+
+
+# Honour map: each leaf key of the defaults, the experiments whose rows it moves,
+# and one value for it that stays valid on HONOUR_BASE (1 trial, D <= 8).
+HONOUR_BASE = [
+    "simulation.trials=1", "scenario.m_antennas=8", "optimization.fw_iterations=50",
+    "circuit.codebook_bits=4", "experiments.freq-response.d_values=[4]",
+    "experiments.freq-response.grid_ghz={start: 7.0, stop: 8.0, step: 0.5}",
+    "experiments.target-shift.targets_ghz=[7.4]", "experiments.target-shift.half_span_ghz=0.2",
+    "experiments.target-shift.d=4", "experiments.interference.ris_positions_m=[[40.0, 20.0]]",
+    "experiments.interference.d_grid=[4]",
+    "experiments.per-bs-power.d_grid=[4]", "experiments.per-bs-power.weight_sets=[[0.3, 0.7]]",
+    "experiments.network-power.d_grid=[4]", "experiments.network-power.weight_sets=[[0.3, 0.7]]",
+]
+ALL = tuple(RUNNERS)
+TRACKED = ("freq-response", "target-shift")
+POWER = ("per-bs-power", "network-power")
+SWEEPS = POWER + ("interference",)
+HONOUR = {
+    "scenario.bs_positions_m": (ALL, "[[0.0, 5.0], [80.0, 0.0]]"),
+    "scenario.user_positions_m": (ALL, "[[[25.0, 12.0], [35.0, 0.0]], [[70.0, 12.0], [55.0, 0]]]"),
+    "scenario.ris_position_m": (TRACKED + POWER, "[40.0, 25.0]"),
+    "scenario.m_antennas": (ALL, "6"),
+    "scenario.frequencies_ghz": (SWEEPS, "[7.6, 8.2]"),
+    "scenario.eta_direct": (SWEEPS, "3.0"),
+    "scenario.eta_reflected": (ALL, "2.2"),
+    "circuit.r_ohm": (ALL, "2.0"),
+    "circuit.l0_nh": (ALL, "2.6"),
+    "circuit.l_nh": (ALL, "0.8"),
+    "circuit.r_tilde_ohm": (ALL, "2.0"),
+    "circuit.l0_tilde_nh": (ALL, "12.0"),
+    "circuit.l_tilde_nh": (ALL, "0.3"),
+    "circuit.z0_ohm": (ALL, "60.0"),
+    "circuit.self_cap_range_pf": (ALL, "[0.2, 2.0]"),
+    "circuit.inter_cap_range_pf": (ALL, "[0.001, 0.5]"),
+    "circuit.codebook_bits": (ALL, "3"),
+    "optimization.user_weights": (SWEEPS, "[[0.9, 0.1], [0.5, 0.5]]"),
+    "optimization.target_frequency_ghz": (POWER, "8.0"),
+    # 50 -> 51 moves no row: Frank-Wolfe has converged at D <= 8
+    "optimization.fw_iterations": (SWEEPS, "2"),
+    "optimization.fw_step_rule": (SWEEPS, "diminishing"),
+    "optimization.group_count": (ALL, "4"),
+    "power.total_dbm": (ALL, "10.0"),
+    "power.noise_dbm": (("interference",), "-30.0"),  # received power is noise-free
+    "power.alpha": (POWER, "[[0.7, 0.3], [0.5, 0.5]]"),
+    "simulation.trials": (ALL, "2"),
+    "simulation.seed": (ALL, "2"),
+    "simulation.architectures": (ALL, "[fully-connected, group-connected]"),
+    "experiments.freq-response.d_values": (("freq-response",), "[6]"),
+    "experiments.freq-response.grid_ghz.start": (("freq-response",), "6.5"),
+    "experiments.freq-response.grid_ghz.stop": (("freq-response",), "8.5"),
+    "experiments.freq-response.grid_ghz.step": (("freq-response",), "0.25"),
+    "experiments.freq-response.tracked_bs": (("freq-response",), "2"),
+    "experiments.freq-response.tracked_user": (("freq-response",), "2"),
+    "experiments.target-shift.targets_ghz": (("target-shift",), "[8.0]"),
+    "experiments.target-shift.half_span_ghz": (("target-shift",), "0.3"),
+    "experiments.target-shift.step_ghz": (("target-shift",), "0.2"),
+    "experiments.target-shift.d": (("target-shift",), "6"),
+    "experiments.target-shift.tracked_bs": (("target-shift",), "2"),
+    "experiments.target-shift.tracked_user": (("target-shift",), "2"),
+    **{f"experiments.{name}.{key}": ((name,), value) for name in POWER for key, value in (
+        ("d_grid", "[6]"), ("weight_sets", "[[0.5, 0.5]]"), ("link_modes", "[available]"))},
+    "experiments.interference.ris_positions_m": (("interference",), "[[30.0, 20.0]]"),
+    "experiments.interference.d_grid": (("interference",), "[6]"),
+    "experiments.interference.interferer_frequency_ghz": (("interference",), "8.6"),
+    "experiments.interference.victim_bs": (("interference",), "1"),
+    "output.dir": (ALL, None),  # the CLI reads it: see test_output_dir_is_honoured
+}
+
+
+# Overrides a change needs besides its own: (with the change, on both sides).
+ALONGSIDE = {
+    # the target frequency must stay one of the operating frequencies
+    "scenario.frequencies_ghz": (("optimization.target_frequency_ghz=7.6",), ()),
+    # both step rules reach one plan by iteration 50, so compare them at 2
+    "optimization.fw_step_rule": ((), ("optimization.fw_iterations=2",)),
+}
+
+
+def test_honour_map_names_every_key():
+    assert set(HONOUR) == {".".join(path) for path in _leaves(DEFAULT_CONFIG)}
+
+
+@functools.lru_cache(maxsize=None)
+def _rows(overrides: tuple, experiment: str) -> dict:
+    cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), HONOUR_BASE + list(overrides))
+    assert validate_config(cfg) == []
+    return {name: table.rows for name, table in RUNNERS[experiment](cfg).items()}
+
+
+@pytest.mark.parametrize("key", [key for key, (_, value) in HONOUR.items() if value])
+def test_key_moves_the_rows_of_its_readers(key):
+    readers, value = HONOUR[key]
+    with_change, context = ALONGSIDE.get(key, ((), ()))
+    for experiment in readers:
+        assert (_rows(context + (f"{key}={value}",) + with_change, experiment)
+                != _rows(context, experiment)), experiment
+
+
+def test_output_dir_is_honoured(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "target-shift", "--override", "output.dir=elsewhere"]
+    assert main(args + [arg for item in HONOUR_BASE for arg in ("--override", item)]) == 0
+    assert [p.name for p in (tmp_path / "elsewhere").iterdir()] == ["target_shift_7p4ghz.csv"]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -209,6 +373,21 @@ REJECTED_FILES = [
     ("network-power", "simulation:\n  architectures: [fully-connected]\nexperiments:\n"
      "  network-power:\n    d_grid: [1]\n    link_modes: [blocked]\n",
      5, "experiments.network-power.d_grid"),
+    # values of the wrong type: the run died in os.path.join, validation in np.isfinite
+    ("freq-response", "output:\n  dir: 5\n", 2, "output.dir"),
+    ("freq-response", "scenario:\n  eta_direct: 1" + "0" * 330 + "\n", 2, "scenario.eta_direct"),
+    # values the run's own conversions cannot take: an overflowing or zero power in
+    # watts, a grid that rounds to no frequency, or one too fine to build
+    ("freq-response", "power:\n  total_dbm: 1e300\n", 2, "power.total_dbm"),
+    ("freq-response", "power:\n  noise_dbm: -1e300\n", 2, "power.noise_dbm"),
+    ("freq-response", "experiments:\n  freq-response:\n"
+     "    grid_ghz: {start: 1e300, stop: 1e300, step: 1.0}\n",
+     3, "experiments.freq-response.grid_ghz"),
+    ("freq-response", "experiments:\n  freq-response:\n"
+     "    grid_ghz: {start: 1.0, stop: 16.0, step: 1e-9}\n",
+     3, "experiments.freq-response.grid_ghz"),
+    ("target-shift", "experiments:\n  target-shift:\n    targets_ghz: [1e300]\n",
+     3, "experiments.target-shift.targets_ghz"),
 ]
 
 
@@ -223,6 +402,19 @@ def test_rejected_file_names_path_and_line(experiment, text, line, path, tmp_pat
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert f"{config}:{line}: {path}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_rejected(tmp_path, capsys):
+    # numpy's seed sequence takes no negative seed: the run died drawing its first trial
+    config = tmp_path / "bad.yaml"
+    config.write_text("simulation:\n  seed: -1\n")
+    assert main(["validate", str(config)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {config}:2: simulation.seed: must be an integer >= 0\n")
+    assert main(["run", "freq-response", "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: <defaults>: simulation.seed: must be an integer >= 0\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -255,12 +447,17 @@ MALFORMED_FILES = [
      "scenario.user_positions_m: a user of base station 1 has no finite, positive"),
     ("freq-response", b"scenario:\n  ris_position_m: [1.0e+200, 0.0]\n", 2,
      "scenario.ris_position_m: the surface at [1e+200, 0.0] has no finite, positive"),
+    # an alias inside its own anchor: the line walk and the type rule never ended
+    ("freq-response", b"a: &x {b: *x}\n", 1, "found recursive alias 'x'"),
+    ("freq-response", b"scenario:\n  bs_positions_m: &x\n  - *x\n", 3,
+     "found recursive alias 'x'"),
 ]
 
 
 @pytest.mark.parametrize("experiment, text, line, message", MALFORMED_FILES,
                          ids=["unclosed-flow", "not-utf8", "undefined-alias", "repeated-key",
-                              "surface-near", "user-near", "surface-far"])
+                              "surface-near", "user-near", "surface-far",
+                              "recursive-alias-mapping", "recursive-alias-list"])
 def test_malformed_file_is_one_error_line(experiment, text, line, message, tmp_path, capsys):
     config = tmp_path / "bad.yaml"
     config.write_bytes(text)
