@@ -158,31 +158,38 @@ def _kind(default, many: bool = False) -> str:
             str: ("a string", "strings"), dict: ("a mapping", "mappings")}[type(default)][many]
 
 
-def _fits(value, default) -> bool:
-    """Whether ``value`` has ``default``'s type; each list entry, its first entry's."""
+def _fits(value, default, known: dict) -> bool:
+    """Whether ``value`` has ``default``'s type; each list entry, its first entry's.
+    ``known`` holds the answer for each (value, list default) pair already checked, keyed
+    by identity, so a list that YAML aliases repeat is checked once."""
     if isinstance(default, list):
-        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+        key = (id(value), id(default))
+        if key not in known:
+            known[key] = isinstance(value, list) and all(_fits(v, default[0], known)
+                                                         for v in value)
+        return known[key]
     if isinstance(default, float):  # an int too large for a float is not finite
         return type(value) in (int, float) and _holds(lambda: math.isfinite(value))
     return type(value) is type(default)
 
 
-def _check_against(require, value, default, path: str = ""):
-    """Report unknown and missing keys, and every value that does not fit its default."""
-    if require(_fits(value, default), path, "must be " + _kind(default)) \
+def _check_against(require, value, default, known: dict, path: str = ""):
+    """Report unknown and missing keys, and every value that does not fit its default
+    (``known``: see :func:`_fits`)."""
+    if require(_fits(value, default, known), path, "must be " + _kind(default)) \
             and isinstance(default, dict):
         for key in [*value, *(k for k in default if k not in value)]:
             sub = f"{path}.{key}" if path else str(key)
             if require(key in default, sub, "unknown key") and require(
                     key in value, sub, "missing key"):
-                _check_against(require, value[key], default[key], sub)
+                _check_against(require, value[key], default[key], known, sub)
 
 
 def _holds(test) -> bool:
-    """Whether ``test()`` is true; a computation that overflows or raises ValueError is not."""
+    """Whether ``test()`` is true; a computation that fails on arithmetic or a value is not."""
     try:
         return bool(test())
-    except (OverflowError, ValueError):
+    except (ArithmeticError, ValueError):
         return False
 
 
@@ -192,9 +199,14 @@ def _gainless(p, others, eta) -> bool:
 
 
 def _grid_fills(start, stop, step) -> bool:
-    """Whether :func:`ghz_grid` gives a frequency in ``MAX_GRID_STEPS`` steps, counted first."""
-    return _holds(lambda: stop - start <= MAX_GRID_STEPS * step
-                  and len(ghz_grid(start, stop, step)) > 0)
+    """Whether :func:`ghz_grid` gives frequencies in ``MAX_GRID_STEPS`` steps, the first
+    above 0 and every one finite in Hz.  The stop and the steps are checked before the
+    grid is built, and an overflow while building it fails instead of warning."""
+    def first_above_zero():
+        with np.errstate(over="raise"):  # a point past the stop may still overflow
+            return (ghz_grid(start, stop, step)[:1] > 0).any()
+    return _holds(lambda: ghz(stop) < math.inf and stop - start <= MAX_GRID_STEPS * step
+                  and first_above_zero())
 
 
 def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = None) -> list[str]:
@@ -208,7 +220,7 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
             errors.append(f"{source}{f':{line}' if line else ''}: {path}: {message}")
         return bool(condition)
 
-    _check_against(require, cfg, DEFAULT_CONFIG)
+    _check_against(require, cfg, DEFAULT_CONFIG, {})
     if errors:
         return errors
 
@@ -222,8 +234,9 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     require(len(bs) >= 1, "scenario.bs_positions_m", "need at least one base station")
     require(len(users) == len(bs), "scenario.user_positions_m",
             "need one user list per base station")
-    require(len(freqs) == len(bs) and all(f > 0 for f in freqs), "scenario.frequencies_ghz",
-            "need one operating frequency > 0 per base station")
+    require(len(freqs) == len(bs) and all(0 < ghz(f) < math.inf for f in freqs),
+            "scenario.frequencies_ghz", "need one operating frequency per base station, "
+            "> 0 and finite in Hz")
     for b, k in enumerate(layout):
         require(k >= 1, "scenario.user_positions_m",
                 f"base station {b + 1} needs at least one user")
@@ -291,7 +304,8 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     if require(step > 0 and start > 0 and stop >= start, "experiments.freq-response.grid_ghz",
                "need positive start/stop/step with stop >= start"):
         require(_grid_fills(start, stop, step), "experiments.freq-response.grid_ghz",
-                f"must give at least one frequency, in at most {MAX_GRID_STEPS} steps")
+                f"must give at least one frequency, the first > 0 and all finite in Hz, "
+                f"in at most {MAX_GRID_STEPS} steps")
     step_ok = require(ts["step_ghz"] > 0, "experiments.target-shift.step_ghz", "must be > 0")
     half = ts["half_span_ghz"]
     half_ok = require(half > 0, "experiments.target-shift.half_span_ghz", "must be > 0")
@@ -302,7 +316,8 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
         for t in targets:
             require(_grid_fills(t - half, t + half, ts["step_ghz"]),
                     "experiments.target-shift.targets_ghz", f"the grid around {t} must give "
-                    f"at least one frequency, in at most {MAX_GRID_STEPS} steps")
+                    f"at least one frequency, the first > 0 and all finite in Hz, "
+                    f"in at most {MAX_GRID_STEPS} steps")
     for name in ("freq-response", "target-shift"):
         tb, tu = exps[name]["tracked_bs"], exps[name]["tracked_user"]
         if require(1 <= tb <= len(layout), f"experiments.{name}.tracked_bs",
@@ -350,8 +365,8 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
             require(not _gainless(p, bs + user_points, sc["eta_reflected"]), path,
                     f"the surface at {p} has no finite, positive path gain to some "
                     f"base station or user")
-    require(itf["interferer_frequency_ghz"] > 0,
-            "experiments.interference.interferer_frequency_ghz", "must be > 0")
+    require(0 < ghz(itf["interferer_frequency_ghz"]) < math.inf,
+            "experiments.interference.interferer_frequency_ghz", "must be > 0 and finite in Hz")
     victim = itf["victim_bs"]
     if require(1 <= victim <= len(bs), "experiments.interference.victim_bs",
                "must be a 1-based base station index"):

@@ -367,7 +367,8 @@ class _Settings:
         return build_codebook(f, self.bits, *self.cap_ranges, self.params)
 
     def row(self, variable: str, value, label: str, metric: str, samples) -> ResultRow:
-        return ResultRow(variable, value, label, metric, *aggregate(samples), self.trials)
+        return ResultRow(variable, value, label, metric, *aggregate(samples), self.trials,
+                         tuple(samples))
 
     def tabulate(self, curves) -> dict[str, AggregateResult]:
         """Tables of ``curves``: each curve's rows function turns the samples

@@ -76,6 +76,9 @@ def sum_spectral_efficiency_outdated(channels: ChannelSet, b: int,
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One curve point; ``samples`` are the per-trial values its ``mean`` and
+    ``stderr`` aggregate, in trial order, held in memory only (never in a CSV)."""
+
     variable: str
     value: object
     architecture: str
@@ -83,16 +86,14 @@ class ResultRow:
     mean: float
     stderr: float
     trials: int
+    samples: tuple = ()
 
 
 @dataclass(frozen=True)
 class AggregateResult:
     rows: tuple[ResultRow, ...]
 
-    def mean_of(self, value, architecture: str, metric: str) -> float:
-        return self._one(value, architecture, metric).mean
-
-    def _one(self, value, architecture: str, metric: str) -> ResultRow:
+    def row(self, value, architecture: str, metric: str) -> ResultRow:
         hits = [r for r in self.rows
                 if r.value == value and r.architecture == architecture and r.metric == metric]
         if len(hits) != 1:

@@ -1,8 +1,10 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s`` or
-``-rA``).  The desk-scale reproductions (criteria 8-11) run a few minutes in
-total; everything else takes seconds.
+``-rA``).  The desk-scale reproductions (criteria 8-11) call the shipped
+runners and run a few minutes in total; everything else takes seconds.
+Criteria 10 and 11 pair the architectures trial by trial through
+``ResultRow.samples``, which rows hold in memory and CSVs never carry.
 """
 
 import copy
@@ -14,17 +16,14 @@ import pytest
 
 from bdris.channel import (BLOCKED, NetworkScenario, effective_channels,
                            sample_channels, stream_rng, zf_precoder)
-from bdris.circuit import (CircuitParams, RisTopology, build_codebook, random_plan,
+from bdris.circuit import (CircuitParams, RisTopology, random_plan,
                            impedance_from_scattering, scattering_from_capacitances,
                            scattering_from_impedance)
 from bdris.cli import main as cli_main
-from bdris.config import (DEFAULT_CONFIG, base_scenario, cap_ranges, circuit_params,
-                          ghz, power_config)
-from bdris.experiments import (fc_target_bs, freq_response, interference,
-                               priority_assignment, solve_trials, target_shift,
-                               topology_for)
+from bdris.config import DEFAULT_CONFIG
+from bdris.experiments import (freq_response, interference, per_bs_power, solve_trials,
+                               target_shift)
 from bdris.matrixkit import duplication_matrix, vec, vech
-from bdris.metrics import evaluate_received_powers, sum_power_per_bs
 from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
 from reference_stack import reduced_stack
 
@@ -277,12 +276,11 @@ def test_criterion_10_interference_reproduction():
         out = interference(cfg)
         keys = ["interference_x20_y20", "interference_x40_y20", "interference_x60_y20"]
         degradation = {}
-        per_trial = {}
         for key in keys:
             res = out[key]
-            ref = res.mean_of(80, "interference-free", "sum_se_bs2")
+            ref = res.row(80, "interference-free", "sum_se_bs2").mean
             degradation[key] = {
-                arch: ref - res.mean_of(80, arch, "sum_se_bs2")
+                arch: ref - res.row(80, arch, "sum_se_bs2").mean
                 for arch in ("fully-connected", "single-connected")
             }
         for arch in ("fully-connected", "single-connected"):
@@ -297,45 +295,14 @@ def test_criterion_10_interference_reproduction():
         # surface must not degrade the victim significantly less than the
         # single-connected one (one-sided allowance of two paired standard
         # errors; the underlying effect is at Monte Carlo noise level).
-        per_trial = _paired_interference_degradation()
-        diff = per_trial["single-connected"] - per_trial["fully-connected"]
+        res = out["interference_x60_y20"]
+        fully, single = (np.array(res.row(80, arch, "sum_se_bs2").samples)
+                         for arch in ("fully-connected", "single-connected"))
+        diff = single - fully
         stderr = diff.std(ddof=1) / np.sqrt(diff.size)
         print(f"  paired fully-minus-single degradation: {diff.mean():+.3f}"
               f" +- {stderr:.3f} bits/s/Hz")
         assert diff.mean() >= -2.0 * stderr
-
-
-def _paired_interference_degradation():
-    """Per-trial victim sum spectral efficiencies at (60, 20), D = 80."""
-    from bdris.channel import AVAILABLE
-    from bdris.metrics import sum_spectral_efficiency_outdated
-
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
-    params = circuit_params(cfg)
-    self_range, inter_range = cap_ranges(cfg)
-    freqs = (ghz(7.4), ghz(8.4))
-    scenario = base_scenario(cfg, direct_links=AVAILABLE, ris_position=(60.0, 20.0),
-                             frequencies=freqs)
-    power = power_config(cfg, scenario)
-    weights = ObjectiveWeights(mu=(1.0, 0.0), nu=((0.5, 0.5), (0.5, 0.5)))
-    codebook = build_codebook(freqs[0], 6, self_range, inter_range, params)
-    d = 80
-    fw = FwConfig(500)
-    out = {arch: [] for arch in ("fully-connected", "single-connected")}
-    chunk = 40
-    for start in range(0, TRIALS, chunk):
-        chans = [sample_channels(scenario, d, stream_rng(SEED, t))
-                 for t in range(start, min(start + chunk, TRIALS))]
-        for arch in out:
-            topo = topology_for(arch, d, 2)
-            assignment = GroupAssignment.single(0, topo)
-            states = solve_trials(chans, weights, topo, assignment, params.z0, fw)
-            for ch, state in zip(chans, states):
-                rows = scattering_from_capacitances(
-                    state.plan({0: codebook}), freqs[1], params, np.conj(ch.f[1]).T)
-                out[arch].append(
-                    sum_spectral_efficiency_outdated(ch, 1, rows, power))
-    return {arch: np.array(values) for arch, values in out.items()}
 
 
 @pytest.mark.slow
@@ -343,38 +310,16 @@ def test_criterion_11_architecture_ordering():
     with criterion(11, "sum-power ordering fully >= group >= single with "
                        "2-stderr separation from D = 60"):
         cfg = copy.deepcopy(DEFAULT_CONFIG)
-        params = circuit_params(cfg)
-        self_range, inter_range = cap_ranges(cfg)
-        scenario = base_scenario(cfg, direct_links=BLOCKED)
-        power = power_config(cfg, scenario)
-        weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((0.5, 0.5), (0.5, 0.5)))
-        codebooks = {b: build_codebook(f, 6, self_range, inter_range, params)
-                     for b, f in enumerate(scenario.frequencies)}
-        archs = ("fully-connected", "group-connected", "single-connected")
+        cfg["simulation"]["trials"] = TRIALS
+        cfg["simulation"]["seed"] = SEED
+        cfg["experiments"]["per-bs-power"].update(weight_sets=[[0.3, 0.7]],
+                                                  link_modes=["blocked"])
+        res = per_bs_power(cfg)["per_bs_power__mu_0.3_0.7__blocked"]
         for d in (20, 40, 60, 80, 100):
-            samples = {arch: [] for arch in archs}
-            for t in range(TRIALS):
-                ch = sample_channels(scenario, d, stream_rng(SEED, t))
-                for arch in archs:
-                    topo = topology_for(arch, d, 2)
-                    if topo.g == 1:
-                        target = fc_target_bs(weights, scenario.frequencies, ghz(7.4))
-                        assignment = GroupAssignment.single(target, topo)
-                    else:
-                        assignment = priority_assignment(weights, topo)
-                    state = solve_trials([ch], weights, topo, assignment,
-                                         params.z0)[0]
-                    plan = state.plan(codebooks)
-                    rows = [scattering_from_capacitances(plan, f, params,
-                                                         np.conj(ch.f[b]).T)
-                            for b, f in enumerate(scenario.frequencies)]
-                    result = evaluate_received_powers(ch, rows, power)
-                    samples[arch].append(sum_power_per_bs(result))
-            arrays = {arch: np.array(samples[arch]) for arch in archs}
             for b in (0, 1):
-                fully = arrays["fully-connected"][:, b]
-                group = arrays["group-connected"][:, b]
-                single = arrays["single-connected"][:, b]
+                fully, group, single = (
+                    np.array(res.row(d, arch, f"sum_power_bs{b + 1}_w").samples)
+                    for arch in ("fully-connected", "group-connected", "single-connected"))
                 assert fully.mean() >= group.mean() >= single.mean()
                 if d >= 60:
                     # architectures share per-trial fading, so the gap is

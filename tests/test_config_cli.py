@@ -388,6 +388,16 @@ REJECTED_FILES = [
      3, "experiments.freq-response.grid_ghz"),
     ("target-shift", "experiments:\n  target-shift:\n    targets_ghz: [1e300]\n",
      3, "experiments.target-shift.targets_ghz"),
+    # frequencies the run cannot use: a grid that rounds to 0 GHz first, or that is
+    # infinite in Hz; an operating frequency that is infinite in Hz
+    ("freq-response", "experiments:\n  freq-response:\n"
+     "    grid_ghz: {start: 1.0e-10, stop: 2.0e-9, step: 1.0e-9}\n",
+     3, "experiments.freq-response.grid_ghz"),
+    ("freq-response", "experiments:\n  freq-response:\n"
+     "    grid_ghz: {start: 1.0e300, stop: 1.0e300, step: 1.0e300}\n",
+     3, "experiments.freq-response.grid_ghz"),
+    ("per-bs-power", "scenario:\n  frequencies_ghz: [1.0e300, 8.0]\n"
+     "optimization:\n  target_frequency_ghz: 1.0e300\n", 2, "scenario.frequencies_ghz"),
 ]
 
 
@@ -452,6 +462,25 @@ MALFORMED_FILES = [
     ("freq-response", b"scenario:\n  bs_positions_m: &x\n  - *x\n", 3,
      "found recursive alias 'x'"),
 ]
+
+
+def test_nested_aliases_are_checked_once(tmp_path, monkeypatch):
+    # 200 aliases of a list of 200 aliases of a 200-float list: checking every
+    # entry of every alias took 8,040,343 type checks
+    row = "[" + ", ".join(["1.0"] * 200) + "]"
+    config = tmp_path / "aliases.yaml"
+    config.write_text("scenario:\n  user_positions_m: [&b [&a " + row + ", "
+                      + ", ".join(["*a"] * 199) + "], " + ", ".join(["*b"] * 199) + "]\n")
+    cfg, lines, source = load_config(str(config))
+    calls = []
+    fits = bdris.config._fits
+    monkeypatch.setattr(bdris.config, "_fits", lambda *args: calls.append(1) or fits(*args))
+    errors = validate_config(cfg, source, lines)
+    assert len(calls) <= 2_000
+    assert errors[:2] == [
+        f"{config}:2: scenario.user_positions_m: need one user list per base station",
+        f"{config}:2: scenario.user_positions_m: positions must be finite (x, y) pairs"]
+    assert len(errors) == 7
 
 
 @pytest.mark.parametrize("experiment, text, line, message", MALFORMED_FILES,

@@ -21,7 +21,8 @@ from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interferenc
                                solve_trials, target_shift, topology_for)
 from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
                              first_column, reduced_adjoint)
-from bdris.results import write_results
+from bdris.metrics import aggregate
+from bdris.results import read_results, write_results
 
 PARAMS = CircuitParams.defaults()
 
@@ -424,8 +425,8 @@ class TestPowerSweeps:
         blocked = network_power(blocked_cfg)["network_power__mu_1_0__blocked"]
         # direct links add power on top of the reflected path
         for arch in ("fully-connected",):
-            assert (res.mean_of(8, arch, "network_sum_power_w")
-                    > blocked.mean_of(8, arch, "network_sum_power_w"))
+            assert (res.row(8, arch, "network_sum_power_w").mean
+                    > blocked.row(8, arch, "network_sum_power_w").mean)
 
 
 def test_every_run_path_snap_equals_exhaustive(monkeypatch):
@@ -464,9 +465,9 @@ class TestInterference:
         cfg["optimization"]["fw_iterations"] = 40
         out = interference(cfg)
         res = out["interference_x60_y20"]
-        ref = res.mean_of(16, "interference-free", "sum_se_bs2")
+        ref = res.row(16, "interference-free", "sum_se_bs2").mean
         for arch in ("fully-connected", "group-connected", "single-connected"):
-            actual = res.mean_of(16, arch, "sum_se_bs2")
+            actual = res.row(16, arch, "sum_se_bs2").mean
             assert actual < ref
 
     def test_step_rule_override_reaches_solver(self, monkeypatch):
@@ -503,11 +504,34 @@ class TestInterference:
         trials = cfg["simulation"]["trials"]
         archs = cfg["simulation"]["architectures"]
         assert len(calls) == trials * (len(archs) + 1)
-        assert out.mean_of(4, "interference-free", "sum_se_bs2") > 0
+        assert out.row(4, "interference-free", "sum_se_bs2").mean > 0
 
     def test_runner_table(self):
         assert set(RUNNERS) == {"freq-response", "target-shift", "per-bs-power",
                                 "network-power", "interference"}
+
+
+def test_rows_keep_their_samples(tmp_path):
+    # rows hold the per-trial samples they aggregate; a CSV holds none of them
+    cfg = tiny_config(**{
+        "freq-response": {"d_values": [8], "grid_ghz": {"start": 7.0, "stop": 8.0,
+                                                        "step": 0.5}},
+        "target-shift": {"targets_ghz": [7.4], "half_span_ghz": 0.2, "d": 8},
+        "per-bs-power": {"d_grid": [8], "weight_sets": [[0.3, 0.7]]},
+        "network-power": {"d_grid": [8], "weight_sets": [[0.3, 0.7]]},
+        "interference": {"ris_positions_m": [[60.0, 20.0]], "d_grid": [8]}})
+    cfg["simulation"]["trials"] = 2
+    cfg["optimization"]["fw_iterations"] = 5
+    for name, runner in RUNNERS.items():
+        for table, result in runner(cfg).items():
+            _, back = read_results(write_results(str(tmp_path / f"{table}.csv"), result,
+                                                 name, "00" * 32, 5))
+            assert len(back.rows) == len(result.rows) > 0
+            for row, read in zip(result.rows, back.rows):
+                assert len(row.samples) == row.trials == 2
+                assert aggregate(row.samples) == (row.mean, row.stderr)
+                assert read.samples == ()
+                assert (read.mean, read.stderr) == (row.mean, row.stderr)
 
 
 class TestDedicatedConfigurationLooksRandomElsewhere:
