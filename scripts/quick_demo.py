@@ -11,8 +11,9 @@ import numpy as np
 
 from bdris.channel import (BLOCKED, NetworkScenario, PowerConfig,
                            sample_channels, stream_rng)
-from bdris.circuit import (CircuitParams, RisTopology, build_codebook,
-                           random_plan, scattering_from_capacitances)
+from bdris.circuit import (RisTopology, build_codebook, random_plan,
+                           scattering_from_capacitances)
+from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.experiments import solve_trials
 from bdris.metrics import evaluate_received_powers
 from bdris.optimizer import GroupAssignment, ObjectiveWeights, stack_fc
@@ -24,7 +25,7 @@ INTER_RANGE = (0.001e-12, 0.6e-12)
 
 
 def main():
-    params = CircuitParams.defaults()
+    params = circuit_params(DEFAULT_CONFIG)
     scenario = NetworkScenario(
         bs_positions=((0.0, 0.0),), user_positions=(((25.0, 10.0),),),
         ris_position=(40.0, 20.0), m=40, frequencies=(F_STAR,),

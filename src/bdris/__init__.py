@@ -21,7 +21,7 @@ from .matrixkit import (duplication_matrix, leading_right_singular_vector, unvec
 from .metrics import (AggregateResult, ResultRow, TrialResult, aggregate,
                       evaluate_received_powers, network_sum_power, sum_power_per_bs,
                       sum_spectral_efficiency_outdated)
-from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, relaxed_block_branches,
+from .optimizer import (GroupAssignment, ObjectiveWeights, relaxed_block_branches,
                         snap_to_codebook, stack_fc, stack_gc)
 from .experiments import TrialState, solve_trials
 

@@ -53,12 +53,6 @@ class CircuitParams:
         if self.z0 <= 0:
             raise ValueError("reference impedance must be > 0")
 
-    @classmethod
-    def defaults(cls) -> "CircuitParams":
-        """Reference hardware values used by the bundled experiments."""
-        return cls(r=1.0, l0=2.5e-9, l=0.7e-9,
-                   r_tilde=1.0, l0_tilde=12.5e-9, l_tilde=0.2e-9, z0=50.0)
-
 
 @dataclass(frozen=True)
 class RisTopology:

@@ -24,6 +24,7 @@ from .errors import ConfigError
 
 ARCHITECTURES = ("fully-connected", "group-connected", "single-connected")
 MAX_GRID_STEPS = 100_000  # validation rejects a finer frequency grid unbuilt
+MAX_CODEBOOK_BITS = 12  # validation rejects a larger codebook unbuilt (README has its cost)
 
 
 def ghz(x) -> float:
@@ -258,7 +259,8 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     for key in ("self_cap_range_pf", "inter_cap_range_pf"):
         require(len(ci[key]) == 2 and 0 < ci[key][0] < ci[key][1], f"circuit.{key}",
                 "must be a positive increasing pair")
-    require(ci["codebook_bits"] >= 1, "circuit.codebook_bits", "must be an integer >= 1")
+    require(1 <= ci["codebook_bits"] <= MAX_CODEBOOK_BITS, "circuit.codebook_bits",
+            f"must be an integer from 1 to {MAX_CODEBOOK_BITS}")
 
     nu = op["user_weights"]
     nu_ok = require(len(nu) == len(users) and all(len(row) == k and all(w >= 0 for w in row)
@@ -268,8 +270,6 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     require(op["target_frequency_ghz"] in [float(f) for f in freqs],
             "optimization.target_frequency_ghz", "must be one of scenario.frequencies_ghz")
     require(op["fw_iterations"] >= 1, "optimization.fw_iterations", "must be an integer >= 1")
-    require(op["fw_step_rule"] in ("line-search", "diminishing"), "optimization.fw_step_rule",
-            "must be 'line-search' or 'diminishing'")
     g = op["group_count"]
     require(g >= 1, "optimization.group_count", "must be an integer >= 1")
 

@@ -40,7 +40,7 @@ from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_p
                       network_sum_power, sum_power_per_bs,
                       sum_spectral_efficiency_outdated)
 # _snap is not called here; the traced benchmark wraps it by name (ROADMAP item 1).
-from .optimizer import (FwConfig, GroupAssignment, ObjectiveWeights, _snap,
+from .optimizer import (GroupAssignment, ObjectiveWeights, _snap,
                         first_column, frank_wolfe_batch, reduced_adjoint,
                         relaxed_block_branches, snap_to_codebook, stack_factors,
                         stack_fc, stack_gc)
@@ -148,14 +148,14 @@ def _relaxed_solutions(draws) -> list[dict[int, np.ndarray]]:
     With ``fw=None`` the direct links are taken as blocked and the solution
     is the scaled leading right singular vector of the reduced stacked
     matrix R: R^H u for the leading eigenvector u of its Gram matrix.  With
-    an :class:`FwConfig` the direct links count: the instances of every draw
-    (one per draw and priority base station) that share a Gram size and
-    solver settings run as one conditional-gradient batch, their Gram
+    an iteration count ``fw`` the direct links count: the instances of every
+    draw (one per draw and priority base station) that share a Gram size and
+    iteration count run as one conditional-gradient batch, their Gram
     matrices written straight into it.  An instance's result does not depend
     on the batch it runs in.
     """
     thetas = [{} for _ in draws]
-    batches: dict[tuple[int, FwConfig], list] = {}
+    batches: dict[tuple[int, int], list] = {}
     for i, (chans, weights, topo, assignment, fw) in enumerate(draws):
         for bs in assignment.bs:
             f = _factors(chans, weights, topo, bs)
@@ -177,11 +177,11 @@ def _relaxed_solutions(draws) -> list[dict[int, np.ndarray]]:
     return thetas
 
 
-def _frank_wolfe_instances(draws, instances, rows: int, fw: FwConfig):
-    """Row-space coefficients ``(acc, c)`` of one conditional-gradient call over
-    ``instances`` ((draw index, base station, row factors) with ``rows``-row
-    sub-problems).  The Gram matrices are written straight into the batch,
-    which is freed on return."""
+def _frank_wolfe_instances(draws, instances, rows: int, iterations: int):
+    """Row-space coefficients ``(acc, c)`` of one conditional-gradient call of
+    ``iterations`` iterations over ``instances`` ((draw index, base station,
+    row factors) with ``rows``-row sub-problems).  The Gram matrices are
+    written straight into the batch, which is freed on return."""
     grams = np.empty((len(instances), rows, rows), dtype=complex)
     hs = np.empty((len(instances), rows), dtype=complex)
     e1 = np.empty((len(instances), rows), dtype=complex)
@@ -191,9 +191,7 @@ def _frank_wolfe_instances(draws, instances, rows: int, fw: FwConfig):
         grams[j], hs[j] = _stack(chans, weights, topo, bs)
         e1[j] = first_column(f)
         radius[j] = np.sqrt(topo.g)
-    acc, c, _ = frank_wolfe_batch(grams, hs, radius, fw.iterations, e1,
-                                  step_rule=fw.step_rule)
-    return acc, c
+    return frank_wolfe_batch(grams, hs, radius, iterations, e1)
 
 
 def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
@@ -218,14 +216,14 @@ def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
 
 def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
                  assignment: GroupAssignment, z0: float,
-                 fw: FwConfig | None = None) -> list[TrialState]:
+                 fw: int | None = None) -> list[TrialState]:
     """Configure a surface for each channel draw in ``chans_list``.
 
     Each priority base station of ``assignment`` solves its relaxed
     sub-problem and keeps the groups dedicated to it (see
     :func:`_relaxed_solutions`): ``fw=None`` takes the direct links as
-    blocked, an :class:`FwConfig` runs one conditional-gradient batch over
-    every draw.  Branch retrieval raises
+    blocked, an iteration count runs one conditional-gradient batch of that
+    many iterations over every draw.  Branch retrieval raises
     :class:`~bdris.errors.SingularNetworkError` on a short-circuited block.
     Snap a returned state with :meth:`TrialState.plan`.
     """
@@ -239,9 +237,10 @@ class Point:
     """One grid point of a sweep.
 
     Its trials draw fading for ``scenario`` at ``d`` elements and configure
-    ``topo`` for ``weights`` under ``assignment``; ``fw=None`` takes the
-    direct links as blocked.  ``evaluate(chans, state)`` returns one trial's
-    metrics by name; ``context`` names the point in logs and errors.
+    ``topo`` for ``weights`` under ``assignment`` with ``fw``
+    conditional-gradient iterations; ``fw=None`` takes the direct links as
+    blocked.  ``evaluate(chans, state)`` returns one trial's metrics by name;
+    ``context`` names the point in logs and errors.
     """
 
     scenario: NetworkScenario
@@ -249,7 +248,7 @@ class Point:
     topo: RisTopology
     assignment: GroupAssignment
     weights: ObjectiveWeights
-    fw: FwConfig | None
+    fw: int | None
     evaluate: Callable[[object, TrialState], dict]
     context: str
 
@@ -360,7 +359,7 @@ class _Settings:
         self.cap_ranges = cap_ranges(cfg)
         self.bits = cfg["circuit"]["codebook_bits"]
         self.group_count = op["group_count"]
-        self.fw = FwConfig(op["fw_iterations"], op["fw_step_rule"])
+        self.fw = op["fw_iterations"]
         self.nu = tuple(tuple(map(float, row)) for row in op["user_weights"])
 
     def codebook(self, f: float) -> Codebook:

@@ -90,29 +90,6 @@ class GroupAssignment:
         return cls(bs=bs, groups=groups)
 
 
-@dataclass(frozen=True)
-class FwConfig:
-    """Conditional-gradient settings.
-
-    ``step_rule`` selects how far to move toward the direction-finding
-    solution: "line-search" (default) maximizes the objective exactly over
-    the segment, which for this convex quadratic objective always selects the
-    full step and is monotone; "diminishing" uses the classical 2/(i+2)
-    schedule, whose objective can stall on instances whose two leading
-    singular values nearly coincide (it rotates the iterate at a rate that
-    slows with the inverse spectral gap).
-    """
-
-    iterations: int = 500
-    step_rule: str = "line-search"
-
-    def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iteration count must be >= 1")
-        if self.step_rule not in ("line-search", "diminishing"):
-            raise ValueError("step_rule must be 'line-search' or 'diminishing'")
-
-
 def stack_factors(channels: ChannelSet, weights: ObjectiveWeights,
                   bss) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per base station in ``bss``, the (users, D) stack of a = w_k conj(f_k) and
@@ -204,8 +181,7 @@ def stack_gc(channels: ChannelSet, weights: ObjectiveWeights, topology: RisTopol
 
 
 def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarray,
-                      iterations: int, r_e1: np.ndarray, step_rule: str = "line-search",
-                      trace: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      iterations: int, r_e1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized conditional gradient over a batch of independent instances.
 
     ``gram`` is the (T, rows, rows) stack of Gram matrices r r^H, ``h`` the
@@ -216,55 +192,42 @@ def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarra
     w = r theta + h the gradient direction r^H w only enters through r r^H w,
     so the recursion runs in the row space at O(rows^2) per iteration, with
     iterate theta = r^H acc + c e1 (e1: the fallback direction when the
-    gradient vanishes).  Returns (T, rows) ``acc`` and (T,) ``c`` (map them
-    with :func:`reduced_adjoint`) and the (T, iterations - 1) objectives
-    ||w||^2 before each iteration (empty unless tracing).  An instance's
-    arithmetic does not depend on its batch, so batches may be chunked.
+    gradient vanishes).  Returns (T, rows) ``acc`` and (T,) ``c``; map them
+    with :func:`reduced_adjoint`.  An instance's arithmetic does not depend
+    on its batch, so batches may be chunked.
 
-    The objective is convex, so its maximum over the segment from the iterate
-    to the direction-finding solution always sits at the far endpoint: exact
-    line search is the full step, and it never decreases the objective.
-
-    When every instance has a nonzero gradient (the normal case) an
-    iteration takes the short update, which leaves out the terms the general
-    update multiplies by an exact 0.0 or 1.0: the fallback direction
-    (``0.0 * r_e1``, ``+ 0.0`` on c) and, under line search, the discarded
-    iterate (``0.0 * acc``, ``0.0 * w``) and the unit weight of h.  Adding an
-    exact zero or multiplying by one changes at most the sign of a zero
-    result, so both updates give equal iterates; an iteration in which some
-    instance's gradient vanishes (or is NaN) runs the general update.
+    The step is the exact line search.  The objective is convex, so its
+    maximum over the segment from the iterate to the direction-finding
+    solution always sits at the far endpoint: the step is the full one, the
+    iterate is the direction-finding solution, and the objective never
+    decreases.  When every instance has a nonzero gradient (the normal case)
+    an iteration takes the short update; otherwise (a vanishing or NaN
+    gradient) it runs the general update, in which a flat instance steps
+    along e1 instead.  For the other instances the general update only adds
+    ``0.0 * r_e1``, which changes at most the sign of a zero, so both updates
+    give equal iterates.
     """
+    if iterations < 1:
+        raise ValueError("iteration count must be >= 1")
     t, rows, _ = gram.shape
     w = h.astype(complex).copy()                       # residual at theta = 0
     acc = np.zeros((t, rows), dtype=complex)
     c = np.zeros(t)
-    history = np.zeros((t, iterations - 1 if trace else 0))
-    line_search = step_rule == "line-search"
-    for i in range(1, iterations):
-        if trace:
-            history[:, i - 1] = np.einsum("tr,tr->t", w.conj(), w).real
+    for _ in range(1, iterations):
         v = np.matmul(gram, w[..., None])[..., 0]
         grad_sq = np.einsum("tr,tr->t", w.conj(), v).real  # = ||r^H w||^2 >= 0
-        step = 1.0 if line_search else 2.0 / (i + 2.0)
-        keep = 1.0 - step
         if (grad_sq > 0.0).all():
-            scale = (step * radius / np.sqrt(grad_sq))[:, None]
-            if line_search:
-                acc = scale * w
-                w = h + scale * v
-            else:
-                acc = keep * acc + scale * w
-                w = keep * w + step * h + scale * v
-            c = keep * c
+            scale = (radius / np.sqrt(grad_sq))[:, None]
+            acc = scale * w
+            w = h + scale * v
+            c = np.zeros(t)
             continue
         flat = grad_sq <= 0.0
-        grad_norm = np.sqrt(np.where(flat, 1.0, grad_sq))
-        scale = np.where(flat, 0.0, step * radius / grad_norm)
-        fall = np.where(flat, step * radius, 0.0)
-        acc = keep * acc + scale[:, None] * w
-        c = keep * c + fall
-        w = keep * w + step * h + scale[:, None] * v + fall[:, None] * r_e1
-    return acc, c, history
+        scale = np.where(flat, 0.0, radius / np.sqrt(np.where(flat, 1.0, grad_sq)))[:, None]
+        c = np.where(flat, radius, 0.0)
+        acc = scale * w
+        w = h + scale * v + c[:, None] * r_e1
+    return acc, c
 
 
 def _snap(targets: np.ndarray, arc: CodewordArc, caps: np.ndarray) -> np.ndarray:

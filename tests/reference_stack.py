@@ -35,16 +35,12 @@ def reduced_stack(channels, weights, topology=None, bs=None):
     return np.vstack(r_rows), np.concatenate(h_rows)
 
 
-def frank_wolfe(r, h, radius, iterations, trace=False):
+def frank_wolfe(r, h, radius, iterations):
     """Conditional-gradient ascent of ||r theta + h||^2 over ||theta|| <= radius
     for one instance given by R itself: ``frank_wolfe_batch`` on a batch of one.
-    Returns theta and its objective, and with ``trace=True`` also the
-    objective before each iteration followed by the final one."""
-    acc, c, history = frank_wolfe_batch((r @ r.conj().T)[None], h[None], radius,
-                                        iterations, r[None, :, 0], trace=trace)
+    Returns theta and its objective."""
+    acc, c = frank_wolfe_batch((r @ r.conj().T)[None], h[None], radius, iterations,
+                               r[None, :, 0])
     theta = r.conj().T @ acc[0]
     theta[0] += c[0]
-    objective = float(np.linalg.norm(r @ theta + h) ** 2)
-    if trace:
-        return theta, objective, np.append(history[0], objective)
-    return theta, objective
+    return theta, float(np.linalg.norm(r @ theta + h) ** 2)

@@ -20,14 +20,14 @@ from bdris.circuit import (CircuitParams, RisTopology, random_plan,
                            impedance_from_scattering, scattering_from_capacitances,
                            scattering_from_impedance)
 from bdris.cli import main as cli_main
-from bdris.config import DEFAULT_CONFIG
+from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.experiments import (freq_response, interference, per_bs_power, solve_trials,
                                target_shift)
 from bdris.matrixkit import duplication_matrix, vec, vech
-from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
+from bdris.optimizer import GroupAssignment, ObjectiveWeights
 from reference_stack import reduced_stack
 
-PARAMS = CircuitParams.defaults()
+PARAMS = circuit_params(DEFAULT_CONFIG)
 SEED = 1
 TRIALS = 200
 
@@ -157,7 +157,7 @@ def test_criterion_06_conditional_gradient_matches_svd():
     with criterion(6, "conditional gradient matches the closed form within 1% "
                       "at 500 iterations", limit=60.0):
         rng = np.random.default_rng(SEED)
-        fw = FwConfig(500)
+        fw = 500
         for _ in range(50):
             d = 2 * int(rng.integers(1, 6))
             m = int(rng.integers(1, 5))

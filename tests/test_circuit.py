@@ -9,11 +9,12 @@ from bdris.circuit import (CONDITION_LIMIT, CapacitancePlan, CircuitParams, Code
                            scattering_from_capacitances, scattering_from_impedance,
                            self_impedance)
 from bdris.circuit import _network_matrices
+from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import (OpenCircuitError, SingularBranchError, SingularNetworkError)
 from bdris.optimizer import relaxed_block_branches
 from plan_matrix import plan_from_matrix, plan_matrix
 
-PARAMS = CircuitParams.defaults()
+PARAMS = circuit_params(DEFAULT_CONFIG)
 
 
 def crandn(rng, *shape):

@@ -102,6 +102,7 @@ RULES = [
     (["optimization.fw_iteration=3"], "optimization.fw_iteration"),
     (["optimization.bs_weights=[0.3, 0.7]"], "optimization.bs_weights"),
     (["scenario.direct_links=blocked"], "scenario.direct_links"),
+    (["optimization.fw_step_rule=exact"], "optimization.fw_step_rule"),
     (["scenario=5"], "scenario"),
     (["experiments.freq-response.grid_ghz=[1.0, 16.0]"], "experiments.freq-response.grid_ghz"),
     (["scenario.user_positions_m=5"], "scenario.user_positions_m"),
@@ -124,7 +125,6 @@ RULES = [
     (["optimization.user_weights=[[0.5, -0.5], [0.5, 0.5]]"], "optimization.user_weights"),
     (["optimization.target_frequency_ghz=9.9"], "optimization.target_frequency_ghz"),
     (["optimization.fw_iterations=0"], "optimization.fw_iterations"),
-    (["optimization.fw_step_rule=exact"], "optimization.fw_step_rule"),
     (["optimization.group_count=3"], "optimization.group_count"),
     (["power.noise_dbm=.inf"], "power.noise_dbm"),
     (["power.alpha=[[0.5], [0.5, 0.5]]"], "power.alpha"),
@@ -180,7 +180,7 @@ def test_rule_names_its_path(overrides, path):
     ("scenario.eta_direct=.nan", "scenario.eta_direct: must be a finite number"),
     ("scenario.eta_direct=1" + "0" * 330, "scenario.eta_direct: must be a finite number"),
     ("circuit.r_ohm=[1.0]", "circuit.r_ohm: must be a finite number"),
-    ("optimization.fw_step_rule=5", "optimization.fw_step_rule: must be a string"),
+    ("output.dir=5", "output.dir: must be a string"),
     ("output.dir=null", "output.dir: must be a string"),
     ("simulation.architectures=fully-connected",
      "simulation.architectures: must be a list of strings"),
@@ -190,8 +190,10 @@ def test_rule_names_its_path(overrides, path):
      "scenario.user_positions_m: must be a list of lists of lists of finite numbers"),
     ("experiments.freq-response.grid_ghz={start: 1.0, stop: 2.0}",
      "experiments.freq-response.grid_ghz.step: missing key"),
+    ("optimization.fw_step_rule=line-search", "optimization.fw_step_rule: unknown key"),
 ], ids=["float-for-int", "bool-for-int", "nan", "huge-int", "list-for-float", "int-for-str",
-        "null-for-str", "str-for-list", "float-in-int-list", "flat-nested-list", "missing-key"])
+        "null-for-str", "str-for-list", "float-in-int-list", "flat-nested-list", "missing-key",
+        "unknown-key"])
 def test_type_fault_message(override, message):
     cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), [override])
     assert validate_config(cfg) == [f"<config>: {message}"]
@@ -265,7 +267,6 @@ HONOUR = {
     "optimization.target_frequency_ghz": (POWER, "8.0"),
     # 50 -> 51 moves no row: Frank-Wolfe has converged at D <= 8
     "optimization.fw_iterations": (SWEEPS, "2"),
-    "optimization.fw_step_rule": (SWEEPS, "diminishing"),
     "optimization.group_count": (ALL, "4"),
     "power.total_dbm": (ALL, "10.0"),
     "power.noise_dbm": (("interference",), "-30.0"),  # received power is noise-free
@@ -295,12 +296,10 @@ HONOUR = {
 }
 
 
-# Overrides a change needs besides its own: (with the change, on both sides).
+# Overrides a change needs besides its own.
 ALONGSIDE = {
     # the target frequency must stay one of the operating frequencies
-    "scenario.frequencies_ghz": (("optimization.target_frequency_ghz=7.6",), ()),
-    # both step rules reach one plan by iteration 50, so compare them at 2
-    "optimization.fw_step_rule": ((), ("optimization.fw_iterations=2",)),
+    "scenario.frequencies_ghz": ("optimization.target_frequency_ghz=7.6",),
 }
 
 
@@ -318,10 +317,9 @@ def _rows(overrides: tuple, experiment: str) -> dict:
 @pytest.mark.parametrize("key", [key for key, (_, value) in HONOUR.items() if value])
 def test_key_moves_the_rows_of_its_readers(key):
     readers, value = HONOUR[key]
-    with_change, context = ALONGSIDE.get(key, ((), ()))
     for experiment in readers:
-        assert (_rows(context + (f"{key}={value}",) + with_change, experiment)
-                != _rows(context, experiment)), experiment
+        assert (_rows((f"{key}={value}",) + ALONGSIDE.get(key, ()), experiment)
+                != _rows((), experiment)), experiment
 
 
 def test_output_dir_is_honoured(tmp_path, monkeypatch):
@@ -362,6 +360,9 @@ REJECTED_FILES = [
     ("freq-response", "scenario: 5\n", 1, "scenario"),
     ("freq-response", "simulation: 5\n", 1, "simulation"),
     ("freq-response", "optimization:\n  fw_iteration: 3\n", 2, "optimization.fw_iteration"),
+    # a key of the deleted diminishing step rule; line search is the only rule
+    ("interference", "optimization:\n  fw_iterations: 50\n  fw_step_rule: line-search\n",
+     3, "optimization.fw_step_rule"),
     ("freq-response", "simulation:\n  trials: true\n", 2, "simulation.trials"),
     # co-located nodes: a zero distance has no path gain
     ("freq-response", "scenario:\n  ris_position_m: [0.0, 0.0]\n", 2, "scenario.ris_position_m"),
@@ -388,6 +389,8 @@ REJECTED_FILES = [
      3, "experiments.freq-response.grid_ghz"),
     ("target-shift", "experiments:\n  target-shift:\n    targets_ghz: [1e300]\n",
      3, "experiments.target-shift.targets_ghz"),
+    # a codebook of 2^24 codewords per branch type: build_codebook asked for 1 GiB
+    ("freq-response", "circuit:\n  codebook_bits: 24\n", 2, "circuit.codebook_bits"),
     # frequencies the run cannot use: a grid that rounds to 0 GHz first, or that is
     # infinite in Hz; an operating frequency that is infinite in Hz
     ("freq-response", "experiments:\n  freq-response:\n"
@@ -567,10 +570,10 @@ class TestOverridesAndHash:
     def test_override_types(self):
         cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG),
                               ["simulation.trials=7",
-                               "optimization.fw_step_rule=diminishing",
+                               "output.dir=elsewhere",
                                "experiments.freq-response.d_values=[4, 8]"])
         assert cfg["simulation"]["trials"] == 7
-        assert cfg["optimization"]["fw_step_rule"] == "diminishing"
+        assert cfg["output"]["dir"] == "elsewhere"
         assert cfg["experiments"]["freq-response"]["d_values"] == [4, 8]
 
     def test_bad_override_rejected(self):

@@ -11,20 +11,19 @@ from scipy import stats
 
 from bdris.channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, \
     sample_channels, stream_rng
-from bdris.circuit import CircuitParams, RisTopology, build_codebook, random_plan, \
-    scattering_from_capacitances
+from bdris.circuit import RisTopology, build_codebook, random_plan, scattering_from_capacitances
 from bdris import experiments
-from bdris.config import DEFAULT_CONFIG, load_config, validate_config
+from bdris.config import DEFAULT_CONFIG, circuit_params, load_config, validate_config
 from bdris.errors import DegenerateChannelError
 from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interference,
                                network_power, per_bs_power, priority_assignment,
                                solve_trials, target_shift, topology_for)
-from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
+from bdris.optimizer import (GroupAssignment, ObjectiveWeights,
                              first_column, reduced_adjoint)
 from bdris.metrics import aggregate
 from bdris.results import read_results, write_results
 
-PARAMS = CircuitParams.defaults()
+PARAMS = circuit_params(DEFAULT_CONFIG)
 
 
 def bench_module(name):
@@ -155,7 +154,7 @@ class TestDirectBatching:
 
     def test_one_batch_per_chunk_over_trials_and_priority_bs(self, monkeypatch):
         sc = self.SC
-        d, seed, trials, fw = 8, 7, 5, FwConfig(30)
+        d, seed, trials, fw = 8, 7, 5, 30
         weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
         topo = topology_for("group-connected", d, 2)
         assignment = priority_assignment(weights, topo)
@@ -193,14 +192,12 @@ class TestDirectBatching:
         stacks = [{bs: (*experiments._stack(c, weights, topo, bs),
                         experiments._factors(c, weights, topo, bs))
                    for bs in assignment.bs} for c in draws]
-        for (_, (acc, c, _)), chunk in zip(calls, chunks):
+        for (_, (acc, c)), chunk in zip(calls, chunks):
             part = [stacks[t] for t in chunk]
             acc, c = acc.reshape(len(part), 2, rows[0]), c.reshape(len(part), 2)
             separate = {bs: solver(np.stack([s[bs][0] for s in part]),
-                                   np.stack([s[bs][1] for s in part]), radius,
-                                   fw.iterations,
-                                   np.stack([first_column(s[bs][2]) for s in part]),
-                                   step_rule=fw.step_rule)
+                                   np.stack([s[bs][1] for s in part]), radius, fw,
+                                   np.stack([first_column(s[bs][2]) for s in part]))
                         for bs in assignment.bs}
             for j, bs in enumerate(assignment.bs):
                 assert np.array_equal(acc[:, j], separate[bs][0])
@@ -223,7 +220,7 @@ class TestDirectBatching:
         sc = self.SC
         weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
         fc, gc = topology_for("fully-connected", 8, 2), topology_for("group-connected", 8, 2)
-        fw = FwConfig(10)
+        fw = 10
 
         def point(topo, fw):
             assignment = (GroupAssignment.single(0, topo) if topo.g == 1
@@ -469,24 +466,6 @@ class TestInterference:
         for arch in ("fully-connected", "group-connected", "single-connected"):
             actual = res.row(16, arch, "sum_se_bs2").mean
             assert actual < ref
-
-    def test_step_rule_override_reaches_solver(self, monkeypatch):
-        cfg = tiny_config(interference={
-            "ris_positions_m": [[60.0, 20.0]], "d_grid": [4]})
-        cfg["simulation"]["trials"] = 1
-        cfg["simulation"]["architectures"] = ["fully-connected"]
-        cfg["optimization"]["fw_iterations"] = 5
-        cfg["optimization"]["fw_step_rule"] = "diminishing"
-        rules = []
-        solver = experiments.frank_wolfe_batch
-
-        def spy(*args, **kwargs):
-            rules.append(kwargs["step_rule"])
-            return solver(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
-        interference(cfg)
-        assert rules == ["diminishing"]
 
     def test_reference_evaluated_once_per_trial(self, monkeypatch):
         cfg = tiny_config(interference={

@@ -6,16 +6,17 @@ import pytest
 from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
                            effective_channels, sample_channels, stream_rng,
                            zf_precoder)
-from bdris.circuit import CircuitParams, RisTopology
+from bdris.circuit import RisTopology
 from bdris import experiments
+from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from bdris.experiments import Point, _run_sweep, solve_trials
 from bdris.metrics import (TrialResult, aggregate, evaluate_received_powers,
                            network_sum_power, sum_power_per_bs,
                            sum_spectral_efficiency_outdated)
-from bdris.optimizer import FwConfig, GroupAssignment, ObjectiveWeights
+from bdris.optimizer import GroupAssignment, ObjectiveWeights
 
-PARAMS = CircuitParams.defaults()
+PARAMS = circuit_params(DEFAULT_CONFIG)
 
 
 def crandn(rng, *shape):
@@ -199,7 +200,7 @@ class TestRunMonteCarlo:
         topo = RisTopology.fully_connected(self.D)
         return Point(scenario(AVAILABLE if direct else BLOCKED), self.D, topo,
                      GroupAssignment.single(0, topo), self.WEIGHTS,
-                     FwConfig(20) if direct else None, evaluate, context)
+                     20 if direct else None, evaluate, context)
 
     def run(self, trials, evaluate, direct=False):
         return _run_sweep([self.point(evaluate, direct)], self.SEED, trials, PARAMS.z0)[0]
@@ -230,7 +231,7 @@ class TestRunMonteCarlo:
         for direct in (False, True):
             sc = scenario(AVAILABLE if direct else BLOCKED)
             topo = RisTopology.fully_connected(self.D)
-            fw = FwConfig(20) if direct else None
+            fw = 20 if direct else None
             seen = []
 
             def evaluate(chans, state):
@@ -322,7 +323,7 @@ class TestRunMonteCarlo:
         for t, state in ((1, retrieved_states[1]), (2, evaluated_states[6])):
             expected = solve_trials([redrawn(t)], self.WEIGHTS, topo,
                                     GroupAssignment.single(0, topo), PARAMS.z0,
-                                    FwConfig(20))[0]
+                                    20)[0]
             assert np.array_equal(state.self_y, expected.self_y)
             assert np.array_equal(state.inter_y, expected.inter_y)
 

@@ -8,17 +8,18 @@ from bdris.channel import ChannelSet
 from bdris.circuit import (CircuitParams, Codebook, RisTopology,
                            build_codebook, impedance_from_scattering, random_plan,
                            scattering_from_capacitances)
+from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import DegenerateInputError, SingularNetworkError
 from bdris.experiments import _state_from_thetas, solve_trials
 from bdris.matrixkit import _canonical_phase, duplication_matrix, unvech, vech
-from bdris.optimizer import (FwConfig, GroupAssignment, ObjectiveWeights,
+from bdris.optimizer import (GroupAssignment, ObjectiveWeights,
                              _snap, first_column, frank_wolfe_batch, reduced_adjoint,
                              relaxed_block_branches, snap_to_codebook, stack_factors,
                              stack_fc, stack_gc)
 from plan_matrix import plan_from_matrix, plan_matrix
 from reference_stack import frank_wolfe, reduced_stack
 
-PARAMS = CircuitParams.defaults()
+PARAMS = circuit_params(DEFAULT_CONFIG)
 SELF_RANGE = (0.1e-12, 2e-12)
 INTER_RANGE = (0.001e-12, 0.6e-12)
 
@@ -323,27 +324,26 @@ class TestSolveFcBlocked:
             solve_one(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)))
 
 
-def reference_frank_wolfe_batch(gram, h, radius, iterations, r_e1, trace=False,
-                                step_rule="line-search"):
+def reference_frank_wolfe_batch(gram, h, radius, iterations, r_e1):
     """The batched conditional gradient with the general update on every
-    iteration (fallback terms weighted by exact zeros), kept as the oracle
-    the solver's short update must reproduce bit for bit.  ``radius`` is a
-    scalar or a (T,) array of per-instance radii."""
+    iteration (line-search step 1.0, the discarded iterate weighted by
+    keep = 0.0, fallback terms weighted by exact zeros), kept as the oracle
+    the solver must reproduce bit for bit.  ``radius`` is a scalar or a (T,)
+    array of per-instance radii.  Returns ``acc``, ``c`` and the
+    (T, iterations - 1) objectives ||w||^2 before each iteration."""
     radius = np.broadcast_to(np.asarray(radius, dtype=float), gram.shape[:1])
     t, rows, _ = gram.shape
     w = h.astype(complex).copy()
     acc = np.zeros((t, rows), dtype=complex)
     c = np.zeros(t)
-    history = np.zeros((t, iterations - 1 if trace else 0))
+    history = np.zeros((t, iterations - 1))
+    step, keep = 1.0, 0.0
     for i in range(1, iterations):
-        if trace:
-            history[:, i - 1] = np.einsum("tr,tr->t", w.conj(), w).real
+        history[:, i - 1] = np.einsum("tr,tr->t", w.conj(), w).real
         v = np.matmul(gram, w[..., None])[..., 0]
         grad_sq = np.einsum("tr,tr->t", w.conj(), v).real
         flat = grad_sq <= 0.0
         grad_norm = np.sqrt(np.where(flat, 1.0, grad_sq))
-        step = 1.0 if step_rule == "line-search" else 2.0 / (i + 2.0)
-        keep = 1.0 - step
         scale = np.where(flat, 0.0, step * radius / grad_norm)
         fall = np.where(flat, step * radius, 0.0)
         acc = keep * acc + scale[:, None] * w
@@ -359,71 +359,64 @@ def batch_theta(r, acc, c):
     return theta
 
 
-STEP_RULES = ("line-search", "diminishing")
-
-
-def assert_matches_reference(r, h, radius, iterations, trace, step_rule):
+def assert_matches_reference(r, h, radius, iterations):
     gram = np.matmul(r, r.conj().transpose(0, 2, 1))
-    got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0], trace=trace,
-                            step_rule=step_rule)
-    ref = reference_frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0],
-                                      trace=trace, step_rule=step_rule)
+    got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0])
+    ref = reference_frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0])
+    assert len(got) == 2
     for x, y in zip(got, ref):
         assert np.array_equal(x, y)
 
 
 class TestFrankWolfeReference:
     @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 12),
-           st.floats(0.5, 3.0), st.integers(1, 60), st.sampled_from(STEP_RULES),
-           st.booleans(), st.integers(0, 2 ** 31 - 1))
+           st.floats(0.5, 3.0), st.integers(1, 60), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=150, deadline=None)
-    def test_bitwise_equal_to_general_update(self, t, rows, cols, radius, iterations,
-                                             step_rule, trace, seed):
+    def test_bitwise_equal_to_general_update(self, t, rows, cols, radius, iterations, seed):
         rng = np.random.default_rng(seed)
         assert_matches_reference(crandn(rng, t, rows, cols), crandn(rng, t, rows),
-                                 radius, iterations, trace, step_rule)
+                                 radius, iterations)
 
     @given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 12),
-           st.integers(1, 60), st.sampled_from(STEP_RULES), st.booleans(),
-           st.booleans(), st.integers(0, 2 ** 31 - 1))
+           st.integers(1, 60), st.booleans(), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=100, deadline=None)
     def test_array_radius_equals_per_instance_scalar_calls(self, t, rows, cols, iterations,
-                                                           step_rule, trace, flat, seed):
+                                                           flat, seed):
         rng = np.random.default_rng(seed)
         r, h = crandn(rng, t, rows, cols), crandn(rng, t, rows)
         if flat:
             r[0] = 0.0      # instance 0's gradient vanishes: the general update runs
         radius = rng.uniform(0.5, 3.0, t)
+        assert_matches_reference(r, h, radius, iterations)
         gram = np.matmul(r, r.conj().transpose(0, 2, 1))
-        got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0], trace=trace,
-                                step_rule=step_rule)
-        ref = reference_frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0],
-                                          trace=trace, step_rule=step_rule)
-        for x, y in zip(got, ref):
-            assert np.array_equal(x, y)
+        got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0])
         for i in range(t):
             one = frank_wolfe_batch(gram[i:i + 1], h[i:i + 1], float(radius[i]),
-                                    iterations, r[i:i + 1, :, 0], trace=trace,
-                                    step_rule=step_rule)
+                                    iterations, r[i:i + 1, :, 0])
             for x, y in zip(got, one):
                 assert np.array_equal(x[i:i + 1], y)
 
-    @pytest.mark.parametrize("step_rule", STEP_RULES)
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_zero_matrix_instance_takes_fallback_every_iteration(self, step_rule, trace):
+    def test_zero_matrix_instance_takes_fallback_every_iteration(self):
         rng = np.random.default_rng(40)
         r = crandn(rng, 3, 4, 6)
         r[1] = 0.0          # grad_sq of instance 1 is exactly 0 on every iteration
-        assert_matches_reference(r, crandn(rng, 3, 4), 1.2, 40, trace, step_rule)
+        assert_matches_reference(r, crandn(rng, 3, 4), 1.2, 40)
 
-    @pytest.mark.parametrize("step_rule", STEP_RULES)
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_zero_offset_instance_is_flat_only_first(self, step_rule, trace):
+    # The ids keep the case names these had when a second step rule existed;
+    # with ``trace`` the oracle's objectives also show the flat start.
+    @pytest.mark.parametrize("trace", [False, True],
+                             ids=["False-line-search", "True-line-search"])
+    def test_zero_offset_instance_is_flat_only_first(self, trace):
         rng = np.random.default_rng(41)
         r = crandn(rng, 2, 4, 6)
         h = crandn(rng, 2, 4)
         h[0] = 0.0          # w = 0 at the start, then the fallback step moves it
-        assert_matches_reference(r, h, 0.8, 40, trace, step_rule)
+        assert_matches_reference(r, h, 0.8, 40)
+        if trace:
+            gram = np.matmul(r, r.conj().transpose(0, 2, 1))
+            history = reference_frank_wolfe_batch(gram, h, 0.8, 40, r[:, :, 0])[2]
+            assert history[0, 0] == 0.0
+            assert (history[0, 1:] > 0.0).all()
 
 
 class TestFrankWolfe:
@@ -434,7 +427,7 @@ class TestFrankWolfe:
         r_hat, h_hat = reduced_stack(ch, weights)
         closed = relaxed_objective(r_hat, h_hat, solve_one(ch, weights).thetas[0])
         iterative = relaxed_objective(
-            r_hat, h_hat, solve_one(ch, weights, fw=FwConfig(500)).thetas[0])
+            r_hat, h_hat, solve_one(ch, weights, fw=500).thetas[0])
         assert abs(iterative - closed) / closed < 1e-2
 
     def test_zero_matrix_flat_objective(self):
@@ -448,7 +441,7 @@ class TestFrankWolfe:
         rng = np.random.default_rng(13)
         ch = random_channels(rng, 1, 2, (1,), direct=True)
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        theta = solve_one(ch, weights, fw=FwConfig(2000)).thetas[0]
+        theta = solve_one(ch, weights, fw=2000).thetas[0]
         r_hat, h_hat = reduced_stack(ch, weights)
         target_phase = np.angle(r_hat.conj().T @ h_hat)[0]
         assert abs(theta[0]) == pytest.approx(1.0, abs=1e-2)
@@ -459,9 +452,12 @@ class TestFrankWolfe:
         r = crandn(rng, 5, 12)
         h = crandn(rng, 5)
         iterations = 400
-        theta, obj, history = frank_wolfe(r, h, 1.0, iterations, trace=True)
+        assert_matches_reference(r[None], h[None], 1.0, iterations)
+        theta, obj = frank_wolfe(r, h, 1.0, iterations)
         assert np.linalg.norm(theta) <= 1 + 1e-9
-        tail = history[iterations // 2:]
+        _, _, history = reference_frank_wolfe_batch((r @ r.conj().T)[None], h[None], 1.0,
+                                                    iterations, r[None, :, 0])
+        tail = np.append(history[0], obj)[iterations // 2:]
         assert np.all(np.diff(tail) >= -1e-9 * max(1.0, obj))
 
     def test_batch_matches_single(self):
@@ -469,7 +465,7 @@ class TestFrankWolfe:
         rs = crandn(rng, 7, 4, 9)
         hs = crandn(rng, 7, 4)
         grams = np.matmul(rs, rs.conj().transpose(0, 2, 1))
-        batch = batch_theta(rs, *frank_wolfe_batch(grams, hs, 1.3, 120, rs[:, :, 0])[:2])
+        batch = batch_theta(rs, *frank_wolfe_batch(grams, hs, 1.3, 120, rs[:, :, 0]))
         for i in range(7):
             single, _ = frank_wolfe(rs[i], hs[i], 1.3, 120)
             assert np.abs(batch[i] - single).max() < 1e-12
@@ -486,8 +482,11 @@ class TestFrankWolfe:
             assert np.array_equal(x, np.concatenate(part))
 
     def test_invalid_iterations(self):
-        with pytest.raises(ValueError):
-            FwConfig(0)
+        rng = np.random.default_rng(31)
+        r, h = crandn(rng, 2, 3, 5), crandn(rng, 2, 3)
+        with pytest.raises(ValueError, match="iteration count"):
+            frank_wolfe_batch(np.matmul(r, r.conj().transpose(0, 2, 1)), h, 1.0, 0,
+                              r[:, :, 0])
 
 
 class TestSolveGc:
@@ -543,7 +542,7 @@ class TestSolveGc:
         weights = ObjectiveWeights.uniform((1, 1))
         assignment = GroupAssignment.even_split((0, 1), topo)
         blocked = solve_one(ch, weights, topo, assignment)
-        direct = solve_one(ch, weights, topo, assignment, FwConfig(500))
+        direct = solve_one(ch, weights, topo, assignment, 500)
         for bs in (0, 1):
             r_s, h_s = reduced_stack(ch, weights, topo, bs)
             closed = relaxed_objective(r_s, h_s, blocked.thetas[bs])
@@ -558,7 +557,7 @@ class TestSolveGc:
         topo = RisTopology(3, 1)
         # the one-group sub-problem, solved from its own stack
         gc, _ = frank_wolfe(*reduced_stack(ch, weights, topo, 0), 1.0, 300)
-        fc = solve_one(ch, weights, topo, fw=FwConfig(300)).thetas[0]
+        fc = solve_one(ch, weights, topo, fw=300).thetas[0]
         assert np.abs(unvech(gc, 3) - unvech(fc, 3)).max() < 1e-12
 
 
@@ -660,7 +659,7 @@ class TestProjection:
         # element, zero (an open circuit) at theta = 1
         cb = build_codebook(7.4e9, 6, SELF_RANGE, INTER_RANGE, PARAMS)
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        fw = FwConfig(200) if direct else None
+        fw = 200 if direct else None
         for t in range(20):
             ch = random_channels(np.random.default_rng(7000 + t), topo.d, 3, (1,),
                                  direct=direct)
