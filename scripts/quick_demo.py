@@ -36,9 +36,9 @@ def main():
     channels = sample_channels(scenario, D, stream_rng(7, 0))
 
     def report(label, theta):
-        result = evaluate_received_powers(channels, [np.conj(channels.f[0]) @ theta],
+        powers = evaluate_received_powers(channels, [np.conj(channels.f[0]) @ theta],
                                           power)
-        print(f"  {label:34s} {result.user_powers[0][0] * 1e3:8.4f} mW")
+        print(f"  {label:34s} {powers[0][0] * 1e3:8.4f} mW")
 
     def configure(topo):
         """Relaxed solve, branch retrieval and codebook snap of one surface."""

@@ -18,8 +18,7 @@ from .circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
                       scattering_from_impedance, self_impedance)
 from .matrixkit import (duplication_matrix, leading_right_singular_vector, unvec, unvech,
                         vec, vech, vech_indices)
-from .metrics import (AggregateResult, ResultRow, TrialResult, aggregate,
-                      evaluate_received_powers, network_sum_power, sum_power_per_bs,
+from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
                       sum_spectral_efficiency_outdated)
 from .optimizer import (GroupAssignment, ObjectiveWeights, relaxed_block_branches,
                         snap_to_codebook, stack_fc, stack_gc)

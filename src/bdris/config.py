@@ -430,12 +430,9 @@ def single_user_scenario(cfg: dict, bs: int, user: int, frequency: float,
                                frequencies=(frequency,))
 
 
-def power_config(cfg: dict, scenario: NetworkScenario) -> PowerConfig:
-    """Power budget of ``power``, whose alpha layout must match the scenario's."""
+def power_config(cfg: dict) -> PowerConfig:
+    """Power budget of ``power`` (validation matches its alpha layout to the users)."""
     pw = cfg["power"]
-    alpha = tuple(tuple(map(float, row)) for row in pw["alpha"])
-    if tuple(map(len, alpha)) != scenario.users_per_bs:
-        raise ValueError(f"power.alpha layout {tuple(map(len, alpha))} does not match "
-                         f"the scenario's users per base station {scenario.users_per_bs}")
-    return PowerConfig(p=dbm_to_watts(pw["total_dbm"]), alpha=alpha,
+    return PowerConfig(p=dbm_to_watts(pw["total_dbm"]),
+                       alpha=tuple(tuple(map(float, row)) for row in pw["alpha"]),
                        noise=dbm_to_watts(pw["noise_dbm"]))

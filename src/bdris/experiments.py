@@ -3,15 +3,15 @@
 This module holds the Monte Carlo engine.  :func:`solve_trials` is the one
 configuration pipeline, public as ``bdris.solve_trials``: relaxed solve,
 branch retrieval, and a :class:`TrialState` that snaps to any codebook set.
-Each experiment builds one list of curves, each a table name, a grid point
-(:class:`Point`) and a rows function, and runs all their points through
-:func:`_run_sweep`, the one trial loop.  It walks the (point, trial)
-units in point-major order, draws each trial's fading on its own
-deterministic substream, solves the relaxed problem once per trial
+Each experiment builds one list of grid points (:class:`Point`) and runs
+them all through :func:`_run_sweep`, the one trial loop.  It walks the
+(point, trial) units in point-major order, draws each trial's fading on its
+own deterministic substream, solves the relaxed problem once per trial
 (frequency blind, from each sub-problem's Gram matrix), hands the solution
 to the point's ``evaluate`` (codebook projection, scattering, metrics), and
-redraws failed draws against one budget per point.  Each curve's rows
-function then aggregates its point's samples into mean and standard error.
+redraws failed draws against one budget per point.  ``evaluate`` keys each
+sample by the result row it feeds, and each key's samples aggregate into
+that row's mean and standard error.
 
 Conditional-gradient solves are pooled across trials, priority base stations
 and grid points: consecutive direct-link units form batches of at most
@@ -37,7 +37,6 @@ from .config import aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, ghz
 from .errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
 from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
-                      network_sum_power, sum_power_per_bs,
                       sum_spectral_efficiency_outdated)
 # _snap is not called here; the traced benchmark wraps it by name (ROADMAP item 1).
 from .optimizer import (GroupAssignment, ObjectiveWeights, _snap,
@@ -203,12 +202,11 @@ def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
     :func:`relaxed_block_branches` call.
     """
     g, n = topo.g, topo.d_bar
-    owner = np.zeros(g, dtype=int)
+    owner = np.array(assignment.owner)
     blocks = np.zeros((g, n, n), dtype=complex)
     rows, cols = vech_indices(n)
-    for bs, groups in zip(assignment.bs, assignment.groups):
-        k = np.array(groups)
-        owner[k] = bs
+    for bs in assignment.bs:
+        k = np.flatnonzero(owner == bs)
         blocks[k[:, None], rows, cols] = blocks[k[:, None], cols, rows] = \
             thetas[bs].reshape(g, -1)[k]
     return TrialState(owner, thetas, *relaxed_block_branches(blocks, z0))
@@ -236,15 +234,15 @@ def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
 class Point:
     """One grid point of a sweep.
 
-    Its trials draw fading for ``scenario`` at ``d`` elements and configure
-    ``topo`` for ``weights`` under ``assignment`` with ``fw``
+    Its trials draw fading for ``scenario`` at ``topo.d`` elements and
+    configure ``topo`` for ``weights`` under ``assignment`` with ``fw``
     conditional-gradient iterations; ``fw=None`` takes the direct links as
-    blocked.  ``evaluate(chans, state)`` returns one trial's metrics by name;
-    ``context`` names the point in logs and errors.
+    blocked.  ``evaluate(chans, state)`` returns one trial's samples, each
+    keyed by the result row it feeds: ``(table, variable, value, label,
+    metric)``.  ``context`` names the point in logs and errors.
     """
 
     scenario: NetworkScenario
-    d: int
     topo: RisTopology
     assignment: GroupAssignment
     weights: ObjectiveWeights
@@ -298,7 +296,7 @@ def _solved_units(points: list[Point], units, seed: int, attempt: int = 0) -> li
     """((point index, trial), chans, relaxed solution) of each unit in ``units``:
     every unit is drawn first, on substream ``stream_rng(seed, t, attempt)``,
     then all are solved together by :func:`_relaxed_solutions`."""
-    draws = [sample_channels(points[p].scenario, points[p].d,
+    draws = [sample_channels(points[p].scenario, points[p].topo.d,
                              stream_rng(seed, t, attempt=attempt)) for p, t in units]
     solutions = _relaxed_solutions([points[p].problem(chans)
                                     for (p, _), chans in zip(units, draws)])
@@ -307,7 +305,7 @@ def _solved_units(points: list[Point], units, seed: int, attempt: int = 0) -> li
 
 def _run_sweep(points: list[Point], seed: int, trials: int,
                z0: float) -> list[dict[object, list[float]]]:
-    """Samples of every metric each point's ``evaluate`` returns, one per trial.
+    """Per point, the samples of every key its ``evaluate`` returns, one per trial.
 
     Each batch of units (see :func:`_batches`) is drawn and solved together
     (:func:`_solved_units`); its units are then evaluated in order, and the
@@ -338,8 +336,8 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
                             f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
                             f"trials at {point.context}") from exc
                     _, chans, solution = _solved_units(points, [(p, t)], seed, attempt)[0]
-            for name, value in metrics.items():
-                samples[p].setdefault(name, []).append(float(value))
+            for key, value in metrics.items():
+                samples[p].setdefault(key, []).append(float(value))
         del chans, solution  # the batch's last unit: not held while the next is drawn
     return samples
 
@@ -347,8 +345,8 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
 class _Settings:
     """What every experiment reads of a validated config.
 
-    An experiment is a list of curves, each a (table name, :class:`Point`,
-    rows function); :meth:`tabulate` runs all their points in one sweep.
+    An experiment is a list of grid points (:class:`Point`); :meth:`tabulate`
+    runs them all in one sweep.
     """
 
     def __init__(self, cfg: dict):
@@ -365,18 +363,15 @@ class _Settings:
     def codebook(self, f: float) -> Codebook:
         return build_codebook(f, self.bits, *self.cap_ranges, self.params)
 
-    def row(self, variable: str, value, label: str, metric: str, samples) -> ResultRow:
-        return ResultRow(variable, value, label, metric, *aggregate(samples), self.trials,
-                         tuple(samples))
-
-    def tabulate(self, curves) -> dict[str, AggregateResult]:
-        """Tables of ``curves``: each curve's rows function turns the samples
-        of its point (see :func:`_run_sweep`) into the rows it appends to its
-        table, in curve order."""
+    def tabulate(self, points: list[Point]) -> dict[str, AggregateResult]:
+        """Tables of ``points``: each key of a point's samples (see
+        :func:`_run_sweep`) becomes one row of the table it names, in point
+        order and then key order."""
         tables: dict[str, list[ResultRow]] = {}
-        for (name, _, rows), samples in zip(curves, _run_sweep(
-                [point for _, point, _ in curves], self.seed, self.trials, self.params.z0)):
-            tables.setdefault(name, []).extend(rows(samples))
+        for samples in _run_sweep(points, self.seed, self.trials, self.params.z0):
+            for (table, *key), values in samples.items():
+                tables.setdefault(table, []).append(
+                    ResultRow(*key, *aggregate(values), self.trials, tuple(values)))
         return {name: AggregateResult(tuple(rows)) for name, rows in tables.items()}
 
 
@@ -390,9 +385,9 @@ class _Settings:
 _TRACKED = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
 
 
-def _tracked_curves(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
-                    codebooks: list[Codebook], grid) -> list:
-    """Curves of table ``name``, one per (label, architecture, element count)
+def _tracked_points(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
+                    codebooks: list[Codebook], grid) -> list[Point]:
+    """Points of table ``name``, one per (label, architecture, element count)
     in ``grid``, of the tracked user's received power at ``ghz_values``.
 
     At each frequency the surface is snapped onto that frequency's entry of
@@ -406,30 +401,32 @@ def _tracked_curves(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
                         dbm_to_watts(pw["noise_dbm"]))
     freqs = [ghz(f) for f in ghz_values]
 
-    def evaluate(chans, state):
-        left, held, out = np.conj(chans.f[0]).T, None, {}
-        for fi, (f, codebook) in enumerate(zip(freqs, codebooks)):
-            if codebook is not held:
-                held, plan = codebook, state.plan({0: codebook})
-            rows = scattering_from_capacitances(plan, f, s.params, left)
-            out[fi] = evaluate_received_powers(chans, [rows], power).user_powers[0][0]
-        return out
+    def evaluator(label: str):
+        row_keys = [(name, "frequency_ghz", float(x), label, "received_power_w")
+                    for x in ghz_values]
 
-    curves = []
+        def evaluate(chans, state):
+            left, held, out = np.conj(chans.f[0]).T, None, {}
+            for row_key, f, codebook in zip(row_keys, freqs, codebooks):
+                if codebook is not held:
+                    held, plan = codebook, state.plan({0: codebook})
+                rows = scattering_from_capacitances(plan, f, s.params, left)
+                out[row_key] = evaluate_received_powers(chans, [rows], power)[0][0]
+            return out
+        return evaluate
+
+    points = []
     for label, arch, d in grid:
         topo = topology_for(arch, d, s.group_count)
-        curves.append((name, Point(scenario, d, topo, GroupAssignment.single(0, topo),
-                                   _TRACKED, None, evaluate, f"{key} {label}"),
-                       lambda samples, label=label: [
-                           s.row("frequency_ghz", float(x), label, "received_power_w",
-                                 samples[fi]) for fi, x in enumerate(ghz_values)]))
-    return curves
+        points.append(Point(scenario, topo, GroupAssignment.single(0, topo), _TRACKED, None,
+                            evaluator(label), f"{key} {label}"))
+    return points
 
 
 def freq_response(cfg: dict) -> dict[str, AggregateResult]:
     s, exp = _Settings(cfg), cfg["experiments"]["freq-response"]
     ghz_values = ghz_grid(**exp["grid_ghz"])
-    return s.tabulate(_tracked_curves(
+    return s.tabulate(_tracked_points(
         s, cfg, "freq-response", "freq_response", ghz_values,
         [s.codebook(ghz(f)) for f in ghz_values],
         [(f"{arch} D={d}", arch, d) for d in exp["d_values"] for arch in s.archs]))
@@ -437,15 +434,15 @@ def freq_response(cfg: dict) -> dict[str, AggregateResult]:
 
 def target_shift(cfg: dict) -> dict[str, AggregateResult]:
     s, exp = _Settings(cfg), cfg["experiments"]["target-shift"]
-    curves = []
+    points = []
     for target in exp["targets_ghz"]:
         ghz_values = ghz_grid(target - exp["half_span_ghz"],
                               target + exp["half_span_ghz"], exp["step_ghz"])
-        curves += _tracked_curves(
+        points += _tracked_points(
             s, cfg, "target-shift", "target_shift_" + f"{target:g}".replace(".", "p") + "ghz",
             ghz_values, [s.codebook(ghz(target))] * len(ghz_values),
             [(arch, arch, exp["d"]) for arch in s.archs])
-    return s.tabulate(curves)
+    return s.tabulate(points)
 
 
 # ---------------------------------------------------------------------------
@@ -453,55 +450,53 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
 # several base-station weight sets, with blocked or available direct links.
 
 
-def _power_experiment(cfg: dict, key: str, keep) -> dict[str, AggregateResult]:
-    """One table per (weight set, link mode), holding the rows whose metric
-    name satisfies ``keep``."""
+def _power_experiment(cfg: dict, key: str) -> dict[str, AggregateResult]:
+    """One table per (weight set, link mode): per-bs-power samples each base
+    station's sum power, network-power their network sum."""
     s, exp = _Settings(cfg), cfg["experiments"][key]
     scenarios = {mode: base_scenario(cfg, direct_links=mode) for mode in (BLOCKED, AVAILABLE)}
-    power = power_config(cfg, scenarios[BLOCKED])  # the same users under either mode
+    power = power_config(cfg)
     freqs = scenarios[BLOCKED].frequencies
     codebooks = {b: s.codebook(f) for b, f in enumerate(freqs)}
     preferred = ghz(cfg["optimization"]["target_frequency_ghz"])
 
-    def evaluate(chans, state):
-        plan = state.plan(codebooks)
-        rows = [scattering_from_capacitances(plan, f, s.params, np.conj(chans.f[b]).T)
-                for b, f in enumerate(freqs)]
-        result = evaluate_received_powers(chans, rows, power)
-        metrics = {f"sum_power_bs{b + 1}_w": v for b, v in enumerate(sum_power_per_bs(result))}
-        metrics["network_sum_power_w"] = network_sum_power(result)
-        return metrics
+    def evaluator(table: str, arch: str, d: int):
+        def evaluate(chans, state):
+            plan = state.plan(codebooks)
+            rows = [scattering_from_capacitances(plan, f, s.params, np.conj(chans.f[b]).T)
+                    for b, f in enumerate(freqs)]
+            per_bs = [sum(users) for users in evaluate_received_powers(chans, rows, power)]
+            if key == "network-power":
+                return {(table, "elements", d, arch, "network_sum_power_w"): sum(per_bs)}
+            return {(table, "elements", d, arch, f"sum_power_bs{b + 1}_w"): v
+                    for b, v in enumerate(per_bs)}
+        return evaluate
 
-    curves = []
+    points = []
     for weight_set in exp["weight_sets"]:
         weights = ObjectiveWeights(mu=tuple(map(float, weight_set)), nu=s.nu)
         tag = "_".join(f"{w:g}" for w in weight_set)
         for mode in exp["link_modes"]:
+            table = f"{key.replace('-', '_')}__mu_{tag}__{mode}"
             for arch in s.archs:
                 for d in exp["d_grid"]:
                     topo = topology_for(arch, d, s.group_count)
                     assignment = (
                         GroupAssignment.single(fc_target_bs(weights, freqs, preferred), topo)
                         if topo.g == 1 else priority_assignment(weights, topo))
-                    curves.append((
-                        f"{key.replace('-', '_')}__mu_{tag}__{mode}",
-                        Point(scenarios[mode], d, topo, assignment, weights,
-                              s.fw if mode == AVAILABLE else None, evaluate,
-                              f"{arch} D={d} {mode}"),
-                        lambda samples, arch=arch, d=d: [
-                            s.row("elements", int(d), arch, metric, values)
-                            for metric, values in samples.items() if keep(metric)]))
-    return s.tabulate(curves)
+                    points.append(Point(scenarios[mode], topo, assignment, weights,
+                                        s.fw if mode == AVAILABLE else None,
+                                        evaluator(table, arch, int(d)),
+                                        f"{arch} D={d} {mode}"))
+    return s.tabulate(points)
 
 
 def per_bs_power(cfg: dict) -> dict[str, AggregateResult]:
-    return _power_experiment(cfg, "per-bs-power",
-                             lambda metric: metric.startswith("sum_power_bs"))
+    return _power_experiment(cfg, "per-bs-power")
 
 
 def network_power(cfg: dict) -> dict[str, AggregateResult]:
-    return _power_experiment(cfg, "network-power",
-                             lambda metric: metric == "network_sum_power_w")
+    return _power_experiment(cfg, "network-power")
 
 
 # ---------------------------------------------------------------------------
@@ -519,38 +514,34 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
     weights = ObjectiveWeights(mu=tuple(float(b == aided) for b in range(len(freqs))),
                                nu=s.nu)
     codebook = s.codebook(freqs[aided])
-    power = power_config(cfg, base_scenario(cfg, direct_links=AVAILABLE))
+    power = power_config(cfg)
     metric = f"sum_se_bs{victim + 1}"
 
-    def evaluator(reference: bool):
+    def evaluator(table: str, arch: str, d: int):
         def evaluate(chans, state):
             rows = scattering_from_capacitances(state.plan({aided: codebook}), freqs[victim],
                                                 s.params, np.conj(chans.f[victim]).T)
-            out = {metric: sum_spectral_efficiency_outdated(chans, victim, rows, power)}
-            if reference:  # surface-free, so the first architecture's rows carry it
-                out["interference-free"] = sum_spectral_efficiency_outdated(
-                    chans, victim, np.zeros_like(rows), power)
+            out = {(table, "elements", d, arch, metric):
+                   sum_spectral_efficiency_outdated(chans, victim, rows, power)}
+            if arch == s.archs[0]:  # surface-free, so only the first architecture emits it
+                out[table, "elements", d, "interference-free", metric] = \
+                    sum_spectral_efficiency_outdated(chans, victim, np.zeros_like(rows), power)
             return out
         return evaluate
 
-    curves = []
+    points = []
     for position in exp["ris_positions_m"]:
         scenario = base_scenario(cfg, direct_links=AVAILABLE,
                                  ris_position=tuple(map(float, position)),
                                  frequencies=tuple(freqs))
-        name = "interference_" + f"x{position[0]:g}_y{position[1]:g}".replace(".", "p")
+        table = "interference_" + f"x{position[0]:g}_y{position[1]:g}".replace(".", "p")
         for arch in s.archs:
             for d in exp["d_grid"]:
                 topo = topology_for(arch, d, s.group_count)
-                curves.append((
-                    name, Point(scenario, d, topo, GroupAssignment.single(aided, topo),
-                                weights, s.fw, evaluator(arch == s.archs[0]),
-                                f"interference {arch} D={d} at {position}"),
-                    lambda samples, arch=arch, d=d: [
-                        s.row("elements", int(d), label, metric, samples[key])
-                        for label, key in ((arch, metric), ("interference-free",) * 2)
-                        if key in samples]))
-    return s.tabulate(curves)
+                points.append(Point(scenario, topo, GroupAssignment.single(aided, topo),
+                                    weights, s.fw, evaluator(table, arch, int(d)),
+                                    f"interference {arch} D={d} at {position}"))
+    return s.tabulate(points)
 
 
 RUNNERS = {

@@ -17,28 +17,14 @@ import numpy as np
 from .channel import ChannelSet, PowerConfig, effective_from_rows, zf_precoder
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Per-user received powers of one trial, grouped by base station."""
-
-    user_powers: tuple[tuple[float, ...], ...]
-
-
-def sum_power_per_bs(result: TrialResult) -> tuple[float, ...]:
-    return tuple(float(sum(powers)) for powers in result.user_powers)
-
-
-def network_sum_power(result: TrialResult) -> float:
-    return float(sum(sum_power_per_bs(result)))
-
-
 def evaluate_received_powers(channels: ChannelSet, rows: list[np.ndarray],
-                             power: PowerConfig) -> TrialResult:
+                             power: PowerConfig) -> tuple[tuple[float, ...], ...]:
     """Received powers under synchronized zero-forcing precoding.
 
     ``rows[b]`` holds base station b's reflected user rows F_b^H Theta, with
-    Theta at its operating frequency; precoders are derived from the same
-    effective channels the signal propagates through.
+    Theta at its operating frequency, and entry b of the result its users'
+    powers; precoders are derived from the same effective channels the
+    signal propagates through.
     """
     per_bs = []
     for b, reflected in enumerate(rows):
@@ -48,7 +34,7 @@ def evaluate_received_powers(channels: ChannelSet, rows: list[np.ndarray],
             float(np.abs(cross[k, k]) ** 2 * power.p * power.alpha[b][k])
             for k in range(cross.shape[0])
         ))
-    return TrialResult(user_powers=tuple(per_bs))
+    return tuple(per_bs)
 
 
 def sum_spectral_efficiency_outdated(channels: ChannelSet, b: int,

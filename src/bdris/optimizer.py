@@ -50,44 +50,34 @@ class ObjectiveWeights:
 
 @dataclass(frozen=True)
 class GroupAssignment:
-    """Disjoint dedication of surface groups to priority base stations.
+    """Dedication of surface groups to priority base stations.
 
-    ``groups[s]`` lists the group indices serving priority base station
-    ``bs[s]``; a plan snaps them onto that base station's codebook.  The
-    subsets must cover all groups exactly once.
+    ``owner[k]`` is the priority base station group k serves; a plan snaps
+    the group onto that base station's codebook.
     """
 
-    bs: tuple[int, ...]
-    groups: tuple[tuple[int, ...], ...]
+    owner: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.bs) != len(self.groups):
-            raise ValueError("need one group subset per priority base station")
-        if len(set(self.bs)) != len(self.bs):
-            raise ValueError("priority base stations must be distinct")
-        if any(len(g) == 0 for g in self.groups):
-            raise ValueError("every priority base station needs at least one group")
+    @property
+    def bs(self) -> tuple[int, ...]:
+        """The priority base stations, in order of their first group."""
+        return tuple(dict.fromkeys(self.owner))
 
     def validate(self, topology: RisTopology):
-        claimed = [g for subset in self.groups for g in subset]
-        if len(claimed) != len(set(claimed)):
-            raise ValueError("group subsets must be disjoint")
-        if sorted(claimed) != list(range(topology.g)):
-            raise ValueError(f"group subsets must cover exactly groups 0..{topology.g - 1}")
+        if len(self.owner) != topology.g:
+            raise ValueError(f"need one owner per group, {topology.g} groups")
 
     @classmethod
     def single(cls, bs: int, topology: RisTopology) -> "GroupAssignment":
-        return cls(bs=(bs,), groups=(tuple(range(topology.g)),))
+        return cls((bs,) * topology.g)
 
     @classmethod
     def even_split(cls, bs: tuple[int, ...], topology: RisTopology) -> "GroupAssignment":
         """Contiguous, near-even partition of the groups over the priority BSs."""
-        s = len(bs)
-        if s > topology.g:
+        if len(bs) > topology.g:
             raise ValueError("more priority base stations than groups")
-        bounds = np.linspace(0, topology.g, s + 1).astype(int)
-        groups = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(s))
-        return cls(bs=bs, groups=groups)
+        bounds = np.linspace(0, topology.g, len(bs) + 1).astype(int)
+        return cls(tuple(b for b, n in zip(bs, np.diff(bounds)) for _ in range(n)))
 
 
 def stack_factors(channels: ChannelSet, weights: ObjectiveWeights,

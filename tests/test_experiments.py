@@ -58,14 +58,14 @@ class TestHelpers:
         topo = RisTopology(8, 2)
         a = priority_assignment(weights, topo)
         assert a.bs == (0, 1)
-        assert a.groups == ((0,), (1,))
+        assert a.owner == (0, 1)
 
     def test_priority_assignment_dedicated(self):
         weights = ObjectiveWeights(mu=(1.0, 0.0), nu=((1.0,), (1.0,)))
         topo = RisTopology(8, 2)
         a = priority_assignment(weights, topo)
         assert a.bs == (0,)
-        assert a.groups == ((0, 1),)
+        assert a.owner == (0, 0)
 
     def test_fc_target_keeps_preferred_when_weighted(self):
         weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
@@ -102,6 +102,19 @@ class TestHelpers:
         path = bench_module("workloads").WORKLOADS[name].write_config(tmp_path)
         cfg, lines, source = load_config(str(path))
         assert validate_config(cfg, source, lines) == []
+
+    @pytest.mark.parametrize("name", ["freq-sweep", "direct-links", "power-grid"])
+    def test_workload_passes_the_gate(self, name, tmp_path):
+        # the benchmark's correctness gate, in process: seed 1 against the
+        # committed reference rows at rtol 1e-9
+        import bdris.cli
+        gate, workload = bench_module("gate"), bench_module("workloads").WORKLOADS[name]
+        out = tmp_path / "out"
+        assert bdris.cli.main(["run", workload.experiment, "--seed", "1", "--out", str(out),
+                               "--config", str(workload.write_config(tmp_path))]) == 0
+        reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / name / "seed1"
+        assert gate.compare(gate.read_dir(str(out)), gate.read_dir(str(reference)), 1e-9,
+                            workload.trials) == []
 
     def test_traced_names_resolve(self):
         # the traced benchmark wraps these module globals by name
@@ -180,7 +193,7 @@ class TestDirectBatching:
             return {"m": 0.0}
 
         monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
-        point = experiments.Point(sc, d, topo, assignment, weights, fw, evaluate,
+        point = experiments.Point(sc, topo, assignment, weights, fw, evaluate,
                                   "batching")
         chunks = [[t for _, t in b] for b in experiments._batches([point], trials)]
         assert chunks == [[0, 1], [2, 3], [4]]
@@ -225,7 +238,7 @@ class TestDirectBatching:
         def point(topo, fw):
             assignment = (GroupAssignment.single(0, topo) if topo.g == 1
                           else priority_assignment(weights, topo))
-            return experiments.Point(sc, 8, topo, assignment, weights, fw,
+            return experiments.Point(sc, topo, assignment, weights, fw,
                                      lambda chans, state: {"m": 0.0}, "mixed")
 
         points = [point(fc, fw), point(gc, fw), point(fc, None), point(gc, fw)]
@@ -392,13 +405,6 @@ def test_tracked_user_gets_whole_budget(runner, key, section):
     assert runner(cfg) == runner(skewed)
 
 
-def test_power_config_rejects_layout_mismatch():
-    from bdris.config import power_config, single_user_scenario
-    scenario = single_user_scenario(DEFAULT_CONFIG, 0, 0, 7.4e9, BLOCKED)
-    with pytest.raises(ValueError, match="power.alpha layout"):
-        power_config(DEFAULT_CONFIG, scenario)
-
-
 class TestPowerSweeps:
     def test_per_bs_power_blocked(self):
         cfg = tiny_config(**{"per-bs-power": {
@@ -491,7 +497,8 @@ class TestInterference:
 
 
 def test_rows_keep_their_samples(tmp_path):
-    # rows hold the per-trial samples they aggregate; a CSV holds none of them
+    # rows hold the per-trial samples they aggregate; a CSV holds none of them.
+    # Each row's (variable, value, architecture, metric) occurs once per table.
     cfg = tiny_config(**{
         "freq-response": {"d_values": [8], "grid_ghz": {"start": 7.0, "stop": 8.0,
                                                         "step": 0.5}},
@@ -503,6 +510,8 @@ def test_rows_keep_their_samples(tmp_path):
     cfg["optimization"]["fw_iterations"] = 5
     for name, runner in RUNNERS.items():
         for table, result in runner(cfg).items():
+            keys = [(r.variable, r.value, r.architecture, r.metric) for r in result.rows]
+            assert len(set(keys)) == len(keys), (name, table)
             _, back = read_results(write_results(str(tmp_path / f"{table}.csv"), result,
                                                  name, "00" * 32, 5))
             assert len(back.rows) == len(result.rows) > 0

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,8 +12,7 @@ from bdris import experiments
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from bdris.experiments import Point, _run_sweep, solve_trials
-from bdris.metrics import (TrialResult, aggregate, evaluate_received_powers,
-                           network_sum_power, sum_power_per_bs,
+from bdris.metrics import (aggregate, evaluate_received_powers,
                            sum_spectral_efficiency_outdated)
 from bdris.optimizer import GroupAssignment, ObjectiveWeights
 
@@ -46,9 +46,9 @@ class TestReceivedPower:
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
         power = PowerConfig.uniform(sc, 0.1, 1e-7)
-        result = evaluate_received_powers(ch, [np.conj(ch.f[0]) @ theta], power)
+        powers = evaluate_received_powers(ch, [np.conj(ch.f[0]) @ theta], power)
         eff = effective_channels(ch, 0, theta)
-        assert result.user_powers[0][0] == pytest.approx(
+        assert powers[0][0] == pytest.approx(
             np.linalg.norm(eff) ** 2 * 0.1, rel=1e-12)
 
     def test_matches_naive_scalar_evaluation(self):
@@ -59,13 +59,13 @@ class TestReceivedPower:
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
         power = PowerConfig(p=0.2, alpha=((0.5, 0.25),), noise=1e-7)
-        result = evaluate_received_powers(ch, [np.conj(ch.f[0]) @ theta], power)
+        powers = evaluate_received_powers(ch, [np.conj(ch.f[0]) @ theta], power)
         e = effective_channels(ch, 0, theta)
         p = zf_precoder(e)
         for k in range(2):
             gain = sum(e[k, i] * p[i, k] for i in range(6))
             expected = abs(gain) ** 2 * 0.2 * power.alpha[0][k]
-            assert result.user_powers[0][k] == pytest.approx(expected, rel=1e-12)
+            assert powers[0][k] == pytest.approx(expected, rel=1e-12)
 
     def test_linear_in_power_and_alpha(self):
         sc = scenario(BLOCKED)
@@ -76,7 +76,7 @@ class TestReceivedPower:
 
         def power(p, alpha):
             config = PowerConfig(p=p, alpha=((alpha,),), noise=1e-7)
-            return evaluate_received_powers(ch, [rows], config).user_powers[0][0]
+            return evaluate_received_powers(ch, [rows], config)[0][0]
 
         base = power(0.1, 0.5)
         assert power(0.3, 0.5) == pytest.approx(3 * base, rel=1e-12)
@@ -84,22 +84,44 @@ class TestReceivedPower:
 
 
 class TestSums:
-    def test_single_user_sums(self):
-        result = TrialResult(user_powers=((0.25,), (0.5,)))
-        assert sum_power_per_bs(result) == (0.25, 0.5)
-        assert network_sum_power(result) == 0.75
+    """The sums the power sweeps take of each trial's per-user powers: over
+    each base station's users, then over base stations."""
 
-    def test_hand_computed_two_by_two(self):
-        result = TrialResult(user_powers=((1e-3, 2e-3), (4e-3, 8e-3)))
-        assert sum_power_per_bs(result) == pytest.approx((3e-3, 12e-3), rel=1e-12)
-        assert network_sum_power(result) == pytest.approx(15e-3, rel=1e-12)
+    def sums(self, monkeypatch=None, user_powers=None):
+        """Per-trial samples of each (architecture, metric) of both power sweeps
+        (2 trials, D = 8, blocked links), with every trial's user powers
+        ``user_powers`` when given."""
+        cfg = copy.deepcopy(DEFAULT_CONFIG)
+        cfg["simulation"]["trials"] = 2
+        for key in ("per-bs-power", "network-power"):
+            cfg["experiments"][key].update(d_grid=[8], weight_sets=[[0.3, 0.7]],
+                                           link_modes=["blocked"])
+        if user_powers is not None:
+            monkeypatch.setattr(experiments, "evaluate_received_powers",
+                                lambda *args: user_powers)
+        tables = {**experiments.per_bs_power(cfg), **experiments.network_power(cfg)}
+        return {(r.architecture, r.metric): r.samples
+                for table in tables.values() for r in table.rows}
+
+    def test_single_user_sums(self, monkeypatch):
+        samples = self.sums(monkeypatch, ((0.25,), (0.5,)))
+        assert samples[("fully-connected", "sum_power_bs1_w")] == (0.25, 0.25)
+        assert samples[("fully-connected", "sum_power_bs2_w")] == (0.5, 0.5)
+        assert samples[("fully-connected", "network_sum_power_w")] == (0.75, 0.75)
+
+    def test_hand_computed_two_by_two(self, monkeypatch):
+        samples = self.sums(monkeypatch, ((1e-3, 2e-3), (4e-3, 8e-3)))
+        for arch in DEFAULT_CONFIG["simulation"]["architectures"]:
+            assert samples[(arch, "sum_power_bs1_w")] == pytest.approx((3e-3,) * 2, rel=1e-12)
+            assert samples[(arch, "sum_power_bs2_w")] == pytest.approx((12e-3,) * 2, rel=1e-12)
+            assert samples[(arch, "network_sum_power_w")] == pytest.approx((15e-3,) * 2,
+                                                                            rel=1e-12)
 
     def test_network_sum_equals_sum_of_per_bs(self):
-        rng = np.random.default_rng(4)
-        powers = tuple(tuple(rng.uniform(size=2)) for _ in range(3))
-        result = TrialResult(user_powers=powers)
-        assert network_sum_power(result) == pytest.approx(
-            sum(sum_power_per_bs(result)), rel=1e-12)
+        samples = self.sums()
+        for arch in DEFAULT_CONFIG["simulation"]["architectures"]:
+            per_bs = zip(samples[(arch, "sum_power_bs1_w")], samples[(arch, "sum_power_bs2_w")])
+            assert samples[(arch, "network_sum_power_w")] == tuple(a + b for a, b in per_bs)
 
 
 class TestSpectralEfficiencyOutdated:
@@ -198,7 +220,7 @@ class TestRunMonteCarlo:
 
     def point(self, evaluate, direct=False, context="stub point"):
         topo = RisTopology.fully_connected(self.D)
-        return Point(scenario(AVAILABLE if direct else BLOCKED), self.D, topo,
+        return Point(scenario(AVAILABLE if direct else BLOCKED), topo,
                      GroupAssignment.single(0, topo), self.WEIGHTS,
                      20 if direct else None, evaluate, context)
 

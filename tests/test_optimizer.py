@@ -101,18 +101,13 @@ class TestGroupAssignment:
     def test_even_split(self):
         topo = RisTopology(8, 4)
         a = GroupAssignment.even_split((0, 1), topo)
-        assert a.groups == ((0, 1), (2, 3))
+        assert a.owner == (0, 0, 1, 1)
+        assert a.bs == (0, 1)
         a.validate(topo)
-
-    def test_disjointness_enforced(self):
-        topo = RisTopology(8, 2)
-        bad = GroupAssignment(bs=(0, 1), groups=((0, 1), (1,)))
-        with pytest.raises(ValueError):
-            bad.validate(topo)
 
     def test_coverage_enforced(self):
         topo = RisTopology(8, 2)
-        bad = GroupAssignment(bs=(0,), groups=((0,),))
+        bad = GroupAssignment(owner=(0,))
         with pytest.raises(ValueError):
             bad.validate(topo)
 
@@ -588,13 +583,12 @@ class TestRelaxedBlockBranches:
         thetas = {b: np.concatenate([vech(blk) for blk in blocks[b]]) for b in bs}
         state = _state_from_thetas(thetas, topo, assignment, z0)
         iu, ju = np.triu_indices(n, 1)
-        for b, groups in zip(assignment.bs, assignment.groups):
-            for k in groups:
-                assert state.owner[k] == b
-                y = np.linalg.inv(impedance_from_scattering(blocks[b][k], z0))
-                scale = np.abs(y).max()
-                assert np.abs(state.self_y[k] - y.sum(axis=1)).max() <= 1e-10 * scale
-                assert np.abs(state.inter_y[k] + y[iu, ju]).max(initial=0.0) <= 1e-10 * scale
+        for k, b in enumerate(assignment.owner):
+            assert state.owner[k] == b
+            y = np.linalg.inv(impedance_from_scattering(blocks[b][k], z0))
+            scale = np.abs(y).max()
+            assert np.abs(state.self_y[k] - y.sum(axis=1)).max() <= 1e-10 * scale
+            assert np.abs(state.inter_y[k] + y[iu, ju]).max(initial=0.0) <= 1e-10 * scale
 
     def test_open_port_gives_zero_admittance_row(self):
         # Theta eigenvalue +1 on element 0 of group 1: that port is open, so
