@@ -11,7 +11,7 @@ import numpy as np
 
 from bdris.channel import (BLOCKED, NetworkScenario, PowerConfig,
                            sample_channels, stream_rng)
-from bdris.circuit import (RisTopology, build_codebook, random_plan,
+from bdris.circuit import (CapacitancePlan, RisTopology, build_codebook,
                            scattering_from_capacitances)
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.experiments import solve_trials
@@ -30,7 +30,7 @@ def main():
         bs_positions=((0.0, 0.0),), user_positions=(((25.0, 10.0),),),
         ris_position=(40.0, 20.0), m=40, frequencies=(F_STAR,),
         eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
-    power = PowerConfig.uniform(scenario, p=0.1, noise=1e-7)
+    power = PowerConfig(p=0.1, alpha=((1.0,),), noise=1e-7)
     weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
     codebook = build_codebook(F_STAR, 6, SELF_RANGE, INTER_RANGE, params)
     channels = sample_channels(scenario, D, stream_rng(7, 0))
@@ -59,10 +59,13 @@ def main():
     report("single-connected, configured",
            configure(RisTopology.single_connected(D))[1])
 
-    baseline = random_plan(RisTopology.fully_connected(D), SELF_RANGE, INTER_RANGE,
-                           np.random.default_rng(0))
-    report("random capacitances (baseline)",
-           scattering_from_capacitances(baseline, F_STAR, params))
+    # uniform capacitances: every self branch, then the strict upper triangle
+    # of a D x D draw for the inter-element branches
+    rng = np.random.default_rng(0)
+    self_c = rng.uniform(*SELF_RANGE, size=(1, D))
+    inter_c = rng.uniform(*INTER_RANGE, size=(D, D))[np.triu_indices(D, 1)]
+    report("random capacitances (baseline)", scattering_from_capacitances(
+        CapacitancePlan(self_c, inter_c[None]), F_STAR, params))
 
 
 if __name__ == "__main__":

@@ -10,14 +10,11 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .channel import (AVAILABLE, BLOCKED, ChannelSet, NetworkScenario, PowerConfig,
-                      effective_channels, effective_from_rows, path_gain,
-                      sample_channels, stream_rng, zf_precoder)
-from .circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology,
-                      admittance_matrix, build_codebook, impedance_from_scattering,
-                      inter_impedance, random_plan, scattering_from_capacitances,
-                      scattering_from_impedance, self_impedance)
-from .matrixkit import (duplication_matrix, leading_right_singular_vector, unvec, unvech,
-                        vec, vech, vech_indices)
+                      effective_from_rows, path_gain, sample_channels, stream_rng,
+                      zf_precoder)
+from .circuit import (CapacitancePlan, CircuitParams, Codebook, RisTopology, build_codebook,
+                      inter_impedance, scattering_from_capacitances, self_impedance)
+from .matrixkit import leading_right_singular_vector, vech_indices
 from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
                       sum_spectral_efficiency_outdated)
 from .optimizer import (GroupAssignment, ObjectiveWeights, relaxed_block_branches,

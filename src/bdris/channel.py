@@ -94,11 +94,6 @@ class PowerConfig:
             if sum(fractions) > 1 + 1e-12:
                 raise ValueError("power fractions at a base station must sum to <= 1")
 
-    @classmethod
-    def uniform(cls, scenario: NetworkScenario, p: float, noise: float) -> "PowerConfig":
-        alpha = tuple(tuple(1.0 / k for _ in range(k)) for k in scenario.users_per_bs)
-        return cls(p=p, alpha=alpha, noise=noise)
-
 
 def path_gain(distance: float, exponent: float) -> float:
     """Distance power-law gain d^-exponent; ValueError unless d > 0 and it is finite."""
@@ -122,10 +117,6 @@ class ChannelSet:
     g: tuple[np.ndarray, ...]
     f: tuple[tuple[np.ndarray, ...], ...]
     h: tuple[tuple[np.ndarray, ...], ...]
-
-    @property
-    def num_ris_elements(self) -> int:
-        return self.g[0].shape[0]
 
 
 def stream_rng(master_seed: int, trial: int, purpose: int = STREAM_CHANNELS,
@@ -171,13 +162,9 @@ def sample_channels(scenario: NetworkScenario, d: int,
     return ChannelSet(g=tuple(g), f=tuple(f), h=tuple(h))
 
 
-def effective_channels(channels: ChannelSet, b: int, theta: np.ndarray) -> np.ndarray:
-    """Rows e_k^H = f_k^H Theta G + h_k^H of base station b's users."""
-    return effective_from_rows(channels, b, np.conj(channels.f[b]) @ theta)
-
-
 def effective_from_rows(channels: ChannelSet, b: int, rows: np.ndarray) -> np.ndarray:
-    """The same rows from the reflected user rows ``rows`` = F_b^H Theta, where
+    """Effective channel rows e_k^H = f_k^H Theta G + h_k^H of base station b's
+    users, from their reflected user rows ``rows`` = F_b^H Theta, where
     F_b^H = ``np.conj(channels.f[b])`` stacks the rows f_k^H."""
     return rows @ channels.g[b] + np.conj(channels.h[b])
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OpenCircuitError, SingularBranchError, SingularNetworkError
+from .errors import SingularBranchError, SingularNetworkError
 from .matrixkit import strict_upper_indices
 
 # Inversions abort rather than return garbage past this conditioning: the
@@ -75,11 +75,6 @@ class RisTopology:
     def d_bar(self) -> int:
         return self.d // self.g
 
-    def group_slice(self, k: int) -> slice:
-        if not 0 <= k < self.g:
-            raise ValueError(f"group index {k} out of range for {self.g} groups")
-        return slice(k * self.d_bar, (k + 1) * self.d_bar)
-
     @classmethod
     def fully_connected(cls, d: int) -> "RisTopology":
         return cls(d, 1)
@@ -119,103 +114,35 @@ def _resonant_branch(c, f, r, l0, l):
     return complex(z) if z.ndim == 0 else z
 
 
-def admittance_matrix(self_z: np.ndarray, inter_z: np.ndarray | None = None) -> np.ndarray:
-    """Admittance matrix of the branch network.
-
-    Off-diagonal entries are -1/inter_z[p, q]; diagonal entries are
-    1/self_z[p] plus the sum of the reciprocal inter-element impedances
-    leaving port p.  Without ``inter_z`` the ports are uncoupled.
-    """
-    self_z = np.atleast_1d(np.asarray(self_z, dtype=complex))
-    d = self_z.size
-    if np.any(self_z == 0):
-        raise SingularBranchError("zero self impedance has undefined admittance")
-
-    inv_inter = np.zeros((d, d), dtype=complex)
-    if inter_z is not None and d > 1:
-        inter_z = np.asarray(inter_z, dtype=complex)
-        if inter_z.shape != (d, d):
-            raise ValueError(f"inter impedance matrix must be {d}x{d}")
-        off = ~np.eye(d, dtype=bool)
-        if np.any(inter_z[off] != inter_z.T[off]):
-            raise ValueError("inter-element impedances must be symmetric")
-        if np.any(inter_z[off] == 0):
-            raise SingularBranchError("zero inter-element impedance has undefined admittance")
-        inv_inter[off] = 1.0 / inter_z[off]
-
-    y = -inv_inter
-    y[np.diag_indices(d)] = 1.0 / self_z + inv_inter.sum(axis=1)
-    return y
-
-
 def _inverse_guarded(a: np.ndarray, what: str) -> np.ndarray:
-    """Inverse of ``a``, refused when its 1-norm condition exceeds CONDITION_LIMIT.
+    """Inverse of every matrix of the (g, n, n) stack ``a``, refused when one's
+    1-norm condition exceeds CONDITION_LIMIT; the error names the first
+    failing matrix as ``group k``.
 
     rcond = 1 / (||a||_1 ||a^-1||_1) is exact, taken from the inverse itself.
     LAPACK's xGECON only estimates ||a^-1||_1 from below (Hager 1984;
     Higham 1988), so this guard is never looser than the estimated one.
-    A (g, n, n) stack is inverted at once; its error names the first failing
-    matrix as ``group k``.
     """
     a = np.asarray(a, dtype=complex)
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:  # some matrix is exactly singular: find which
         inv = np.full_like(a, np.inf)
-        for i in np.ndindex(a.shape[:-2]):
+        for k in range(len(a)):
             try:
-                inv[i] = np.linalg.inv(a[i])
+                inv[k] = np.linalg.inv(a[k])
             except np.linalg.LinAlgError:
                 pass
     # divided in turn, as xGECON does, so a huge product cannot overflow;
     # a zero matrix gives 0/0 = NaN, which fails as well
     with np.errstate(invalid="ignore"):
-        rcond = np.ravel(1.0 / np.linalg.norm(inv, 1, axis=(-2, -1))
-                         / np.linalg.norm(a, 1, axis=(-2, -1)))
+        rcond = 1.0 / np.linalg.norm(inv, 1, axis=(-2, -1)) / np.linalg.norm(a, 1, axis=(-2, -1))
     ok = rcond >= 1.0 / CONDITION_LIMIT  # NaN fails too
     if not ok.all():
         k = int(np.argmin(ok))
-        where = f"group {k}: " if a.ndim == 3 else ""
         raise SingularNetworkError(
-            f"{where}{what} is singular or ill-conditioned (rcond={rcond[k]:.2e})")
+            f"group {k}: {what} is singular or ill-conditioned (rcond={rcond[k]:.2e})")
     return inv
-
-
-def _require_symmetric(a: np.ndarray, what: str, tol: float = 1e-8):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.T).max() > tol * scale:
-        raise ValueError(f"{what} must be symmetric")
-
-
-def scattering_from_impedance(z: np.ndarray, z0: float) -> np.ndarray:
-    """Scattering matrix (Z + z0 I)^-1 (Z - z0 I) of a reciprocal network.
-
-    Computed as I - 2 z0 (Z + z0 I)^-1, the same matrix from one inverse.
-    """
-    z = np.asarray(z, dtype=complex)
-    _require_symmetric(z, "impedance matrix")
-    eye = np.eye(z.shape[0])
-    theta = eye - 2.0 * z0 * _inverse_guarded(z + z0 * eye, "Z + z0*I")
-    return 0.5 * (theta + theta.T)
-
-
-def impedance_from_scattering(theta: np.ndarray, z0: float) -> np.ndarray:
-    """Impedance matrix z0 (I + Theta)(I - Theta)^-1 realizing a reflection matrix.
-
-    Computed as z0 (2 (I - Theta)^-1 - I), the same matrix from one inverse.
-    Raises :class:`OpenCircuitError` when (I - Theta) is singular (a unit
-    eigenvalue corresponds to an open-circuit port with no finite impedance).
-    """
-    theta = np.asarray(theta, dtype=complex)
-    _require_symmetric(theta, "scattering matrix")
-    eye = np.eye(theta.shape[0])
-    try:
-        z = z0 * (2.0 * _inverse_guarded(eye - theta, "I - Theta") - eye)
-    except SingularNetworkError as exc:
-        raise OpenCircuitError(str(exc)) from exc
-    return 0.5 * (z + z.T)
 
 
 class CodewordArc(NamedTuple):
@@ -304,9 +231,6 @@ class Codebook:
                 raise ValueError(f"{kind} capacitances must be strictly increasing")
             object.__setattr__(self, f"{kind}_arc", _fit_arc(z))
 
-    def __len__(self) -> int:
-        return self.self_caps.size
-
 
 def build_codebook(f: float, bits: int, self_range: tuple[float, float],
                    inter_range: tuple[float, float], params: CircuitParams) -> Codebook:
@@ -335,8 +259,7 @@ class CapacitancePlan:
     ``self_c`` (g, d_bar) drives each group's self branches and ``inter_c``
     (g, d_bar (d_bar - 1) / 2) its inter-element branches, on the strict
     upper triangle row by row: the layout
-    :func:`~bdris.optimizer.relaxed_block_branches` returns.  The topology
-    follows from the shapes.
+    :func:`~bdris.optimizer.relaxed_block_branches` returns.
     """
 
     self_c: np.ndarray
@@ -350,22 +273,6 @@ class CapacitancePlan:
                              "(g, d_bar) and (g, d_bar (d_bar - 1) / 2)")
         object.__setattr__(self, "self_c", self_c)
         object.__setattr__(self, "inter_c", inter_c)
-
-    @property
-    def topology(self) -> RisTopology:
-        g, n = self.self_c.shape
-        return RisTopology(g * n, g)
-
-
-def random_plan(topology: RisTopology, self_range: tuple[float, float],
-                inter_range: tuple[float, float], rng: np.random.Generator) -> CapacitancePlan:
-    """Capacitances drawn uniformly within the tunable ranges (baseline plans): all
-    self branches, then per group the strict upper triangle of a (d_bar, d_bar) draw."""
-    g, n = topology.g, topology.d_bar
-    self_c = rng.uniform(*self_range, size=(g, n))
-    iu, ju = strict_upper_indices(n)
-    inter_c = [rng.uniform(*inter_range, size=(n, n))[iu, ju] for _ in range(g)]
-    return CapacitancePlan(self_c, np.array(inter_c))
 
 
 def _network_matrices(plan: CapacitancePlan, f: float, params: CircuitParams) -> np.ndarray:

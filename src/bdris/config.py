@@ -221,6 +221,16 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
             errors.append(f"{source}{f':{line}' if line else ''}: {path}: {message}")
         return bool(condition)
 
+    def distinct(path: str, entries, name=None):
+        """Each of ``entries`` once; with ``name``, each one's table name too."""
+        seen = set()
+        for e in entries:
+            keys = {tuple(e) if isinstance(e, list) else e, *([name(e)] if name else [])}
+            if not require(seen.isdisjoint(keys), path, f"entry {e} repeats an earlier one"
+                           + (" or its table name" if name else "")):
+                return
+            seen |= keys
+
     _check_against(require, cfg, DEFAULT_CONFIG, {})
     if errors:
         return errors
@@ -288,6 +298,7 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     archs = sim["architectures"]
     require(archs and all(a in ARCHITECTURES for a in archs), "simulation.architectures",
             f"entries must be among {ARCHITECTURES}")
+    distinct("simulation.architectures", archs)
 
     d_lists = {f"experiments.{name}.{key}": exps[name][key] for name, key in (
         ("per-bs-power", "d_grid"), ("network-power", "d_grid"), ("interference", "d_grid"),
@@ -295,6 +306,7 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     for path, ds in d_lists.items():
         require(ds and all(d >= 1 for d in ds), path,
                 "must be a non-empty list of positive integers")
+        distinct(path, ds)
     require(ts["d"] >= 1, "experiments.target-shift.d", "must be a positive integer")
     for d in [d for ds in d_lists.values() for d in ds] + [ts["d"]]:
         require(g < 1 or "group-connected" not in archs or d < 1 or d % g == 0,
@@ -310,6 +322,8 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     half = ts["half_span_ghz"]
     half_ok = require(half > 0, "experiments.target-shift.half_span_ghz", "must be > 0")
     targets = ts["targets_ghz"]
+    distinct("experiments.target-shift.targets_ghz", targets,
+             lambda t: table_name("target-shift", t))
     if require(targets and all(t > (half if half_ok else 0) for t in targets),
                "experiments.target-shift.targets_ghz",
                "must be a non-empty list of frequencies above half_span_ghz") and step_ok:
@@ -333,6 +347,7 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
                                    and any(x > 0 for x in w) for w in ws),
                         f"experiments.{name}.weight_sets",
                         "each set needs one weight >= 0 per base station, not all zero")
+        distinct(f"experiments.{name}.weight_sets", ws, lambda w: table_name(name, w))
         for i, w in enumerate(ws if ws_ok and nu_ok else []):
             served = [any(v > 0 for v in row) for x, row in zip(w, nu) if x > 0]
             require(all(served) if split else any(served), f"experiments.{name}.weight_sets",
@@ -347,6 +362,7 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
                     f"a split surface divides among them")
         require(modes and all(mode in (BLOCKED, AVAILABLE) for mode in modes),
                 f"experiments.{name}.link_modes", f"entries must be '{BLOCKED}' or '{AVAILABLE}'")
+        distinct(f"experiments.{name}.link_modes", modes)
         # F_b^H Theta G_b has rank <= D: zero-forcing K_b users needs D >= K_b
         few = [d for d in grid if d < k_max]
         require(BLOCKED not in modes or not few, f"experiments.{name}.d_grid",
@@ -356,6 +372,9 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
     pos_ok = require(pos and all(len(p) == 2 for p in pos),
                      "experiments.interference.ris_positions_m",
                      "must be a non-empty list of finite (x, y) positions")
+    if pos_ok:
+        distinct("experiments.interference.ris_positions_m", pos,
+                 lambda p: table_name("interference", p))
     for b, (p, u) in enumerate(zip(bs, users) if points_ok and sc["eta_direct"] > 0 else []):
         require(not _gainless(p, u, sc["eta_direct"]), "scenario.user_positions_m",
                 f"a user of base station {b + 1} has no finite, positive path gain from it")
@@ -394,6 +413,18 @@ def circuit_params(cfg: dict) -> CircuitParams:
 def cap_ranges(cfg: dict) -> tuple[tuple[float, float], tuple[float, float]]:
     return tuple(tuple(map(picofarad, cfg["circuit"][key]))
                  for key in ("self_cap_range_pf", "inter_cap_range_pf"))
+
+
+def table_name(experiment: str, entry, link_mode: str = "") -> str:
+    """Name of the results table of one list entry: a target frequency of
+    target-shift, a surface position of interference, or a weight set of a
+    power sweep (with its link mode).  Numbers are spelt ``:g``."""
+    if experiment == "target-shift":
+        return "target_shift_" + f"{entry:g}".replace(".", "p") + "ghz"
+    if experiment == "interference":
+        return "interference_" + f"x{entry[0]:g}_y{entry[1]:g}".replace(".", "p")
+    tag = "_".join(f"{w:g}" for w in entry)
+    return f"{experiment.replace('-', '_')}__mu_{tag}__{link_mode}"
 
 
 def aided_bs(victim: int) -> int:

@@ -13,10 +13,6 @@ class SingularNetworkError(ValueError):
     """A network matrix is singular or too ill-conditioned to invert reliably."""
 
 
-class OpenCircuitError(SingularNetworkError):
-    """(I - Theta) is singular, so no finite impedance matrix realizes this reflection."""
-
-
 class DegenerateChannelError(RuntimeError):
     """A fading draw produced a rank-deficient channel matrix; the trial must be redrawn."""
 

@@ -33,7 +33,7 @@ from .channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, sample_c
 from .circuit import CapacitancePlan, Codebook, RisTopology, build_codebook, \
     scattering_from_capacitances
 from .config import aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, ghz_grid, \
-    power_config, base_scenario, single_user_scenario
+    power_config, base_scenario, single_user_scenario, table_name
 from .errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
 from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
@@ -100,12 +100,11 @@ class TrialState:
     """Frequency-independent part of one trial's configuration.
 
     ``thetas`` maps each priority base station to its relaxed stacked
-    solution: vech of each group's block, one group after another (for a
-    fully-connected surface, vech(Theta)).  ``owner[k]`` is the priority base
-    station of group k, and ``self_y`` (g, d_bar) and ``inter_y``
-    (g, d_bar (d_bar - 1) / 2) hold the relaxed branch admittances of every
-    group (see :func:`relaxed_block_branches`), so plans snap cheaply
-    against any codebook set.
+    solution: each group's block in vech order, one group after another.
+    ``owner[k]`` is the priority base station of group k, and ``self_y``
+    (g, d_bar) and ``inter_y`` (g, d_bar (d_bar - 1) / 2) hold the relaxed
+    branch admittances of every group (see :func:`relaxed_block_branches`),
+    so plans snap cheaply against any codebook set.
     """
 
     owner: np.ndarray
@@ -439,8 +438,8 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
         ghz_values = ghz_grid(target - exp["half_span_ghz"],
                               target + exp["half_span_ghz"], exp["step_ghz"])
         points += _tracked_points(
-            s, cfg, "target-shift", "target_shift_" + f"{target:g}".replace(".", "p") + "ghz",
-            ghz_values, [s.codebook(ghz(target))] * len(ghz_values),
+            s, cfg, "target-shift", table_name("target-shift", target), ghz_values,
+            [s.codebook(ghz(target))] * len(ghz_values),
             [(arch, arch, exp["d"]) for arch in s.archs])
     return s.tabulate(points)
 
@@ -475,9 +474,8 @@ def _power_experiment(cfg: dict, key: str) -> dict[str, AggregateResult]:
     points = []
     for weight_set in exp["weight_sets"]:
         weights = ObjectiveWeights(mu=tuple(map(float, weight_set)), nu=s.nu)
-        tag = "_".join(f"{w:g}" for w in weight_set)
         for mode in exp["link_modes"]:
-            table = f"{key.replace('-', '_')}__mu_{tag}__{mode}"
+            table = table_name(key, weight_set, mode)
             for arch in s.archs:
                 for d in exp["d_grid"]:
                     topo = topology_for(arch, d, s.group_count)
@@ -534,7 +532,7 @@ def interference(cfg: dict) -> dict[str, AggregateResult]:
         scenario = base_scenario(cfg, direct_links=AVAILABLE,
                                  ris_position=tuple(map(float, position)),
                                  frequencies=tuple(freqs))
-        table = "interference_" + f"x{position[0]:g}_y{position[1]:g}".replace(".", "p")
+        table = table_name("interference", position)
         for arch in s.archs:
             for d in exp["d_grid"]:
                 topo = topology_for(arch, d, s.group_count)

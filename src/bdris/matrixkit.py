@@ -1,10 +1,9 @@
-"""Dense complex matrix utilities: vectorization maps, duplication matrices, the leading
+"""Dense matrix helpers of the solvers: triangle indices and the leading
 singular vector.
 
-Ordering convention used everywhere in this package: ``vec`` stacks columns
-(column-major), and ``vech`` stacks the columns of the lower triangle, i.e.
-entries (i, j) with i >= j taken column by column.  This is the single source
-of truth for the coefficient layout consumed by the solvers.
+The solvers lay out a symmetric block's coefficients in vech order: the
+lower triangle, entries (i, j) with i >= j, taken column by column
+(:func:`vech_indices`).  This is the single source of truth for that layout.
 """
 
 from __future__ import annotations
@@ -14,22 +13,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateInputError
-
-
-def vec(a: np.ndarray) -> np.ndarray:
-    """Stack the columns of a matrix into a vector."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"vec expects a 2-D array, got shape {a.shape}")
-    return a.flatten(order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`: reshape a length rows*cols vector into a matrix."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size != rows * cols:
-        raise ValueError(f"cannot unvec length-{v.size} vector into {rows}x{cols}")
-    return v.reshape((rows, cols), order="F").copy()
 
 
 def vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,49 +31,6 @@ def strict_upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows, cols = np.triu_indices(n, 1)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
-
-
-def vech(a: np.ndarray) -> np.ndarray:
-    """Stack the lower-triangular half of a square matrix into a vector."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"vech expects a square matrix, got shape {a.shape}")
-    rows, cols = vech_indices(a.shape[0])
-    return a[rows, cols].copy()
-
-
-def unvech(theta: np.ndarray, d: int) -> np.ndarray:
-    """Symmetric d x d matrix whose vech equals ``theta``.
-
-    Equals ``unvec(duplication_matrix(d) @ theta, d, d)`` without forming the
-    duplication matrix.
-    """
-    theta = np.asarray(theta)
-    n = d * (d + 1) // 2
-    if theta.ndim != 1 or theta.size != n:
-        raise ValueError(f"expected {n} coefficients for order {d}, got {theta.size}")
-    rows, cols = vech_indices(d)
-    out = np.zeros((d, d), dtype=np.result_type(theta, float))
-    out[rows, cols] = theta
-    out[cols, rows] = theta
-    return out
-
-
-def duplication_matrix(d: int) -> np.ndarray:
-    """0/1 matrix D_d of shape (d^2, d(d+1)/2) with D_d @ vech(A) = vec(A) for symmetric A.
-
-    Column k, corresponding to the lower-triangle position (i, j) in vech
-    order, carries a unit entry at the vec positions of (i, j) and (j, i);
-    diagonal positions get a single unit entry.
-    """
-    if d < 1:
-        raise ValueError("order must be >= 1")
-    rows, cols = vech_indices(d)
-    dd = np.zeros((d * d, d * (d + 1) // 2))
-    k = np.arange(rows.size)
-    dd[cols * d + rows, k] = 1.0
-    dd[rows * d + cols, k] = 1.0
-    return dd
 
 
 def leading_right_singular_vector(k: np.ndarray) -> tuple[np.ndarray, float]:

@@ -79,13 +79,6 @@ class ResultRow:
 class AggregateResult:
     rows: tuple[ResultRow, ...]
 
-    def row(self, value, architecture: str, metric: str) -> ResultRow:
-        hits = [r for r in self.rows
-                if r.value == value and r.architecture == architecture and r.metric == metric]
-        if len(hits) != 1:
-            raise KeyError(f"{len(hits)} rows match ({value}, {architecture}, {metric})")
-        return hits[0]
-
     def curve(self, architecture: str, metric: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(grid values, means, stderrs) of one curve, in row order."""
         rows = [r for r in self.rows

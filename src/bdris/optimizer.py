@@ -42,11 +42,6 @@ class ObjectiveWeights:
     def factor(self, b: int, k: int) -> float:
         return float(np.sqrt(self.mu[b] * self.nu[b][k]))
 
-    @classmethod
-    def uniform(cls, users_per_bs: tuple[int, ...]) -> "ObjectiveWeights":
-        b = len(users_per_bs)
-        return cls(mu=(1.0,) * b, nu=tuple((1.0 / k,) * k for k in users_per_bs))
-
 
 @dataclass(frozen=True)
 class GroupAssignment:
@@ -85,8 +80,8 @@ def stack_factors(channels: ChannelSet, weights: ObjectiveWeights,
     """Per base station in ``bss``, the (users, D) stack of a = w_k conj(f_k) and
     the (M, D) stack of b = g[:, m]: row (k, m) of the reduced stacked matrix R
     holds a_i b_j + a_j b_i at each group's vech position (i, j), halved on the
-    diagonal, so it maps vech(Theta) to a^T Theta b.  Zero-weight users would
-    give all-zero rows and are left out."""
+    diagonal, so it maps Theta's coefficients in vech order to a^T Theta b.
+    Zero-weight users would give all-zero rows and are left out."""
     out = []
     for b in bss:
         a = [weights.factor(b, k) * f.conj() for k, f in enumerate(channels.f[b])
@@ -156,10 +151,10 @@ def stack_fc(channels: ChannelSet,
              weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix K = R R^H and direct vector h of the fully-connected problem.
 
-    For symmetric Theta, ||R vech(Theta) + h||^2 is the weighted sum over
-    users of ||f^H Theta G + h^H||^2 (R as in :func:`stack_factors`).  The
-    solvers need R only through K, :func:`reduced_adjoint` and
-    :func:`first_column`, so R is never formed."""
+    For symmetric Theta with coefficients theta in vech order, ||R theta + h||^2
+    is the weighted sum over users of ||f^H Theta G + h^H||^2 (R as in
+    :func:`stack_factors`).  The solvers need R only through K,
+    :func:`reduced_adjoint` and :func:`first_column`, so R is never formed."""
     return _stack(channels, weights, range(len(channels.g)), 1)
 
 

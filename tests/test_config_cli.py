@@ -164,6 +164,17 @@ RULES = [
     ([NO_BS1_USERS], "optimization.user_weights"),
     (["output.dir=5"], "output.dir"),
     (["power.total_dbm=1e300"], "power.total_dbm"),
+    # a repeated entry wrote its rows twice; so did two entries whose numbers
+    # spell one table name under :g
+    *[([f"experiments.{key}={value}"], f"experiments.{key}") for key, value in (
+        ("freq-response.d_values", "[4, 4]"), ("per-bs-power.d_grid", "[20, 40, 20]"),
+        ("network-power.d_grid", "[20, 20]"), ("per-bs-power.link_modes", "[blocked, blocked]"),
+        ("per-bs-power.weight_sets", "[[0.3, 0.7], [0.3, 0.7]]"),
+        ("per-bs-power.weight_sets", "[[0.3, 0.7], [0.3000001, 0.7]]"),
+        ("target-shift.targets_ghz", "[7.4, 8.0, 7.4]"),
+        ("target-shift.targets_ghz", "[7.4, 7.4000001]"),
+        ("interference.ris_positions_m", "[[60.0, 20.0], [60.0, 20.0]]"),
+        ("interference.ris_positions_m", "[[60.0, 20.0], [60.0000001, 20.0]]"))],
 ]
 
 
@@ -401,6 +412,13 @@ REJECTED_FILES = [
      3, "experiments.freq-response.grid_ghz"),
     ("per-bs-power", "scenario:\n  frequencies_ghz: [1.0e300, 8.0]\n"
      "optimization:\n  target_frequency_ghz: 1.0e300\n", 2, "scenario.frequencies_ghz"),
+    # repeated entries: the run wrote each row once per repeat
+    ("freq-response", "simulation:\n  architectures: [fully-connected, fully-connected]\n",
+     2, "simulation.architectures"),
+    ("interference", "experiments:\n  interference:\n    d_grid: [4, 4]\n",
+     3, "experiments.interference.d_grid"),
+    ("network-power", "experiments:\n  network-power:\n    link_modes: [available, available]\n",
+     3, "experiments.network-power.link_modes"),
 ]
 
 

@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bdris.channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, \
-    sample_channels, stream_rng
-from bdris.circuit import RisTopology, build_codebook, random_plan, scattering_from_capacitances
+from bdris.channel import AVAILABLE, BLOCKED, NetworkScenario, sample_channels, stream_rng
+from bdris.circuit import RisTopology, build_codebook, scattering_from_capacitances
 from bdris import experiments
 from bdris.config import DEFAULT_CONFIG, circuit_params, load_config, validate_config
 from bdris.errors import DegenerateChannelError
@@ -22,6 +21,7 @@ from bdris.optimizer import (GroupAssignment, ObjectiveWeights,
                              first_column, reduced_adjoint)
 from bdris.metrics import aggregate
 from bdris.results import read_results, write_results
+from reference_model import effective_channels, random_plan, row, uniform_power
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 
@@ -428,8 +428,8 @@ class TestPowerSweeps:
         blocked = network_power(blocked_cfg)["network_power__mu_1_0__blocked"]
         # direct links add power on top of the reflected path
         for arch in ("fully-connected",):
-            assert (res.row(8, arch, "network_sum_power_w").mean
-                    > blocked.row(8, arch, "network_sum_power_w").mean)
+            assert (row(res, 8, arch, "network_sum_power_w").mean
+                    > row(blocked, 8, arch, "network_sum_power_w").mean)
 
 
 def test_every_run_path_snap_equals_exhaustive(monkeypatch):
@@ -468,9 +468,9 @@ class TestInterference:
         cfg["optimization"]["fw_iterations"] = 40
         out = interference(cfg)
         res = out["interference_x60_y20"]
-        ref = res.row(16, "interference-free", "sum_se_bs2").mean
+        ref = row(res, 16, "interference-free", "sum_se_bs2").mean
         for arch in ("fully-connected", "group-connected", "single-connected"):
-            actual = res.row(16, arch, "sum_se_bs2").mean
+            actual = row(res, 16, arch, "sum_se_bs2").mean
             assert actual < ref
 
     def test_reference_evaluated_once_per_trial(self, monkeypatch):
@@ -489,7 +489,7 @@ class TestInterference:
         trials = cfg["simulation"]["trials"]
         archs = cfg["simulation"]["architectures"]
         assert len(calls) == trials * (len(archs) + 1)
-        assert out.row(4, "interference-free", "sum_se_bs2").mean > 0
+        assert row(out, 4, "interference-free", "sum_se_bs2").mean > 0
 
     def test_runner_table(self):
         assert set(RUNNERS) == {"freq-response", "target-shift", "per-bs-power",
@@ -533,14 +533,14 @@ class TestDedicatedConfigurationLooksRandomElsewhere:
             user_positions=(((25.0, 10.0),), ((70.0, 10.0),)),
             ris_position=(40.0, 20.0), m=8, frequencies=(7.4e9, 8.0e9),
             eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
-        power = PowerConfig.uniform(sc, 0.1, 1e-7)
+        power = uniform_power(sc, 0.1, 1e-7)
         topo = RisTopology.group_connected(8, 2)
         weights = ObjectiveWeights(mu=(1.0, 0.0), nu=((1.0,), (1.0,)))
         assignment = GroupAssignment.single(0, topo)
         ranges = ((0.1e-12, 2e-12), (0.001e-12, 0.6e-12))
         codebooks = {0: build_codebook(7.4e9, 6, *ranges, PARAMS)}
 
-        from bdris.channel import effective_channels, zf_precoder
+        from bdris.channel import zf_precoder
 
         def bs2_power(ch, theta):
             eff = effective_channels(ch, 1, theta)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
-                           effective_channels, sample_channels, stream_rng,
-                           zf_precoder)
+                           sample_channels, stream_rng, zf_precoder)
 from bdris.circuit import RisTopology
 from bdris import experiments
 from bdris.config import DEFAULT_CONFIG, circuit_params
@@ -15,12 +14,9 @@ from bdris.experiments import Point, _run_sweep, solve_trials
 from bdris.metrics import (aggregate, evaluate_received_powers,
                            sum_spectral_efficiency_outdated)
 from bdris.optimizer import GroupAssignment, ObjectiveWeights
+from reference_model import crandn, effective_channels, uniform_power
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
-
-
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def scenario(direct=BLOCKED, users=((25.0, 10.0),), m=6):
@@ -45,7 +41,7 @@ class TestReceivedPower:
         rng = np.random.default_rng(1)
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
-        power = PowerConfig.uniform(sc, 0.1, 1e-7)
+        power = uniform_power(sc, 0.1, 1e-7)
         powers = evaluate_received_powers(ch, [np.conj(ch.f[0]) @ theta], power)
         eff = effective_channels(ch, 0, theta)
         assert powers[0][0] == pytest.approx(
@@ -128,7 +124,7 @@ class TestSpectralEfficiencyOutdated:
     def test_zero_reflection_matches_interference_free(self):
         sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
         ch = sample_channels(sc, 4, stream_rng(5, 0))
-        power = PowerConfig.uniform(sc, 0.1, 1e-7)
+        power = uniform_power(sc, 0.1, 1e-7)
         se = sum_spectral_efficiency_outdated(ch, 0, np.conj(ch.f[0]) @ np.zeros((4, 4)),
                                               power)
         # reference: perfect zero-forcing on the true (direct-only) channels
@@ -145,8 +141,8 @@ class TestSpectralEfficiencyOutdated:
         rng = np.random.default_rng(6)
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
-        p1 = PowerConfig.uniform(sc, 0.1, 1e-7)
-        p2 = PowerConfig.uniform(sc, 0.1, 1e-6)
+        p1 = uniform_power(sc, 0.1, 1e-7)
+        p2 = uniform_power(sc, 0.1, 1e-6)
         rows = np.conj(ch.f[0]) @ theta
         assert (sum_spectral_efficiency_outdated(ch, 0, rows, p1)
                 > sum_spectral_efficiency_outdated(ch, 0, rows, p2))
@@ -157,7 +153,7 @@ class TestSpectralEfficiencyOutdated:
         rng = np.random.default_rng(7)
         theta = crandn(rng, 3, 3)
         theta = theta + theta.T
-        power = PowerConfig.uniform(sc, 0.1, 1e-7)
+        power = uniform_power(sc, 0.1, 1e-7)
         se = sum_spectral_efficiency_outdated(ch, 0, np.conj(ch.f[0]) @ theta, power)
         prec = zf_precoder(effective_channels(ch, 0, np.zeros((3, 3))))
         actual = effective_channels(ch, 0, theta)
@@ -171,7 +167,7 @@ class TestSpectralEfficiencyOutdated:
 
     def test_interference_positive_with_nonzero_reflection(self):
         sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
-        power = PowerConfig.uniform(sc, 0.1, 1e-7)
+        power = uniform_power(sc, 0.1, 1e-7)
         for t in range(5):
             ch = sample_channels(sc, 4, stream_rng(8, t))
             rng = np.random.default_rng(t)

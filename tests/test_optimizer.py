@@ -5,27 +5,23 @@ from hypothesis import strategies as st
 
 from bdris import circuit
 from bdris.channel import ChannelSet
-from bdris.circuit import (CircuitParams, Codebook, RisTopology,
-                           build_codebook, impedance_from_scattering, random_plan,
-                           scattering_from_capacitances)
+from bdris.circuit import Codebook, RisTopology, build_codebook, scattering_from_capacitances
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import DegenerateInputError, SingularNetworkError
 from bdris.experiments import _state_from_thetas, solve_trials
-from bdris.matrixkit import _canonical_phase, duplication_matrix, unvech, vech
+from bdris.matrixkit import _canonical_phase
 from bdris.optimizer import (GroupAssignment, ObjectiveWeights,
                              _snap, first_column, frank_wolfe_batch, reduced_adjoint,
                              relaxed_block_branches, snap_to_codebook, stack_factors,
                              stack_fc, stack_gc)
-from plan_matrix import plan_from_matrix, plan_matrix
-from reference_stack import frank_wolfe, reduced_stack
+from reference_model import (LOSSLESS, crandn, duplication_matrix, frank_wolfe, group_slice,
+                             impedance_from_scattering, plan_from_matrix, plan_matrix,
+                             random_channels, random_plan, reduced_stack, relaxed_objective,
+                             uniform_weights, unvech, vech)
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 SELF_RANGE = (0.1e-12, 2e-12)
 INTER_RANGE = (0.001e-12, 0.6e-12)
-
-
-LOSSLESS = CircuitParams(r=0.0, l0=2.5e-9, l=0.7e-9, r_tilde=0.0, l0_tilde=12.5e-9,
-                         l_tilde=0.2e-9, z0=50.0)
 
 
 def exhaustive_snap(targets, codewords, caps):
@@ -34,37 +30,17 @@ def exhaustive_snap(targets, codewords, caps):
     return caps[np.abs(targets[:, None] - 1.0 / codewords[None, :]).argmin(axis=1)]
 
 
-def crandn(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
-def random_channels(rng, d, m, users_per_bs, direct=False, scales=None):
-    """Synthetic unit-variance channel set; per-BS scale factors optional."""
-    g, f, h = [], [], []
-    for b, k_b in enumerate(users_per_bs):
-        s = 1.0 if scales is None else scales[b]
-        g.append(s * crandn(rng, d, m))
-        f.append(tuple(crandn(rng, d) for _ in range(k_b)))
-        h.append(tuple(crandn(rng, m) if direct else np.zeros(m, dtype=complex)
-                       for _ in range(k_b)))
-    return ChannelSet(g=tuple(g), f=tuple(f), h=tuple(h))
-
-
 def solve_one(ch, weights, topo=None, assignment=None, fw=None):
     """The engine's state for one channel draw; by default the whole surface,
     fully connected, serves base station 0."""
-    topo = topo or RisTopology.fully_connected(ch.num_ris_elements)
+    topo = topo or RisTopology.fully_connected(len(ch.g[0]))
     assignment = assignment or GroupAssignment.single(0, topo)
     return solve_trials([ch], weights, topo, assignment, PARAMS.z0, fw)[0]
 
 
-def relaxed_objective(r, h, theta):
-    return np.linalg.norm(r @ theta + h) ** 2
-
-
 def plan_from_theta(theta, topo, codebook):
     """Capacitance plan the engine snaps a relaxed reflection matrix onto."""
-    stacked = np.concatenate([vech(theta[topo.group_slice(g), topo.group_slice(g)])
+    stacked = np.concatenate([vech(theta[group_slice(topo, g), group_slice(topo, g)])
                               for g in range(topo.g)])
     state = _state_from_thetas({0: stacked}, topo,
                                GroupAssignment.single(0, topo),
@@ -93,8 +69,8 @@ class TestObjectiveWeights:
             ObjectiveWeights(mu=(1.0, 1.0), nu=((1.0,),))
 
     def test_uniform(self):
-        w = ObjectiveWeights.uniform((2, 2))
-        assert w.nu == ((0.5, 0.5), (0.5, 0.5))
+        w = uniform_weights((2, 2))
+        assert w.mu == (1.0, 1.0) and w.nu == ((0.5, 0.5), (0.5, 0.5))
 
 
 class TestGroupAssignment:
@@ -122,7 +98,7 @@ def row_space_point(ch, weights, bss, topo, c):
     theta = reduced_adjoint(stack_factors(ch, weights, bss), c, topo.g)
     full = np.zeros((topo.d, topo.d), dtype=complex)
     for k, part in enumerate(theta.reshape(topo.g, -1)):
-        full[topo.group_slice(k), topo.group_slice(k)] = unvech(part, topo.d_bar)
+        full[group_slice(topo, k), group_slice(topo, k)] = unvech(part, topo.d_bar)
     return full
 
 
@@ -190,7 +166,7 @@ class TestStacking:
     def test_blocked_links_zero_offset(self):
         rng = np.random.default_rng(4)
         ch = random_channels(rng, 3, 2, (2,))
-        _, h_hat = stack_fc(ch, ObjectiveWeights.uniform((2,)))
+        _, h_hat = stack_fc(ch, uniform_weights((2,)))
         assert np.all(h_hat == 0)
 
     def test_gc_objective_identity(self):
@@ -277,7 +253,7 @@ class TestSolveFcBlocked:
     def test_objective_is_squared_top_singular_value(self):
         rng = np.random.default_rng(8)
         ch = random_channels(rng, 5, 2, (2,))
-        weights = ObjectiveWeights.uniform((2,))
+        weights = uniform_weights((2,))
         theta = solve_one(ch, weights).thetas[0]
         r_hat, h_hat = reduced_stack(ch, weights)
         sigma = np.linalg.svd(r_hat, compute_uv=False)[0]
@@ -305,7 +281,7 @@ class TestSolveFcBlocked:
     def test_feasibility_and_symmetry(self):
         rng = np.random.default_rng(10)
         ch = random_channels(rng, 6, 2, (2,))
-        theta = solve_one(ch, ObjectiveWeights.uniform((2,))).thetas[0]
+        theta = solve_one(ch, uniform_weights((2,))).thetas[0]
         theta_matrix = unvech(theta, 6)
         assert np.linalg.norm(theta) <= 1 + 1e-9
         assert np.abs(theta_matrix - theta_matrix.T).max() < 1e-10
@@ -418,7 +394,7 @@ class TestFrankWolfe:
     def test_matches_blocked_solution(self):
         rng = np.random.default_rng(11)
         ch = random_channels(rng, 8, 2, (1, 1))
-        weights = ObjectiveWeights.uniform((1, 1))
+        weights = uniform_weights((1, 1))
         r_hat, h_hat = reduced_stack(ch, weights)
         closed = relaxed_objective(r_hat, h_hat, solve_one(ch, weights).thetas[0])
         iterative = relaxed_objective(
@@ -534,7 +510,7 @@ class TestSolveGc:
         rng = np.random.default_rng(19)
         topo = RisTopology(6, 2)
         ch = random_channels(rng, 6, 2, (1, 1))
-        weights = ObjectiveWeights.uniform((1, 1))
+        weights = uniform_weights((1, 1))
         assignment = GroupAssignment.even_split((0, 1), topo)
         blocked = solve_one(ch, weights, topo, assignment)
         direct = solve_one(ch, weights, topo, assignment, 500)
@@ -628,7 +604,7 @@ class TestProjection:
             c[np.diag_indices(topo.d)] = rng.choice(cb.self_caps, size=topo.d)
             iu, ju = np.triu_indices(topo.d_bar, 1)
             for k in range(topo.g):
-                block = c[topo.group_slice(k), topo.group_slice(k)]
+                block = c[group_slice(topo, k), group_slice(topo, k)]
                 block[iu, ju] = block[ju, iu] = rng.choice(cb.inter_caps, size=iu.size)
             theta = scattering_from_capacitances(plan_from_matrix(c, topo), f_star, PARAMS)
             recovered = plan_from_theta(theta, topo, cb)
@@ -796,7 +772,7 @@ class TestConfigure:
     def test_gc_standard_two_frequency_setup(self):
         rng = np.random.default_rng(26)
         ch = random_channels(rng, 8, 3, (1, 1))
-        weights = ObjectiveWeights.uniform((1, 1))
+        weights = uniform_weights((1, 1))
         topo = RisTopology.group_connected(8, 2)
         assignment = GroupAssignment.even_split((0, 1), topo)
         codebooks = {b: build_codebook(f, 6, SELF_RANGE, INTER_RANGE, PARAMS)
@@ -810,7 +786,7 @@ class TestConfigure:
     def test_single_connected_split_beats_random(self):
         rng = np.random.default_rng(27)
         d = 10
-        weights = ObjectiveWeights.uniform((1, 1))
+        weights = uniform_weights((1, 1))
         topo = RisTopology.single_connected(d)
         assignment = GroupAssignment.even_split((0, 1), topo)
         codebooks = {b: build_codebook(f, 6, SELF_RANGE, INTER_RANGE, PARAMS)
