@@ -146,9 +146,9 @@ def _relaxed_solutions(draws) -> list[dict[int, np.ndarray]]:
     With ``fw=None`` the direct links are taken as blocked and the solution
     is the scaled leading right singular vector of the reduced stacked
     matrix R: R^H u for the leading eigenvector u of its Gram matrix.  With
-    an iteration count ``fw`` the direct links count: the instances of every
+    an iteration cap ``fw`` the direct links count: the instances of every
     draw (one per draw and priority base station) that share a Gram size and
-    iteration count run as one conditional-gradient batch, their Gram
+    iteration cap run as one conditional-gradient batch, their Gram
     matrices written straight into it.  An instance's result does not depend
     on the batch it runs in.
     """
@@ -177,9 +177,10 @@ def _relaxed_solutions(draws) -> list[dict[int, np.ndarray]]:
 
 def _frank_wolfe_instances(draws, instances, rows: int, iterations: int):
     """Row-space coefficients ``(acc, c)`` of one conditional-gradient call of
-    ``iterations`` iterations over ``instances`` ((draw index, base station,
-    row factors) with ``rows``-row sub-problems).  The Gram matrices are
-    written straight into the batch, which is freed on return."""
+    at most ``iterations`` iterations over ``instances`` ((draw index, base
+    station, row factors) with ``rows``-row sub-problems).  The Gram matrices
+    are written straight into the batch, which the solver overwrites and
+    which is freed on return."""
     grams = np.empty((len(instances), rows, rows), dtype=complex)
     hs = np.empty((len(instances), rows), dtype=complex)
     e1 = np.empty((len(instances), rows), dtype=complex)
@@ -219,8 +220,8 @@ def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
     Each priority base station of ``assignment`` solves its relaxed
     sub-problem and keeps the groups dedicated to it (see
     :func:`_relaxed_solutions`): ``fw=None`` takes the direct links as
-    blocked, an iteration count runs one conditional-gradient batch of that
-    many iterations over every draw.  Branch retrieval raises
+    blocked, an iteration count runs one conditional-gradient batch of at
+    most that many iterations over every draw.  Branch retrieval raises
     :class:`~bdris.errors.SingularNetworkError` on a short-circuited block.
     Snap a returned state with :meth:`TrialState.plan`.
     """
@@ -234,11 +235,11 @@ class Point:
     """One grid point of a sweep.
 
     Its trials draw fading for ``scenario`` at ``topo.d`` elements and
-    configure ``topo`` for ``weights`` under ``assignment`` with ``fw``
-    conditional-gradient iterations; ``fw=None`` takes the direct links as
-    blocked.  ``evaluate(chans, state)`` returns one trial's samples, each
-    keyed by the result row it feeds: ``(table, variable, value, label,
-    metric)``.  ``context`` names the point in logs and errors.
+    configure ``topo`` for ``weights`` under ``assignment`` with at most
+    ``fw`` conditional-gradient iterations; ``fw=None`` takes the direct
+    links as blocked.  ``evaluate(chans, state)`` returns one trial's
+    samples, each keyed by the result row it feeds: ``(table, variable,
+    value, label, metric)``.  ``context`` names the point in logs and errors.
     """
 
     scenario: NetworkScenario

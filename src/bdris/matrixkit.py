@@ -33,13 +33,25 @@ def strict_upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+# Inverse iteration's shift and stopping residual, in units of n eps ||k||,
+# and its cap on solves (see leading_right_singular_vector).
+SHIFT_ULPS = 4
+RESIDUAL_ULPS = 4
+MAX_SOLVES = 3
+
+
 def leading_right_singular_vector(k: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit-norm leading singular vector of a Hermitian positive semidefinite
     matrix, and its singular value.
 
-    For such a matrix these are its top eigenpair, taken from one
-    ``eigh(k)``, which reads only the lower triangle.  For the Gram matrix
-    K = R R^H of a matrix R they are R's leading left singular vector and
+    For such a matrix these are its top eigenpair.  The eigenvalue λ₁ comes
+    from ``eigvalsh(k)``, the vector from inverse iteration on μI - k with
+    μ = λ₁ + 4 n eps ||k|| (n the order, ||k|| the spectral norm), started
+    from the all-ones vector and stopped once the residual ||k v - λ₁ v|| is
+    at most 4 n eps ||k||: two solves as a rule, at most ``MAX_SOLVES``.  A
+    start vector with no component along the leading direction never gets
+    there, and then the vector comes from ``eigh(k)``.  For the Gram matrix
+    K = R R^H of a matrix R these are R's leading left singular vector and
     squared singular value.
 
     The phase is normalized so the first entry with magnitude above 1e-12 is
@@ -51,8 +63,20 @@ def leading_right_singular_vector(k: np.ndarray) -> tuple[np.ndarray, float]:
         raise ValueError(f"expected a square matrix, got shape {k.shape}")
     if not np.any(k):
         raise DegenerateInputError("all-zero matrix has no leading singular direction")
-    eigvals, eigvecs = np.linalg.eigh(k)
-    return _canonical_phase(eigvecs[:, -1]), float(max(eigvals[-1], 0.0))
+    n = k.shape[0]
+    eigvals = np.linalg.eigvalsh(k)
+    top = eigvals[-1]
+    ulp = n * np.finfo(float).eps * max(-eigvals[0], top)
+    shifted = (top + SHIFT_ULPS * ulp) * np.eye(n) - k
+    v = np.ones(n, dtype=shifted.dtype)
+    for _ in range(MAX_SOLVES):
+        v = np.linalg.solve(shifted, v)
+        v /= np.linalg.norm(v)
+        if np.linalg.norm(k @ v - top * v) <= RESIDUAL_ULPS * ulp:
+            break
+    else:
+        v = np.linalg.eigh(k)[1][:, -1]
+    return _canonical_phase(v), float(max(top, 0.0))
 
 
 def _canonical_phase(v: np.ndarray, tol: float = 1e-12) -> np.ndarray:

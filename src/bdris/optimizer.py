@@ -104,7 +104,9 @@ def _gram(factors, g: int) -> np.ndarray:
     Per group, K_pq = (a.a')(b.b') + (a.b')(b.a') - sum_i a_i b_i a'_i b'_i
     (primed vectors conjugated, dot products over the group's elements).
     Summed over groups, the terms are one product over the elements, one over
-    the groups, and C C^H with C the elementwise products a * b.
+    the groups, and C C^H with C the elementwise products a * b.  With one
+    element per group (single connected) the three terms are equal, so K is
+    C C^H alone.
     """
     def block(a, b, a2, b2):
         u, m, u2, m2 = len(a), len(b), len(a2), len(b2)
@@ -115,6 +117,8 @@ def _gram(factors, g: int) -> np.ndarray:
                 + t2.reshape(u, m2, m, u2).transpose(0, 2, 3, 1)).reshape(u * m, u2 * m2)
 
     c = np.concatenate([(a[:, None] * b[None]).reshape(-1, b.shape[1]) for a, b in factors])
+    if c.shape[1] == g:
+        return c @ c.conj().T
     return np.block([[block(*x, *y) for y in factors] for x in factors]) - c @ c.conj().T
 
 
@@ -165,6 +169,13 @@ def stack_gc(channels: ChannelSet, weights: ObjectiveWeights, topology: RisTopol
     return _stack(channels, weights, (bs,), topology.g)
 
 
+# Every FREEZE_EVERY iterations, an instance whose last step moved its
+# row-space iterate by at most FREEZE_STEP of the iterate's norm has stopped
+# moving: it is frozen at that iterate and leaves the batch.
+FREEZE_EVERY = 10
+FREEZE_STEP = 1e-14
+
+
 def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarray,
                       iterations: int, r_e1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized conditional gradient over a batch of independent instances.
@@ -178,15 +189,24 @@ def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarra
     so the recursion runs in the row space at O(rows^2) per iteration, with
     iterate theta = r^H acc + c e1 (e1: the fallback direction when the
     gradient vanishes).  Returns (T, rows) ``acc`` and (T,) ``c``; map them
-    with :func:`reduced_adjoint`.  An instance's arithmetic does not depend
-    on its batch, so batches may be chunked.
+    with :func:`reduced_adjoint`.
+
+    ``iterations`` is a cap.  Every ``FREEZE_EVERY`` iterations, each
+    instance whose step ||acc_k - acc_{k-1}|| is at most ``FREEZE_STEP``
+    ||acc_k|| returns acc_k and c_k and leaves the batch; the others run on,
+    at most to the cap.  The rule reads only the instance's own iterates, so
+    its result does not depend on its batch, and batches may be chunked.
+    The live instances are moved to the front of ``gram`` in place, so
+    ``gram`` is workspace: its contents are unspecified on return.  (A
+    compacted copy would add its size to the peak memory while the caller
+    still holds the full batch.)
 
     The step is the exact line search.  The objective is convex, so its
     maximum over the segment from the iterate to the direction-finding
     solution always sits at the far endpoint: the step is the full one, the
     iterate is the direction-finding solution, and the objective never
-    decreases.  When every instance has a nonzero gradient (the normal case)
-    an iteration takes the short update; otherwise (a vanishing or NaN
+    decreases.  When every live instance has a nonzero gradient (the normal
+    case) an iteration takes the short update; otherwise (a vanishing or NaN
     gradient) it runs the general update, in which a flat instance steps
     along e1 instead.  For the other instances the general update only adds
     ``0.0 * r_e1``, which changes at most the sign of a zero, so both updates
@@ -195,24 +215,44 @@ def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarra
     if iterations < 1:
         raise ValueError("iteration count must be >= 1")
     t, rows, _ = gram.shape
-    w = h.astype(complex).copy()                       # residual at theta = 0
-    acc = np.zeros((t, rows), dtype=complex)
-    c = np.zeros(t)
-    for _ in range(1, iterations):
-        v = np.matmul(gram, w[..., None])[..., 0]
+    radius = np.broadcast_to(np.asarray(radius, dtype=float), (t,))
+    h = h.astype(complex)
+    w = h.copy()                                       # residual at theta = 0
+    acc, c = np.zeros((t, rows), dtype=complex), np.zeros(t)
+    out_acc, out_c = acc.copy(), c.copy()
+    live = np.arange(t)                                # batch index of each live instance
+    for k in range(1, iterations):
+        prev = acc
+        v = np.matmul(gram[:live.size], w[..., None])[..., 0]
         grad_sq = np.einsum("tr,tr->t", w.conj(), v).real  # = ||r^H w||^2 >= 0
         if (grad_sq > 0.0).all():
             scale = (radius / np.sqrt(grad_sq))[:, None]
             acc = scale * w
             w = h + scale * v
-            c = np.zeros(t)
+            c = np.zeros(live.size)
+        else:
+            flat = grad_sq <= 0.0
+            scale = np.where(flat, 0.0, radius / np.sqrt(np.where(flat, 1.0, grad_sq)))[:, None]
+            c = np.where(flat, radius, 0.0)
+            acc = scale * w
+            w = h + scale * v + c[:, None] * r_e1
+        if k % FREEZE_EVERY:
             continue
-        flat = grad_sq <= 0.0
-        scale = np.where(flat, 0.0, radius / np.sqrt(np.where(flat, 1.0, grad_sq)))[:, None]
-        c = np.where(flat, radius, 0.0)
-        acc = scale * w
-        w = h + scale * v + c[:, None] * r_e1
-    return acc, c
+        done = (np.linalg.norm(acc - prev, axis=1)
+                <= FREEZE_STEP * np.linalg.norm(acc, axis=1))
+        if not done.any():
+            continue
+        out_acc[live[done]], out_c[live[done]] = acc[done], c[done]
+        keep = np.flatnonzero(~done)
+        for j, src in enumerate(keep):                 # src >= j: front to back is safe
+            if j != src:
+                gram[j] = gram[src]
+        live, acc, c, w, h, r_e1, radius = (
+            x[keep] for x in (live, acc, c, w, h, r_e1, radius))
+        if not live.size:
+            break
+    out_acc[live], out_c[live] = acc, c
+    return out_acc, out_c
 
 
 def _snap(targets: np.ndarray, arc: CodewordArc, caps: np.ndarray) -> np.ndarray:

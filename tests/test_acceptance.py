@@ -5,11 +5,15 @@ Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s`` or
 runners and run a few minutes in total; everything else takes seconds.
 Criteria 10 and 11 pair the architectures trial by trial through
 ``ResultRow.samples``, which rows hold in memory and CSVs never carry.
+Criteria 8-11 state their assertions in ``criterion_NN_checks(seed,
+trials)``, which the tests run at ``SEED`` and ``TRIALS`` and
+``scripts/criteria_margins.py`` runs at other seeds.
 """
 
 import copy
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -188,130 +192,177 @@ def test_criterion_07_zero_forcing_property():
                         assert leak < 1e-8
 
 
-def _freq_response_curves():
+@dataclass(frozen=True)
+class Check:
+    """One assertion of a reproduction criterion: ``low <= high`` (``low <
+    high`` if ``strict``), elementwise for arrays.  ``margin`` is the
+    smallest ``high - low``, which ``scripts/criteria_margins.py`` reports."""
+
+    label: str
+    low: object
+    high: object
+    strict: bool = False
+
+    def holds(self) -> bool:
+        return bool(np.all(self.low < self.high) if self.strict
+                    else np.all(self.low <= self.high))
+
+    @property
+    def margin(self) -> float:
+        return float(np.min(np.asarray(self.high) - np.asarray(self.low)))
+
+
+def assert_checks(checks):
+    for check in checks:
+        assert check.holds(), f"{check.label}: margin {check.margin:.3g}"
+
+
+def reproduction_config(seed, trials):
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    cfg["simulation"]["trials"] = TRIALS
-    cfg["simulation"]["seed"] = SEED
+    cfg["simulation"]["trials"] = trials
+    cfg["simulation"]["seed"] = seed
+    return cfg
+
+
+def criterion_08_checks(seed=SEED, trials=TRIALS):
+    cfg = reproduction_config(seed, trials)
     cfg["simulation"]["architectures"] = ["fully-connected", "single-connected"]
     cfg["experiments"]["freq-response"]["d_values"] = [100]
     cfg["experiments"]["freq-response"]["grid_ghz"] = {
         "start": 1.0, "stop": 16.0, "step": 0.5}
-    return freq_response(cfg)["freq_response"]
+    result = freq_response(cfg)["freq_response"]
+    x, fc_mean, fc_se = result.curve("fully-connected D=100", "received_power_w")
+    _, sc_mean, sc_se = result.curve("single-connected D=100", "received_power_w")
+    peak = fc_mean.max()
+    peak_ghz = x[int(np.argmax(fc_mean))]
+    print(f"  fully-connected peak {peak * 1e3:.4f} mW at {peak_ghz:.1f} GHz")
+    band = (x >= 4.5) & (x <= 11.5)
+    compare = (x >= 4.0) & (x <= 12.0)
+    return [Check("fully-connected peak >= 0.08 mW", 0.08e-3, peak),
+            Check("fully-connected peak <= 0.16 mW", peak, 0.16e-3),
+            Check("4.5-11.5 GHz >= 0.85 of the peak", 0.85 * peak, fc_mean[band]),
+            Check("fully over single by 2 stderr, 4-12 GHz",
+                  2.0 * np.hypot(fc_se[compare], sc_se[compare]),
+                  fc_mean[compare] - sc_mean[compare])]
+
+
+def criterion_09_checks(seed=SEED, trials=TRIALS):
+    cfg = reproduction_config(seed, trials)
+    cfg["simulation"]["architectures"] = ["fully-connected", "single-connected"]
+    cfg["experiments"]["target-shift"] = {
+        "targets_ghz": [7.4], "half_span_ghz": 1.0, "step_ghz": 0.2, "d": 100,
+        "tracked_bs": 1, "tracked_user": 1}
+    result = target_shift(cfg)["target_shift_7p4ghz"]
+    x, fc_mean, _ = result.curve("fully-connected", "received_power_w")
+    _, sc_mean, _ = result.curve("single-connected", "received_power_w")
+    step = 0.2
+    peak_ghz = x[int(np.argmax(fc_mean))]
+
+    def relative_drop(mean):
+        at = dict(zip(np.round(x, 3), mean))
+        target = at[7.4]
+        return 1.0 - 0.5 * (at[6.4] + at[8.4]) / target
+
+    fc_drop = relative_drop(fc_mean)
+    sc_drop = relative_drop(sc_mean)
+    print(f"  relative drop 1 GHz away: fully {fc_drop:.3f}, single {sc_drop:.3f}")
+    return [Check("peak within one step of 7.4 GHz", abs(peak_ghz - 7.4), step + 1e-9),
+            Check("fully-connected falls off faster", sc_drop, fc_drop, strict=True)]
+
+
+def criterion_10_checks(seed=SEED, trials=TRIALS):
+    cfg = reproduction_config(seed, trials)
+    cfg["simulation"]["architectures"] = ["fully-connected", "single-connected"]
+    out = interference(cfg)
+    keys = ["interference_x20_y20", "interference_x40_y20", "interference_x60_y20"]
+    degradation = {}
+    for key in keys:
+        res = out[key]
+        ref = row(res, 80, "interference-free", "sum_se_bs2").mean
+        degradation[key] = {
+            arch: ref - row(res, 80, arch, "sum_se_bs2").mean
+            for arch in ("fully-connected", "single-connected")
+        }
+    checks = []
+    for arch in ("fully-connected", "single-connected"):
+        values = [degradation[k][arch] for k in keys]
+        print(f"  {arch} degradation vs position: "
+              + " ".join(f"{v:.2f}" for v in values))
+        checks += [Check(f"{arch} degradation x20 < x40", values[0], values[1], strict=True),
+                   Check(f"{arch} degradation x40 < x60", values[1], values[2], strict=True)]
+    gap = degradation["interference_x60_y20"]["fully-connected"]
+    # The architectures run on common per-trial fading, so the
+    # fully-vs-single comparison is a paired one: the fully-connected
+    # surface must not degrade the victim significantly less than the
+    # single-connected one (one-sided allowance of two paired standard
+    # errors; the underlying effect is at Monte Carlo noise level).
+    res = out["interference_x60_y20"]
+    fully, single = (np.array(row(res, 80, arch, "sum_se_bs2").samples)
+                     for arch in ("fully-connected", "single-connected"))
+    diff = single - fully
+    stderr = diff.std(ddof=1) / np.sqrt(diff.size)
+    print(f"  paired fully-minus-single degradation: {diff.mean():+.3f}"
+          f" +- {stderr:.3f} bits/s/Hz")
+    return checks + [Check("x60 fully-connected degradation >= 2", 2.0, gap),
+                     Check("x60 fully-connected degradation <= 6", gap, 6.0),
+                     Check("paired single-minus-fully >= -2 stderr", -2.0 * stderr,
+                           diff.mean())]
+
+
+def criterion_11_checks(seed=SEED, trials=TRIALS):
+    cfg = reproduction_config(seed, trials)
+    cfg["experiments"]["per-bs-power"].update(weight_sets=[[0.3, 0.7]],
+                                              link_modes=["blocked"])
+    res = per_bs_power(cfg)["per_bs_power__mu_0.3_0.7__blocked"]
+    checks = []
+    for d in (20, 40, 60, 80, 100):
+        for b in (0, 1):
+            fully, group, single = (
+                np.array(row(res, d, arch, f"sum_power_bs{b + 1}_w").samples)
+                for arch in ("fully-connected", "group-connected", "single-connected"))
+            checks += [Check(f"D={d} bs{b + 1}: fully >= group", group.mean(), fully.mean()),
+                       Check(f"D={d} bs{b + 1}: group >= single", single.mean(),
+                             group.mean())]
+            if d >= 60:
+                # architectures share per-trial fading, so the gap is
+                # tested on the paired per-trial differences
+                for name, hi, lo in (("fully-group", fully, group),
+                                     ("group-single", group, single)):
+                    diff = hi - lo
+                    stderr = diff.std(ddof=1) / np.sqrt(diff.size)
+                    z = diff.mean() / stderr
+                    print(f"  D={d} bs{b + 1}: z={z:.1f}")
+                    checks.append(Check(f"D={d} bs{b + 1}: {name} >= 2 stderr",
+                                        2.0 * stderr, diff.mean()))
+    return checks
 
 
 @pytest.mark.slow
 def test_criterion_08_frequency_response_reproduction():
     with criterion(8, "desk-scale frequency response: peak level, bandwidth, "
                       "architecture gap"):
-        result = _freq_response_curves()
-        x, fc_mean, fc_se = result.curve("fully-connected D=100", "received_power_w")
-        _, sc_mean, sc_se = result.curve("single-connected D=100", "received_power_w")
-        peak = fc_mean.max()
-        peak_ghz = x[int(np.argmax(fc_mean))]
-        print(f"  fully-connected peak {peak * 1e3:.4f} mW at {peak_ghz:.1f} GHz")
-        assert 0.08e-3 <= peak <= 0.16e-3
-        band = (x >= 4.5) & (x <= 11.5)
-        assert np.all(fc_mean[band] >= 0.85 * peak)
-        compare = (x >= 4.0) & (x <= 12.0)
-        margin = fc_mean[compare] - sc_mean[compare]
-        needed = 2.0 * np.hypot(fc_se[compare], sc_se[compare])
-        assert np.all(margin >= needed)
+        assert_checks(criterion_08_checks())
 
 
 @pytest.mark.slow
 def test_criterion_09_target_shift_reproduction():
     with criterion(9, "fixed-plan sweep: maximum at the priority frequency and "
                       "sharper fully-connected falloff"):
-        cfg = copy.deepcopy(DEFAULT_CONFIG)
-        cfg["simulation"]["trials"] = TRIALS
-        cfg["simulation"]["seed"] = SEED
-        cfg["simulation"]["architectures"] = ["fully-connected", "single-connected"]
-        cfg["experiments"]["target-shift"] = {
-            "targets_ghz": [7.4], "half_span_ghz": 1.0, "step_ghz": 0.2, "d": 100,
-            "tracked_bs": 1, "tracked_user": 1}
-        result = target_shift(cfg)["target_shift_7p4ghz"]
-        x, fc_mean, _ = result.curve("fully-connected", "received_power_w")
-        _, sc_mean, _ = result.curve("single-connected", "received_power_w")
-        step = 0.2
-        peak_ghz = x[int(np.argmax(fc_mean))]
-        assert abs(peak_ghz - 7.4) <= step + 1e-9
-
-        def relative_drop(mean):
-            at = dict(zip(np.round(x, 3), mean))
-            target = at[7.4]
-            return 1.0 - 0.5 * (at[6.4] + at[8.4]) / target
-
-        fc_drop = relative_drop(fc_mean)
-        sc_drop = relative_drop(sc_mean)
-        print(f"  relative drop 1 GHz away: fully {fc_drop:.3f}, single {sc_drop:.3f}")
-        assert fc_drop > sc_drop
+        assert_checks(criterion_09_checks())
 
 
 @pytest.mark.slow
 def test_criterion_10_interference_reproduction():
     with criterion(10, "outdated-CSI interference grows toward the victim and "
                        "sits in the expected band"):
-        cfg = copy.deepcopy(DEFAULT_CONFIG)
-        cfg["simulation"]["trials"] = TRIALS
-        cfg["simulation"]["seed"] = SEED
-        cfg["simulation"]["architectures"] = ["fully-connected", "single-connected"]
-        out = interference(cfg)
-        keys = ["interference_x20_y20", "interference_x40_y20", "interference_x60_y20"]
-        degradation = {}
-        for key in keys:
-            res = out[key]
-            ref = row(res, 80, "interference-free", "sum_se_bs2").mean
-            degradation[key] = {
-                arch: ref - row(res, 80, arch, "sum_se_bs2").mean
-                for arch in ("fully-connected", "single-connected")
-            }
-        for arch in ("fully-connected", "single-connected"):
-            values = [degradation[k][arch] for k in keys]
-            print(f"  {arch} degradation vs position: "
-                  + " ".join(f"{v:.2f}" for v in values))
-            assert values[0] < values[1] < values[2]
-        gap = degradation["interference_x60_y20"]["fully-connected"]
-        assert 2.0 <= gap <= 6.0
-        # The architectures run on common per-trial fading, so the
-        # fully-vs-single comparison is a paired one: the fully-connected
-        # surface must not degrade the victim significantly less than the
-        # single-connected one (one-sided allowance of two paired standard
-        # errors; the underlying effect is at Monte Carlo noise level).
-        res = out["interference_x60_y20"]
-        fully, single = (np.array(row(res, 80, arch, "sum_se_bs2").samples)
-                         for arch in ("fully-connected", "single-connected"))
-        diff = single - fully
-        stderr = diff.std(ddof=1) / np.sqrt(diff.size)
-        print(f"  paired fully-minus-single degradation: {diff.mean():+.3f}"
-              f" +- {stderr:.3f} bits/s/Hz")
-        assert diff.mean() >= -2.0 * stderr
+        assert_checks(criterion_10_checks())
 
 
 @pytest.mark.slow
 def test_criterion_11_architecture_ordering():
     with criterion(11, "sum-power ordering fully >= group >= single with "
                        "2-stderr separation from D = 60"):
-        cfg = copy.deepcopy(DEFAULT_CONFIG)
-        cfg["simulation"]["trials"] = TRIALS
-        cfg["simulation"]["seed"] = SEED
-        cfg["experiments"]["per-bs-power"].update(weight_sets=[[0.3, 0.7]],
-                                                  link_modes=["blocked"])
-        res = per_bs_power(cfg)["per_bs_power__mu_0.3_0.7__blocked"]
-        for d in (20, 40, 60, 80, 100):
-            for b in (0, 1):
-                fully, group, single = (
-                    np.array(row(res, d, arch, f"sum_power_bs{b + 1}_w").samples)
-                    for arch in ("fully-connected", "group-connected", "single-connected"))
-                assert fully.mean() >= group.mean() >= single.mean()
-                if d >= 60:
-                    # architectures share per-trial fading, so the gap is
-                    # tested on the paired per-trial differences
-                    for hi, lo in ((fully, group), (group, single)):
-                        diff = hi - lo
-                        stderr = diff.std(ddof=1) / np.sqrt(diff.size)
-                        z = diff.mean() / stderr
-                        print(f"  D={d} bs{b + 1}: z={z:.1f}")
-                        assert diff.mean() >= 2.0 * stderr
+        assert_checks(criterion_11_checks())
 
 
 def test_criterion_12_byte_identical_reruns(tmp_path):

@@ -18,10 +18,10 @@ from bdris.experiments import (RUNNERS, fc_target_bs, freq_response, interferenc
                                network_power, per_bs_power, priority_assignment,
                                solve_trials, target_shift, topology_for)
 from bdris.optimizer import (GroupAssignment, ObjectiveWeights,
-                             first_column, reduced_adjoint)
+                             first_column, frank_wolfe_batch, reduced_adjoint)
 from bdris.metrics import aggregate
 from bdris.results import read_results, write_results
-from reference_model import effective_channels, random_plan, row, uniform_power
+from reference_model import crandn, effective_channels, random_plan, row, uniform_power
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 
@@ -430,6 +430,70 @@ class TestPowerSweeps:
         for arch in ("fully-connected",):
             assert (row(res, 8, arch, "network_sum_power_w").mean
                     > row(blocked, 8, arch, "network_sum_power_w").mean)
+
+
+def assert_global_maximiser(gram, h, radius, acc):
+    """The trust-region certificate (More and Sorensen 1983) of the relaxed
+    direct-link solve theta = R^H acc: w = K acc + h equals lam acc with
+    lam = ||R^H w|| / radius, and lam >= lambda_max(K), shown by a Cholesky
+    factorisation of lam (1 + 1e-10) I - K."""
+    w = gram @ acc + h
+    lam = np.sqrt(np.vdot(w, gram @ w).real) / radius
+    assert np.linalg.norm(w - lam * acc) < 1e-10 * np.linalg.norm(w)
+    np.linalg.cholesky(lam * (1 + 1e-10) * np.eye(len(h)) - gram)
+    return lam
+
+
+class TestCertificates:
+    def test_every_relaxed_solve_of_a_sweep_is_certified(self, monkeypatch):
+        fw_solves, blocked_solves = [], []
+        solver, leading = experiments.frank_wolfe_batch, experiments.leading_right_singular_vector
+
+        def fw_spy(gram, h, radius, iterations, r_e1):
+            inputs = gram.copy(), h.copy(), np.broadcast_to(radius, len(h)).copy()
+            acc, c = solver(gram, h, radius, iterations, r_e1)
+            fw_solves.extend(zip(*inputs, acc, c))
+            return acc, c
+
+        def blocked_spy(k):
+            v, sigma = leading(k)
+            blocked_solves.append((k, v, sigma))
+            return v, sigma
+
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", fw_spy)
+        monkeypatch.setattr(experiments, "leading_right_singular_vector", blocked_spy)
+        cfg = tiny_config(**{"network-power": {"d_grid": [4, 8],
+                                               "weight_sets": [[0.3, 0.7], [1.0, 0.0]]}})
+        cfg["simulation"]["trials"] = 2
+        network_power(cfg)
+        # D and trials, times the instances of FC, GC and SC per weight set
+        assert len(fw_solves) == len(blocked_solves) == 2 * 2 * (1 + 2 + 2 + 1 + 1 + 1)
+        for gram, h, radius, acc, c in fw_solves:
+            assert c == 0.0
+            assert_global_maximiser(gram, h, radius, acc)
+        for k, v, sigma in blocked_solves:
+            assert np.linalg.norm(k @ v - sigma * v) <= 1e-12 * sigma
+            rayleigh = np.vdot(v, k @ v).real
+            assert rayleigh >= np.linalg.eigvalsh(k)[-1] * (1 - 1e-12)
+            np.linalg.cholesky(rayleigh * (1 + 1e-10) * np.eye(len(v)) - k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hard_case(self, seed):
+        # h orthogonal to K's leading eigenvector u1 and small: the maximiser
+        # has lam = lambda_max(K), so lam I - K is singular and the Cholesky
+        # test holds only with its tolerance
+        rng = np.random.default_rng(seed)
+        r = crandn(rng, 6, 12)
+        gram = r @ r.conj().T
+        vals, vecs = np.linalg.eigh(gram)
+        h = crandn(rng, 6)
+        h = 1e-3 * (h - vecs[:, -1] * np.vdot(vecs[:, -1], h))
+        acc, c = frank_wolfe_batch(gram[None].copy(), h[None], 1.0, 500, r[None, :, 0])
+        assert c[0] == 0.0
+        lam = assert_global_maximiser(gram, h, 1.0, acc[0])
+        assert abs(lam - vals[-1]) <= 1e-12 * vals[-1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(lam * (1 - 1e-10) * np.eye(6) - gram)
 
 
 def test_every_run_path_snap_equals_exhaustive(monkeypatch):

@@ -214,6 +214,13 @@ class TestLeadingRightSingularVector:
         with pytest.raises(DegenerateInputError):
             leading_right_singular_vector(np.zeros((3, 3)))
 
+    def test_start_orthogonal_to_leading_direction(self):
+        # inverse iteration starts from all ones, here an eigenvector of the
+        # second eigenvalue, so it never reaches the leading direction
+        v, sigma = leading_right_singular_vector(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        assert sigma == pytest.approx(3.0)
+        assert np.allclose(v, np.array([1.0, -1.0]) / np.sqrt(2))
+
     @given(st.integers(1, 12), st.integers(1, 40), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_svd(self, rows, cols, seed):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bdris import circuit
@@ -300,13 +300,20 @@ def reference_frank_wolfe_batch(gram, h, radius, iterations, r_e1):
     iteration (line-search step 1.0, the discarded iterate weighted by
     keep = 0.0, fallback terms weighted by exact zeros), kept as the oracle
     the solver must reproduce bit for bit.  ``radius`` is a scalar or a (T,)
-    array of per-instance radii.  Returns ``acc``, ``c`` and the
-    (T, iterations - 1) objectives ||w||^2 before each iteration."""
+    array of per-instance radii.  Returns ``acc``, ``c``, the
+    (T, iterations - 1) objectives ||w||^2 before each iteration and the
+    (T,) iterations after which each instance froze (0: never).
+
+    The freeze rule: after every 10th iteration, an instance whose iterate
+    moved by at most 1e-14 of its norm in that iteration keeps that iterate
+    (and its ``c`` and objective) from then on.  The whole batch runs every
+    iteration, and frozen instances discard their updates."""
     radius = np.broadcast_to(np.asarray(radius, dtype=float), gram.shape[:1])
     t, rows, _ = gram.shape
     w = h.astype(complex).copy()
     acc = np.zeros((t, rows), dtype=complex)
     c = np.zeros(t)
+    frozen_at = np.zeros(t, dtype=int)
     history = np.zeros((t, iterations - 1))
     step, keep = 1.0, 0.0
     for i in range(1, iterations):
@@ -317,10 +324,16 @@ def reference_frank_wolfe_batch(gram, h, radius, iterations, r_e1):
         grad_norm = np.sqrt(np.where(flat, 1.0, grad_sq))
         scale = np.where(flat, 0.0, step * radius / grad_norm)
         fall = np.where(flat, step * radius, 0.0)
-        acc = keep * acc + scale[:, None] * w
-        c = keep * c + fall
-        w = keep * w + step * h + scale[:, None] * v + fall[:, None] * r_e1
-    return acc, c, history
+        moving = frozen_at == 0
+        prev = acc.copy()
+        acc[moving] = (keep * acc + scale[:, None] * w)[moving]
+        c[moving] = (keep * c + fall)[moving]
+        w[moving] = (keep * w + step * h + scale[:, None] * v + fall[:, None] * r_e1)[moving]
+        if i % 10 == 0:
+            still = (np.linalg.norm(acc - prev, axis=1)
+                     <= 1e-14 * np.linalg.norm(acc, axis=1))
+            frozen_at[moving & still] = i
+    return acc, c, history, frozen_at
 
 
 def batch_theta(r, acc, c):
@@ -332,7 +345,7 @@ def batch_theta(r, acc, c):
 
 def assert_matches_reference(r, h, radius, iterations):
     gram = np.matmul(r, r.conj().transpose(0, 2, 1))
-    got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0])
+    got = frank_wolfe_batch(gram.copy(), h, radius, iterations, r[:, :, 0])
     ref = reference_frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0])
     assert len(got) == 2
     for x, y in zip(got, ref):
@@ -360,7 +373,7 @@ class TestFrankWolfeReference:
         radius = rng.uniform(0.5, 3.0, t)
         assert_matches_reference(r, h, radius, iterations)
         gram = np.matmul(r, r.conj().transpose(0, 2, 1))
-        got = frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0])
+        got = frank_wolfe_batch(gram.copy(), h, radius, iterations, r[:, :, 0])
         for i in range(t):
             one = frank_wolfe_batch(gram[i:i + 1], h[i:i + 1], float(radius[i]),
                                     iterations, r[i:i + 1, :, 0])
@@ -426,8 +439,8 @@ class TestFrankWolfe:
         assert_matches_reference(r[None], h[None], 1.0, iterations)
         theta, obj = frank_wolfe(r, h, 1.0, iterations)
         assert np.linalg.norm(theta) <= 1 + 1e-9
-        _, _, history = reference_frank_wolfe_batch((r @ r.conj().T)[None], h[None], 1.0,
-                                                    iterations, r[None, :, 0])
+        history = reference_frank_wolfe_batch((r @ r.conj().T)[None], h[None], 1.0,
+                                              iterations, r[None, :, 0])[2]
         tail = np.append(history[0], obj)[iterations // 2:]
         assert np.all(np.diff(tail) >= -1e-9 * max(1.0, obj))
 
@@ -446,7 +459,7 @@ class TestFrankWolfe:
         rs = crandn(rng, 9, 3, 7)
         hs = crandn(rng, 9, 3)
         grams = np.matmul(rs, rs.conj().transpose(0, 2, 1))
-        whole = frank_wolfe_batch(grams, hs, 1.0, 80, rs[:, :, 0])
+        whole = frank_wolfe_batch(grams.copy(), hs, 1.0, 80, rs[:, :, 0])
         parts = [frank_wolfe_batch(grams[a:b], hs[a:b], 1.0, 80, rs[a:b, :, 0])
                  for a, b in ((0, 2), (2, 3), (3, 9))]
         for x, part in zip(whole, zip(*parts)):
@@ -458,6 +471,40 @@ class TestFrankWolfe:
         with pytest.raises(ValueError, match="iteration count"):
             frank_wolfe_batch(np.matmul(r, r.conj().transpose(0, 2, 1)), h, 1.0, 0,
                               r[:, :, 0])
+
+
+class TestFrankWolfeFreeze:
+    def test_frozen_instance_ignores_the_cap(self):
+        # this instance freezes before iteration 500; run on to the cap, its
+        # iterate would still change in its last bits at iteration 5000
+        rng = np.random.default_rng(3)
+        r, h = crandn(rng, 1, 40, 200), crandn(rng, 1, 40)
+        gram = np.matmul(r, r.conj().transpose(0, 2, 1))
+        assert 0 < reference_frank_wolfe_batch(gram, h, 1.0, 500, r[:, :, 0])[3][0] < 500
+        short, long = (frank_wolfe_batch(gram.copy(), h, 1.0, cap, r[:, :, 0])
+                       for cap in (500, 5000))
+        for x, y in zip(short, long):
+            assert np.array_equal(x, y)
+
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(1, 10), st.integers(21, 120),
+           st.lists(st.booleans(), min_size=5, max_size=5), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_gives_the_same_bits(self, t, rows, cols, iterations, cuts, seed):
+        # offsets of very different sizes freeze at different checks
+        rng = np.random.default_rng(seed)
+        r = crandn(rng, t, rows, cols)
+        h = crandn(rng, t, rows) * 10.0 ** rng.uniform(-3, 1, (t, 1))
+        radius = rng.uniform(0.5, 3.0, t)
+        gram = np.matmul(r, r.conj().transpose(0, 2, 1))
+        ref = reference_frank_wolfe_batch(gram, h, radius, iterations, r[:, :, 0])
+        assume(len(set(ref[3])) > 1)
+        bounds = [0, *(i + 1 for i, cut in enumerate(cuts[:t - 1]) if cut), t]
+        parts = [frank_wolfe_batch(gram[a:b].copy(), h[a:b], radius[a:b], iterations,
+                                   r[a:b, :, 0]) for a, b in zip(bounds, bounds[1:])]
+        whole = frank_wolfe_batch(gram.copy(), h, radius, iterations, r[:, :, 0])
+        for x, y, part in zip(whole, ref, zip(*parts)):
+            assert np.array_equal(x, y)
+            assert np.array_equal(x, np.concatenate(part))
 
 
 class TestSolveGc:
