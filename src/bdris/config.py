@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from .channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, _dist, path_gain
-from .circuit import CircuitParams
+from .circuit import CircuitParams, build_codebook
 from .errors import ConfigError
 
 ARCHITECTURES = ("fully-connected", "group-connected", "single-connected")
@@ -394,6 +394,18 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
                    "interference needs a second base station, which the surface aids"):
             require(not nu_ok or any(w > 0 for w in nu[aided - 1]), "optimization.user_weights",
                     f"base station {aided}, which interference aids, needs a positive weight")
+    if not errors:  # a codebook's arcs fit only at some frequencies: build each one a run uses
+        params, ranges, failed = circuit_params(cfg), cap_ranges(cfg), set()
+        snapped = {**dict.fromkeys(ghz_grid(start, stop, step),
+                                   "experiments.freq-response.grid_ghz"),
+                   **dict.fromkeys(targets, "experiments.target-shift.targets_ghz"),
+                   **dict.fromkeys(freqs, "scenario.frequencies_ghz")}
+        with np.errstate(all="raise"):  # an overflow fails the build instead of warning
+            for f, path in snapped.items():
+                if path not in failed and not require(_holds(lambda: build_codebook(
+                        ghz(f), ci["codebook_bits"], *ranges, params)), path,
+                        f"no codebook can be built at {f:g} GHz"):
+                    failed.add(path)
     return errors
 
 

@@ -1,7 +1,7 @@
 """Named experiments: frequency response, target shifts, power sweeps, interference.
 
 This module holds the Monte Carlo engine.  :func:`solve_trials` is the one
-configuration pipeline, public as ``bdris.solve_trials``: relaxed solve,
+configuration pipeline, public as ``bdris.experiments.solve_trials``: relaxed solve,
 branch retrieval, and a :class:`TrialState` that snaps to any codebook set.
 Each experiment builds one list of grid points (:class:`Point`) and runs
 them all through :func:`_run_sweep`, the one trial loop.  It walks the
@@ -22,7 +22,7 @@ Blocked-link units are solved one at a time.
 from __future__ import annotations
 
 import itertools
-import logging
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -36,7 +36,7 @@ from .config import aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, ghz
     power_config, base_scenario, single_user_scenario, table_name
 from .errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
-from .metrics import (AggregateResult, ResultRow, aggregate, evaluate_received_powers,
+from .metrics import (ResultRow, aggregate, evaluate_received_powers,
                       sum_spectral_efficiency_outdated)
 # _snap is not called here; the traced benchmark wraps it by name (ROADMAP item 1).
 from .optimizer import (GroupAssignment, ObjectiveWeights, _snap,
@@ -44,10 +44,8 @@ from .optimizer import (GroupAssignment, ObjectiveWeights, _snap,
                         relaxed_block_branches, snap_to_codebook, stack_factors,
                         stack_fc, stack_gc)
 
-logger = logging.getLogger(__name__)
-
 # A grid point aborts once more than this fraction of its trials hit
-# degenerate draws (each one is redrawn and logged).
+# degenerate draws (each one is redrawn and printed).
 MAX_DEGENERATE_FRACTION = 0.01
 
 # Gram-matrix bytes of one conditional-gradient batch, a measured choice:
@@ -239,7 +237,7 @@ class Point:
     ``fw`` conditional-gradient iterations; ``fw=None`` takes the direct
     links as blocked.  ``evaluate(chans, state)`` returns one trial's
     samples, each keyed by the result row it feeds: ``(table, variable,
-    value, label, metric)``.  ``context`` names the point in logs and errors.
+    value, label, metric)``.  ``context`` names the point in warnings and errors.
     """
 
     scenario: NetworkScenario
@@ -330,7 +328,8 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
                     break
                 except (DegenerateChannelError, SingularNetworkError) as exc:
                     redraws[p] += 1
-                    logger.warning("%s at %s; redrawing", type(exc).__name__, point.context)
+                    print(f"warning: {type(exc).__name__} at {point.context}; redrawing",
+                          file=sys.stderr)
                     if redraws[p] > allowed:
                         raise RedrawBudgetError(
                             f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
@@ -363,7 +362,7 @@ class _Settings:
     def codebook(self, f: float) -> Codebook:
         return build_codebook(f, self.bits, *self.cap_ranges, self.params)
 
-    def tabulate(self, points: list[Point]) -> dict[str, AggregateResult]:
+    def tabulate(self, points: list[Point]) -> dict[str, tuple[ResultRow, ...]]:
         """Tables of ``points``: each key of a point's samples (see
         :func:`_run_sweep`) becomes one row of the table it names, in point
         order and then key order."""
@@ -372,7 +371,7 @@ class _Settings:
             for (table, *key), values in samples.items():
                 tables.setdefault(table, []).append(
                     ResultRow(*key, *aggregate(values), self.trials, tuple(values)))
-        return {name: AggregateResult(tuple(rows)) for name, rows in tables.items()}
+        return {name: tuple(rows) for name, rows in tables.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +422,7 @@ def _tracked_points(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
     return points
 
 
-def freq_response(cfg: dict) -> dict[str, AggregateResult]:
+def freq_response(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
     s, exp = _Settings(cfg), cfg["experiments"]["freq-response"]
     ghz_values = ghz_grid(**exp["grid_ghz"])
     return s.tabulate(_tracked_points(
@@ -432,7 +431,7 @@ def freq_response(cfg: dict) -> dict[str, AggregateResult]:
         [(f"{arch} D={d}", arch, d) for d in exp["d_values"] for arch in s.archs]))
 
 
-def target_shift(cfg: dict) -> dict[str, AggregateResult]:
+def target_shift(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
     s, exp = _Settings(cfg), cfg["experiments"]["target-shift"]
     points = []
     for target in exp["targets_ghz"]:
@@ -450,7 +449,7 @@ def target_shift(cfg: dict) -> dict[str, AggregateResult]:
 # several base-station weight sets, with blocked or available direct links.
 
 
-def _power_experiment(cfg: dict, key: str) -> dict[str, AggregateResult]:
+def _power_experiment(cfg: dict, key: str) -> dict[str, tuple[ResultRow, ...]]:
     """One table per (weight set, link mode): per-bs-power samples each base
     station's sum power, network-power their network sum."""
     s, exp = _Settings(cfg), cfg["experiments"][key]
@@ -490,11 +489,11 @@ def _power_experiment(cfg: dict, key: str) -> dict[str, AggregateResult]:
     return s.tabulate(points)
 
 
-def per_bs_power(cfg: dict) -> dict[str, AggregateResult]:
+def per_bs_power(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
     return _power_experiment(cfg, "per-bs-power")
 
 
-def network_power(cfg: dict) -> dict[str, AggregateResult]:
+def network_power(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
     return _power_experiment(cfg, "network-power")
 
 
@@ -504,7 +503,7 @@ def network_power(cfg: dict) -> dict[str, AggregateResult]:
 # channel estimates.
 
 
-def interference(cfg: dict) -> dict[str, AggregateResult]:
+def interference(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
     s, exp = _Settings(cfg), cfg["experiments"]["interference"]
     victim = exp["victim_bs"] - 1
     aided = aided_bs(victim)

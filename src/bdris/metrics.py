@@ -75,19 +75,6 @@ class ResultRow:
     samples: tuple = ()
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    rows: tuple[ResultRow, ...]
-
-    def curve(self, architecture: str, metric: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(grid values, means, stderrs) of one curve, in row order."""
-        rows = [r for r in self.rows
-                if r.architecture == architecture and r.metric == metric]
-        return (np.array([r.value for r in rows]),
-                np.array([r.mean for r in rows]),
-                np.array([r.stderr for r in rows]))
-
-
 def aggregate(samples) -> tuple[float, float]:
     """Sample mean and standard error, accumulated in trial order."""
     arr = np.asarray(samples, dtype=float)

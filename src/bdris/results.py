@@ -6,7 +6,7 @@ import os
 import re
 import sys
 
-from .metrics import AggregateResult, ResultRow
+from .metrics import ResultRow
 
 COLUMNS = ("variable", "value", "architecture", "metric", "mean", "stderr", "trials")
 
@@ -15,7 +15,7 @@ def _fmt(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
-def write_results(path: str, result: AggregateResult, experiment: str,
+def write_results(path: str, rows: tuple[ResultRow, ...], experiment: str,
                   config_sha256: str, seed: int) -> str:
     """Write one results table; identical inputs produce identical bytes."""
     lines = [
@@ -24,7 +24,7 @@ def write_results(path: str, result: AggregateResult, experiment: str,
         f"# seed: {seed}",
         ",".join(COLUMNS),
     ]
-    for row in result.rows:
+    for row in rows:
         lines.append(",".join([
             row.variable, _fmt(row.value), row.architecture, row.metric,
             _fmt(float(row.mean)), _fmt(float(row.stderr)), str(row.trials),
@@ -35,7 +35,7 @@ def write_results(path: str, result: AggregateResult, experiment: str,
     return path
 
 
-def read_results(path: str) -> tuple[dict, AggregateResult]:
+def read_results(path: str) -> tuple[dict, tuple[ResultRow, ...]]:
     """Parse a results CSV back into its header fields and rows."""
     header: dict = {}
     rows = []
@@ -58,7 +58,7 @@ def read_results(path: str) -> tuple[dict, AggregateResult]:
         variable, value, architecture, metric, mean, stderr, trials = parts
         rows.append(ResultRow(variable, float(value), architecture, metric,
                               float(mean), float(stderr), int(trials)))
-    return header, AggregateResult(tuple(rows))
+    return header, tuple(rows)
 
 
 def _safe_name(text: str) -> str:
@@ -68,30 +68,25 @@ def _safe_name(text: str) -> str:
 def emit_plotdata(results_path: str, out_dir: str | None = None) -> list[str]:
     """Write one whitespace-delimited x/mean/stderr file per curve.
 
-    A curve is one (architecture, metric) pair.  An empty results file emits
-    nothing and warns.
+    A curve is one (architecture, metric) pair, its lines in row order.  An
+    empty results file emits nothing and warns.
     """
-    _, result = read_results(results_path)
-    if not result.rows:
+    _, rows = read_results(results_path)
+    if not rows:
         print(f"warning: {results_path} holds no rows; nothing to emit", file=sys.stderr)
         return []
     out_dir = out_dir or (os.path.dirname(results_path) or ".")
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(results_path))[0]
-    curves = []
-    seen = set()
-    for row in result.rows:
-        key = (row.architecture, row.metric)
-        if key not in seen:
-            seen.add(key)
-            curves.append(key)
+    curves: dict[tuple[str, str], list[str]] = {}
+    for r in rows:
+        curves.setdefault((r.architecture, r.metric), []).append(
+            f"{_fmt(r.value)} {_fmt(r.mean)} {_fmt(r.stderr)}\n")
     written = []
-    for architecture, metric in curves:
-        x, mean, stderr = result.curve(architecture, metric)
+    for (architecture, metric), lines in curves.items():
         name = f"{stem}__{_safe_name(architecture)}__{_safe_name(metric)}.dat"
         path = os.path.join(out_dir, name)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for xi, mi, si in zip(x, mean, stderr):
-                fh.write(f"{_fmt(float(xi))} {_fmt(float(mi))} {_fmt(float(si))}\n")
+            fh.writelines(lines)
         written.append(path)
     return written

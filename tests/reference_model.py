@@ -113,11 +113,18 @@ def uniform_power(scenario, p, noise):
     return PowerConfig(p, tuple((1.0 / k,) * k for k in scenario.users_per_bs), noise)
 
 
-def row(result, value, architecture, metric):
-    """The one row of ``result`` at (value, architecture, metric)."""
-    (hit,) = [r for r in result.rows
+def row(rows, value, architecture, metric):
+    """The one row of ``rows`` at (value, architecture, metric)."""
+    (hit,) = [r for r in rows
               if (r.value, r.architecture, r.metric) == (value, architecture, metric)]
     return hit
+
+
+def curve(rows, architecture, metric):
+    """(grid values, means, stderrs) of one curve of ``rows``, in row order."""
+    hits = [r for r in rows if (r.architecture, r.metric) == (architecture, metric)]
+    return (np.array([r.value for r in hits]), np.array([r.mean for r in hits]),
+            np.array([r.stderr for r in hits]))
 
 
 def random_plan(topology, self_range, inter_range, rng):

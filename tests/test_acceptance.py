@@ -26,7 +26,7 @@ from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.experiments import (freq_response, interference, per_bs_power, solve_trials,
                                target_shift)
 from bdris.optimizer import GroupAssignment
-from reference_model import (crandn, duplication_matrix, group_slice,
+from reference_model import (crandn, curve, duplication_matrix, group_slice,
                              impedance_from_scattering, random_channels, random_plan,
                              reduced_stack, relaxed_objective, row,
                              scattering_from_impedance, uniform_weights, vec, vech)
@@ -231,8 +231,8 @@ def criterion_08_checks(seed=SEED, trials=TRIALS):
     cfg["experiments"]["freq-response"]["grid_ghz"] = {
         "start": 1.0, "stop": 16.0, "step": 0.5}
     result = freq_response(cfg)["freq_response"]
-    x, fc_mean, fc_se = result.curve("fully-connected D=100", "received_power_w")
-    _, sc_mean, sc_se = result.curve("single-connected D=100", "received_power_w")
+    x, fc_mean, fc_se = curve(result, "fully-connected D=100", "received_power_w")
+    _, sc_mean, sc_se = curve(result, "single-connected D=100", "received_power_w")
     peak = fc_mean.max()
     peak_ghz = x[int(np.argmax(fc_mean))]
     print(f"  fully-connected peak {peak * 1e3:.4f} mW at {peak_ghz:.1f} GHz")
@@ -253,8 +253,8 @@ def criterion_09_checks(seed=SEED, trials=TRIALS):
         "targets_ghz": [7.4], "half_span_ghz": 1.0, "step_ghz": 0.2, "d": 100,
         "tracked_bs": 1, "tracked_user": 1}
     result = target_shift(cfg)["target_shift_7p4ghz"]
-    x, fc_mean, _ = result.curve("fully-connected", "received_power_w")
-    _, sc_mean, _ = result.curve("single-connected", "received_power_w")
+    x, fc_mean, _ = curve(result, "fully-connected", "received_power_w")
+    _, sc_mean, _ = curve(result, "single-connected", "received_power_w")
     step = 0.2
     peak_ghz = x[int(np.argmax(fc_mean))]
 

@@ -1,7 +1,6 @@
 import copy
 import functools
 import json
-import logging
 import os
 import re
 import subprocess
@@ -18,7 +17,7 @@ from bdris.config import (DEFAULT_CONFIG, apply_overrides, config_hash,
                           dbm_to_watts, load_config, validate_config)
 from bdris.experiments import RUNNERS
 from bdris.results import emit_plotdata, read_results, write_results
-from bdris.metrics import AggregateResult, ResultRow
+from bdris.metrics import ResultRow
 
 TINY_OVERRIDES = [
     "simulation.trials=2",
@@ -322,7 +321,7 @@ def test_honour_map_names_every_key():
 def _rows(overrides: tuple, experiment: str) -> dict:
     cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), HONOUR_BASE + list(overrides))
     assert validate_config(cfg) == []
-    return {name: table.rows for name, table in RUNNERS[experiment](cfg).items()}
+    return RUNNERS[experiment](cfg)
 
 
 @pytest.mark.parametrize("key", [key for key, (_, value) in HONOUR.items() if value])
@@ -412,6 +411,13 @@ REJECTED_FILES = [
      3, "experiments.freq-response.grid_ghz"),
     ("per-bs-power", "scenario:\n  frequencies_ghz: [1.0e300, 8.0]\n"
      "optimization:\n  target_frequency_ghz: 1.0e300\n", 2, "scenario.frequencies_ghz"),
+    # finite in Hz, yet no codebook's admittances lie on one arc there
+    pytest.param("per-bs-power", "scenario:\n  frequencies_ghz: [1.0e200, 8.0]\n"
+                 "optimization:\n  target_frequency_ghz: 1.0e200\n", 2,
+                 "scenario.frequencies_ghz", id="scenario.frequencies_ghz-codebook-1e200"),
+    pytest.param("per-bs-power", "scenario:\n  frequencies_ghz: [1.0e-12, 8.0]\n"
+                 "optimization:\n  target_frequency_ghz: 1.0e-12\n", 2,
+                 "scenario.frequencies_ghz", id="scenario.frequencies_ghz-codebook-1e-12"),
     # repeated entries: the run wrote each row once per repeat
     ("freq-response", "simulation:\n  architectures: [fully-connected, fully-connected]\n",
      2, "simulation.architectures"),
@@ -434,6 +440,17 @@ def test_rejected_file_names_path_and_line(experiment, text, line, path, tmp_pat
     err = capsys.readouterr().err
     assert f"{config}:{line}: {path}: " in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_codebook_failures_name_each_key_once(tmp_path, capsys):
+    # 17 of these 100 grid frequencies build no codebook; the first one is reported
+    config = tmp_path / "bad.yaml"
+    config.write_text("experiments:\n  freq-response:\n"
+                      "    grid_ghz: {start: 1.0e-9, stop: 1.0e-7, step: 1.0e-9}\n")
+    assert main(["validate", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {config}:3: experiments.freq-response.grid_ghz: "
+        "no codebook can be built at 3e-09 GHz"]
 
 
 def test_negative_seed_rejected(tmp_path, capsys):
@@ -629,7 +646,7 @@ class TestOverridesAndHash:
 
 class TestResultsFiles:
     def sample_result(self):
-        rows = (
+        return (
             ResultRow("frequency_ghz", 7.0, "fully-connected D=8", "received_power_w",
                       1.25e-4, 1e-6, 2),
             ResultRow("frequency_ghz", 7.5, "fully-connected D=8", "received_power_w",
@@ -637,15 +654,14 @@ class TestResultsFiles:
             ResultRow("frequency_ghz", 7.0, "single-connected D=8", "received_power_w",
                       0.5e-4, 1e-6, 2),
         )
-        return AggregateResult(rows)
 
     def test_write_read_roundtrip(self, tmp_path):
         path = str(tmp_path / "out.csv")
         write_results(path, self.sample_result(), "freq-response", "ab" * 32, 7)
-        header, result = read_results(path)
+        header, rows = read_results(path)
         assert header["config_sha256"] == "ab" * 32
         assert header["seed"] == "7"
-        assert result.rows == self.sample_result().rows
+        assert rows == self.sample_result()
 
     def test_plotdata_one_file_per_curve(self, tmp_path):
         path = str(tmp_path / "out.csv")
@@ -658,7 +674,7 @@ class TestResultsFiles:
 
     def test_plotdata_empty_warns(self, tmp_path, capsys):
         path = str(tmp_path / "empty.csv")
-        write_results(path, AggregateResult(()), "freq-response", "00" * 32, 7)
+        write_results(path, (), "freq-response", "00" * 32, 7)
         files = emit_plotdata(path, str(tmp_path))
         assert files == []
         assert "warning" in capsys.readouterr().err
@@ -728,7 +744,6 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "warning: DegenerateChannelError at freq-response fully-connected D=8; "
             "redrawing"]
-        assert not logging.getLogger("bdris").handlers  # removed after the run
 
     def test_unknown_experiment_exits_nonzero(self):
         with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,7 @@ from bdris.optimizer import (GroupAssignment, ObjectiveWeights,
                              first_column, frank_wolfe_batch, reduced_adjoint)
 from bdris.metrics import aggregate
 from bdris.results import read_results, write_results
-from reference_model import crandn, effective_channels, random_plan, row, uniform_power
+from reference_model import crandn, curve, effective_channels, random_plan, row, uniform_power
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 
@@ -115,13 +115,6 @@ class TestHelpers:
         reference = Path(__file__).resolve().parents[1] / "bench" / "reference" / name / "seed1"
         assert gate.compare(gate.read_dir(str(out)), gate.read_dir(str(reference)), 1e-9,
                             workload.trials) == []
-
-    def test_traced_names_resolve(self):
-        # the traced benchmark wraps these module globals by name
-        trace_child = bench_module("trace_child")
-        for module_name, attr, span, _count in trace_child.TARGETS:
-            module = importlib.import_module(module_name)
-            assert callable(getattr(module, attr, None)), (module_name, attr, span)
 
     # each benchmark workload's config, shrunk to one trial at D = 8
     TINY = {"freq-sweep": {"d_values": [8],
@@ -308,13 +301,13 @@ class TestFreqResponse:
             "d_values": [8], "grid_ghz": {"start": 7.0, "stop": 8.0, "step": 0.5}}})
         out1 = freq_response(cfg)["freq_response"]
         out2 = freq_response(copy.deepcopy(cfg))["freq_response"]
-        assert out1.rows == out2.rows
-        labels = {r.architecture for r in out1.rows}
+        assert out1 == out2
+        labels = {r.architecture for r in out1}
         assert labels == {"fully-connected D=8", "group-connected D=8",
                           "single-connected D=8"}
-        assert all(r.mean > 0 for r in out1.rows)
-        assert all(r.trials == 3 for r in out1.rows)
-        x, m, s = out1.curve("fully-connected D=8", "received_power_w")
+        assert all(r.mean > 0 for r in out1)
+        assert all(r.trials == 3 for r in out1)
+        x, m, s = curve(out1, "fully-connected D=8", "received_power_w")
         assert np.array_equal(x, [7.0, 7.5, 8.0])
 
 
@@ -326,7 +319,7 @@ class TestTargetShift:
         out = target_shift(cfg)
         assert set(out) == {"target_shift_7p4ghz"}
         res = out["target_shift_7p4ghz"]
-        x, m, _ = res.curve("fully-connected", "received_power_w")
+        x, m, _ = curve(res, "fully-connected", "received_power_w")
         assert abs(x[np.argmax(m)] - 7.4) <= 0.3 + 1e-9
         # fixed plan away from the target loses power
         at = dict(zip(np.round(x, 2), m))
@@ -412,9 +405,9 @@ class TestPowerSweeps:
         out = per_bs_power(cfg)
         assert set(out) == {"per_bs_power__mu_0.3_0.7__blocked"}
         res = out["per_bs_power__mu_0.3_0.7__blocked"]
-        metrics = {r.metric for r in res.rows}
+        metrics = {r.metric for r in res}
         assert metrics == {"sum_power_bs1_w", "sum_power_bs2_w"}
-        assert all(r.mean > 0 for r in res.rows)
+        assert all(r.mean > 0 for r in res)
 
     def test_network_power_available_uses_direct_links(self):
         cfg = tiny_config(**{"network-power": {
@@ -422,7 +415,7 @@ class TestPowerSweeps:
         cfg["optimization"]["fw_iterations"] = 40
         out = network_power(cfg)
         res = out["network_power__mu_1_0__available"]
-        assert {r.metric for r in res.rows} == {"network_sum_power_w"}
+        assert {r.metric for r in res} == {"network_sum_power_w"}
         blocked_cfg = tiny_config(**{"network-power": {
             "d_grid": [8], "weight_sets": [[1.0, 0.0]], "link_modes": ["blocked"]}})
         blocked = network_power(blocked_cfg)["network_power__mu_1_0__blocked"]
@@ -573,13 +566,13 @@ def test_rows_keep_their_samples(tmp_path):
     cfg["simulation"]["trials"] = 2
     cfg["optimization"]["fw_iterations"] = 5
     for name, runner in RUNNERS.items():
-        for table, result in runner(cfg).items():
-            keys = [(r.variable, r.value, r.architecture, r.metric) for r in result.rows]
+        for table, rows in runner(cfg).items():
+            keys = [(r.variable, r.value, r.architecture, r.metric) for r in rows]
             assert len(set(keys)) == len(keys), (name, table)
-            _, back = read_results(write_results(str(tmp_path / f"{table}.csv"), result,
+            _, back = read_results(write_results(str(tmp_path / f"{table}.csv"), rows,
                                                  name, "00" * 32, 5))
-            assert len(back.rows) == len(result.rows) > 0
-            for row, read in zip(result.rows, back.rows):
+            assert len(back) == len(rows) > 0
+            for row, read in zip(rows, back):
                 assert len(row.samples) == row.trials == 2
                 assert aggregate(row.samples) == (row.mean, row.stderr)
                 assert read.samples == ()

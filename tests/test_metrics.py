@@ -97,7 +97,7 @@ class TestSums:
                                 lambda *args: user_powers)
         tables = {**experiments.per_bs_power(cfg), **experiments.network_power(cfg)}
         return {(r.architecture, r.metric): r.samples
-                for table in tables.values() for r in table.rows}
+                for rows in tables.values() for r in rows}
 
     def test_single_user_sums(self, monkeypatch):
         samples = self.sums(monkeypatch, ((0.25,), (0.5,)))
