@@ -11,9 +11,6 @@ from .errors import DegenerateChannelError
 BLOCKED = "blocked"
 AVAILABLE = "available"
 
-# Default stream tag; other purposes (baselines, comparisons) use distinct tags.
-STREAM_CHANNELS = 0
-
 ZF_RANK_THRESHOLD = 1e-10
 
 
@@ -119,10 +116,11 @@ class ChannelSet:
     h: tuple[tuple[np.ndarray, ...], ...]
 
 
-def stream_rng(master_seed: int, trial: int, purpose: int = STREAM_CHANNELS,
-               attempt: int = 0) -> np.random.Generator:
-    """Deterministic per-(trial, purpose, attempt) random stream."""
-    return np.random.default_rng([int(master_seed), int(trial), int(purpose), int(attempt)])
+def stream_rng(master_seed: int, trial: int, attempt: int = 0) -> np.random.Generator:
+    """Deterministic per-(trial, attempt) random stream, seeded with
+    ``[master_seed, trial, 0, attempt]``: a third entry other than 0 gives a
+    stream no run draws from."""
+    return np.random.default_rng([int(master_seed), int(trial), 0, int(attempt)])
 
 
 def _crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SingularBranchError, SingularNetworkError
+from .errors import SingularNetworkError
 from .matrixkit import strict_upper_indices
 
 # Inversions abort rather than return garbage past this conditioning: the
@@ -283,7 +283,7 @@ def _network_matrices(plan: CapacitancePlan, f: float, params: CircuitParams) ->
     inter_z = inter_impedance(plan.inter_c, f, params)
     zero = (self_z == 0).any(axis=1) | (inter_z == 0).any(axis=1)
     if zero.any():
-        raise SingularBranchError(f"group {zero.argmax()}: zero branch impedance")
+        raise SingularNetworkError(f"group {zero.argmax()}: zero branch impedance")
     a = np.zeros((g, n, n), dtype=complex)
     a[:, iu, ju] = a[:, ju, iu] = -params.z0 / inter_z
     a[:, ii, ii] = 1.0 + params.z0 / self_z - a.sum(axis=2)

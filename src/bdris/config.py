@@ -394,11 +394,15 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
                    "interference needs a second base station, which the surface aids"):
             require(not nu_ok or any(w > 0 for w in nu[aided - 1]), "optimization.user_weights",
                     f"base station {aided}, which interference aids, needs a positive weight")
-    if not errors:  # a codebook's arcs fit only at some frequencies: build each one a run uses
+    # a codebook's arcs fit only at some frequencies: build one at each frequency a run
+    # snaps onto, and at the interferer's (where none can be built, scattering fails)
+    if not errors:
         params, ranges, failed = circuit_params(cfg), cap_ranges(cfg), set()
         snapped = {**dict.fromkeys(ghz_grid(start, stop, step),
                                    "experiments.freq-response.grid_ghz"),
                    **dict.fromkeys(targets, "experiments.target-shift.targets_ghz"),
+                   itf["interferer_frequency_ghz"]:
+                       "experiments.interference.interferer_frequency_ghz",
                    **dict.fromkeys(freqs, "scenario.frequencies_ghz")}
         with np.errstate(all="raise"):  # an overflow fails the build instead of warning
             for f, path in snapped.items():

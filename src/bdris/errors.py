@@ -5,10 +5,6 @@ class DegenerateInputError(ValueError):
     """Input is structurally valid but has no meaningful answer (e.g. all-zero matrix)."""
 
 
-class SingularBranchError(ValueError):
-    """A branch impedance is zero, so the admittance of that branch is undefined."""
-
-
 class SingularNetworkError(ValueError):
     """A network matrix is singular or too ill-conditioned to invert reliably."""
 

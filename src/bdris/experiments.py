@@ -16,7 +16,9 @@ that row's mean and standard error.
 Conditional-gradient solves are pooled across trials, priority base stations
 and grid points: consecutive direct-link units form batches of at most
 ``BATCH_BYTES`` of Gram matrices, one solver call per Gram size in a batch.
-Blocked-link units are solved one at a time.
+Each unit is sized from its own draw, so a batch's draws and the draw that
+did not fit are held while the batch is solved and evaluated.  Blocked-link
+units are solved one at a time.
 """
 
 from __future__ import annotations
@@ -51,10 +53,11 @@ MAX_DEGENERATE_FRACTION = 0.01
 # Gram-matrix bytes of one conditional-gradient batch, a measured choice:
 # every solver call pays about 24 us of numpy overhead per iteration, while
 # batches far beyond the per-core L2 cache (2 MiB) stream their Gram
-# matrices from memory on every iteration.  A batch's channel draws are held
-# with it, so peak RSS grows with the budget (+1.7% at 800 KiB, +3.1% at
-# 1 MiB on the interference benchmark); 800 KiB still pairs the default
-# fully-connected sub-problem (160 rows, 400 KiB).  README has the timings.
+# matrices from memory on every iteration.  A batch's channel draws, and the
+# one further draw that closed it, are held with it, so peak RSS grows with
+# the budget (+1.7% at 800 KiB, +3.1% at 1 MiB on the interference
+# benchmark); 800 KiB still pairs the default fully-connected sub-problem
+# (160 rows, 400 KiB).  README has the timings.
 BATCH_BYTES = 800 << 10
 
 
@@ -256,70 +259,34 @@ class Point:
         return chans, self.weights, self.topo, self.assignment, self.fw
 
 
-def _stack_shape(scenario: NetworkScenario, weights: ObjectiveWeights,
-                 topo: RisTopology, assignment: GroupAssignment) -> dict[int, int]:
-    """Rows of each priority base station's sub-problem (its Gram matrix is
-    rows x rows), worked out without sampling channels."""
-    return {bs: scenario.m * sum(
-        weights.factor(b, k) != 0.0
-        for b in (range(scenario.num_bs) if topo.g == 1 else (bs,))
-        for k in range(scenario.users_per_bs[b])) for bs in assignment.bs}
-
-
-def _batches(points: list[Point], trials: int):
-    """The (point, trial) units of a sweep in point-major order, grouped into
-    solver batches.
-
-    Consecutive direct-link units share a batch while their Gram matrices
-    (16 rows^2 bytes per instance) fit ``BATCH_BYTES``; a unit larger than
-    that forms a batch alone.  A blocked-link unit counts as unbounded, so it
-    always forms a batch of one.
-    """
-    batch, size = [], 0.0
-    for p, point in enumerate(points):
-        unit = float("inf") if point.fw is None else 16 * sum(
-            r * r for r in _stack_shape(point.scenario, point.weights, point.topo,
-                                        point.assignment).values())
-        for t in range(trials):
-            if batch and size + unit > BATCH_BYTES:
-                yield batch
-                batch, size = [], 0.0
-            batch.append((p, t))
-            size += unit
-    if batch:
-        yield batch
-
-
-def _solved_units(points: list[Point], units, seed: int, attempt: int = 0) -> list:
-    """((point index, trial), chans, relaxed solution) of each unit in ``units``:
-    every unit is drawn first, on substream ``stream_rng(seed, t, attempt)``,
-    then all are solved together by :func:`_relaxed_solutions`."""
-    draws = [sample_channels(points[p].scenario, points[p].topo.d,
-                             stream_rng(seed, t, attempt=attempt)) for p, t in units]
-    solutions = _relaxed_solutions([points[p].problem(chans)
-                                    for (p, _), chans in zip(units, draws)])
-    return list(zip(units, draws, solutions))
-
-
 def _run_sweep(points: list[Point], seed: int, trials: int,
                z0: float) -> list[dict[object, list[float]]]:
     """Per point, the samples of every key its ``evaluate`` returns, one per trial.
 
-    Each batch of units (see :func:`_batches`) is drawn and solved together
-    (:func:`_solved_units`); its units are then evaluated in order, and the
-    batch is released before the next one is drawn.  A draw whose retrieval
-    or evaluation raises :class:`DegenerateChannelError` or
-    :class:`SingularNetworkError` is redrawn on the trial's next attempt
-    substream and solved again on its own; the rest of its batch is
-    untouched.  A point raises :class:`RedrawBudgetError` once its redraws
-    exceed ``MAX_DEGENERATE_FRACTION`` of its trials (one redraw is always
-    tolerated).
+    The (point, trial) units are drawn in point-major order, trial t on
+    substream ``stream_rng(seed, t)``, and held in one solver batch while their
+    Gram matrices (16 rows^2 bytes per priority base station, rows as in
+    :func:`_factors`) fit ``BATCH_BYTES``; a blocked-link unit counts as
+    unbounded.  When the next unit does not fit, the held units are solved
+    together (:func:`_relaxed_solutions`), evaluated in order and released,
+    and that unit opens the next batch.  A draw whose retrieval or evaluation
+    raises :class:`DegenerateChannelError` or :class:`SingularNetworkError` is
+    redrawn on the trial's next attempt substream and solved again on its
+    own; the rest of its batch is untouched.  A point raises
+    :class:`RedrawBudgetError` once its redraws exceed
+    ``MAX_DEGENERATE_FRACTION`` of its trials (one redraw is always tolerated).
     """
     allowed = max(1, int(MAX_DEGENERATE_FRACTION * trials))
     redraws = [0] * len(points)
     samples: list[dict[object, list[float]]] = [{} for _ in points]
-    for batch in _batches(points, trials):
-        for (p, t), chans, solution in _solved_units(points, batch, seed):
+
+    def draw(point: Point, t: int, attempt: int = 0):
+        return sample_channels(point.scenario, point.topo.d,
+                               stream_rng(seed, t, attempt=attempt))
+
+    def solve_and_evaluate(batch):
+        solutions = _relaxed_solutions([points[p].problem(chans) for p, _, chans in batch])
+        for (p, t, chans), solution in zip(batch, solutions):
             point = points[p]
             for attempt in itertools.count(1):
                 try:
@@ -334,10 +301,25 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
                         raise RedrawBudgetError(
                             f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
                             f"trials at {point.context}") from exc
-                    _, chans, solution = _solved_units(points, [(p, t)], seed, attempt)[0]
+                    chans = draw(point, t, attempt)
+                    solution = _relaxed_solutions([point.problem(chans)])[0]
             for key, value in metrics.items():
                 samples[p].setdefault(key, []).append(float(value))
-        del chans, solution  # the batch's last unit: not held while the next is drawn
+
+    batch, size = [], 0.0
+    for p, point in enumerate(points):
+        for t in range(trials):
+            chans = draw(point, t)
+            unit = float("inf") if point.fw is None else sum(
+                16 * sum(len(a) * len(b) for a, b in f) ** 2
+                for f in (_factors(chans, point.weights, point.topo, bs)
+                          for bs in point.assignment.bs))
+            if batch and size + unit > BATCH_BYTES:
+                solve_and_evaluate(batch)
+                batch, size = [], 0.0
+            batch.append((p, t, chans))
+            size += unit
+    solve_and_evaluate(batch)
     return samples
 
 

@@ -418,6 +418,16 @@ REJECTED_FILES = [
     pytest.param("per-bs-power", "scenario:\n  frequencies_ghz: [1.0e-12, 8.0]\n"
                  "optimization:\n  target_frequency_ghz: 1.0e-12\n", 2,
                  "scenario.frequencies_ghz", id="scenario.frequencies_ghz-codebook-1e-12"),
+    # an interferer frequency at which no codebook can be built: every draw's
+    # scattering there fails, and the run blamed the fading
+    pytest.param("interference", "experiments:\n  interference:\n"
+                 "    interferer_frequency_ghz: 1.0e200\n", 3,
+                 "experiments.interference.interferer_frequency_ghz",
+                 id="experiments.interference.interferer_frequency_ghz-codebook-1e200"),
+    pytest.param("interference", "experiments:\n  interference:\n"
+                 "    interferer_frequency_ghz: 1.0e-12\n", 3,
+                 "experiments.interference.interferer_frequency_ghz",
+                 id="experiments.interference.interferer_frequency_ghz-codebook-1e-12"),
     # repeated entries: the run wrote each row once per repeat
     ("freq-response", "simulation:\n  architectures: [fully-connected, fully-connected]\n",
      2, "simulation.architectures"),

@@ -75,28 +75,6 @@ class TestHelpers:
         weights = ObjectiveWeights(mu=(0.0, 1.0), nu=((1.0,), (1.0,)))
         assert fc_target_bs(weights, (7.4e9, 8.0e9), 7.4e9) == 1
 
-    @pytest.mark.parametrize("arch", ["fully-connected", "group-connected",
-                                      "single-connected"])
-    @pytest.mark.parametrize("mu", [(1.0, 0.0), (0.3, 0.7)])
-    def test_stack_shape_without_sampling(self, arch, mu):
-        sc = NetworkScenario(
-            bs_positions=((0.0, 0.0), (80.0, 0.0)),
-            user_positions=(((25.0, 10.0), (30.0, 5.0)), ((70.0, 10.0),)),
-            ris_position=(40.0, 20.0), m=3, frequencies=(7.4e9, 8.0e9),
-            eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
-        weights = ObjectiveWeights(mu=mu, nu=((0.5, 0.5), (1.0,)))
-        topo = topology_for(arch, 8, 2)
-        if topo.g == 1:
-            assignment = GroupAssignment.single(0, topo)
-        else:
-            assignment = priority_assignment(weights, topo)
-        chans = sample_channels(sc, 8, stream_rng(0, 0))
-        rows = experiments._stack_shape(sc, weights, topo, assignment)
-        assert list(rows) == list(assignment.bs)
-        for bs in assignment.bs:
-            gram, h = experiments._stack(chans, weights, topo, bs)
-            assert gram.shape == (rows[bs], rows[bs]) and h.shape == (rows[bs],)
-
     @pytest.mark.parametrize("name", ["freq-sweep", "direct-links", "power-grid"])
     def test_workload_config_validates(self, name, tmp_path):
         path = bench_module("workloads").WORKLOADS[name].write_config(tmp_path)
@@ -165,7 +143,8 @@ class TestDirectBatching:
         topo = topology_for("group-connected", d, 2)
         assignment = priority_assignment(weights, topo)
         assert assignment.bs == (0, 1)
-        rows = experiments._stack_shape(sc, weights, topo, assignment)
+        draw = sample_channels(sc, d, stream_rng(seed, 0))
+        rows = [len(experiments._stack(draw, weights, topo, bs)[0]) for bs in assignment.bs]
         assert rows[0] == rows[1]
         per_instance = rows[0] * rows[0] * 16
         # room for two trials of two instances each, not three
@@ -188,8 +167,7 @@ class TestDirectBatching:
         monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
         point = experiments.Point(sc, topo, assignment, weights, fw, evaluate,
                                   "batching")
-        chunks = [[t for _, t in b] for b in experiments._batches([point], trials)]
-        assert chunks == [[0, 1], [2, 3], [4]]
+        chunks = [[0, 1], [2, 3], [4]]
         experiments._run_sweep([point], seed, trials, PARAMS.z0)
         assert [n for n, _ in calls] == [4, 4, 2]
 
@@ -236,8 +214,6 @@ class TestDirectBatching:
 
         points = [point(fc, fw), point(gc, fw), point(fc, None), point(gc, fw)]
         monkeypatch.setattr(experiments, "BATCH_BYTES", 6 * 6 * 16 + 2 * 3 * 3 * 16)
-        assert list(experiments._batches(points, 2)) == [
-            [(0, 0)], [(0, 1), (1, 0)], [(1, 1)], [(2, 0)], [(2, 1)], [(3, 0), (3, 1)]]
         calls = []
         solver = experiments.frank_wolfe_batch
 
@@ -608,12 +584,12 @@ class TestDedicatedConfigurationLooksRandomElsewhere:
         matched, mismatched, uniform = [], [], []
         for t in range(n):
             ch = sample_channels(sc, 8, stream_rng(31, t))
-            other = sample_channels(sc, 8, stream_rng(31, t, purpose=2))
+            other = sample_channels(sc, 8, np.random.default_rng([31, t, 2]))
             for sample, source in ((matched, ch), (mismatched, other)):
                 state = solve_trials([source], weights, topo, assignment, PARAMS.z0)[0]
                 sample.append(bs2_power(ch, scattering_from_capacitances(
                     state.plan(codebooks), sc.frequencies[1], PARAMS)))
-            plan = random_plan(topo, *ranges, stream_rng(31, t, purpose=3))
+            plan = random_plan(topo, *ranges, np.random.default_rng([31, t, 3]))
             uniform.append(bs2_power(ch, scattering_from_capacitances(
                 plan, sc.frequencies[1], PARAMS)))
 

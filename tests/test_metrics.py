@@ -6,7 +6,8 @@ import pytest
 
 from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
                            sample_channels, stream_rng, zf_precoder)
-from bdris.circuit import RisTopology
+from bdris.circuit import (CapacitancePlan, CircuitParams, RisTopology,
+                           scattering_from_capacitances)
 from bdris import experiments
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
@@ -283,11 +284,40 @@ class TestRunMonteCarlo:
             self.run(100, evaluate)
         assert len(calls) == 2
 
+    def test_zero_branch_impedance_redrawn(self, capsys):
+        # a 1 pF self branch at series resonance (r = 0) has zero impedance:
+        # the scattering of the first evaluation raises SingularNetworkError,
+        # and that draw is redrawn like any other singular network
+        resonant = CircuitParams(r=0.0, l0=1e-9, l=1.5831434944115275e-09, r_tilde=1.0,
+                                 l0_tilde=12.5e-9, l_tilde=0.2e-9, z0=50.0)
+        plan = CapacitancePlan([[1e-12, 0.5e-12]], [[0.2e-12]])
+        seen = []
+
+        def evaluate(chans, state):
+            seen.append(chans)
+            if len(seen) == 1:
+                scattering_from_capacitances(plan, 4e9, resonant)
+            return {"m": chans.g[0][0, 0].real}
+
+        samples = self.run(2, evaluate)["m"]
+        sc = scenario(BLOCKED)
+        assert samples == [
+            sample_channels(sc, self.D, stream_rng(self.SEED, 0, attempt=1)).g[0][0, 0].real,
+            sample_channels(sc, self.D, stream_rng(self.SEED, 1)).g[0][0, 0].real]
+        assert len(seen) == 3
+        assert capsys.readouterr().err == \
+            "warning: SingularNetworkError at stub point; redrawing\n"
+
     def states_by_draw(self, monkeypatch, trials, fail_retrieval=(), fail_evaluation=()):
         """Per trial, (first-gain sample, state) of a pooled direct-link sweep
         over two points, with ``SingularNetworkError`` forced on the
         retrieval calls or evaluations whose 0-based indices are given."""
         retrieve, calls, evaluations = experiments.relaxed_block_branches, [], []
+        solver, batch_sizes = experiments.frank_wolfe_batch, []
+
+        def solver_spy(gram, *args):
+            batch_sizes.append(len(gram))
+            return solver(gram, *args)
 
         def flaky_retrieve(*args):
             calls.append(1)
@@ -302,10 +332,13 @@ class TestRunMonteCarlo:
             return {"m": chans.g[0][0, 0].real}
 
         monkeypatch.setattr(experiments, "relaxed_block_branches", flaky_retrieve)
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", solver_spy)
         points = [self.point(evaluate, direct=True, context=f"point {i}") for i in (0, 1)]
-        assert [len(b) for b in experiments._batches(points, trials)] == [2 * trials]
         samples = _run_sweep(points, self.SEED, trials, PARAMS.z0)
         monkeypatch.setattr(experiments, "relaxed_block_branches", retrieve)
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", solver)
+        # one pooled call, then one single-instance call per redraw
+        assert batch_sizes == [2 * trials] + [1] * (len(batch_sizes) - 1)
         return [s["m"] for s in samples], evaluations
 
     def test_singular_network_redrawn_in_pooled_batch(self, monkeypatch):
