@@ -9,8 +9,7 @@ relaxed optimum.
 
 import numpy as np
 
-from bdris.channel import (BLOCKED, NetworkScenario, PowerConfig,
-                           sample_channels, stream_rng)
+from bdris.channel import NetworkScenario, PowerConfig, sample_channels, stream_rng
 from bdris.circuit import (CapacitancePlan, RisTopology, build_codebook,
                            scattering_from_capacitances)
 from bdris.config import DEFAULT_CONFIG, circuit_params
@@ -28,12 +27,11 @@ def main():
     params = circuit_params(DEFAULT_CONFIG)
     scenario = NetworkScenario(
         bs_positions=((0.0, 0.0),), user_positions=(((25.0, 10.0),),),
-        ris_position=(40.0, 20.0), m=40, frequencies=(F_STAR,),
-        eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
+        ris_position=(40.0, 20.0), m=40, eta_direct=3.5, eta_reflected=2.5)
     power = PowerConfig(p=0.1, alpha=((1.0,),), noise=1e-7)
     weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
     codebook = build_codebook(F_STAR, 6, SELF_RANGE, INTER_RANGE, params)
-    channels = sample_channels(scenario, D, stream_rng(7, 0))
+    channels = sample_channels(scenario, D, stream_rng(7, 0), direct=False)
 
     def report(label, theta):
         powers = evaluate_received_powers(channels, [np.conj(channels.f[0]) @ theta],

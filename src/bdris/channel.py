@@ -8,44 +8,37 @@ import numpy as np
 
 from .errors import DegenerateChannelError
 
-BLOCKED = "blocked"
-AVAILABLE = "available"
-
 ZF_RANK_THRESHOLD = 1e-10
 
 
 @dataclass(frozen=True)
 class NetworkScenario:
-    """Geometry and link parameters of the multi-band downlink network.
+    """Geometry and path-loss exponents of the multi-band downlink network: what
+    a fading draw reads.
 
-    One base station per operating frequency; ``user_positions[b]`` lists the
-    single-antenna users served by base station ``b``.  Path gains follow
-    distance power laws with exponent ``eta_direct`` on the direct links and
-    ``eta_reflected`` on both segments of the reflected link.
+    ``user_positions[b]`` lists the single-antenna users served by base
+    station ``b``.  Path gains follow distance power laws with exponent
+    ``eta_direct`` on the direct links and ``eta_reflected`` on both segments
+    of the reflected link.  Operating frequencies are not part of it: the
+    Rayleigh draws do not depend on them.
     """
 
     bs_positions: tuple[tuple[float, float], ...]
     user_positions: tuple[tuple[tuple[float, float], ...], ...]
     ris_position: tuple[float, float]
     m: int
-    frequencies: tuple[float, ...]
     eta_direct: float
     eta_reflected: float
-    direct_links: str = BLOCKED
 
     def __post_init__(self):
         if len(self.user_positions) != len(self.bs_positions):
             raise ValueError("need one user list per base station")
-        if len(self.frequencies) != len(self.bs_positions):
-            raise ValueError("need one operating frequency per base station")
         if any(k < 1 for k in self.users_per_bs):
             raise ValueError("every base station needs at least one user")
         if self.m < 1:
             raise ValueError("antenna count must be >= 1")
         if self.eta_direct <= 0 or self.eta_reflected <= 0:
             raise ValueError("path-loss exponents must be > 0")
-        if self.direct_links not in (BLOCKED, AVAILABLE):
-            raise ValueError(f"direct_links must be '{BLOCKED}' or '{AVAILABLE}'")
         coords = [self.ris_position, *self.bs_positions]
         for users in self.user_positions:
             coords.extend(users)
@@ -129,14 +122,14 @@ def _crandn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
-def sample_channels(scenario: NetworkScenario, d: int,
-                    rng: np.random.Generator) -> ChannelSet:
+def sample_channels(scenario: NetworkScenario, d: int, rng: np.random.Generator,
+                    direct: bool) -> ChannelSet:
     """Draw one i.i.d. Rayleigh realization of every link, scaled by its path gain.
 
     Draw order is fixed: every base station's RIS matrix and RIS-to-user
-    vectors first, then (only when direct links are available) every direct
-    vector.  Blocked and available modes therefore share the reflected-link
-    draws for a given stream.
+    vectors first, then (only when ``direct``, i.e. the direct links are
+    available) every direct vector; blocked direct links are exactly zero.
+    The two link modes therefore share the reflected-link draws of a stream.
     """
     g, f = [], []
     for b in range(scenario.num_bs):
@@ -151,7 +144,7 @@ def sample_channels(scenario: NetworkScenario, d: int,
     for b in range(scenario.num_bs):
         h_b = []
         for k in range(scenario.users_per_bs[b]):
-            if scenario.direct_links == AVAILABLE:
+            if direct:
                 gain_h = path_gain(scenario.bs_user_distance(b, k), scenario.eta_direct)
                 h_b.append(_crandn(rng, scenario.m) * np.sqrt(gain_h))
             else:

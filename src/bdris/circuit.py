@@ -211,10 +211,9 @@ class Codebook:
     """Realizable (capacitance, impedance) pairs at one frequency.
 
     Capacitances are strictly increasing; impedances are the branch values
-    those capacitances produce at ``frequency``; the arcs are fitted to them.
+    those capacitances produce at that frequency; the arcs are fitted to them.
     """
 
-    frequency: float
     self_caps: np.ndarray
     self_z: np.ndarray
     inter_caps: np.ndarray
@@ -244,7 +243,6 @@ def build_codebook(f: float, bits: int, self_range: tuple[float, float],
     self_caps = np.linspace(self_range[0], self_range[1], n)
     inter_caps = np.linspace(inter_range[0], inter_range[1], n)
     return Codebook(
-        frequency=f,
         self_caps=self_caps,
         self_z=self_impedance(self_caps, f, params),
         inter_caps=inter_caps,

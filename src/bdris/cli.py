@@ -65,10 +65,13 @@ def _cmd_run(args) -> int:
     except RedrawBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for name, rows in tables.items():
-        path = write_results(os.path.join(out_dir, f"{name}.csv"), rows,
-                             args.experiment, digest, seed)
-        print(path)
+    try:
+        for name, rows in tables.items():
+            print(write_results(os.path.join(out_dir, f"{name}.csv"), rows,
+                                args.experiment, digest, seed))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -18,13 +18,15 @@ import re
 import numpy as np
 import yaml
 
-from .channel import AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, _dist, path_gain
+from .channel import NetworkScenario, PowerConfig, _dist, path_gain
 from .circuit import CircuitParams, build_codebook
 from .errors import ConfigError
 
 ARCHITECTURES = ("fully-connected", "group-connected", "single-connected")
+BLOCKED, AVAILABLE = "blocked", "available"  # link modes: a point's fw is None when blocked
 MAX_GRID_STEPS = 100_000  # validation rejects a finer frequency grid unbuilt
 MAX_CODEBOOK_BITS = 12  # validation rejects a larger codebook unbuilt (README has its cost)
+MAX_ARRAY_BYTES = 1 << 32  # validation rejects a run whose largest arrays need more
 
 
 def ghz(x) -> float:
@@ -308,6 +310,19 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
                 "must be a non-empty list of positive integers")
         distinct(path, ds)
     require(ts["d"] >= 1, "experiments.target-shift.d", "must be a positive integer")
+    # the largest arrays of a well-formed layout, in integer bytes (16 per complex entry):
+    # the Gram matrix of all users (rows = users x M) with three more of its size, then per
+    # element count D the D x D retrieval stack, each base station's D x M channel and the
+    # Gram's D-long products
+    m, n_users = sc["m_antennas"], sum(layout)
+    if points_ok and m >= 1 and require(
+            64 * (n_users * m) ** 2 <= MAX_ARRAY_BYTES, "scenario.m_antennas",
+            f"the Gram matrix of {n_users} users x {m} antennas needs more than "
+            f"{MAX_ARRAY_BYTES >> 30} GiB"):
+        for path, ds in [*d_lists.items(), ("experiments.target-shift.d", [ts["d"]])]:
+            for d in ds:
+                require(d < 1 or 16 * d * (d + (len(bs) + n_users ** 2) * m) <= MAX_ARRAY_BYTES,
+                        path, f"D={d} needs more than {MAX_ARRAY_BYTES >> 30} GiB of arrays")
     for d in [d for ds in d_lists.values() for d in ds] + [ts["d"]]:
         require(g < 1 or "group-connected" not in archs or d < 1 or d % g == 0,
                 "optimization.group_count",
@@ -449,9 +464,7 @@ def aided_bs(victim: int) -> int:
     return 1 if victim == 0 else 0
 
 
-def base_scenario(cfg: dict, direct_links: str,
-                  ris_position: tuple[float, float] | None = None,
-                  frequencies: tuple[float, ...] | None = None) -> NetworkScenario:
+def base_scenario(cfg: dict, ris_position: tuple[float, float] | None = None) -> NetworkScenario:
     sc = cfg["scenario"]
     return NetworkScenario(
         bs_positions=tuple(tuple(map(float, p)) for p in sc["bs_positions_m"]),
@@ -460,21 +473,16 @@ def base_scenario(cfg: dict, direct_links: str,
         ris_position=tuple(map(float, ris_position if ris_position is not None
                                else sc["ris_position_m"])),
         m=int(sc["m_antennas"]),
-        frequencies=frequencies if frequencies is not None
-        else tuple(ghz(f) for f in sc["frequencies_ghz"]),
         eta_direct=float(sc["eta_direct"]),
         eta_reflected=float(sc["eta_reflected"]),
-        direct_links=direct_links,
     )
 
 
-def single_user_scenario(cfg: dict, bs: int, user: int, frequency: float,
-                         direct_links: str) -> NetworkScenario:
+def single_user_scenario(cfg: dict, bs: int, user: int) -> NetworkScenario:
     """Scenario reduced to one base station serving one of its users."""
-    full = base_scenario(cfg, direct_links)
+    full = base_scenario(cfg)
     return dataclasses.replace(full, bs_positions=(full.bs_positions[bs],),
-                               user_positions=((full.user_positions[bs][user],),),
-                               frequencies=(frequency,))
+                               user_positions=((full.user_positions[bs][user],),))
 
 
 def power_config(cfg: dict) -> PowerConfig:

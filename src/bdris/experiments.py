@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig, sample_channels,
-                      stream_rng)
+from .channel import NetworkScenario, PowerConfig, sample_channels, stream_rng
 from .circuit import CapacitancePlan, Codebook, RisTopology, build_codebook, \
     scattering_from_capacitances
-from .config import aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, ghz_grid, \
+from .config import AVAILABLE, aided_bs, cap_ranges, circuit_params, dbm_to_watts, ghz, ghz_grid, \
     power_config, base_scenario, single_user_scenario, table_name
 from .errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
 from .matrixkit import _canonical_phase, leading_right_singular_vector, vech_indices
@@ -237,8 +236,9 @@ class Point:
 
     Its trials draw fading for ``scenario`` at ``topo.d`` elements and
     configure ``topo`` for ``weights`` under ``assignment`` with at most
-    ``fw`` conditional-gradient iterations; ``fw=None`` takes the direct
-    links as blocked.  ``evaluate(chans, state)`` returns one trial's
+    ``fw`` conditional-gradient iterations.  ``fw`` alone states the link
+    mode: ``fw=None`` draws no direct links (h = 0) and solves the blocked
+    problem in closed form.  ``evaluate(chans, state)`` returns one trial's
     samples, each keyed by the result row it feeds: ``(table, variable,
     value, label, metric)``.  ``context`` names the point in warnings and errors.
     """
@@ -282,7 +282,7 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
 
     def draw(point: Point, t: int, attempt: int = 0):
         return sample_channels(point.scenario, point.topo.d,
-                               stream_rng(seed, t, attempt=attempt))
+                               stream_rng(seed, t, attempt=attempt), point.fw is not None)
 
     def solve_and_evaluate(batch):
         solutions = _relaxed_solutions([points[p].problem(chans) for p, _, chans in batch])
@@ -373,11 +373,10 @@ def _tracked_points(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
 
     At each frequency the surface is snapped onto that frequency's entry of
     ``codebooks``, re-snapped only where the entry changes: one plan is held
-    at a time.  The scenario operates at ``codebooks[0]``'s frequency.
+    at a time.  Direct links are blocked.
     """
     exp, pw = cfg["experiments"][key], cfg["power"]
-    scenario = single_user_scenario(cfg, exp["tracked_bs"] - 1, exp["tracked_user"] - 1,
-                                    codebooks[0].frequency, BLOCKED)
+    scenario = single_user_scenario(cfg, exp["tracked_bs"] - 1, exp["tracked_user"] - 1)
     power = PowerConfig(dbm_to_watts(pw["total_dbm"]), ((1.0,),),
                         dbm_to_watts(pw["noise_dbm"]))
     freqs = [ghz(f) for f in ghz_values]
@@ -435,9 +434,8 @@ def _power_experiment(cfg: dict, key: str) -> dict[str, tuple[ResultRow, ...]]:
     """One table per (weight set, link mode): per-bs-power samples each base
     station's sum power, network-power their network sum."""
     s, exp = _Settings(cfg), cfg["experiments"][key]
-    scenarios = {mode: base_scenario(cfg, direct_links=mode) for mode in (BLOCKED, AVAILABLE)}
-    power = power_config(cfg)
-    freqs = scenarios[BLOCKED].frequencies
+    scenario, power = base_scenario(cfg), power_config(cfg)
+    freqs = tuple(ghz(f) for f in cfg["scenario"]["frequencies_ghz"])
     codebooks = {b: s.codebook(f) for b, f in enumerate(freqs)}
     preferred = ghz(cfg["optimization"]["target_frequency_ghz"])
 
@@ -464,7 +462,7 @@ def _power_experiment(cfg: dict, key: str) -> dict[str, tuple[ResultRow, ...]]:
                     assignment = (
                         GroupAssignment.single(fc_target_bs(weights, freqs, preferred), topo)
                         if topo.g == 1 else priority_assignment(weights, topo))
-                    points.append(Point(scenarios[mode], topo, assignment, weights,
+                    points.append(Point(scenario, topo, assignment, weights,
                                         s.fw if mode == AVAILABLE else None,
                                         evaluator(table, arch, int(d)),
                                         f"{arch} D={d} {mode}"))
@@ -511,9 +509,7 @@ def interference(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
 
     points = []
     for position in exp["ris_positions_m"]:
-        scenario = base_scenario(cfg, direct_links=AVAILABLE,
-                                 ris_position=tuple(map(float, position)),
-                                 frequencies=tuple(freqs))
+        scenario = base_scenario(cfg, ris_position=tuple(map(float, position)))
         table = table_name("interference", position)
         for arch in s.archs:
             for d in exp["d_grid"]:

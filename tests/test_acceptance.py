@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bdris.channel import (BLOCKED, NetworkScenario, effective_from_rows,
+from bdris.channel import (NetworkScenario, effective_from_rows,
                            sample_channels, stream_rng, zf_precoder)
 from bdris.circuit import CircuitParams, RisTopology, scattering_from_capacitances
 from bdris.cli import main as cli_main
@@ -173,14 +173,13 @@ def test_criterion_07_zero_forcing_property():
         scenario = NetworkScenario(
             bs_positions=((0.0, 0.0),),
             user_positions=(((25.0, 10.0), (35.0, 0.0)),),
-            ris_position=(40.0, 20.0), m=40, frequencies=(7.4e9,),
-            eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
+            ris_position=(40.0, 20.0), m=40, eta_direct=3.5, eta_reflected=2.5)
         topo = RisTopology.fully_connected(16)
         rng = np.random.default_rng(SEED)
         plan = random_plan(topo, (0.1e-12, 2e-12), (0.001e-12, 0.6e-12), rng)
         theta = scattering_from_capacitances(plan, 7.4e9, PARAMS)
         for t in range(1000):
-            ch = sample_channels(scenario, 16, stream_rng(SEED, t))
+            ch = sample_channels(scenario, 16, stream_rng(SEED, t), direct=False)
             eff = effective_from_rows(ch, 0, np.conj(ch.f[0]) @ theta)
             prec = zf_precoder(eff)
             assert np.abs(np.linalg.norm(prec, axis=0) - 1.0).max() < 1e-10

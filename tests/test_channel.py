@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
-from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
+from bdris.channel import (NetworkScenario, PowerConfig,
                            effective_from_rows, path_gain, sample_channels,
                            stream_rng, zf_precoder)
 from bdris.errors import DegenerateChannelError
 from reference_model import uniform_power
 
 
-def two_bs_scenario(direct=BLOCKED, m=6):
+def two_bs_scenario(m=6):
     return NetworkScenario(
         bs_positions=((0.0, 0.0), (80.0, 0.0)),
         user_positions=(((25.0, 10.0), (35.0, 0.0)), ((70.0, 10.0), (55.0, 0.0))),
         ris_position=(40.0, 20.0),
         m=m,
-        frequencies=(7.4e9, 8.0e9),
         eta_direct=3.5,
         eta_reflected=2.5,
-        direct_links=direct,
     )
 
 
@@ -31,16 +29,7 @@ class TestScenario:
     def test_validation(self):
         with pytest.raises(ValueError):
             NetworkScenario(bs_positions=((0, 0),), user_positions=(((1, 1),),),
-                            ris_position=(0, 1), m=2, frequencies=(1e9, 2e9),
-                            eta_direct=3.5, eta_reflected=2.5)
-        with pytest.raises(ValueError):
-            NetworkScenario(bs_positions=((0, 0),), user_positions=(((1, 1),),),
-                            ris_position=(0, 1), m=2, frequencies=(1e9,),
-                            eta_direct=-1.0, eta_reflected=2.5)
-        with pytest.raises(ValueError):
-            NetworkScenario(bs_positions=((0, 0),), user_positions=(((1, 1),),),
-                            ris_position=(0, 1), m=2, frequencies=(1e9,),
-                            eta_direct=3.5, eta_reflected=2.5, direct_links="sometimes")
+                            ris_position=(0, 1), m=2, eta_direct=-1.0, eta_reflected=2.5)
 
 
 class TestPowerConfig:
@@ -83,45 +72,49 @@ class TestPathGain:
 class TestSampleChannels:
     def test_shapes(self):
         sc = two_bs_scenario()
-        ch = sample_channels(sc, d=5, rng=stream_rng(1, 0))
+        ch = sample_channels(sc, d=5, rng=stream_rng(1, 0), direct=False)
         assert ch.g[0].shape == (5, 6)
         assert ch.f[1][0].shape == (5,)
         assert ch.h[0][1].shape == (6,)
 
     def test_blocked_direct_links_exactly_zero(self):
-        ch = sample_channels(two_bs_scenario(BLOCKED), 4, stream_rng(1, 0))
+        ch = sample_channels(two_bs_scenario(), 4, stream_rng(1, 0), direct=False)
         for h_b in ch.h:
             for h in h_b:
                 assert np.all(h == 0)
 
     def test_available_direct_links_nonzero(self):
-        ch = sample_channels(two_bs_scenario(AVAILABLE), 4, stream_rng(1, 0))
+        ch = sample_channels(two_bs_scenario(), 4, stream_rng(1, 0), direct=True)
         assert all(np.any(h != 0) for h_b in ch.h for h in h_b)
 
     def test_determinism(self):
-        sc = two_bs_scenario(AVAILABLE)
-        a = sample_channels(sc, 4, stream_rng(9, 3))
-        b = sample_channels(sc, 4, stream_rng(9, 3))
+        sc = two_bs_scenario()
+        a = sample_channels(sc, 4, stream_rng(9, 3), direct=True)
+        b = sample_channels(sc, 4, stream_rng(9, 3), direct=True)
         assert np.array_equal(a.g[0], b.g[0])
         assert np.array_equal(a.f[1][1], b.f[1][1])
         assert np.array_equal(a.h[0][0], b.h[0][0])
-        c = sample_channels(sc, 4, stream_rng(9, 4))
+        c = sample_channels(sc, 4, stream_rng(9, 4), direct=True)
         assert not np.array_equal(a.g[0], c.g[0])
 
     def test_blocked_and_available_share_reflected_draws(self):
-        blocked = sample_channels(two_bs_scenario(BLOCKED), 4, stream_rng(5, 2))
-        avail = sample_channels(two_bs_scenario(AVAILABLE), 4, stream_rng(5, 2))
-        assert np.array_equal(blocked.g[0], avail.g[0])
-        assert np.array_equal(blocked.f[1][0], avail.f[1][0])
+        # one scenario, one stream: the flag adds the direct vectors after the
+        # reflected links, so every g and f is bitwise the same in both modes
+        sc = two_bs_scenario()
+        blocked = sample_channels(sc, 4, stream_rng(5, 2), direct=False)
+        avail = sample_channels(sc, 4, stream_rng(5, 2), direct=True)
+        for b in range(sc.num_bs):
+            assert np.array_equal(blocked.g[b], avail.g[b])
+            assert all(np.array_equal(x, y) for x, y in zip(blocked.f[b], avail.f[b]))
 
     def test_empirical_variance_matches_path_gain(self):
         sc = NetworkScenario(bs_positions=((0.0, 0.0),), user_positions=(((25.0, 10.0),),),
-                             ris_position=(40.0, 20.0), m=50, frequencies=(7e9,),
-                             eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
+                             ris_position=(40.0, 20.0), m=50, eta_direct=3.5,
+                             eta_reflected=2.5)
         gain = path_gain(sc.bs_ris_distance(0), 2.5)
         entries = []
         for t in range(50):
-            ch = sample_channels(sc, 50, stream_rng(3, t))
+            ch = sample_channels(sc, 50, stream_rng(3, t), direct=False)
             entries.append(np.abs(ch.g[0]) ** 2)
         variance = float(np.mean(entries))  # 125000 draws
         assert abs(variance - gain) < 0.02 * gain
@@ -134,18 +127,18 @@ def effective(ch, b, theta):
 
 class TestEffectiveChannels:
     def test_zero_reflection_blocked(self):
-        ch = sample_channels(two_bs_scenario(BLOCKED), 4, stream_rng(1, 0))
+        ch = sample_channels(two_bs_scenario(), 4, stream_rng(1, 0), direct=False)
         eff = effective(ch, 0, np.zeros((4, 4)))
         assert np.all(eff == 0)
 
     def test_zero_reflection_available_gives_direct(self):
-        ch = sample_channels(two_bs_scenario(AVAILABLE), 4, stream_rng(1, 0))
+        ch = sample_channels(two_bs_scenario(), 4, stream_rng(1, 0), direct=True)
         eff = effective(ch, 1, np.zeros((4, 4)))
         assert np.allclose(eff[0], ch.h[1][0].conj())
 
     def test_matches_naive_triple_product(self):
         rng = np.random.default_rng(2)
-        ch = sample_channels(two_bs_scenario(AVAILABLE), 4, stream_rng(1, 1))
+        ch = sample_channels(two_bs_scenario(), 4, stream_rng(1, 1), direct=True)
         theta = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         eff = effective(ch, 0, theta)
         for k in range(2):
@@ -157,7 +150,7 @@ class TestEffectiveChannels:
             assert np.abs(eff[k] - naive).max() < 1e-12
 
     def test_bilinearity_in_theta(self):
-        ch = sample_channels(two_bs_scenario(BLOCKED), 4, stream_rng(1, 2))
+        ch = sample_channels(two_bs_scenario(), 4, stream_rng(1, 2), direct=False)
         rng = np.random.default_rng(3)
         t1 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         t2 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -298,7 +298,7 @@ class TestCodebook:
     @staticmethod
     def rebuilt(cb, **fields):
         kept = {name: getattr(cb, name) for name in
-                ("frequency", "self_caps", "self_z", "inter_caps", "inter_z")}
+                ("self_caps", "self_z", "inter_caps", "inter_z")}
         return Codebook(**{**kept, **fields})
 
     def test_capacitances_must_strictly_increase(self):

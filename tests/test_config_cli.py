@@ -435,6 +435,11 @@ REJECTED_FILES = [
      3, "experiments.interference.d_grid"),
     ("network-power", "experiments:\n  network-power:\n    link_modes: [available, available]\n",
      3, "experiments.network-power.link_modes"),
+    # arrays no run could allocate: a 160 GB retrieval stack at D = 10^5, or a Gram
+    # matrix of 4 users x 10^7 antennas; validation must reject both before any run
+    ("freq-response", "experiments:\n  freq-response:\n    d_values: [100000]\n",
+     3, "experiments.freq-response.d_values"),
+    ("per-bs-power", "scenario:\n  m_antennas: 10000000\n", 2, "scenario.m_antennas"),
 ]
 
 
@@ -732,6 +737,20 @@ class TestCli:
             "redrawing"] + [
             "error: more than 1% degenerate trials at freq-response fully-connected D=8"]
         assert not (tmp_path / "out").exists()
+
+    def test_run_reports_unwritable_output_directory(self, tmp_path, capsys):
+        blocker = tmp_path / "plain-file"
+        blocker.write_text("")
+        overrides = []
+        for item in TINY_OVERRIDES:
+            overrides += ["--override", item]
+        out = str(blocker / "sub")
+        assert main(["run", "freq-response", "--out", out] + overrides) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and out in lines[0]
+        assert "Traceback" not in captured.err
 
     def test_run_prints_redraw_warnings(self, tmp_path, capsys, monkeypatch):
         from bdris import experiments

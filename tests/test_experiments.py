@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bdris.channel import AVAILABLE, BLOCKED, NetworkScenario, sample_channels, stream_rng
+from bdris.channel import NetworkScenario, sample_channels, stream_rng
 from bdris.circuit import RisTopology, build_codebook, scattering_from_capacitances
 from bdris import experiments
 from bdris.config import DEFAULT_CONFIG, circuit_params, load_config, validate_config
@@ -133,8 +133,7 @@ class TestDirectBatching:
     SC = NetworkScenario(
         bs_positions=((0.0, 0.0), (80.0, 0.0)),
         user_positions=(((25.0, 10.0),), ((70.0, 10.0),)),
-        ris_position=(40.0, 20.0), m=3, frequencies=(7.4e9, 8.0e9),
-        eta_direct=3.5, eta_reflected=2.5, direct_links=AVAILABLE)
+        ris_position=(40.0, 20.0), m=3, eta_direct=3.5, eta_reflected=2.5)
 
     def test_one_batch_per_chunk_over_trials_and_priority_bs(self, monkeypatch):
         sc = self.SC
@@ -143,7 +142,7 @@ class TestDirectBatching:
         topo = topology_for("group-connected", d, 2)
         assignment = priority_assignment(weights, topo)
         assert assignment.bs == (0, 1)
-        draw = sample_channels(sc, d, stream_rng(seed, 0))
+        draw = sample_channels(sc, d, stream_rng(seed, 0), direct=True)
         rows = [len(experiments._stack(draw, weights, topo, bs)[0]) for bs in assignment.bs]
         assert rows[0] == rows[1]
         per_instance = rows[0] * rows[0] * 16
@@ -172,7 +171,7 @@ class TestDirectBatching:
         assert [n for n, _ in calls] == [4, 4, 2]
 
         radius = float(np.sqrt(topo.g))
-        draws = [sample_channels(sc, d, stream_rng(seed, t)) for t in range(trials)]
+        draws = [sample_channels(sc, d, stream_rng(seed, t), direct=True) for t in range(trials)]
         stacks = [{bs: (*experiments._stack(c, weights, topo, bs),
                         experiments._factors(c, weights, topo, bs))
                    for bs in assignment.bs} for c in draws]
@@ -564,8 +563,7 @@ class TestDedicatedConfigurationLooksRandomElsewhere:
         sc = NetworkScenario(
             bs_positions=((0.0, 0.0), (80.0, 0.0)),
             user_positions=(((25.0, 10.0),), ((70.0, 10.0),)),
-            ris_position=(40.0, 20.0), m=8, frequencies=(7.4e9, 8.0e9),
-            eta_direct=3.5, eta_reflected=2.5, direct_links=BLOCKED)
+            ris_position=(40.0, 20.0), m=8, eta_direct=3.5, eta_reflected=2.5)
         power = uniform_power(sc, 0.1, 1e-7)
         topo = RisTopology.group_connected(8, 2)
         weights = ObjectiveWeights(mu=(1.0, 0.0), nu=((1.0,), (1.0,)))
@@ -583,15 +581,15 @@ class TestDedicatedConfigurationLooksRandomElsewhere:
         n = 150
         matched, mismatched, uniform = [], [], []
         for t in range(n):
-            ch = sample_channels(sc, 8, stream_rng(31, t))
-            other = sample_channels(sc, 8, np.random.default_rng([31, t, 2]))
+            ch = sample_channels(sc, 8, stream_rng(31, t), direct=False)
+            other = sample_channels(sc, 8, np.random.default_rng([31, t, 2]), direct=False)
             for sample, source in ((matched, ch), (mismatched, other)):
                 state = solve_trials([source], weights, topo, assignment, PARAMS.z0)[0]
                 sample.append(bs2_power(ch, scattering_from_capacitances(
-                    state.plan(codebooks), sc.frequencies[1], PARAMS)))
+                    state.plan(codebooks), 8.0e9, PARAMS)))
             plan = random_plan(topo, *ranges, np.random.default_rng([31, t, 3]))
             uniform.append(bs2_power(ch, scattering_from_capacitances(
-                plan, sc.frequencies[1], PARAMS)))
+                plan, 8.0e9, PARAMS)))
 
         assert stats.ks_2samp(matched, mismatched).pvalue > 0.05
         assert np.mean(matched) == pytest.approx(np.mean(uniform), rel=0.35)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bdris.channel import (AVAILABLE, BLOCKED, NetworkScenario, PowerConfig,
+from bdris.channel import (NetworkScenario, PowerConfig,
                            sample_channels, stream_rng, zf_precoder)
 from bdris.circuit import (CapacitancePlan, CircuitParams, RisTopology,
                            scattering_from_capacitances)
@@ -20,25 +20,24 @@ from reference_model import crandn, effective_channels, uniform_power
 PARAMS = circuit_params(DEFAULT_CONFIG)
 
 
-def scenario(direct=BLOCKED, users=((25.0, 10.0),), m=6):
+def scenario(users=((25.0, 10.0),), m=6):
     return NetworkScenario(
         bs_positions=((0.0, 0.0),), user_positions=(tuple(users),),
-        ris_position=(40.0, 20.0), m=m, frequencies=(7.4e9,),
-        eta_direct=3.5, eta_reflected=2.5, direct_links=direct)
+        ris_position=(40.0, 20.0), m=m, eta_direct=3.5, eta_reflected=2.5)
 
 
 class TestReceivedPower:
     def test_zero_reflection_blocked_gives_zero(self):
-        sc = scenario(BLOCKED)
-        ch = sample_channels(sc, 4, stream_rng(0, 0))
+        sc = scenario()
+        ch = sample_channels(sc, 4, stream_rng(0, 0), direct=False)
         eff = effective_channels(ch, 0, np.zeros((4, 4)))
         assert np.all(eff == 0)
 
     def test_single_user_matched_filter_equality(self):
         # with one user the zero-forcing precoder is the matched filter, so
         # the received power hits the Cauchy-Schwarz bound ||e||^2 P alpha
-        sc = scenario(BLOCKED)
-        ch = sample_channels(sc, 4, stream_rng(0, 1))
+        sc = scenario()
+        ch = sample_channels(sc, 4, stream_rng(0, 1), direct=False)
         rng = np.random.default_rng(1)
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
@@ -50,8 +49,8 @@ class TestReceivedPower:
 
     def test_matches_naive_scalar_evaluation(self):
         # two users: |e_k^H p_k|^2 P alpha_k summed term by term
-        sc = scenario(BLOCKED, users=((25.0, 10.0), (35.0, 0.0)))
-        ch = sample_channels(sc, 4, stream_rng(0, 2))
+        sc = scenario(users=((25.0, 10.0), (35.0, 0.0)))
+        ch = sample_channels(sc, 4, stream_rng(0, 2), direct=False)
         rng = np.random.default_rng(2)
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
@@ -65,8 +64,8 @@ class TestReceivedPower:
             assert powers[0][k] == pytest.approx(expected, rel=1e-12)
 
     def test_linear_in_power_and_alpha(self):
-        sc = scenario(BLOCKED)
-        ch = sample_channels(sc, 4, stream_rng(0, 3))
+        sc = scenario()
+        ch = sample_channels(sc, 4, stream_rng(0, 3), direct=False)
         rng = np.random.default_rng(3)
         theta = crandn(rng, 4, 4)
         rows = np.conj(ch.f[0]) @ (theta + theta.T)
@@ -123,8 +122,8 @@ class TestSums:
 
 class TestSpectralEfficiencyOutdated:
     def test_zero_reflection_matches_interference_free(self):
-        sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
-        ch = sample_channels(sc, 4, stream_rng(5, 0))
+        sc = scenario(users=((25.0, 10.0), (35.0, 0.0)))
+        ch = sample_channels(sc, 4, stream_rng(5, 0), direct=True)
         power = uniform_power(sc, 0.1, 1e-7)
         se = sum_spectral_efficiency_outdated(ch, 0, np.conj(ch.f[0]) @ np.zeros((4, 4)),
                                               power)
@@ -137,8 +136,8 @@ class TestSpectralEfficiencyOutdated:
         assert se == pytest.approx(expected, rel=1e-9)
 
     def test_noise_monotonicity(self):
-        sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
-        ch = sample_channels(sc, 4, stream_rng(5, 1))
+        sc = scenario(users=((25.0, 10.0), (35.0, 0.0)))
+        ch = sample_channels(sc, 4, stream_rng(5, 1), direct=True)
         rng = np.random.default_rng(6)
         theta = crandn(rng, 4, 4)
         theta = theta + theta.T
@@ -149,8 +148,8 @@ class TestSpectralEfficiencyOutdated:
                 > sum_spectral_efficiency_outdated(ch, 0, rows, p2))
 
     def test_matches_brute_force_sinr(self):
-        sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
-        ch = sample_channels(sc, 3, stream_rng(5, 2))
+        sc = scenario(users=((25.0, 10.0), (35.0, 0.0)))
+        ch = sample_channels(sc, 3, stream_rng(5, 2), direct=True)
         rng = np.random.default_rng(7)
         theta = crandn(rng, 3, 3)
         theta = theta + theta.T
@@ -167,10 +166,10 @@ class TestSpectralEfficiencyOutdated:
         assert se == pytest.approx(expected, rel=1e-12)
 
     def test_interference_positive_with_nonzero_reflection(self):
-        sc = scenario(AVAILABLE, users=((25.0, 10.0), (35.0, 0.0)))
+        sc = scenario(users=((25.0, 10.0), (35.0, 0.0)))
         power = uniform_power(sc, 0.1, 1e-7)
         for t in range(5):
-            ch = sample_channels(sc, 4, stream_rng(8, t))
+            ch = sample_channels(sc, 4, stream_rng(8, t), direct=True)
             rng = np.random.default_rng(t)
             theta = crandn(rng, 4, 4)
             theta = theta + theta.T
@@ -180,9 +179,9 @@ class TestSpectralEfficiencyOutdated:
             assert leakage > 0
 
     def test_synchronized_zf_interference_negligible(self):
-        sc = scenario(BLOCKED, users=((25.0, 10.0), (35.0, 0.0)), m=8)
+        sc = scenario(users=((25.0, 10.0), (35.0, 0.0)), m=8)
         for t in range(5):
-            ch = sample_channels(sc, 4, stream_rng(9, t))
+            ch = sample_channels(sc, 4, stream_rng(9, t), direct=False)
             rng = np.random.default_rng(t)
             theta = crandn(rng, 4, 4)
             theta = theta + theta.T
@@ -215,14 +214,17 @@ class TestRunMonteCarlo:
     SEED = 3
     WEIGHTS = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
 
-    def point(self, evaluate, direct=False, context="stub point"):
+    def point(self, evaluate, direct=False, context="stub point", sc=None):
         topo = RisTopology.fully_connected(self.D)
-        return Point(scenario(AVAILABLE if direct else BLOCKED), topo,
-                     GroupAssignment.single(0, topo), self.WEIGHTS,
+        return Point(sc or scenario(), topo, GroupAssignment.single(0, topo), self.WEIGHTS,
                      20 if direct else None, evaluate, context)
 
     def run(self, trials, evaluate, direct=False):
         return _run_sweep([self.point(evaluate, direct)], self.SEED, trials, PARAMS.z0)[0]
+
+    def draw(self, t, direct=False, attempt=0):
+        return sample_channels(scenario(), self.D, stream_rng(self.SEED, t, attempt=attempt),
+                               direct)
 
     def test_single_trial_reproduces_point_value(self):
         assert self.run(1, lambda chans, state: {"m": 42.0}) == {"m": [42.0]}
@@ -235,20 +237,15 @@ class TestRunMonteCarlo:
         many = self.run(8, first_gain)["m"]
         # growing the trial count keeps the earlier trials' draws
         assert many[:4] == few
-        sc = scenario(BLOCKED)
-        assert few == [sample_channels(sc, self.D, stream_rng(self.SEED, t)).g[0][0, 0].real
-                       for t in range(4)]
+        assert few == [self.draw(t).g[0][0, 0].real for t in range(4)]
         # and so does pooling the trials of several points into one batch
         pooled = _run_sweep([self.point(first_gain, direct=True)] * 2, self.SEED, 4,
                             PARAMS.z0)
-        direct = [sample_channels(scenario(AVAILABLE), self.D,
-                                  stream_rng(self.SEED, t)).g[0][0, 0].real
-                  for t in range(4)]
+        direct = [self.draw(t, direct=True).g[0][0, 0].real for t in range(4)]
         assert [s["m"] for s in pooled] == [direct, direct]
 
     def test_degenerate_trials_redrawn(self):
         for direct in (False, True):
-            sc = scenario(AVAILABLE if direct else BLOCKED)
             topo = RisTopology.fully_connected(self.D)
             fw = 20 if direct else None
             seen = []
@@ -260,17 +257,38 @@ class TestRunMonteCarlo:
                 return {"m": chans.g[0][0, 0].real}
 
             samples = self.run(4, evaluate, direct)["m"]
-            redrawn = sample_channels(sc, self.D, stream_rng(self.SEED, 0, attempt=1))
+            redrawn = self.draw(0, direct, attempt=1)
             assert samples[0] == redrawn.g[0][0, 0].real
-            assert samples[1:] == [
-                sample_channels(sc, self.D, stream_rng(self.SEED, t)).g[0][0, 0].real
-                for t in (1, 2, 3)]
+            assert samples[1:] == [self.draw(t, direct).g[0][0, 0].real for t in (1, 2, 3)]
             # the redrawn trial is solved again on its new draw
             expected = solve_trials([redrawn], self.WEIGHTS, topo,
                                     GroupAssignment.single(0, topo),
                                     PARAMS.z0, fw)[0]
             assert np.array_equal(seen[1][1].self_y, expected.self_y)
             assert np.array_equal(seen[1][1].inter_y, expected.inter_y)
+
+    def test_point_fw_alone_states_link_mode(self):
+        # a blocked point (fw=None) and an available one (fw=20) on one
+        # scenario object: only the available draws carry direct links, and
+        # per trial both see the same reflected links, bit for bit
+        sc, seen = scenario(), {False: [], True: []}
+
+        def evaluator(direct):
+            def evaluate(chans, state):
+                seen[direct].append(chans)
+                return {"m": 0.0}
+            return evaluate
+
+        points = [self.point(evaluator(direct), direct, sc=sc) for direct in (False, True)]
+        assert points[0].scenario is points[1].scenario
+        _run_sweep(points, self.SEED, 3, PARAMS.z0)
+        blocked, available = seen[False], seen[True]
+        assert len(blocked) == len(available) == 3
+        assert all(np.all(h == 0) for ch in blocked for h in ch.h[0])
+        assert all(np.all(h != 0) for ch in available for h in ch.h[0])
+        for b, a in zip(blocked, available):
+            assert np.array_equal(b.g[0], a.g[0])
+            assert all(np.array_equal(fb, fa) for fb, fa in zip(b.f[0], a.f[0]))
 
     def test_too_many_degenerate_trials_fail(self):
         calls = []
@@ -300,10 +318,8 @@ class TestRunMonteCarlo:
             return {"m": chans.g[0][0, 0].real}
 
         samples = self.run(2, evaluate)["m"]
-        sc = scenario(BLOCKED)
-        assert samples == [
-            sample_channels(sc, self.D, stream_rng(self.SEED, 0, attempt=1)).g[0][0, 0].real,
-            sample_channels(sc, self.D, stream_rng(self.SEED, 1)).g[0][0, 0].real]
+        assert samples == [self.draw(0, attempt=1).g[0][0, 0].real,
+                           self.draw(1).g[0][0, 0].real]
         assert len(seen) == 3
         assert capsys.readouterr().err == \
             "warning: SingularNetworkError at stub point; redrawing\n"
@@ -348,10 +364,8 @@ class TestRunMonteCarlo:
         retrieved, retrieved_states = self.states_by_draw(monkeypatch, 3, fail_retrieval={1})
         evaluated, evaluated_states = self.states_by_draw(monkeypatch, 3,
                                                           fail_evaluation={5})
-        sc = scenario(AVAILABLE)
-
         def redrawn(t):
-            return sample_channels(sc, self.D, stream_rng(self.SEED, t, attempt=1))
+            return self.draw(t, direct=True, attempt=1)
 
         assert retrieved == [[clean[0][0], redrawn(1).g[0][0, 0].real, clean[0][2]],
                              clean[1]]

@@ -732,8 +732,7 @@ class TestProjection:
 
     def test_tie_breaks_to_smallest_capacitance(self):
         # two codewords whose admittances are exactly equidistant from the target
-        cb = Codebook(frequency=1e9,
-                      self_caps=np.array([1e-12, 2e-12]),
+        cb = Codebook(self_caps=np.array([1e-12, 2e-12]),
                       self_z=np.array([2.0 + 0j, 4.0 + 0j]),   # admittances 0.5, 0.25
                       inter_caps=np.array([1e-12, 2e-12]),
                       inter_z=np.array([2.0 + 0j, 4.0 + 0j]))
