@@ -15,7 +15,7 @@ from bdris.circuit import (CapacitancePlan, RisTopology, build_codebook,
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.experiments import solve_trials
 from bdris.metrics import evaluate_received_powers
-from bdris.optimizer import GroupAssignment, ObjectiveWeights, stack_fc
+from bdris.optimizer import GroupAssignment, ObjectiveWeights, stack_factors, stack_fc
 
 D = 64
 F_STAR = 7.5e9
@@ -49,7 +49,7 @@ def main():
     theta = configure(RisTopology.fully_connected(D))[1]
     # the relaxed optimum ||R theta||^2 on the unit ball is the top eigenvalue of
     # the Gram matrix R R^H
-    relaxed = np.linalg.eigvalsh(stack_fc(channels, weights)[0])[-1]
+    relaxed = np.linalg.eigvalsh(stack_fc(stack_factors(channels, weights, (0,)))[0])[-1]
     print(f"relaxed optimum (upper reference)    {relaxed * power.p * 1e3:8.4f} mW")
     report("fully-connected, configured", theta)
     report("group-connected (G=2), configured",

@@ -58,6 +58,13 @@ def _cmd_run(args) -> int:
     if cfg is None:
         return 1
     out_dir = args.out or cfg["output"]["dir"]
+    base = os.path.abspath(out_dir)  # the nearest existing ancestor holds what is created
+    while not os.path.exists(base):
+        base = os.path.dirname(base)
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        print(f"error: cannot write output directory {out_dir}: {base} is not a "
+              f"writable directory", file=sys.stderr)
+        return 1
     digest = config_hash(cfg)
     seed = cfg["simulation"]["seed"]
     try:

@@ -27,6 +27,7 @@ BLOCKED, AVAILABLE = "blocked", "available"  # link modes: a point's fw is None 
 MAX_GRID_STEPS = 100_000  # validation rejects a finer frequency grid unbuilt
 MAX_CODEBOOK_BITS = 12  # validation rejects a larger codebook unbuilt (README has its cost)
 MAX_ARRAY_BYTES = 1 << 32  # validation rejects a run whose largest arrays need more
+GAIN_BAND = (1e-50, 1e50)  # validation rejects a link whose path gain lies outside
 
 
 def ghz(x) -> float:
@@ -197,8 +198,10 @@ def _holds(test) -> bool:
 
 
 def _gainless(p, others, eta) -> bool:
-    """Whether a link from ``p`` to one of ``others`` lacks a positive :func:`path_gain`."""
-    return not _holds(lambda: all(path_gain(_dist(p, q), eta) > 0 for q in others))
+    """Whether a link from ``p`` to one of ``others`` has its :func:`path_gain` outside
+    ``GAIN_BAND``, where the run's products and squares of gains stay finite and nonzero."""
+    lo, hi = GAIN_BAND
+    return not _holds(lambda: all(lo <= path_gain(_dist(p, q), eta) <= hi for q in others))
 
 
 def _grid_fills(start, stop, step) -> bool:
@@ -392,13 +395,14 @@ def validate_config(cfg: dict, source: str = "<config>", lines: dict | None = No
                  lambda p: table_name("interference", p))
     for b, (p, u) in enumerate(zip(bs, users) if points_ok and sc["eta_direct"] > 0 else []):
         require(not _gainless(p, u, sc["eta_direct"]), "scenario.user_positions_m",
-                f"a user of base station {b + 1} has no finite, positive path gain from it")
+                f"a user of base station {b + 1} has no finite, positive path gain from it "
+                f"in [{GAIN_BAND[0]:g}, {GAIN_BAND[1]:g}]")
     for path, surfaces in (("scenario.ris_position_m", [sc["ris_position_m"]]),
                            ("experiments.interference.ris_positions_m", pos if pos_ok else [])):
         for p in surfaces if points_ok and sc["eta_reflected"] > 0 else []:
             require(not _gainless(p, bs + user_points, sc["eta_reflected"]), path,
-                    f"the surface at {p} has no finite, positive path gain to some "
-                    f"base station or user")
+                    f"the surface at {p} has no finite, positive path gain in "
+                    f"[{GAIN_BAND[0]:g}, {GAIN_BAND[1]:g}] to some base station or user")
     require(0 < ghz(itf["interferer_frequency_ghz"]) < math.inf,
             "experiments.interference.interferer_frequency_ghz", "must be > 0 and finite in Hz")
     victim = itf["victim_bs"]

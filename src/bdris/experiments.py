@@ -16,9 +16,9 @@ that row's mean and standard error.
 Conditional-gradient solves are pooled across trials, priority base stations
 and grid points: consecutive direct-link units form batches of at most
 ``BATCH_BYTES`` of Gram matrices, one solver call per Gram size in a batch.
-Each unit is sized from its own draw, so a batch's draws and the draw that
-did not fit are held while the batch is solved and evaluated.  Blocked-link
-units are solved one at a time.
+A unit's sub-problems are built once, when it is drawn, and its size is read
+from them; a batch's units and the unit that did not fit are held while the
+batch is solved and evaluated.  Blocked-link units are solved one at a time.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ MAX_DEGENERATE_FRACTION = 0.01
 # Gram-matrix bytes of one conditional-gradient batch, a measured choice:
 # every solver call pays about 24 us of numpy overhead per iteration, while
 # batches far beyond the per-core L2 cache (2 MiB) stream their Gram
-# matrices from memory on every iteration.  A batch's channel draws, and the
-# one further draw that closed it, are held with it, so peak RSS grows with
-# the budget (+1.7% at 800 KiB, +3.1% at 1 MiB on the interference
-# benchmark); 800 KiB still pairs the default fully-connected sub-problem
-# (160 rows, 400 KiB).  README has the timings.
+# matrices from memory on every iteration.  A batch's channel draws and row
+# factors, and the one further draw that closed it, are held with it, so
+# peak RSS grows with the budget (+1.7% at 800 KiB, +3.1% at 1 MiB on the
+# interference benchmark); 800 KiB still pairs the default fully-connected
+# sub-problem (160 rows, 400 KiB).  README has the timings.
 BATCH_BYTES = 800 << 10
 
 
@@ -123,73 +123,69 @@ class TrialState:
         return CapacitancePlan(self_c, inter_c)
 
 
-def _factors(chans, weights: ObjectiveWeights, topo: RisTopology, bs: int):
-    """Row factors (see :func:`stack_factors`) of priority base station ``bs``'s
-    sub-problem: over every user if fully connected, else over its users."""
-    return stack_factors(chans, weights, range(len(chans.g)) if topo.g == 1 else (bs,))
+def _subproblems(chans, weights: ObjectiveWeights, topo: RisTopology,
+                 assignment: GroupAssignment) -> dict[int, list]:
+    """Row factors (see :func:`stack_factors`) of each priority base station's
+    sub-problem on draw ``chans``: over every user if the surface is fully
+    connected, else over that base station's users."""
+    return {bs: stack_factors(chans, weights, range(len(chans.g)) if topo.g == 1 else (bs,))
+            for bs in assignment.bs}
 
 
-def _stack(chans, weights: ObjectiveWeights, topo: RisTopology,
-           bs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and direct vector of the sub-problem :func:`_factors` describes."""
-    if topo.g == 1:
-        return stack_fc(chans, weights)
-    return stack_gc(chans, weights, topo, bs)
+def _stack(factors, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and direct vector of the sub-problem ``factors`` over g groups
+    (two names for one computation: the traced benchmark wraps both)."""
+    return stack_fc(factors) if g == 1 else stack_gc(factors, g)
 
 
-def _relaxed_solutions(draws) -> list[dict[int, np.ndarray]]:
-    """Relaxed stacked solution of each priority base station, per draw.
+def _relaxed_solutions(units) -> list[dict[int, np.ndarray]]:
+    """Relaxed stacked solution of each priority base station, per unit.
 
-    ``draws`` holds ``(chans, weights, topo, assignment, fw)`` tuples.  Each
-    priority base station solves its relaxed sub-problem over the whole
-    surface (radius 1 for a fully-connected surface, sqrt(G) for G groups).
-    With ``fw=None`` the direct links are taken as blocked and the solution
-    is the scaled leading right singular vector of the reduced stacked
-    matrix R: R^H u for the leading eigenvector u of its Gram matrix.  With
-    an iteration cap ``fw`` the direct links count: the instances of every
-    draw (one per draw and priority base station) that share a Gram size and
-    iteration cap run as one conditional-gradient batch, their Gram
-    matrices written straight into it.  An instance's result does not depend
-    on the batch it runs in.
+    ``units`` holds ``(subproblems, g, fw)`` tuples (:meth:`Point.problem`).
+    Each sub-problem is solved over the whole surface of g groups (radius
+    sqrt(g)).  With ``fw=None`` the direct links are taken as blocked and the
+    solution is the scaled leading right singular vector of the reduced
+    stacked matrix R: R^H u for the leading eigenvector u of its Gram matrix.
+    With an iteration cap ``fw`` the direct links count: the sub-problems of
+    every unit that share a Gram size and iteration cap run as one
+    conditional-gradient batch, their Gram matrices written straight into it.
+    An instance's result does not depend on the batch it runs in.
     """
-    thetas = [{} for _ in draws]
+    thetas = [{} for _ in units]
     batches: dict[tuple[int, int], list] = {}
-    for i, (chans, weights, topo, assignment, fw) in enumerate(draws):
-        for bs in assignment.bs:
-            f = _factors(chans, weights, topo, bs)
+    for i, (subproblems, g, fw) in enumerate(units):
+        for bs, f in subproblems.items():
             if fw is not None:
-                rows = sum(len(a) * len(b) for a, b in f)
-                batches.setdefault((rows, fw), []).append((i, bs, f))
+                rows = sum(d.size for *_, d in f)  # = len(h)
+                batches.setdefault((rows, fw), []).append((i, bs, f, g))
                 continue
-            gram, _ = _stack(chans, weights, topo, bs)
             v = _canonical_phase(reduced_adjoint(
-                f, leading_right_singular_vector(gram)[0], topo.g))
+                f, leading_right_singular_vector(_stack(f, g)[0])[0], g))
             # real division: a one-element solution is exactly 1
-            thetas[i][bs] = float(np.sqrt(topo.g)) * (
+            thetas[i][bs] = float(np.sqrt(g)) * (
                 v.view(float) / np.linalg.norm(v)).view(complex)
     for (rows, fw), instances in batches.items():
-        acc, c = _frank_wolfe_instances(draws, instances, rows, fw)
-        for (i, bs, f), acc_j, c_j in zip(instances, acc, c):
-            thetas[i][bs] = reduced_adjoint(f, acc_j, draws[i][2].g)
+        acc, c = _frank_wolfe_instances(instances, rows, fw)
+        for (i, bs, f, g), acc_j, c_j in zip(instances, acc, c):
+            thetas[i][bs] = reduced_adjoint(f, acc_j, g)
             thetas[i][bs][0] += c_j
     return thetas
 
 
-def _frank_wolfe_instances(draws, instances, rows: int, iterations: int):
+def _frank_wolfe_instances(instances, rows: int, iterations: int):
     """Row-space coefficients ``(acc, c)`` of one conditional-gradient call of
-    at most ``iterations`` iterations over ``instances`` ((draw index, base
-    station, row factors) with ``rows``-row sub-problems).  The Gram matrices
-    are written straight into the batch, which the solver overwrites and
-    which is freed on return."""
+    at most ``iterations`` iterations over ``instances`` ((unit index, base
+    station, row factors, group count) of ``rows``-row sub-problems).  The
+    Gram matrices are written straight into the batch, which the solver
+    overwrites and which is freed on return."""
     grams = np.empty((len(instances), rows, rows), dtype=complex)
     hs = np.empty((len(instances), rows), dtype=complex)
     e1 = np.empty((len(instances), rows), dtype=complex)
     radius = np.empty(len(instances))
-    for j, (i, bs, f) in enumerate(instances):
-        chans, weights, topo = draws[i][:3]
-        grams[j], hs[j] = _stack(chans, weights, topo, bs)
+    for j, (_, _, f, g) in enumerate(instances):
+        grams[j], hs[j] = _stack(f, g)
         e1[j] = first_column(f)
-        radius[j] = np.sqrt(topo.g)
+        radius[j] = np.sqrt(g)
     return frank_wolfe_batch(grams, hs, radius, iterations, e1)
 
 
@@ -226,7 +222,8 @@ def solve_trials(chans_list, weights: ObjectiveWeights, topo: RisTopology,
     Snap a returned state with :meth:`TrialState.plan`.
     """
     assignment.validate(topo)
-    thetas = _relaxed_solutions([(c, weights, topo, assignment, fw) for c in chans_list])
+    thetas = _relaxed_solutions([(_subproblems(c, weights, topo, assignment), topo.g, fw)
+                                 for c in chans_list])
     return [_state_from_thetas(t, topo, assignment, z0) for t in thetas]
 
 
@@ -255,8 +252,10 @@ class Point:
         self.assignment.validate(self.topo)
 
     def problem(self, chans) -> tuple:
-        """The draw tuple :func:`_relaxed_solutions` solves for ``chans``."""
-        return chans, self.weights, self.topo, self.assignment, self.fw
+        """The unit :func:`_relaxed_solutions` solves for draw ``chans``: the
+        priority base stations' sub-problems, the group count and ``fw``."""
+        return (_subproblems(chans, self.weights, self.topo, self.assignment),
+                self.topo.g, self.fw)
 
 
 def _run_sweep(points: list[Point], seed: int, trials: int,
@@ -264,10 +263,10 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
     """Per point, the samples of every key its ``evaluate`` returns, one per trial.
 
     The (point, trial) units are drawn in point-major order, trial t on
-    substream ``stream_rng(seed, t)``, and held in one solver batch while their
-    Gram matrices (16 rows^2 bytes per priority base station, rows as in
-    :func:`_factors`) fit ``BATCH_BYTES``; a blocked-link unit counts as
-    unbounded.  When the next unit does not fit, the held units are solved
+    substream ``stream_rng(seed, t)`` with its sub-problems (:meth:`Point.problem`),
+    and held in one solver batch while their Gram matrices (16 rows^2 bytes
+    per sub-problem of R's rows) fit ``BATCH_BYTES``; a blocked-link unit counts
+    as unbounded.  When the next unit does not fit, the held units are solved
     together (:func:`_relaxed_solutions`), evaluated in order and released,
     and that unit opens the next batch.  A draw whose retrieval or evaluation
     raises :class:`DegenerateChannelError` or :class:`SingularNetworkError` is
@@ -281,12 +280,13 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
     samples: list[dict[object, list[float]]] = [{} for _ in points]
 
     def draw(point: Point, t: int, attempt: int = 0):
-        return sample_channels(point.scenario, point.topo.d,
-                               stream_rng(seed, t, attempt=attempt), point.fw is not None)
+        chans = sample_channels(point.scenario, point.topo.d,
+                                stream_rng(seed, t, attempt=attempt), point.fw is not None)
+        return chans, point.problem(chans)
 
     def solve_and_evaluate(batch):
-        solutions = _relaxed_solutions([points[p].problem(chans) for p, _, chans in batch])
-        for (p, t, chans), solution in zip(batch, solutions):
+        solutions = _relaxed_solutions([unit for *_, unit in batch])
+        for (p, t, chans, _), solution in zip(batch, solutions):
             point = points[p]
             for attempt in itertools.count(1):
                 try:
@@ -301,24 +301,22 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
                         raise RedrawBudgetError(
                             f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
                             f"trials at {point.context}") from exc
-                    chans = draw(point, t, attempt)
-                    solution = _relaxed_solutions([point.problem(chans)])[0]
+                    chans, unit = draw(point, t, attempt)
+                    solution = _relaxed_solutions([unit])[0]
             for key, value in metrics.items():
                 samples[p].setdefault(key, []).append(float(value))
 
     batch, size = [], 0.0
     for p, point in enumerate(points):
         for t in range(trials):
-            chans = draw(point, t)
-            unit = float("inf") if point.fw is None else sum(
-                16 * sum(len(a) * len(b) for a, b in f) ** 2
-                for f in (_factors(chans, point.weights, point.topo, bs)
-                          for bs in point.assignment.bs))
-            if batch and size + unit > BATCH_BYTES:
+            chans, unit = draw(point, t)
+            nbytes = float("inf") if point.fw is None else sum(
+                16 * sum(d.size for *_, d in f) ** 2 for f in unit[0].values())
+            if batch and size + nbytes > BATCH_BYTES:
                 solve_and_evaluate(batch)
                 batch, size = [], 0.0
-            batch.append((p, t, chans))
-            size += unit
+            batch.append((p, t, chans, unit))
+            size += nbytes
     solve_and_evaluate(batch)
     return samples
 

@@ -76,18 +76,21 @@ class GroupAssignment:
 
 
 def stack_factors(channels: ChannelSet, weights: ObjectiveWeights,
-                  bss) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per base station in ``bss``, the (users, D) stack of a = w_k conj(f_k) and
-    the (M, D) stack of b = g[:, m]: row (k, m) of the reduced stacked matrix R
-    holds a_i b_j + a_j b_i at each group's vech position (i, j), halved on the
-    diagonal, so it maps Theta's coefficients in vech order to a^T Theta b.
-    Zero-weight users would give all-zero rows and are left out."""
+                  bss) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per base station in ``bss``, the (users, D) stack of a = w_k conj(f_k),
+    the (M, D) stack of b = g[:, m] and the (users, M) stack of direct rows
+    d = w_k conj(h_k): row (k, m) of the reduced stacked matrix R holds
+    a_i b_j + a_j b_i at each group's vech position (i, j), halved on the
+    diagonal, so it maps Theta's coefficients in vech order to a^T Theta b,
+    and d[k, m] is that row's direct term.  Zero-weight users would give
+    all-zero rows and are left out."""
     out = []
     for b in bss:
-        a = [weights.factor(b, k) * f.conj() for k, f in enumerate(channels.f[b])
-             if weights.factor(b, k) != 0.0]
-        if a:
-            out.append((np.array(a), channels.g[b].T))
+        users = [k for k in range(len(channels.f[b])) if weights.factor(b, k) != 0.0]
+        if users:
+            w = np.array([weights.factor(b, k) for k in users])[:, None]
+            out.append((w * np.conj([channels.f[b][k] for k in users]), channels.g[b].T,
+                        w * np.conj([channels.h[b][k] for k in users])))
     if not out:
         raise DegenerateInputError(f"base stations {tuple(bss)} have no positive-weight user")
     return out
@@ -116,10 +119,10 @@ def _gram(factors, g: int) -> np.ndarray:
         return (t1.reshape(u, u2, m, m2).transpose(0, 2, 1, 3)
                 + t2.reshape(u, m2, m, u2).transpose(0, 2, 3, 1)).reshape(u * m, u2 * m2)
 
-    c = np.concatenate([(a[:, None] * b[None]).reshape(-1, b.shape[1]) for a, b in factors])
+    c = np.concatenate([(a[:, None] * b[None]).reshape(-1, b.shape[1]) for a, b, _ in factors])
     if c.shape[1] == g:
         return c @ c.conj().T
-    return np.block([[block(*x, *y) for y in factors] for x in factors]) - c @ c.conj().T
+    return np.block([[block(*x[:2], *y[:2]) for y in factors] for x in factors]) - c @ c.conj().T
 
 
 def reduced_adjoint(factors, c: np.ndarray, g: int) -> np.ndarray:
@@ -127,7 +130,7 @@ def reduced_adjoint(factors, c: np.ndarray, g: int) -> np.ndarray:
     each group's diagonal block of X + X^T, diagonal halved, in vech order,
     one group after another."""
     x, start = 0.0, 0
-    for a, b in factors:
+    for a, b, _ in factors:
         u, stop = len(a), start + len(a) * len(b)
         w = c[start:stop].reshape(u, -1) @ b.conj()                  # (users, D)
         x = x + np.matmul(a.conj().reshape(u, g, -1).transpose(1, 2, 0),
@@ -141,32 +144,24 @@ def reduced_adjoint(factors, c: np.ndarray, g: int) -> np.ndarray:
 
 def first_column(factors) -> np.ndarray:
     """R e1, the image of the conditional gradient's fallback direction."""
-    return np.concatenate([np.outer(a[:, 0], b[:, 0]).ravel() for a, b in factors])
+    return np.concatenate([np.outer(a[:, 0], b[:, 0]).ravel() for a, b, _ in factors])
 
 
-def _stack(channels: ChannelSet, weights: ObjectiveWeights, bss,
-           g: int) -> tuple[np.ndarray, np.ndarray]:
-    h = [weights.factor(b, k) * channels.h[b][k].conj() for b in bss
-         for k in range(len(channels.f[b])) if weights.factor(b, k) != 0.0]
-    return _gram(stack_factors(channels, weights, bss), g), np.concatenate(h)
-
-
-def stack_fc(channels: ChannelSet,
-             weights: ObjectiveWeights) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix K = R R^H and direct vector h of the fully-connected problem.
+def stack_fc(factors) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix K = R R^H and direct vector h of the fully-connected
+    problem with row factors ``factors`` (see :func:`stack_factors`).
 
     For symmetric Theta with coefficients theta in vech order, ||R theta + h||^2
-    is the weighted sum over users of ||f^H Theta G + h^H||^2 (R as in
-    :func:`stack_factors`).  The solvers need R only through K,
-    :func:`reduced_adjoint` and :func:`first_column`, so R is never formed."""
-    return _stack(channels, weights, range(len(channels.g)), 1)
+    is the weighted sum over users of ||f^H Theta G + h^H||^2.  The solvers
+    need R only through K, :func:`reduced_adjoint` and :func:`first_column`,
+    so R is never formed."""
+    return stack_gc(factors, 1)
 
 
-def stack_gc(channels: ChannelSet, weights: ObjectiveWeights, topology: RisTopology,
-             bs: int) -> tuple[np.ndarray, np.ndarray]:
+def stack_gc(factors, g: int) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and direct vector of one priority base station's sub-problem
-    over the whole group-connected surface (see :func:`stack_fc`)."""
-    return _stack(channels, weights, (bs,), topology.g)
+    over a surface of g groups (see :func:`stack_fc`)."""
+    return _gram(factors, g), np.concatenate([d.ravel() for _, _, d in factors])
 
 
 # Every FREEZE_EVERY iterations, an instance whose last step moved its

@@ -177,7 +177,19 @@ RULES = [
 ]
 
 
-@pytest.mark.parametrize("overrides, path", RULES, ids=[p for _, p in RULES])
+# Path gains outside GAIN_BAND: each config failed its run on degenerate
+# trials or with a traceback, although every gain was finite and positive.
+# Named by their override, since their paths repeat earlier rows' ids.
+GAIN_RULES = [
+    (["scenario.eta_reflected=47"], "scenario.ris_position_m"),
+    (["scenario.eta_reflected=120"], "scenario.ris_position_m"),
+    (["scenario.eta_direct=85"], "scenario.user_positions_m"),
+    (["scenario.ris_position_m=[1.0e-80, 0.0]"], "scenario.ris_position_m"),
+]
+
+
+@pytest.mark.parametrize("overrides, path", RULES + GAIN_RULES,
+                         ids=[p for _, p in RULES] + [o for (o,), _ in GAIN_RULES])
 def test_rule_names_its_path(overrides, path):
     cfg = apply_overrides(copy.deepcopy(DEFAULT_CONFIG), overrides)
     assert any(e.startswith(f"<config>: {path}: ") for e in validate_config(cfg))
@@ -738,14 +750,18 @@ class TestCli:
             "error: more than 1% degenerate trials at freq-response fully-connected D=8"]
         assert not (tmp_path / "out").exists()
 
-    def test_run_reports_unwritable_output_directory(self, tmp_path, capsys):
+    def test_run_reports_unwritable_output_directory(self, tmp_path, capsys, monkeypatch):
         blocker = tmp_path / "plain-file"
         blocker.write_text("")
         overrides = []
         for item in TINY_OVERRIDES:
             overrides += ["--override", item]
         out = str(blocker / "sub")
+        runs = []
+        # the directory is checked before any trial runs
+        monkeypatch.setitem(RUNNERS, "freq-response", lambda cfg: runs.append(cfg) or {})
         assert main(["run", "freq-response", "--out", out] + overrides) == 1
+        assert runs == []
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()

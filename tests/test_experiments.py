@@ -143,7 +143,8 @@ class TestDirectBatching:
         assignment = priority_assignment(weights, topo)
         assert assignment.bs == (0, 1)
         draw = sample_channels(sc, d, stream_rng(seed, 0), direct=True)
-        rows = [len(experiments._stack(draw, weights, topo, bs)[0]) for bs in assignment.bs]
+        rows = [len(experiments._stack(f, topo.g)[0]) for f in
+                experiments._subproblems(draw, weights, topo, assignment).values()]
         assert rows[0] == rows[1]
         per_instance = rows[0] * rows[0] * 16
         # room for two trials of two instances each, not three
@@ -172,9 +173,9 @@ class TestDirectBatching:
 
         radius = float(np.sqrt(topo.g))
         draws = [sample_channels(sc, d, stream_rng(seed, t), direct=True) for t in range(trials)]
-        stacks = [{bs: (*experiments._stack(c, weights, topo, bs),
-                        experiments._factors(c, weights, topo, bs))
-                   for bs in assignment.bs} for c in draws]
+        stacks = [{bs: (*experiments._stack(f, topo.g), f) for bs, f in
+                   experiments._subproblems(c, weights, topo, assignment).items()}
+                  for c in draws]
         for (_, (acc, c)), chunk in zip(calls, chunks):
             part = [stacks[t] for t in chunk]
             acc, c = acc.reshape(len(part), 2, rows[0]), c.reshape(len(part), 2)

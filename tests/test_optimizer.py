@@ -115,7 +115,7 @@ class TestStacking:
             explicit = np.hstack([
                 np.kron(g[k:k + d_bar].T, f[k:k + d_bar].conj()[None, :])
                 @ duplication_matrix(d_bar) for k in range(0, d, d_bar)])
-            gram, _ = stack_gc(ch, weights, topo, 0)
+            gram, _ = stack_gc(stack_factors(ch, weights, (0,)), topo.g)
             assert np.abs(gram - explicit @ explicit.conj().T).max() < 1e-13
             c = crandn(rng, m)
             theta = reduced_adjoint(stack_factors(ch, weights, (0,)), c, topo.g)
@@ -125,7 +125,7 @@ class TestStacking:
         rng = np.random.default_rng(1)
         ch = random_channels(rng, 2, 1, (1,))
         weights = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
-        gram, h_hat = stack_fc(ch, weights)
+        gram, h_hat = stack_fc(stack_factors(ch, weights, range(len(ch.g))))
         c = crandn(rng, 1)
         theta = row_space_point(ch, weights, (0,), RisTopology.fully_connected(2), c)
         lhs = row_space_objective(gram, h_hat, c)
@@ -135,7 +135,7 @@ class TestStacking:
         rng = np.random.default_rng(2)
         ch = random_channels(rng, 4, 3, (2, 1), direct=True)
         weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((0.5, 0.5), (1.0,)))
-        gram, h_hat = stack_fc(ch, weights)
+        gram, h_hat = stack_fc(stack_factors(ch, weights, range(len(ch.g))))
         c = crandn(rng, 9)
         theta = row_space_point(ch, weights, (0, 1), RisTopology.fully_connected(4), c)
         lhs = row_space_objective(gram, h_hat, c)
@@ -145,7 +145,7 @@ class TestStacking:
         rng = np.random.default_rng(3)
         ch = random_channels(rng, 3, 2, (1, 1), direct=True)
         weights = ObjectiveWeights(mu=(1.0, 0.0), nu=((1.0,), (1.0,)))
-        gram, h_hat = stack_fc(ch, weights)
+        gram, h_hat = stack_fc(stack_factors(ch, weights, range(len(ch.g))))
         assert gram.shape == (2, 2) and h_hat.shape == (2,)
         # only base station 0's user rows remain
         r_hat, _ = reduced_stack(ch, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)), bs=0)
@@ -160,13 +160,13 @@ class TestStacking:
         ch = random_channels(np.random.default_rng(35), 4, 2, (1, 1))
         weights = ObjectiveWeights(mu=(1.0, 1.0), nu=((0.0,), (1.0,)))
         with pytest.raises(DegenerateInputError, match="no positive-weight user"):
-            stack_gc(ch, weights, RisTopology(4, 2), 0)
-        assert stack_gc(ch, weights, RisTopology(4, 2), 1)[0].shape == (2, 2)
+            stack_gc(stack_factors(ch, weights, (0,)), 2)
+        assert stack_gc(stack_factors(ch, weights, (1,)), 2)[0].shape == (2, 2)
 
     def test_blocked_links_zero_offset(self):
         rng = np.random.default_rng(4)
         ch = random_channels(rng, 3, 2, (2,))
-        _, h_hat = stack_fc(ch, uniform_weights((2,)))
+        _, h_hat = stack_fc(stack_factors(ch, uniform_weights((2,)), (0,)))
         assert np.all(h_hat == 0)
 
     def test_gc_objective_identity(self):
@@ -174,7 +174,7 @@ class TestStacking:
         topo = RisTopology(4, 2)
         ch = random_channels(rng, 4, 3, (2,), direct=True)
         weights = ObjectiveWeights(mu=(0.8,), nu=((0.5, 0.5),))
-        gram, h_s = stack_gc(ch, weights, topo, 0)
+        gram, h_s = stack_gc(stack_factors(ch, weights, (0,)), topo.g)
         c = crandn(rng, 6)
         theta = row_space_point(ch, weights, (0,), topo, c)
         assert np.all(theta[:2, 2:] == 0) and np.all(theta[2:, :2] == 0)
@@ -203,12 +203,11 @@ class TestClosedFormStack:
                    for b, n in enumerate(users))
         weights = ObjectiveWeights(mu=tuple(rng.uniform(0.1, 1.0, len(users))), nu=nu)
         if topo.g == 1:
-            bss, (gram, h) = range(len(users)), stack_fc(ch, weights)
-            r, r_h = reduced_stack(ch, weights)
+            factors = stack_factors(ch, weights, range(len(users)))
+            (gram, h), (r, r_h) = stack_fc(factors), reduced_stack(ch, weights)
         else:
-            bss, (gram, h) = (0,), stack_gc(ch, weights, topo, 0)
-            r, r_h = reduced_stack(ch, weights, topo, 0)
-        factors = stack_factors(ch, weights, bss)
+            factors = stack_factors(ch, weights, (0,))
+            (gram, h), (r, r_h) = stack_gc(factors, topo.g), reduced_stack(ch, weights, topo, 0)
         exact = r @ r.conj().T
         assert np.abs(gram - exact).max() <= 1e-12 * np.abs(exact).max()
         assert np.array_equal(h, r_h)
@@ -637,6 +636,19 @@ class TestRelaxedBlockBranches:
         blocks[k, 0, 0] = -1.0 + gap
         with pytest.raises(SingularNetworkError, match=f"^group {k}: "):
             relaxed_block_branches(blocks, PARAMS.z0)
+
+    def test_singular_solution_raises_through_the_solver(self):
+        # f = e1 and g = e2 leave R the one row [0, 1, 0]: the relaxed block
+        # is exactly [[0, 1], [1, 0]], so I + Theta is exactly singular and
+        # the guarded inverse falls back to one inverse per matrix
+        ch = ChannelSet(g=(np.array([[0], [1]], dtype=complex),),
+                        f=((np.array([1, 0], dtype=complex),),),
+                        h=((np.zeros(1, dtype=complex),),))
+        topo = RisTopology.fully_connected(2)
+        with pytest.raises(SingularNetworkError,
+                           match=r"^group 0: I \+ Theta .*\(rcond=0\.00e\+00\)$"):
+            solve_trials([ch], ObjectiveWeights(mu=(1.0,), nu=((1.0,),)), topo,
+                         GroupAssignment.single(0, topo), PARAMS.z0, fw=None)
 
 
 class TestProjection:
