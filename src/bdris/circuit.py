@@ -276,15 +276,15 @@ class CapacitancePlan:
 def _network_matrices(plan: CapacitancePlan, f: float, params: CircuitParams) -> np.ndarray:
     """(g, d_bar, d_bar) stack of every group's A = I + z0 Y at ``f``, from its branches."""
     g, n = plan.self_c.shape
-    ii, (iu, ju) = np.arange(n), strict_upper_indices(n)
     self_z = self_impedance(plan.self_c, f, params)
     inter_z = inter_impedance(plan.inter_c, f, params)
     zero = (self_z == 0).any(axis=1) | (inter_z == 0).any(axis=1)
     if zero.any():
         raise SingularNetworkError(f"group {zero.argmax()}: zero branch impedance")
     a = np.zeros((g, n, n), dtype=complex)
-    a[:, iu, ju] = a[:, ju, iu] = -params.z0 / inter_z
-    a[:, ii, ii] = 1.0 + params.z0 / self_z - a.sum(axis=2)
+    flat, (upper, lower) = a.reshape(g, n * n), strict_upper_indices(n)
+    flat[:, upper] = flat[:, lower] = -params.z0 / inter_z
+    flat[:, ::n + 1] = 1.0 + params.z0 / self_z - a.sum(axis=2)
     return a
 
 

@@ -54,9 +54,9 @@ MAX_DEGENERATE_FRACTION = 0.01
 # batches far beyond the per-core L2 cache (2 MiB) stream their Gram
 # matrices from memory on every iteration.  A batch's channel draws and row
 # factors, and the one further draw that closed it, are held with it, so
-# peak RSS grows with the budget (+1.7% at 800 KiB, +3.1% at 1 MiB on the
-# interference benchmark); 800 KiB still pairs the default fully-connected
-# sub-problem (160 rows, 400 KiB).  README has the timings.
+# peak RSS grows with the budget (direct-links, against one unit per batch:
+# +1.5-1.8% at 800 KiB, +2.6-2.9% at 1 MiB); 800 KiB still pairs the default
+# fully-connected sub-problem (160 rows, 400 KiB).  README has the timings.
 BATCH_BYTES = 800 << 10
 
 
@@ -132,10 +132,11 @@ def _subproblems(chans, weights: ObjectiveWeights, topo: RisTopology,
             for bs in assignment.bs}
 
 
-def _stack(factors, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and direct vector of the sub-problem ``factors`` over g groups
-    (two names for one computation: the traced benchmark wraps both)."""
-    return stack_fc(factors) if g == 1 else stack_gc(factors, g)
+def _stack(factors, g: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix, written into ``out`` if given, and direct vector of the
+    sub-problem ``factors`` over g groups (two names for one computation: the
+    traced benchmark wraps both)."""
+    return stack_fc(factors, out) if g == 1 else stack_gc(factors, g, out)
 
 
 def _relaxed_solutions(units) -> list[dict[int, np.ndarray]]:
@@ -175,15 +176,15 @@ def _relaxed_solutions(units) -> list[dict[int, np.ndarray]]:
 def _frank_wolfe_instances(instances, rows: int, iterations: int):
     """Row-space coefficients ``(acc, c)`` of one conditional-gradient call of
     at most ``iterations`` iterations over ``instances`` ((unit index, base
-    station, row factors, group count) of ``rows``-row sub-problems).  The
-    Gram matrices are written straight into the batch, which the solver
-    overwrites and which is freed on return."""
+    station, row factors, group count) of ``rows``-row sub-problems).  Each
+    Gram matrix is computed in its batch slot, with no copy; the solver
+    overwrites the batch, which is freed on return."""
     grams = np.empty((len(instances), rows, rows), dtype=complex)
     hs = np.empty((len(instances), rows), dtype=complex)
     e1 = np.empty((len(instances), rows), dtype=complex)
     radius = np.empty(len(instances))
     for j, (_, _, f, g) in enumerate(instances):
-        grams[j], hs[j] = _stack(f, g)
+        hs[j] = _stack(f, g, grams[j])[1]
         e1[j] = first_column(f)
         radius[j] = np.sqrt(g)
     return frank_wolfe_batch(grams, hs, radius, iterations, e1)

@@ -27,10 +27,13 @@ def vech_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def strict_upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, built once per order and read-only."""
+    """Flat positions i n + j of an n x n matrix's strict upper triangle, row
+    by row (the order of ``np.triu_indices(n, 1)``), and j n + i of their
+    mirror images; built once per order and read-only."""
     rows, cols = np.triu_indices(n, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+    upper, lower = rows * n + cols, cols * n + rows
+    upper.flags.writeable = lower.flags.writeable = False
+    return upper, lower
 
 
 # Inverse iteration's shift and stopping residual, in units of n eps ||k||,
@@ -67,7 +70,8 @@ def leading_right_singular_vector(k: np.ndarray) -> tuple[np.ndarray, float]:
     eigvals = np.linalg.eigvalsh(k)
     top = eigvals[-1]
     ulp = n * np.finfo(float).eps * max(-eigvals[0], top)
-    shifted = (top + SHIFT_ULPS * ulp) * np.eye(n) - k
+    shifted = -k
+    shifted.flat[::n + 1] += top + SHIFT_ULPS * ulp
     v = np.ones(n, dtype=shifted.dtype)
     for _ in range(MAX_SOLVES):
         v = np.linalg.solve(shifted, v)

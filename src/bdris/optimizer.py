@@ -96,33 +96,39 @@ def stack_factors(channels: ChannelSet, weights: ObjectiveWeights,
     return out
 
 
-def _group_sums(x: np.ndarray, y: np.ndarray, g: int) -> np.ndarray:
-    """(len(x) len(y), g): per group, the sum over its elements of x_i conj(y_i)."""
-    return (x[:, None] * y.conj()[None]).reshape(len(x) * len(y), g, -1).sum(axis=2)
+def _group_products(x: np.ndarray, y: np.ndarray, g: int) -> np.ndarray:
+    """(g, len(x) len(y)): per group, x y^H over the group's elements, raveled."""
+    return (x.reshape(len(x), g, -1).transpose(1, 0, 2)
+            @ y.conj().reshape(len(y), g, -1).transpose(1, 2, 0)).reshape(g, -1)
 
 
-def _gram(factors, g: int) -> np.ndarray:
-    """K = R R^H of the rows ``factors`` describe over g groups, in O(rows^2 D).
+def _gram(factors, g: int, out: np.ndarray | None = None) -> np.ndarray:
+    """K = R R^H of the rows ``factors`` describe over g groups, in O(rows^2 D),
+    written into ``out`` if given.
 
     Per group, K_pq = (a.a')(b.b') + (a.b')(b.a') - sum_i a_i b_i a'_i b'_i
     (primed vectors conjugated, dot products over the group's elements).
-    Summed over groups, the terms are one product over the elements, one over
-    the groups, and C C^H with C the elementwise products a * b.  With one
-    element per group (single connected) the three terms are equal, so K is
-    C C^H alone.
+    With P_xy the per-group products x y^H, the block of two base stations is
+    the sum over groups of P_aa' kron P_bb', plus that of P_ab' and P_ba' with
+    the column's user and antenna swapped, less C C^H, with C the elementwise
+    products a * b.  With one element per group (single connected) the three
+    terms are equal, so K is C C^H alone.
     """
-    def block(a, b, a2, b2):
-        u, m, u2, m2 = len(a), len(b), len(a2), len(b2)
-        aa = np.repeat(_group_sums(a, a2, g), b.shape[1] // g, axis=1)
-        t1 = (aa.reshape(u, u2, 1, -1) * b).reshape(-1, b.shape[1]) @ b2.conj().T
-        t2 = _group_sums(a, b2, g) @ _group_sums(b, a2, g).T
-        return (t1.reshape(u, u2, m, m2).transpose(0, 2, 1, 3)
-                + t2.reshape(u, m2, m, u2).transpose(0, 2, 3, 1)).reshape(u * m, u2 * m2)
-
     c = np.concatenate([(a[:, None] * b[None]).reshape(-1, b.shape[1]) for a, b, _ in factors])
+    k = np.matmul(c, c.conj().T, out=out)
     if c.shape[1] == g:
-        return c @ c.conj().T
-    return np.block([[block(*x[:2], *y[:2]) for y in factors] for x in factors]) - c @ c.conj().T
+        return k
+    np.negative(k, out=k)
+    cuts = np.cumsum([len(a) * len(b) for a, b, _ in factors])[:-1]
+    for (a, b, _), row in zip(factors, np.split(k, cuts)):
+        for (a2, b2, _), block in zip(factors, np.split(row, cuts, axis=1)):
+            u, m, u2, m2 = len(a), len(b), len(a2), len(b2)
+            block = block.reshape(u, m, u2, m2)    # a view of K: (user, antenna) pairs
+            block += (_group_products(a, a2, g).T @ _group_products(b, b2, g)).reshape(
+                u, u2, m, m2).transpose(0, 2, 1, 3)
+            block += (_group_products(a, b2, g).T @ _group_products(b, a2, g)).reshape(
+                u, m2, m, u2).transpose(0, 2, 3, 1)
+    return k
 
 
 def reduced_adjoint(factors, c: np.ndarray, g: int) -> np.ndarray:
@@ -147,21 +153,22 @@ def first_column(factors) -> np.ndarray:
     return np.concatenate([np.outer(a[:, 0], b[:, 0]).ravel() for a, b, _ in factors])
 
 
-def stack_fc(factors) -> tuple[np.ndarray, np.ndarray]:
+def stack_fc(factors, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix K = R R^H and direct vector h of the fully-connected
     problem with row factors ``factors`` (see :func:`stack_factors`).
 
     For symmetric Theta with coefficients theta in vech order, ||R theta + h||^2
     is the weighted sum over users of ||f^H Theta G + h^H||^2.  The solvers
     need R only through K, :func:`reduced_adjoint` and :func:`first_column`,
-    so R is never formed."""
-    return stack_gc(factors, 1)
+    so R is never formed.  K is written into ``out`` if given (and is then
+    ``out`` itself)."""
+    return stack_gc(factors, 1, out)
 
 
-def stack_gc(factors, g: int) -> tuple[np.ndarray, np.ndarray]:
+def stack_gc(factors, g: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Gram matrix and direct vector of one priority base station's sub-problem
     over a surface of g groups (see :func:`stack_fc`)."""
-    return _gram(factors, g), np.concatenate([d.ravel() for _, _, d in factors])
+    return _gram(factors, g, out), np.concatenate([d.ravel() for _, _, d in factors])
 
 
 # Every FREEZE_EVERY iterations, an instance whose last step moved its
@@ -283,8 +290,7 @@ def relaxed_block_branches(theta_blocks: np.ndarray, z0: float
     eye = np.eye(n)
     y = (2.0 * _inverse_guarded(eye + theta_blocks, "I + Theta") - eye) / z0
     y = 0.5 * (y + y.transpose(0, 2, 1))
-    iu, ju = strict_upper_indices(n)
-    return y.sum(axis=2), -y[:, iu, ju]
+    return y.sum(axis=2), -y.reshape(len(y), n * n)[:, strict_upper_indices(n)[0]]
 
 
 def snap_to_codebook(self_y: np.ndarray, inter_y: np.ndarray,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -211,6 +213,10 @@ class TestClosedFormStack:
         exact = r @ r.conj().T
         assert np.abs(gram - exact).max() <= 1e-12 * np.abs(exact).max()
         assert np.array_equal(h, r_h)
+        # a solver batch slot is np.empty: nothing may accumulate into it
+        out = np.full_like(gram, np.nan)
+        rebuilt = stack_fc(factors, out) if topo.g == 1 else stack_gc(factors, topo.g, out)
+        assert rebuilt[0] is out and np.array_equal(out, gram)
         c = crandn(rng, len(h))
         adjoint = r.conj().T @ c
         scale = np.linalg.norm(r) * np.linalg.norm(c)
@@ -222,6 +228,22 @@ class TestClosedFormStack:
         expected = np.sqrt(topo.g) * _canonical_phase(
             np.linalg.svd(r, full_matrices=False)[2][0].conj())
         assert np.abs(theta - expected).max() <= 1e-10
+
+
+def test_stack_writes_gram_in_place_and_allocates_little():
+    # two base stations x 2 users x 40 antennas: the default 160-row FC sub-problem
+    rng = np.random.default_rng(11)
+    factors = stack_factors(random_channels(rng, 100, 40, (2, 2), direct=True),
+                            uniform_weights((2, 2)), (0, 1))
+    expected, out = stack_fc(factors)[0], np.empty((160, 160), dtype=complex)
+    tracemalloc.start()
+    try:
+        gram = stack_fc(factors, out)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gram is out and np.array_equal(out, expected)
+    assert peak < 1.0e6  # C and its conjugate take 0.51 MB of it
 
 
 class TestSolveFcBlocked:

@@ -41,5 +41,10 @@ def test_stack_results_unpack_as_the_tracer_counts_them():
     draw = ChannelSet(g=(rng.standard_normal((4, 2)) + 0j,),
                       f=((rng.standard_normal(4) + 0j,),), h=((rng.standard_normal(2) + 0j,),))
     factors = experiments.stack_factors(draw, ObjectiveWeights(mu=(1.0,), nu=((1.0,),)), (0,))
-    for result in (experiments.stack_fc(factors), experiments.stack_gc(factors, 2)):
-        assert trace_child._stack_bytes((factors,), {}, result)["bytes_computed"] > 0
+    out = np.empty((2, 2), dtype=complex)  # a preallocated batch slot counts the same bytes
+    for result, in_place in ((experiments.stack_fc(factors), experiments.stack_fc(factors, out)),
+                             (experiments.stack_gc(factors, 2),
+                              experiments.stack_gc(factors, 2, out))):
+        counted = trace_child._stack_bytes((factors,), {}, result)
+        assert counted["bytes_computed"] > 0
+        assert trace_child._stack_bytes((factors, out), {}, in_place) == counted
