@@ -58,12 +58,13 @@ def main():
            configure(RisTopology.single_connected(D))[1])
 
     # uniform capacitances: every self branch, then the strict upper triangle
-    # of a D x D draw for the inter-element branches
+    # of a D x D draw for the inter-element branches; each branch indexes its
+    # own entry of the plan's tables
     rng = np.random.default_rng(0)
-    self_c = rng.uniform(*SELF_RANGE, size=(1, D))
+    self_c = rng.uniform(*SELF_RANGE, size=D)
     inter_c = rng.uniform(*INTER_RANGE, size=(D, D))[np.triu_indices(D, 1)]
-    report("random capacitances (baseline)", scattering_from_capacitances(
-        CapacitancePlan(self_c, inter_c[None]), F_STAR, params))
+    plan = CapacitancePlan(self_c, np.arange(D)[None], inter_c, np.arange(inter_c.size)[None])
+    report("random capacitances (baseline)", scattering_from_capacitances(plan, F_STAR, params))
 
 
 if __name__ == "__main__":

@@ -170,8 +170,9 @@ class CodewordArc(NamedTuple):
         if targets.size == 0:  # e.g. a single-connected surface's inter branches
             return np.zeros(0, dtype=np.intp)
         pos = np.searchsorted(self.keys, _arc_key(targets, self.centre, self.axis))
-        _, lo, hi, _ = self.ring.take(pos, axis=0).T
-        d_out1, d_lo, d_hi, d_out2 = np.abs(targets[:, None] - self.ring_y.take(pos, axis=0)).T
+        lo, hi = self.ring[:, 1].take(pos), self.ring[:, 2].take(pos)
+        d_out1, d_lo, d_hi, d_out2 = (np.abs(targets - self.ring_y[:, j].take(pos))
+                                      for j in range(4))
         pick = np.where((d_hi < d_lo) | ((d_hi == d_lo) & (hi < lo)), hi, lo)
         unsure = ~(np.minimum(d_out1, d_out2) > np.minimum(d_lo, d_hi) * (1 + 1e-12))
         pick[unsure] = np.abs(targets[unsure, None] - self.y).argmin(axis=1)
@@ -252,39 +253,44 @@ def build_codebook(f: float, bits: int, self_range: tuple[float, float],
 
 @dataclass(frozen=True)
 class CapacitancePlan:
-    """Tunable branch capacitances of one surface, group by group.
-
-    ``self_c`` (g, d_bar) drives each group's self branches and ``inter_c``
-    (g, d_bar (d_bar - 1) / 2) its inter-element branches, on the strict
-    upper triangle row by row: the layout
-    :func:`~bdris.optimizer.relaxed_block_branches` returns.
+    """Tunable branch capacitances of one surface, group by group: integer
+    ``self_index`` (g, d_bar) into the table ``self_caps`` and ``inter_index``
+    (g, d_bar (d_bar - 1) / 2) into ``inter_caps``, on the strict upper triangle
+    row by row (the layout :func:`~bdris.optimizer.relaxed_block_branches`
+    returns).  A snapped plan's tables are its codebooks' capacitances.
     """
 
-    self_c: np.ndarray
-    inter_c: np.ndarray
+    self_caps: np.ndarray
+    self_index: np.ndarray
+    inter_caps: np.ndarray
+    inter_index: np.ndarray
 
     def __post_init__(self):
-        self_c, inter_c = np.asarray(self.self_c, float), np.asarray(self.inter_c, float)
-        g, n = self_c.shape if self_c.ndim == 2 else (0, 0)
-        if not g * n or inter_c.shape != (g, n * (n - 1) // 2):
-            raise ValueError(f"capacitance shapes {self_c.shape} and {inter_c.shape} are not "
+        self_i, inter_i = np.asarray(self.self_index), np.asarray(self.inter_index)
+        g, n = self_i.shape if self_i.ndim == 2 else (0, 0)
+        if not g * n or inter_i.shape != (g, n * (n - 1) // 2):
+            raise ValueError(f"capacitance shapes {self_i.shape} and {inter_i.shape} are not "
                              "(g, d_bar) and (g, d_bar (d_bar - 1) / 2)")
-        object.__setattr__(self, "self_c", self_c)
-        object.__setattr__(self, "inter_c", inter_c)
+        object.__setattr__(self, "self_caps", np.asarray(self.self_caps, float))
+        object.__setattr__(self, "self_index", self_i)
+        object.__setattr__(self, "inter_caps", np.asarray(self.inter_caps, float))
+        object.__setattr__(self, "inter_index", inter_i)
 
 
 def _network_matrices(plan: CapacitancePlan, f: float, params: CircuitParams) -> np.ndarray:
-    """(g, d_bar, d_bar) stack of every group's A = I + z0 Y at ``f``, from its branches."""
-    g, n = plan.self_c.shape
-    self_z = self_impedance(plan.self_c, f, params)
-    inter_z = inter_impedance(plan.inter_c, f, params)
-    zero = (self_z == 0).any(axis=1) | (inter_z == 0).any(axis=1)
+    """(g, d_bar, d_bar) stack of every group's A = I + z0 Y at ``f``: each
+    table entry's z0 / z, gathered by the plan's indices."""
+    g, n = plan.self_index.shape
+    self_z = self_impedance(plan.self_caps, f, params)
+    inter_z = inter_impedance(plan.inter_caps, f, params)
+    zero = (self_z == 0)[plan.self_index].any(axis=1) | (inter_z == 0)[plan.inter_index].any(axis=1)
     if zero.any():
         raise SingularNetworkError(f"group {zero.argmax()}: zero branch impedance")
     a = np.zeros((g, n, n), dtype=complex)
     flat, (upper, lower) = a.reshape(g, n * n), strict_upper_indices(n)
-    flat[:, upper] = flat[:, lower] = -params.z0 / inter_z
-    flat[:, ::n + 1] = 1.0 + params.z0 / self_z - a.sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zeros no group gathers
+        flat[:, upper] = flat[:, lower] = (-params.z0 / inter_z)[plan.inter_index]
+        flat[:, ::n + 1] = 1.0 + (params.z0 / self_z)[plan.self_index] - a.sum(axis=2)
     return a
 
 
@@ -303,12 +309,12 @@ def scattering_from_capacitances(plan: CapacitancePlan, f: float, params: Circui
     refusing below 1 / CONDITION_LIMIT (or a non-finite solve) is never looser
     than :func:`_inverse_guarded`.  The error names the first failing group.
     """
-    (g, n), d = plan.self_c.shape, plan.self_c.size
+    (g, n), d = plan.self_index.shape, plan.self_index.size
     left = np.eye(d) if left is None else left
     if n == 1:
         # Every port only has its self branch: the network is a stack of
         # decoupled one-ports with reflection (z - z0) / (z + z0).
-        z = self_impedance(plan.self_c.ravel(), f, params)
+        z = self_impedance(plan.self_caps, f, params)[plan.self_index.ravel()]
         return left.T * ((z - params.z0) / (z + params.z0))
     a, rhs = _network_matrices(plan, f, params), left.reshape(g, n, -1)
     rcond = 1.0 / (np.sqrt(n) * np.linalg.norm(a, 1, axis=(-2, -1)))

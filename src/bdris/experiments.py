@@ -113,14 +113,18 @@ class TrialState:
     inter_y: np.ndarray
 
     def plan(self, codebooks: dict[int, Codebook]) -> CapacitancePlan:
-        """Capacitance plan snapping each group onto its priority base
-        station's codebook in ``codebooks``."""
-        self_c, inter_c = np.empty(self.self_y.shape), np.empty(self.inter_y.shape)
+        """Plan snapping each group onto its priority base station's codebook in
+        ``codebooks``: codeword indices into the codebooks' concatenated tables."""
+        self_i, inter_i = np.empty(self.self_y.shape, int), np.empty(self.inter_y.shape, int)
+        self_caps, inter_caps = [], []
         for bs in set(self.owner.tolist()):  # np.unique imports numpy.ma: 1 MiB of RSS
-            k = np.flatnonzero(self.owner == bs)
-            self_c[k], inter_c[k] = snap_to_codebook(self.self_y[k], self.inter_y[k],
-                                                     codebooks[bs])
-        return CapacitancePlan(self_c, inter_c)
+            k, cb = np.flatnonzero(self.owner == bs), codebooks[bs]
+            s, i = snap_to_codebook(self.self_y[k], self.inter_y[k], cb)
+            self_i[k], inter_i[k] = s + sum(map(len, self_caps)), i + sum(map(len, inter_caps))
+            self_caps.append(cb.self_caps)
+            inter_caps.append(cb.inter_caps)
+        return CapacitancePlan(np.concatenate(self_caps), self_i,
+                               np.concatenate(inter_caps), inter_i)
 
 
 def _subproblems(chans, weights: ObjectiveWeights, topo: RisTopology,
@@ -194,9 +198,9 @@ def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
                        assignment: GroupAssignment, z0: float) -> TrialState:
     """Trial state of the relaxed stacked solutions ``thetas`` (kept, not copied).
 
-    Each group's block is taken from its priority base station's solution;
-    all blocks then retrieve their branches in one
-    :func:`relaxed_block_branches` call.
+    Each group's block is taken from its priority base station's solution
+    into a fresh stack; all blocks then retrieve their branches in one
+    :func:`relaxed_block_branches` call, which overwrites that stack.
     """
     g, n = topo.g, topo.d_bar
     owner = np.array(assignment.owner)

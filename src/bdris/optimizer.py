@@ -257,9 +257,9 @@ def frank_wolfe_batch(gram: np.ndarray, h: np.ndarray, radius: float | np.ndarra
     return out_acc, out_c
 
 
-def _snap(targets: np.ndarray, arc: CodewordArc, caps: np.ndarray) -> np.ndarray:
-    """Nearest-codeword capacitances for an array of branch admittance
-    targets; ties resolve to the smallest capacitance.
+def _snap(targets: np.ndarray, arc: CodewordArc) -> np.ndarray:
+    """Nearest-codeword indices, in codebook order, for an array of branch
+    admittance targets; ties resolve to the smallest capacitance.
 
     Distance is measured between branch ADMITTANCES, not impedances: the
     network matrix is assembled from branch admittances, so quantization
@@ -270,33 +270,38 @@ def _snap(targets: np.ndarray, arc: CodewordArc, caps: np.ndarray) -> np.ndarray
     runs along the codewords' ``arc`` and picks what an exhaustive search
     over all codewords would.
     """
-    return caps[arc.nearest(targets.ravel())].reshape(targets.shape)
+    return arc.nearest(targets.ravel()).reshape(targets.shape)
 
 
 def relaxed_block_branches(theta_blocks: np.ndarray, z0: float
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Branch admittances realizing a (g, d_bar, d_bar) stack of relaxed
-    reflection blocks.
+    """Branch admittances realizing a (g, d_bar, d_bar) complex stack of
+    relaxed reflection blocks, which is workspace: Y is written into it.
 
     Frequency independent: each block's admittance matrix is
     Y = (2 (I + Theta)^-1 - I) / z0, from one guarded inverse of the whole
-    stack, symmetrized.  Returns the (g, d_bar) self admittances (row sums of
-    Y) and the (g, d_bar (d_bar - 1) / 2) inter-element admittances (-Y on
-    the upper triangle, row by row).  An open port (Theta eigenvalue +1) is
-    a zero admittance, not an error; a short circuit (eigenvalue -1) raises
+    stack (the one full-size temporary), symmetrized.  Returns the (g, d_bar)
+    self admittances (row sums of Y) and the (g, d_bar (d_bar - 1) / 2)
+    inter-element admittances (-Y on the upper triangle, row by row).  An
+    open port (Theta eigenvalue +1) is a zero admittance, not an error; a
+    short circuit (eigenvalue -1) raises
     :class:`~bdris.errors.SingularNetworkError` naming its group.
     """
-    n = theta_blocks.shape[-1]
-    eye = np.eye(n)
-    y = (2.0 * _inverse_guarded(eye + theta_blocks, "I + Theta") - eye) / z0
-    y = 0.5 * (y + y.transpose(0, 2, 1))
-    return y.sum(axis=2), -y.reshape(len(y), n * n)[:, strict_upper_indices(n)[0]]
+    g, n, _ = theta_blocks.shape
+    diag = np.arange(n)
+    theta_blocks[:, diag, diag] += 1.0
+    y = _inverse_guarded(theta_blocks, "I + Theta")
+    y *= 2.0
+    y[:, diag, diag] -= 1.0
+    y /= z0
+    y = np.add(y, y.transpose(0, 2, 1), out=theta_blocks)
+    y *= 0.5
+    return y.sum(axis=2), -y.reshape(g, n * n)[:, strict_upper_indices(n)[0]]
 
 
 def snap_to_codebook(self_y: np.ndarray, inter_y: np.ndarray,
                      codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
-    """Self and inter-element capacitances (the layout of :func:`relaxed_block_branches`)
-    whose branches best match those admittances at the codebook frequency
-    (nearest codeword per branch, admittance distance)."""
-    return (_snap(self_y, codebook.self_arc, codebook.self_caps),
-            _snap(inter_y, codebook.inter_arc, codebook.inter_caps))
+    """Self and inter-element codeword indices (the layout of
+    :func:`relaxed_block_branches`) whose branches best match those admittances
+    at the codebook frequency (nearest codeword per branch, admittance distance)."""
+    return _snap(self_y, codebook.self_arc), _snap(inter_y, codebook.inter_arc)

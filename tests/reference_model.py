@@ -127,14 +127,29 @@ def curve(rows, architecture, metric):
             np.array([r.stderr for r in hits]))
 
 
+def capacitance_plan(self_c, inter_c):
+    """Plan of arbitrary branch capacitances, the (g, d_bar) self values and the
+    (g, d_bar (d_bar - 1) / 2) inter-element ones: each branch type's values
+    are its table, and each branch indexes its own entry."""
+    self_c, inter_c = np.asarray(self_c, dtype=float), np.asarray(inter_c, dtype=float)
+    return CapacitancePlan(self_c.ravel(), np.arange(self_c.size).reshape(self_c.shape),
+                           inter_c.ravel(), np.arange(inter_c.size).reshape(inter_c.shape))
+
+
+def plan_capacitances(plan):
+    """(self_c, inter_c): the capacitance of every branch of ``plan``, in
+    the layout of :func:`capacitance_plan`."""
+    return plan.self_caps[plan.self_index], plan.inter_caps[plan.inter_index]
+
+
 def random_plan(topology, self_range, inter_range, rng):
     """Capacitances uniform within the tunable ranges: every self value first,
     then per group the strict upper triangle of a (d_bar, d_bar) draw."""
     g, n = topology.g, topology.d_bar
     self_c = rng.uniform(*self_range, size=(g, n))
     iu, ju = np.triu_indices(n, 1)
-    return CapacitancePlan(self_c, [rng.uniform(*inter_range, size=(n, n))[iu, ju]
-                                    for _ in range(g)])
+    return capacitance_plan(self_c, [rng.uniform(*inter_range, size=(n, n))[iu, ju]
+                                     for _ in range(g)])
 
 
 def plan_from_matrix(c, topology):
@@ -146,19 +161,20 @@ def plan_from_matrix(c, topology):
     blocks = np.stack([c[group_slice(topology, k), group_slice(topology, k)]
                        for k in range(topology.g)])
     iu, ju = np.triu_indices(n, 1)
-    return CapacitancePlan(blocks[:, np.arange(n), np.arange(n)], blocks[:, iu, ju])
+    return capacitance_plan(blocks[:, np.arange(n), np.arange(n)], blocks[:, iu, ju])
 
 
 def plan_matrix(plan):
     """The symmetric D x D matrix of ``plan``, zero outside its groups' blocks."""
-    g, n = plan.self_c.shape
+    self_c, inter_c = plan_capacitances(plan)
+    g, n = self_c.shape
     topo = RisTopology(g * n, g)
     c = np.zeros((topo.d, topo.d))
     iu, ju = np.triu_indices(n, 1)
     for k in range(g):
         block = c[group_slice(topo, k), group_slice(topo, k)]  # a view into c
-        block[np.arange(n), np.arange(n)] = plan.self_c[k]
-        block[iu, ju] = block[ju, iu] = plan.inter_c[k]
+        block[np.arange(n), np.arange(n)] = self_c[k]
+        block[iu, ju] = block[ju, iu] = inter_c[k]
     return c
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +9,16 @@ from hypothesis import strategies as st
 from bdris.circuit import (CONDITION_LIMIT, CapacitancePlan, CircuitParams, Codebook,
                            RisTopology, build_codebook, inter_impedance,
                            scattering_from_capacitances, self_impedance)
+from bdris import circuit
 from bdris.circuit import _network_matrices
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import SingularNetworkError
-from bdris.optimizer import relaxed_block_branches
-from reference_model import (LOSSLESS, admittance_matrix, crandn, group_slice,
-                             impedance_from_scattering, plan_from_matrix, plan_matrix,
-                             random_plan, scattering_from_impedance)
+from bdris.experiments import solve_trials
+from bdris.optimizer import GroupAssignment, ObjectiveWeights, relaxed_block_branches
+from reference_model import (LOSSLESS, admittance_matrix, capacitance_plan, crandn,
+                             group_slice, impedance_from_scattering, plan_capacitances,
+                             plan_from_matrix, plan_matrix, random_channels, random_plan,
+                             scattering_from_impedance)
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 
@@ -60,8 +64,9 @@ class TestRisTopology:
         plan = random_plan(topo, (0.1e-12, 2e-12), (0.001e-12, 0.6e-12),
                            np.random.default_rng(8))
         theta = scattering_from_capacitances(plan, 7e9, PARAMS)
+        self_c, inter_c = plan_capacitances(plan)
         for k in range(topo.g):
-            alone = CapacitancePlan(plan.self_c[k:k + 1], plan.inter_c[k:k + 1])
+            alone = capacitance_plan(self_c[k:k + 1], inter_c[k:k + 1])
             block = theta[group_slice(topo, k), group_slice(topo, k)]
             assert np.abs(block - scattering_from_capacitances(alone, 7e9, PARAMS)).max() < 1e-14
 
@@ -139,8 +144,8 @@ class TestAdmittanceMatrix:
         resonant = TestScatteringFromCapacitances.RESONANT
         inter = dataclasses.replace(resonant, r_tilde=0.0, l_tilde=resonant.l)
         assert inter_impedance(1e-12, 4e9, inter) == 0
-        for params, plan in ((resonant, CapacitancePlan([[1e-12, 0.5e-12]], [[0.2e-12]])),
-                             (inter, CapacitancePlan([[0.5e-12, 0.5e-12]], [[1e-12]]))):
+        for params, plan in ((resonant, capacitance_plan([[1e-12, 0.5e-12]], [[0.2e-12]])),
+                             (inter, capacitance_plan([[0.5e-12, 0.5e-12]], [[1e-12]]))):
             with pytest.raises(SingularNetworkError, match="zero branch impedance"):
                 _network_matrices(plan, 4e9, params)
 
@@ -234,7 +239,7 @@ class TestRetrieveBranchImpedances:
         a = crandn(rng, 4, 4)
         s = a + a.T
         theta = 0.8 * s / np.linalg.norm(s, 2)
-        self_y, inter_y = relaxed_block_branches(theta[None], 50.0)
+        self_y, inter_y = relaxed_block_branches(theta[None].copy(), 50.0)  # overwritten
         iu, ju = np.triu_indices(4, 1)
         inter_z = np.zeros((4, 4), dtype=complex)
         inter_z[iu, ju] = inter_z[ju, iu] = 1 / inter_y[0]
@@ -265,7 +270,7 @@ class TestRetrieveBranchImpedances:
             with pytest.raises(SingularNetworkError, match="rcond="):
                 relaxed_block_branches(theta, 50.0)
         else:
-            self_y, _ = relaxed_block_branches(theta, 50.0)
+            self_y, _ = relaxed_block_branches(theta.copy(), 50.0)  # overwritten
             expected = (2.0 / (1.0 + np.diag(theta[0])) - 1.0) / 50.0
             assert np.allclose(self_y[0], expected, rtol=1e-12, atol=0)
 
@@ -354,7 +359,7 @@ class TestScatteringFromCapacitances:
         for c1 in c_self:
             for c2 in c_self:
                 for ci in c_int:
-                    plan = CapacitancePlan([[c1, c2]], [[ci]])
+                    plan = capacitance_plan([[c1, c2]], [[ci]])
                     theta = scattering_from_capacitances(plan, 7e9, PARAMS)
                     for key in angles:
                         angles[key].append(np.angle(theta[key]))
@@ -399,7 +404,7 @@ class TestScatteringFromCapacitances:
         best = 0.0
         for c1 in np.linspace(0.1e-12, 2e-12, 12):
             for c2 in np.linspace(0.1e-12, 2e-12, 12):
-                plan = CapacitancePlan([[c1, c2]], [[0.2e-12]])
+                plan = capacitance_plan([[c1, c2]], [[0.2e-12]])
                 t4 = scattering_from_capacitances(plan, 4e9, PARAMS)[0, 0]
                 t6 = scattering_from_capacitances(plan, 6e9, PARAMS)[0, 0]
                 best = max(best, abs(np.angle(t6 / t4)))
@@ -408,13 +413,16 @@ class TestScatteringFromCapacitances:
     def test_plan_validation(self):
         # the layout holds one triangle per group, so a plan cannot be
         # asymmetric
-        plan = CapacitancePlan([[1e-12, 1e-12]], [[2e-12]])
-        assert plan.self_c.shape == (1, 2) and plan.inter_c.shape == (1, 1)
+        plan = capacitance_plan([[1e-12, 1e-12]], [[2e-12]])
+        assert plan.self_index.shape == (1, 2) and plan.inter_index.shape == (1, 1)
+        listed = CapacitancePlan([1e-12], [[0, 0]], [2e-12], [[0]])  # one shared codeword
+        assert np.array_equal(scattering_from_capacitances(listed, 7e9, PARAMS),
+                              scattering_from_capacitances(plan, 7e9, PARAMS))
         for self_c, inter_c in (([[1e-12, 1e-12]], [[2e-12, 3e-12]]),
                                 ([[1e-12, 1e-12]], [[2e-12], [3e-12]]),
                                 ([1e-12, 1e-12], [2e-12]), (np.zeros((0, 3)), np.zeros((0, 3)))):
             with pytest.raises(ValueError, match="capacitance shapes"):
-                CapacitancePlan(self_c, inter_c)
+                capacitance_plan(self_c, inter_c)
 
     def test_open_self_branches_give_unitary_scattering(self):
         # every self branch sits at its lossless parallel resonance (open),
@@ -499,9 +507,91 @@ class TestScatteringFromCapacitances:
             c[group_slice(topo, k), group_slice(topo, k)] += block + block.T
         drawn = np.random.default_rng(41)
         plan = random_plan(topo, *ranges, drawn)
-        assert plan.self_c.shape == (g, topo.d_bar)
+        assert plan.self_index.shape == (g, topo.d_bar)
         assert np.array_equal(plan_matrix(plan), c)
         assert drawn.random() == rng.random()  # no draw more or fewer
+
+
+class TestIndexPlans:
+    """A snapped plan holds codeword indices into its codebooks' capacitance
+    tables, and scattering evaluates each branch circuit once per table entry."""
+
+    BITS = 6
+    SELF_RANGE, INTER_RANGE = (0.1e-12, 2e-12), (0.001e-12, 0.6e-12)
+
+    def codebook(self, f):
+        return build_codebook(f, self.BITS, self.SELF_RANGE, self.INTER_RANGE, PARAMS)
+
+    def snapped_plan(self, arch, seed=0):
+        """A solved and snapped plan of 8 elements against a 7.4 GHz codebook; the
+        group-connected one splits its groups over two base stations, the
+        second snapped onto an 8 GHz codebook."""
+        topo = {"fc": RisTopology.fully_connected(8), "gc": RisTopology.group_connected(8, 2),
+                "sc": RisTopology.single_connected(8)}[arch]
+        bss = (0, 1) if arch == "gc" else (0,)
+        channels = random_channels(np.random.default_rng(seed), 8, 3, (1, 1))
+        weights = ObjectiveWeights(mu=(1.0, 1.0), nu=((1.0,), (1.0,)))
+        state = solve_trials([channels], weights, topo, GroupAssignment.even_split(bss, topo),
+                             PARAMS.z0)[0]
+        return state.plan({0: self.codebook(7.4e9), 1: self.codebook(8e9)}), len(bss)
+
+    @pytest.mark.parametrize("f", [7.4e9, 6.9e9, 12e9], ids=["7.4GHz", "6.9GHz", "12GHz"])
+    @pytest.mark.parametrize("arch", ["fc", "gc", "sc"])
+    def test_scatters_bitwise_like_its_capacitances(self, arch, f):
+        # the same plan with every branch capacitance its own table entry
+        plan, books = self.snapped_plan(arch)
+        assert plan.self_caps.size == plan.inter_caps.size == books * 2 ** self.BITS
+        alike = capacitance_plan(*plan_capacitances(plan))
+        left = crandn(np.random.default_rng(1), 8, 2)
+        for rows in (None, left):
+            assert np.array_equal(scattering_from_capacitances(plan, f, PARAMS, rows),
+                                  scattering_from_capacitances(alike, f, PARAMS, rows))
+
+    @pytest.mark.parametrize("arch", ["fc", "gc", "sc"])
+    def test_branch_circuit_evaluated_once_per_codeword(self, monkeypatch, arch):
+        plan, books = self.snapped_plan(arch)
+        branch, sizes = circuit._resonant_branch, []
+
+        def spy(c, *args):
+            sizes.append(np.size(c))
+            return branch(c, *args)
+
+        monkeypatch.setattr(circuit, "_resonant_branch", spy)
+        for f in (6.9e9, 7.4e9, 12e9):
+            sizes.clear()
+            scattering_from_capacitances(plan, f, PARAMS)
+            assert sizes and max(sizes) <= books * 2 ** self.BITS
+
+    def test_unused_zero_impedance_entry_is_no_error(self):
+        # a table entry at exact series resonance (zero impedance) that no
+        # branch indexes neither raises nor warns; one a branch indexes raises
+        resonant = TestScatteringFromCapacitances.RESONANT
+        table = np.array([1e-12, 0.5e-12])  # 1 pF resonates at 4 GHz
+        plan = CapacitancePlan(table, np.array([[1, 1]]), np.array([0.2e-12]), np.array([[0]]))
+        theta = scattering_from_capacitances(plan, 4e9, resonant)
+        assert np.array_equal(theta, scattering_from_capacitances(
+            capacitance_plan([[0.5e-12, 0.5e-12]], [[0.2e-12]]), 4e9, resonant))
+        with pytest.raises(SingularNetworkError, match="^group 0: zero branch impedance"):
+            scattering_from_capacitances(dataclasses.replace(plan, self_index=np.array([[0, 1]])),
+                                         4e9, resonant)
+
+    def test_arc_search_is_exhaustive_and_small(self):
+        # 4,950 inter-element targets, as many as a fully-connected D = 100
+        # surface has: the ring columns are gathered one at a time, so the
+        # search holds a few (N,) arrays at once, never (N, 4) blocks
+        arc = self.codebook(7.4e9).inter_arc
+        rng = np.random.default_rng(5)
+        targets = arc.y[rng.integers(0, arc.y.size, 4950)] + 0.05 * np.abs(arc.y).max() * (
+            rng.standard_normal(4950) + 1j * rng.standard_normal(4950))
+        expected = np.abs(targets[:, None] - arc.y).argmin(axis=1)
+        tracemalloc.start()
+        try:
+            picks = arc.nearest(targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(picks, expected)
+        assert peak < 600e3, f"arc search peak {peak / 1e3:.0f} kB"
 
 
 def passive_plan(arch, d_bar, seed):
@@ -542,7 +632,7 @@ class TestPassiveSolve:
     @settings(max_examples=150, deadline=None)
     def test_rows_match_full_product(self, arch, d_bar, lossy, f, seed, k):
         plan, params = passive_plan(arch, d_bar, seed), PARAMS if lossy else LOSSLESS
-        left = crandn(np.random.default_rng(seed + 1), plan.self_c.size, k)
+        left = crandn(np.random.default_rng(seed + 1), plan.self_index.size, k)
         expected = left.T @ scattering_from_capacitances(plan, f, params)
         rows = scattering_from_capacitances(plan, f, params, left)
         assert rows.shape == expected.shape

@@ -6,8 +6,7 @@ import pytest
 
 from bdris.channel import (NetworkScenario, PowerConfig,
                            sample_channels, stream_rng, zf_precoder)
-from bdris.circuit import (CapacitancePlan, CircuitParams, RisTopology,
-                           scattering_from_capacitances)
+from bdris.circuit import CircuitParams, RisTopology, scattering_from_capacitances
 from bdris import experiments
 from bdris.config import DEFAULT_CONFIG, circuit_params
 from bdris.errors import DegenerateChannelError, RedrawBudgetError, SingularNetworkError
@@ -15,7 +14,7 @@ from bdris.experiments import Point, _run_sweep, solve_trials
 from bdris.metrics import (aggregate, evaluate_received_powers,
                            sum_spectral_efficiency_outdated)
 from bdris.optimizer import GroupAssignment, ObjectiveWeights
-from reference_model import crandn, effective_channels, uniform_power
+from reference_model import capacitance_plan, crandn, effective_channels, uniform_power
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 
@@ -308,7 +307,7 @@ class TestRunMonteCarlo:
         # and that draw is redrawn like any other singular network
         resonant = CircuitParams(r=0.0, l0=1e-9, l=1.5831434944115275e-09, r_tilde=1.0,
                                  l0_tilde=12.5e-9, l_tilde=0.2e-9, z0=50.0)
-        plan = CapacitancePlan([[1e-12, 0.5e-12]], [[0.2e-12]])
+        plan = capacitance_plan([[1e-12, 0.5e-12]], [[0.2e-12]])
         seen = []
 
         def evaluate(chans, state):

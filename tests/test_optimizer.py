@@ -17,9 +17,9 @@ from bdris.optimizer import (GroupAssignment, ObjectiveWeights,
                              relaxed_block_branches, snap_to_codebook, stack_factors,
                              stack_fc, stack_gc)
 from reference_model import (LOSSLESS, crandn, duplication_matrix, frank_wolfe, group_slice,
-                             impedance_from_scattering, plan_from_matrix, plan_matrix,
-                             random_channels, random_plan, reduced_stack, relaxed_objective,
-                             uniform_weights, unvech, vech)
+                             impedance_from_scattering, plan_capacitances, plan_from_matrix,
+                             plan_matrix, random_channels, random_plan, reduced_stack,
+                             relaxed_objective, uniform_weights, unvech, vech)
 
 PARAMS = circuit_params(DEFAULT_CONFIG)
 SELF_RANGE = (0.1e-12, 2e-12)
@@ -634,6 +634,22 @@ class TestRelaxedBlockBranches:
             assert np.abs(state.self_y[k] - y.sum(axis=1)).max() <= 1e-10 * scale
             assert np.abs(state.inter_y[k] + y[iu, ju]).max(initial=0.0) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("g, n", [(1, 9), (3, 4), (6, 1)], ids=["fc", "gc", "sc"])
+    def test_in_place_retrieval_bitwise_equals_formula(self, g, n):
+        # Y = (2 (I + Theta)^-1 - I) / z0, symmetrized, evaluated on a copy of
+        # the blocks with full-size temporaries; retrieval overwrites its input
+        # with that Y
+        rng = np.random.default_rng(35)
+        blocks = np.stack([symmetric_block(rng, n, 0.7) for _ in range(g)])
+        eye = np.eye(n)
+        y = (2.0 * np.linalg.inv(eye + blocks) - eye) / PARAMS.z0
+        y = 0.5 * (y + y.transpose(0, 2, 1))
+        iu, ju = np.triu_indices(n, 1)
+        self_y, inter_y = relaxed_block_branches(blocks, PARAMS.z0)
+        assert np.array_equal(self_y, y.sum(axis=2))
+        assert np.array_equal(inter_y, -y[:, iu, ju])
+        assert np.array_equal(blocks, y)
+
     def test_open_port_gives_zero_admittance_row(self):
         # Theta eigenvalue +1 on element 0 of group 1: that port is open, so
         # its self and inter-element admittances are zero, and no error
@@ -646,8 +662,8 @@ class TestRelaxedBlockBranches:
         assert self_y[1, 0] == 0.0 and np.all(inter_y[1, iu == 0] == 0.0)
         assert np.all(self_y[1, 1:] != 0.0) and np.all(inter_y[1, iu > 0] != 0.0)
         cb = build_codebook(7.4e9, 4, SELF_RANGE, INTER_RANGE, PARAMS)
-        self_c, _ = snap_to_codebook(self_y, inter_y, cb)
-        assert self_c[1, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
+        self_i, _ = snap_to_codebook(self_y, inter_y, cb)
+        assert self_i[1, 0] == np.argmax(np.abs(cb.self_z))
 
     @pytest.mark.parametrize("k,gap", [(1, 0.0), (2, 1e-14)], ids=["exact", "near"])
     def test_short_circuit_names_its_group(self, k, gap):
@@ -718,7 +734,7 @@ class TestProjection:
             theta = state.thetas[0]
             y = (1.0 - theta) / (PARAMS.z0 * (1.0 + theta))
             expected = exhaustive_snap(y, cb.self_z, cb.self_caps)
-            assert np.array_equal(state.plan({0: cb}).self_c.ravel(), expected)
+            assert np.array_equal(plan_capacitances(state.plan({0: cb}))[0].ravel(), expected)
             if topo.d == 1:
                 # blocked links leave a unit coefficient: an open circuit
                 assert (theta[0] == 1.0) != direct
@@ -760,7 +776,7 @@ class TestProjection:
         rng = np.random.default_rng(seed)
         targets[rng.random(targets.size) <= 0.1] = 0.0
         with np.errstate(all="ignore"):
-            got = _snap(targets, getattr(cb, f"{kind}_arc"), caps)
+            got = caps[_snap(targets, getattr(cb, f"{kind}_arc"))]
             expected = exhaustive_snap(targets, codewords, caps)
         assert np.array_equal(got, expected)
 
@@ -771,15 +787,15 @@ class TestProjection:
                       inter_caps=np.array([1e-12, 2e-12]),
                       inter_z=np.array([2.0 + 0j, 4.0 + 0j]))
         target = np.array([[0.375 + 0j]])  # equidistant between the two admittances
-        self_c, _ = snap_to_codebook(target, np.zeros((1, 0), dtype=complex), cb)
-        assert self_c[0, 0] == 1e-12
+        self_i, _ = snap_to_codebook(target, np.zeros((1, 0), dtype=complex), cb)
+        assert self_i[0, 0] == 0  # the 1 pF codeword
 
     def test_infinite_branch_takes_largest_impedance_codeword(self):
         # an open branch has zero admittance
         cb = build_codebook(7.4e9, 4, SELF_RANGE, INTER_RANGE, PARAMS)
-        self_c, _ = snap_to_codebook(np.zeros((1, 1), dtype=complex),
+        self_i, _ = snap_to_codebook(np.zeros((1, 1), dtype=complex),
                                      np.zeros((1, 0), dtype=complex), cb)
-        assert self_c[0, 0] == cb.self_caps[np.argmax(np.abs(cb.self_z))]
+        assert self_i[0, 0] == np.argmax(np.abs(cb.self_z))
 
     def test_empty_targets_skip_the_search(self, monkeypatch):
         # a single-connected surface has no inter-element branches: its
@@ -795,9 +811,10 @@ class TestProjection:
         assert cb.inter_caps[picks].shape == (0,)
         monkeypatch.undo()
         self_y = np.full((3, 1), 1e-3 + 2e-3j)
-        self_c, inter_c = snap_to_codebook(self_y, np.zeros((3, 0), dtype=complex), cb)
+        self_i, inter_i = snap_to_codebook(self_y, np.zeros((3, 0), dtype=complex), cb)
         expected = exhaustive_snap(self_y[:, 0], cb.self_z, cb.self_caps)
-        assert np.array_equal(self_c, expected[:, None]) and inter_c.shape == (3, 0)
+        assert np.array_equal(cb.self_caps[self_i], expected[:, None])
+        assert inter_i.shape == (3, 0)
 
 
 class TestConfigure:
