@@ -2,8 +2,8 @@
 """Run every bundled experiment and split the results into plot-ready curves.
 
 On a 2-vCPU Intel Xeon host (Python 3.11, numpy 2.4, one BLAS thread) the
-full set, plot files included, took 172 s at the default 200 trials and
-17 s with --trials 20, a quick pass over everything.
+full set, plot files included, took 148 s at the default 200 trials (one
+run) and 15-18 s with --trials 20 (two runs), a quick pass over everything.
 """
 
 import argparse

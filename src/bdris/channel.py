@@ -108,6 +108,12 @@ class ChannelSet:
     f: tuple[tuple[np.ndarray, ...], ...]
     h: tuple[tuple[np.ndarray, ...], ...]
 
+    def blocked(self) -> "ChannelSet":
+        """This realization with every ``h[b][k]`` exactly zero: bitwise what
+        :func:`sample_channels` draws without direct links on the same stream."""
+        return ChannelSet(self.g, self.f,
+                          tuple(tuple(np.zeros_like(v) for v in h_b) for h_b in self.h))
+
 
 def stream_rng(master_seed: int, trial: int, attempt: int = 0) -> np.random.Generator:
     """Deterministic per-(trial, attempt) random stream, seeded with

@@ -4,21 +4,21 @@ This module holds the Monte Carlo engine.  :func:`solve_trials` is the one
 configuration pipeline, public as ``bdris.experiments.solve_trials``: relaxed solve,
 branch retrieval, and a :class:`TrialState` that snaps to any codebook set.
 Each experiment builds one list of grid points (:class:`Point`) and runs
-them all through :func:`_run_sweep`, the one trial loop.  It walks the
-(point, trial) units in point-major order, draws each trial's fading on its
-own deterministic substream, solves the relaxed problem once per trial
-(frequency blind, from each sub-problem's Gram matrix), hands the solution
-to the point's ``evaluate`` (codebook projection, scattering, metrics), and
-redraws failed draws against one budget per point.  ``evaluate`` keys each
-sample by the result row it feeds, and each key's samples aggregate into
-that row's mean and standard error.
+them all through :func:`_run_sweep`, the one trial loop.  It draws each
+trial's fading once, on its own deterministic substream, for every point
+that reads it (blocked points read it with their direct links zeroed),
+solves the relaxed problem of each (point, trial) unit (frequency blind,
+from each sub-problem's Gram matrix), hands the solution to the point's
+``evaluate`` (codebook projection, scattering, metrics), and redraws a
+failed draw for its point alone, against one budget per point.
+``evaluate`` keys each sample by the result row it feeds, and each key's
+samples aggregate into that row's mean and standard error.
 
 Conditional-gradient solves are pooled across trials, priority base stations
 and grid points: consecutive direct-link units form batches of at most
 ``BATCH_BYTES`` of Gram matrices, one solver call per Gram size in a batch.
-A unit's sub-problems are built once, when it is drawn, and its size is read
-from them; a batch's units and the unit that did not fit are held while the
-batch is solved and evaluated.  Blocked-link units are solved one at a time.
+A blocked unit whose row factors a batched unit shares reads that unit's
+Gram matrix from its batch slot; any other is solved when it is drawn.
 """
 
 from __future__ import annotations
@@ -52,9 +52,10 @@ MAX_DEGENERATE_FRACTION = 0.01
 # Gram-matrix bytes of one conditional-gradient batch, a measured choice:
 # every solver call pays about 24 us of numpy overhead per iteration, while
 # batches far beyond the per-core L2 cache (2 MiB) stream their Gram
-# matrices from memory on every iteration.  A batch's channel draws and row
-# factors, and the one further draw that closed it, are held with it, so
-# peak RSS grows with the budget (direct-links, against one unit per batch:
+# matrices from memory on every iteration.  A batch's channel draws (one per
+# group of points and trial) and row factors, and the one further draw that
+# closed it, are held with it, so peak RSS grows with the budget (direct-links,
+# against one unit per batch, measured with one draw per point and trial:
 # +1.5-1.8% at 800 KiB, +2.6-2.9% at 1 MiB); 800 KiB still pairs the default
 # fully-connected sub-problem (160 rows, 400 KiB).  README has the timings.
 BATCH_BYTES = 800 << 10
@@ -146,7 +147,7 @@ def _stack(factors, g: int, out: np.ndarray | None = None) -> tuple[np.ndarray, 
 def _relaxed_solutions(units) -> list[dict[int, np.ndarray]]:
     """Relaxed stacked solution of each priority base station, per unit.
 
-    ``units`` holds ``(subproblems, g, fw)`` tuples (:meth:`Point.problem`).
+    ``units`` holds ``(subproblems, g, fw)`` tuples (:func:`_subproblems`).
     Each sub-problem is solved over the whole surface of g groups (radius
     sqrt(g)).  With ``fw=None`` the direct links are taken as blocked and the
     solution is the scaled leading right singular vector of the reduced
@@ -154,44 +155,63 @@ def _relaxed_solutions(units) -> list[dict[int, np.ndarray]]:
     With an iteration cap ``fw`` the direct links count: the sub-problems of
     every unit that share a Gram size and iteration cap run as one
     conditional-gradient batch, their Gram matrices written straight into it.
-    An instance's result does not depend on the batch it runs in.
+    An instance's result does not depend on the batch it runs in.  A blocked
+    sub-problem on the row factors (the same list) of a batched instance
+    rides on it: the Gram matrix does not read the direct rows, so the
+    blocked solve reads the instance's from its batch slot.
     """
     thetas = [{} for _ in units]
     batches: dict[tuple[int, int], list] = {}
+    # (id of row factors, g) -> the riders of the first instance on them
+    riders: dict[tuple[int, int], list] = {}
     for i, (subproblems, g, fw) in enumerate(units):
-        for bs, f in subproblems.items():
-            if fw is not None:
-                rows = sum(d.size for *_, d in f)  # = len(h)
-                batches.setdefault((rows, fw), []).append((i, bs, f, g))
-                continue
-            v = _canonical_phase(reduced_adjoint(
-                f, leading_right_singular_vector(_stack(f, g)[0])[0], g))
-            # real division: a one-element solution is exactly 1
-            thetas[i][bs] = float(np.sqrt(g)) * (
-                v.view(float) / np.linalg.norm(v)).view(complex)
+        for bs, f in subproblems.items() if fw is not None else ():
+            rows = sum(d.size for *_, d in f)  # = len(h)
+            instance = (i, bs, f, g, [])
+            batches.setdefault((rows, fw), []).append(instance)
+            riders.setdefault((id(f), g), instance[-1])
+    for i, (subproblems, g, fw) in enumerate(units):
+        for bs, f in subproblems.items() if fw is None else ():
+            if (id(f), g) in riders:
+                riders[id(f), g].append((i, bs))
+            else:
+                thetas[i][bs] = _blocked_solution(f, _stack(f, g)[0], g)
     for (rows, fw), instances in batches.items():
-        acc, c = _frank_wolfe_instances(instances, rows, fw)
-        for (i, bs, f, g), acc_j, c_j in zip(instances, acc, c):
-            thetas[i][bs] = reduced_adjoint(f, acc_j, g)
-            thetas[i][bs][0] += c_j
+        _frank_wolfe_instances(instances, rows, fw, thetas)
     return thetas
 
 
-def _frank_wolfe_instances(instances, rows: int, iterations: int):
-    """Row-space coefficients ``(acc, c)`` of one conditional-gradient call of
-    at most ``iterations`` iterations over ``instances`` ((unit index, base
-    station, row factors, group count) of ``rows``-row sub-problems).  Each
-    Gram matrix is computed in its batch slot, with no copy; the solver
-    overwrites the batch, which is freed on return."""
+def _blocked_solution(factors, gram: np.ndarray, g: int) -> np.ndarray:
+    """Blocked-link solution of the sub-problem ``factors`` over g groups from
+    its Gram matrix, which is only read."""
+    v = _canonical_phase(reduced_adjoint(
+        factors, leading_right_singular_vector(gram)[0], g))
+    # real division: a one-element solution is exactly 1
+    return float(np.sqrt(g)) * (v.view(float) / np.linalg.norm(v)).view(complex)
+
+
+def _frank_wolfe_instances(instances, rows: int, iterations: int, thetas: list[dict]):
+    """Solve ``instances`` ((unit index, base station, row factors, group
+    count, riders) of ``rows``-row sub-problems) in one conditional-gradient
+    call of at most ``iterations`` iterations, writing each solution into
+    ``thetas``.  Each Gram matrix is computed in its batch slot, with no copy,
+    and an instance's riders ((unit index, base station) of blocked
+    sub-problems on the same factors) are solved from that slot before the
+    solver overwrites the batch, which is freed on return."""
     grams = np.empty((len(instances), rows, rows), dtype=complex)
     hs = np.empty((len(instances), rows), dtype=complex)
     e1 = np.empty((len(instances), rows), dtype=complex)
     radius = np.empty(len(instances))
-    for j, (_, _, f, g) in enumerate(instances):
+    for j, (_, _, f, g, blocked) in enumerate(instances):
         hs[j] = _stack(f, g, grams[j])[1]
+        for i, bs in blocked:
+            thetas[i][bs] = _blocked_solution(f, grams[j], g)
         e1[j] = first_column(f)
         radius[j] = np.sqrt(g)
-    return frank_wolfe_batch(grams, hs, radius, iterations, e1)
+    acc, c = frank_wolfe_batch(grams, hs, radius, iterations, e1)
+    for (i, bs, f, g, _), acc_j, c_j in zip(instances, acc, c):
+        thetas[i][bs] = reduced_adjoint(f, acc_j, g)
+        thetas[i][bs][0] += c_j
 
 
 def _state_from_thetas(thetas: dict[int, np.ndarray], topo: RisTopology,
@@ -256,38 +276,35 @@ class Point:
     def __post_init__(self):
         self.assignment.validate(self.topo)
 
-    def problem(self, chans) -> tuple:
-        """The unit :func:`_relaxed_solutions` solves for draw ``chans``: the
-        priority base stations' sub-problems, the group count and ``fw``."""
-        return (_subproblems(chans, self.weights, self.topo, self.assignment),
-                self.topo.g, self.fw)
-
 
 def _run_sweep(points: list[Point], seed: int, trials: int,
                z0: float) -> list[dict[object, list[float]]]:
     """Per point, the samples of every key its ``evaluate`` returns, one per trial.
 
-    The (point, trial) units are drawn in point-major order, trial t on
-    substream ``stream_rng(seed, t)`` with its sub-problems (:meth:`Point.problem`),
-    and held in one solver batch while their Gram matrices (16 rows^2 bytes
-    per sub-problem of R's rows) fit ``BATCH_BYTES``; a blocked-link unit counts
-    as unbounded.  When the next unit does not fit, the held units are solved
-    together (:func:`_relaxed_solutions`), evaluated in order and released,
-    and that unit opens the next batch.  A draw whose retrieval or evaluation
-    raises :class:`DegenerateChannelError` or :class:`SingularNetworkError` is
-    redrawn on the trial's next attempt substream and solved again on its
-    own; the rest of its batch is untouched.  A point raises
+    The points are grouped by (scenario, element count), compared by value,
+    and each group is walked trial-major: trial t is drawn once, on substream
+    ``stream_rng(seed, t)``, with direct links if any point of the group
+    reads them; blocked points read a copy with h exactly zero.  Row factors
+    are built once per trial for each (topology, assignment, weights)
+    (:func:`_subproblems`).  Direct-link units are held in one solver
+    batch, across trials and groups, while their Gram matrices (16 rows^2
+    bytes per sub-problem of R's rows) fit ``BATCH_BYTES``; when the next one
+    does not fit, the held units are solved together
+    (:func:`_relaxed_solutions`), evaluated in order and released, and that
+    unit opens the next batch.  A blocked point rides, at no cost in bytes,
+    right after the first direct-link point of its group with its factors
+    (its Gram matrix does not read h); without one it is solved when drawn.
+    A draw whose retrieval or evaluation raises
+    :class:`DegenerateChannelError` or :class:`SingularNetworkError` is
+    redrawn for its point alone, on the trial's next attempt substream, and
+    solved again on its own.  So each point's samples stay in trial order
+    and do not depend on the other points of the sweep.  A point raises
     :class:`RedrawBudgetError` once its redraws exceed
     ``MAX_DEGENERATE_FRACTION`` of its trials (one redraw is always tolerated).
     """
     allowed = max(1, int(MAX_DEGENERATE_FRACTION * trials))
     redraws = [0] * len(points)
     samples: list[dict[object, list[float]]] = [{} for _ in points]
-
-    def draw(point: Point, t: int, attempt: int = 0):
-        chans = sample_channels(point.scenario, point.topo.d,
-                                stream_rng(seed, t, attempt=attempt), point.fw is not None)
-        return chans, point.problem(chans)
 
     def solve_and_evaluate(batch):
         solutions = _relaxed_solutions([unit for *_, unit in batch])
@@ -306,22 +323,55 @@ def _run_sweep(points: list[Point], seed: int, trials: int,
                         raise RedrawBudgetError(
                             f"more than {MAX_DEGENERATE_FRACTION:.0%} degenerate "
                             f"trials at {point.context}") from exc
-                    chans, unit = draw(point, t, attempt)
-                    solution = _relaxed_solutions([unit])[0]
+                    chans = sample_channels(point.scenario, point.topo.d,
+                                            stream_rng(seed, t, attempt=attempt),
+                                            point.fw is not None)
+                    solution = _relaxed_solutions([(_subproblems(
+                        chans, point.weights, point.topo, point.assignment),
+                        point.topo.g, point.fw)])[0]
             for key, value in metrics.items():
                 samples[p].setdefault(key, []).append(float(value))
 
-    batch, size = [], 0.0
+    def shared(p):  # what a point's row factors read besides the draw
+        return points[p].topo, points[p].assignment, points[p].weights
+
+    groups: dict[tuple, list[int]] = {}
     for p, point in enumerate(points):
+        groups.setdefault((point.scenario, point.topo.d), []).append(p)
+    batch, size = [], 0
+    for (scenario, d), members in groups.items():
+        leaders = {}
+        for p in members:
+            if points[p].fw is not None:
+                leaders.setdefault(shared(p), p)
+        # each point the walk visits, in point order, with the blocked points riding on it
+        walk = {p: [] for p in members if points[p].fw is not None or shared(p) not in leaders}
+        for p in members:
+            if p not in walk:
+                walk[leaders[shared(p)]].append(p)
+        direct = bool(leaders)
+        zeroed = direct and any(points[p].fw is None for p in members)
         for t in range(trials):
-            chans, unit = draw(point, t)
-            nbytes = float("inf") if point.fw is None else sum(
-                16 * sum(d.size for *_, d in f) ** 2 for f in unit[0].values())
-            if batch and size + nbytes > BATCH_BYTES:
-                solve_and_evaluate(batch)
-                batch, size = [], 0.0
-            batch.append((p, t, chans, unit))
-            size += nbytes
+            chans = sample_channels(scenario, d, stream_rng(seed, t), direct)
+            blocked = chans.blocked() if zeroed else chans
+            factors = {}
+            for p, riders in walk.items():
+                point = points[p]
+                view = blocked if point.fw is None else chans
+                if shared(p) not in factors:
+                    factors[shared(p)] = _subproblems(view, point.weights, point.topo,
+                                                      point.assignment)
+                sub = factors[shared(p)]
+                if point.fw is None:
+                    solve_and_evaluate([(p, t, view, (sub, point.topo.g, None))])
+                    continue
+                nbytes = sum(16 * sum(r.size for *_, r in f) ** 2 for f in sub.values())
+                if batch and size + nbytes > BATCH_BYTES:
+                    solve_and_evaluate(batch)
+                    batch, size = [], 0
+                batch.append((p, t, chans, (sub, point.topo.g, point.fw)))
+                batch += [(q, t, blocked, (sub, point.topo.g, None)) for q in riders]
+                size += nbytes
     solve_and_evaluate(batch)
     return samples
 

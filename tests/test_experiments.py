@@ -199,8 +199,10 @@ class TestDirectBatching:
 
     def test_batches_span_points_and_split_by_gram_size(self, monkeypatch):
         # fully connected: one 6-row instance per trial (both base stations);
-        # group connected: two 3-row instances.  A blocked point between
-        # them closes the open batch and runs each trial alone.
+        # group connected: two 3-row instances.  The points share one draw
+        # per trial and are walked trial-major; the blocked fully-connected
+        # point rides on its direct-link partner at no cost in bytes, so it
+        # closes no batch and is solved from its partner's Gram matrix.
         sc = self.SC
         weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
         fc, gc = topology_for("fully-connected", 8, 2), topology_for("group-connected", 8, 2)
@@ -214,19 +216,34 @@ class TestDirectBatching:
 
         points = [point(fc, fw), point(gc, fw), point(fc, None), point(gc, fw)]
         monkeypatch.setattr(experiments, "BATCH_BYTES", 6 * 6 * 16 + 2 * 3 * 3 * 16)
-        calls = []
-        solver = experiments.frank_wolfe_batch
+        calls, stacks, leading = [], [], []
+        solver, stack_fc, stack_gc = (experiments.frank_wolfe_batch, experiments.stack_fc,
+                                      experiments.stack_gc)
+        singular = experiments.leading_right_singular_vector
 
         def spy(gram, h, radius, *args, **kwargs):
             calls.append((gram.shape, np.asarray(radius).tolist()))
             return solver(gram, h, radius, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "frank_wolfe_batch", spy)
+        monkeypatch.setattr(experiments, "stack_fc",
+                            lambda *a: stacks.append("fc") or stack_fc(*a))
+        monkeypatch.setattr(experiments, "stack_gc",
+                            lambda *a: stacks.append("gc") or stack_gc(*a))
+        monkeypatch.setattr(experiments, "leading_right_singular_vector",
+                            lambda k: leading.append(len(calls)) or singular(k))
         experiments._run_sweep(points, 2, 2, PARAMS.z0)
         root2 = float(np.sqrt(2))
-        assert calls == [((1, 6, 6), [1.0]), ((1, 6, 6), [1.0]),
-                         ((2, 3, 3), [root2, root2]), ((2, 3, 3), [root2, root2]),
+        # trial 0: FC, its rider and GC fill the first batch; the second GC
+        # point opens the next, which takes trial 1's FC and rider; trial
+        # 1's GC points close it and share the last batch
+        assert calls == [((1, 6, 6), [1.0]), ((2, 3, 3), [root2, root2]),
+                         ((2, 3, 3), [root2, root2]), ((1, 6, 6), [1.0]),
                          ((4, 3, 3), [root2] * 4)]
+        # one Gram matrix per instance: the blocked solves build none, and
+        # each runs right before its partner's (1, 6, 6) solver call
+        assert sorted(stacks) == ["fc"] * 2 + ["gc"] * 8
+        assert leading == [0, 3]
 
     @pytest.mark.parametrize("runner, key", [(interference, "interference"),
                                              (network_power, "network-power")])
@@ -269,6 +286,58 @@ class TestDirectBatching:
         points = 2 * 2 * len(cfg["simulation"]["architectures"])
         assert sum(calls) == points * 2
         assert len(calls) < points
+
+
+class TestSharedDraws:
+    """A point's samples do not depend on the sweep it runs in, while the
+    sweep draws each (scenario, D, trial) once and builds one Gram matrix per
+    (weights, architecture, D, trial) for both link modes."""
+
+    @staticmethod
+    def bits(samples):
+        return [{key: np.array(values).tobytes() for key, values in s.items()}
+                for s in samples]
+
+    @pytest.mark.parametrize("runner, key", [(interference, "interference"),
+                                             (network_power, "network-power")])
+    def test_samples_independent_of_the_sweep(self, monkeypatch, runner, key):
+        cfg = tiny_config(**{key: {"d_grid": [4, 8]}})
+        cfg["simulation"]["trials"] = 2
+        cfg["optimization"]["fw_iterations"] = 25
+        if key == "interference":
+            cfg["experiments"][key]["ris_positions_m"] = [[40.0, 20.0], [60.0, 20.0]]
+        else:
+            cfg["experiments"][key]["weight_sets"] = [[0.3, 0.7], [1.0, 0.0]]
+            assert cfg["experiments"][key]["link_modes"] == ["blocked", "available"]
+        sweep, sweeps = experiments._run_sweep, []
+        monkeypatch.setattr(experiments, "_run_sweep",
+                            lambda *args: sweeps.append(args) or sweep(*args))
+        counts = {"draws": 0, "stacks": 0}
+
+        def counting(name, fn):
+            def spy(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(experiments, "sample_channels",
+                            counting("draws", experiments.sample_channels))
+        for name in ("stack_fc", "stack_gc"):
+            monkeypatch.setattr(experiments, name, counting("stacks", getattr(experiments, name)))
+        runner(copy.deepcopy(cfg))
+        (points, seed, trials, z0), = sweeps
+        pairs = {(p.scenario, p.topo.d) for p in points}
+        assert counts["draws"] == len(pairs) * trials == (2 if key == "network-power"
+                                                            else 4) * trials
+        # the point-major walk stacked every sub-problem of every (point, trial)
+        point_major = trials * sum(len(p.assignment.bs) for p in points)
+        if key == "network-power":
+            assert 2 * counts["stacks"] == point_major
+        else:
+            assert counts["stacks"] == point_major  # no blocked points
+        together = sweep(points, seed, trials, z0)
+        alone = [sweep([p], seed, trials, z0)[0] for p in points]
+        assert self.bits(together) == self.bits(alone)
 
 
 class TestFreqResponse:
@@ -426,7 +495,8 @@ class TestCertificates:
 
         def blocked_spy(k):
             v, sigma = leading(k)
-            blocked_solves.append((k, v, sigma))
+            # k may be a batch slot that the conditional-gradient solver overwrites
+            blocked_solves.append((k.copy(), v, sigma))
             return v, sigma
 
         monkeypatch.setattr(experiments, "frank_wolfe_batch", fw_spy)

@@ -323,6 +323,90 @@ class TestRunMonteCarlo:
         assert capsys.readouterr().err == \
             "warning: SingularNetworkError at stub point; redrawing\n"
 
+    def test_blocked_rider_state_equals_its_own_solve(self, monkeypatch):
+        # a blocked point and its direct-link partner share each trial's draw
+        # and factors; the blocked solve reads the partner's Gram matrix from
+        # its batch slot and gives the state of its own closed-form solve
+        sc = NetworkScenario(
+            bs_positions=((0.0, 0.0), (80.0, 0.0)),
+            user_positions=(((25.0, 10.0),), ((70.0, 10.0),)),
+            ris_position=(40.0, 20.0), m=3, eta_direct=3.5, eta_reflected=2.5)
+        weights = ObjectiveWeights(mu=(0.3, 0.7), nu=((1.0,), (1.0,)))
+        stacks, stack_fc, stack_gc = [], experiments.stack_fc, experiments.stack_gc
+        monkeypatch.setattr(experiments, "stack_fc",
+                            lambda *a: stacks.append(1) or stack_fc(*a))
+        monkeypatch.setattr(experiments, "stack_gc",
+                            lambda *a: stacks.append(1) or stack_gc(*a))
+        solver = experiments.frank_wolfe_batch
+
+        def scribbling_solver(gram, *args):
+            result = solver(gram, *args)
+            gram[...] = np.nan  # its Gram stack is workspace, unspecified on return
+            return result
+
+        monkeypatch.setattr(experiments, "frank_wolfe_batch", scribbling_solver)
+        for topo, assignment in ((RisTopology.fully_connected(8), None),
+                                 (RisTopology.group_connected(8, 2),
+                                  GroupAssignment((0, 1)))):
+            assignment = assignment or GroupAssignment.single(1, topo)
+            states = {False: [], True: []}
+
+            def evaluator(direct):
+                def evaluate(chans, state):
+                    states[direct].append(state)
+                    return {"m": 0.0}
+                return evaluate
+
+            stacks.clear()
+            points = [Point(sc, topo, assignment, weights, fw, evaluator(fw is not None), "p")
+                      for fw in (None, 20)]
+            _run_sweep(points, self.SEED, 3, PARAMS.z0)
+            assert len(stacks) == 3 * len(assignment.bs)  # the direct-link instances'
+            for t, state in enumerate(states[False]):
+                draw = sample_channels(sc, 8, stream_rng(self.SEED, t), direct=False)
+                alone = solve_trials([draw], weights, topo, assignment, PARAMS.z0)[0]
+                for field in ("owner", "self_y", "inter_y"):
+                    assert np.array_equal(getattr(state, field), getattr(alone, field))
+
+    def test_redraw_in_a_shared_draw_group_is_the_point_alone(self, monkeypatch):
+        # the blocked point fails on trial 1; only it redraws (without direct
+        # links), and its partner keeps its samples and states bit for bit
+        draws, sample = [], experiments.sample_channels
+
+        def spy(sc, d, rng, direct):
+            draws.append(direct)
+            return sample(sc, d, rng, direct)
+
+        monkeypatch.setattr(experiments, "sample_channels", spy)
+
+        def run(fail):
+            seen = {False: [], True: []}
+
+            def evaluator(direct):
+                def evaluate(chans, state):
+                    seen[direct].append(state)
+                    if not direct and len(seen[False]) - 1 in fail:
+                        raise DegenerateChannelError("forced")
+                    return {"m": chans.g[0][0, 0].real, "h": float(np.abs(chans.h[0][0]).sum())}
+                return evaluate
+
+            draws.clear()
+            points = [self.point(evaluator(direct), direct, context=f"direct={direct}")
+                      for direct in (False, True)]
+            return _run_sweep(points, self.SEED, 3, PARAMS.z0), seen, list(draws)
+
+        clean, clean_seen, clean_draws = run(set())
+        failed, failed_seen, failed_draws = run({1})
+        assert clean_draws == [True] * 3
+        assert failed_draws == [True] * 3 + [False]
+        assert failed[1] == clean[1]
+        assert failed[0]["m"] == [clean[0]["m"][0], self.draw(1, attempt=1).g[0][0, 0].real,
+                                  clean[0]["m"][2]]
+        assert failed[0]["h"] == clean[0]["h"] == [0.0] * 3
+        for got, want in zip(failed_seen[True], clean_seen[True]):
+            assert np.array_equal(got.self_y, want.self_y)
+            assert np.array_equal(got.inter_y, want.inter_y)
+
     def states_by_draw(self, monkeypatch, trials, fail_retrieval=(), fail_evaluation=()):
         """Per trial, (first-gain sample, state) of a pooled direct-link sweep
         over two points, with ``SingularNetworkError`` forced on the
@@ -357,10 +441,12 @@ class TestRunMonteCarlo:
         return [s["m"] for s in samples], evaluations
 
     def test_singular_network_redrawn_in_pooled_batch(self, monkeypatch):
-        # one batch holds both points' trials; trial 1 of point 0 fails in
-        # retrieval, trial 2 of point 1 in evaluation (scattering)
+        # one batch holds both points' trials, evaluated trial-major: (point
+        # 0, trial 0), (point 1, trial 0), (point 0, trial 1), ...  Trial 1
+        # of point 0 (unit 2) fails in retrieval, trial 2 of point 1 (unit 5)
+        # in evaluation (scattering)
         clean, clean_states = self.states_by_draw(monkeypatch, 3)
-        retrieved, retrieved_states = self.states_by_draw(monkeypatch, 3, fail_retrieval={1})
+        retrieved, retrieved_states = self.states_by_draw(monkeypatch, 3, fail_retrieval={2})
         evaluated, evaluated_states = self.states_by_draw(monkeypatch, 3,
                                                           fail_evaluation={5})
         def redrawn(t):
@@ -370,7 +456,7 @@ class TestRunMonteCarlo:
                              clean[1]]
         assert evaluated == [clean[0], [*clean[1][:2], redrawn(2).g[0][0, 0].real]]
         # each point spends its own budget: one redraw apiece is tolerated
-        both, _ = self.states_by_draw(monkeypatch, 3, fail_retrieval={1},
+        both, _ = self.states_by_draw(monkeypatch, 3, fail_retrieval={2},
                                       fail_evaluation={5})
         assert both == [retrieved[0], evaluated[1]]
         # every other unit of the batch keeps bitwise-identical results: a
@@ -378,13 +464,13 @@ class TestRunMonteCarlo:
         # is evaluated once more after its redraw
         topo = RisTopology.fully_connected(self.D)
         assert len(retrieved_states) == 6 and len(evaluated_states) == 7
-        for got, want in [*zip(retrieved_states[:1] + retrieved_states[2:],
-                               clean_states[:1] + clean_states[2:]),
+        for got, want in [*zip(retrieved_states[:2] + retrieved_states[3:],
+                               clean_states[:2] + clean_states[3:]),
                           *zip(evaluated_states[:6], clean_states)]:
             assert np.array_equal(got.self_y, want.self_y)
             assert np.array_equal(got.inter_y, want.inter_y)
         # and each redrawn unit is solved again on its new draw
-        for t, state in ((1, retrieved_states[1]), (2, evaluated_states[6])):
+        for t, state in ((1, retrieved_states[2]), (2, evaluated_states[6])):
             expected = solve_trials([redrawn(t)], self.WEIGHTS, topo,
                                     GroupAssignment.single(0, topo), PARAMS.z0,
                                     20)[0]
