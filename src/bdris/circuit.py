@@ -257,7 +257,8 @@ class CapacitancePlan:
     ``self_index`` (g, d_bar) into the table ``self_caps`` and ``inter_index``
     (g, d_bar (d_bar - 1) / 2) into ``inter_caps``, on the strict upper triangle
     row by row (the layout :func:`~bdris.optimizer.relaxed_block_branches`
-    returns).  A snapped plan's tables are its codebooks' capacitances.
+    returns).  A snapped plan's tables are the capacitances its codebooks share.
+    Indices outside their table raise :class:`ValueError`.
     """
 
     self_caps: np.ndarray
@@ -271,10 +272,13 @@ class CapacitancePlan:
         if not g * n or inter_i.shape != (g, n * (n - 1) // 2):
             raise ValueError(f"capacitance shapes {self_i.shape} and {inter_i.shape} are not "
                              "(g, d_bar) and (g, d_bar (d_bar - 1) / 2)")
-        object.__setattr__(self, "self_caps", np.asarray(self.self_caps, float))
-        object.__setattr__(self, "self_index", self_i)
-        object.__setattr__(self, "inter_caps", np.asarray(self.inter_caps, float))
-        object.__setattr__(self, "inter_index", inter_i)
+        for kind, index in (("self", self_i), ("inter", inter_i)):
+            caps = np.asarray(getattr(self, f"{kind}_caps"), float)
+            if not np.issubdtype(index.dtype, np.integer) or index.size and not (
+                    0 <= index.min() and index.max() < len(caps)):
+                raise ValueError(f"{kind}_index must hold integers in [0, {len(caps)})")
+            object.__setattr__(self, f"{kind}_caps", caps)
+            object.__setattr__(self, f"{kind}_index", index)
 
 
 def _network_matrices(plan: CapacitancePlan, f: float, params: CircuitParams) -> np.ndarray:

@@ -115,17 +115,18 @@ class TrialState:
 
     def plan(self, codebooks: dict[int, Codebook]) -> CapacitancePlan:
         """Plan snapping each group onto its priority base station's codebook in
-        ``codebooks``: codeword indices into the codebooks' concatenated tables."""
+        ``codebooks``: codeword indices into the capacitance tables those codebooks
+        share (a run's all do); codebooks whose tables differ raise ValueError."""
         self_i, inter_i = np.empty(self.self_y.shape, int), np.empty(self.inter_y.shape, int)
-        self_caps, inter_caps = [], []
-        for bs in set(self.owner.tolist()):  # np.unique imports numpy.ma: 1 MiB of RSS
-            k, cb = np.flatnonzero(self.owner == bs), codebooks[bs]
-            s, i = snap_to_codebook(self.self_y[k], self.inter_y[k], cb)
-            self_i[k], inter_i[k] = s + sum(map(len, self_caps)), i + sum(map(len, inter_caps))
-            self_caps.append(cb.self_caps)
-            inter_caps.append(cb.inter_caps)
-        return CapacitancePlan(np.concatenate(self_caps), self_i,
-                               np.concatenate(inter_caps), inter_i)
+        books = {bs: codebooks[bs] for bs in self.owner.tolist()}
+        first, *others = books.values()
+        if not all(np.array_equal(cb.self_caps, first.self_caps)
+                   and np.array_equal(cb.inter_caps, first.inter_caps) for cb in others):
+            raise ValueError("a plan's codebooks must share their capacitance tables")
+        for bs, cb in books.items():
+            k = np.flatnonzero(self.owner == bs)
+            self_i[k], inter_i[k] = snap_to_codebook(self.self_y[k], self.inter_y[k], cb)
+        return CapacitancePlan(first.self_caps, self_i, first.inter_caps, inter_i)
 
 
 def _subproblems(chans, weights: ObjectiveWeights, topo: RisTopology,
@@ -414,37 +415,35 @@ class _Settings:
 # alone with the whole power budget, versus operating frequency.  The relaxed
 # solve is frequency blind and done once per trial; freq-response re-projects
 # it onto each frequency's codebook, target-shift holds the plan snapped onto
-# its target frequency's codebook.
+# each target frequency's codebook over that target's grid.
 
 _TRACKED = ObjectiveWeights(mu=(1.0,), nu=((1.0,),))
 
 
-def _tracked_points(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
-                    codebooks: list[Codebook], grid) -> list[Point]:
-    """Points of table ``name``, one per (label, architecture, element count)
-    in ``grid``, of the tracked user's received power at ``ghz_values``.
-
-    At each frequency the surface is snapped onto that frequency's entry of
-    ``codebooks``, re-snapped only where the entry changes: one plan is held
-    at a time.  Direct links are blocked.
+def _tracked_points(s: _Settings, cfg: dict, key: str, rows, grid) -> list[Point]:
+    """Points, one per (label, architecture, element count) in ``grid``, of the
+    tracked user's received power: each ``(table, frequency_ghz, target_ghz)``
+    of ``rows`` is that table's row at that frequency, snapped onto the target
+    frequency's codebook (one built per target).  A trial is solved once for
+    all rows, re-snapped where the target changes; direct links are blocked.
     """
     exp, pw = cfg["experiments"][key], cfg["power"]
     scenario = single_user_scenario(cfg, exp["tracked_bs"] - 1, exp["tracked_user"] - 1)
     power = PowerConfig(dbm_to_watts(pw["total_dbm"]), ((1.0,),),
                         dbm_to_watts(pw["noise_dbm"]))
-    freqs = [ghz(f) for f in ghz_values]
+    codebooks = {t: s.codebook(ghz(t)) for t in dict.fromkeys(t for *_, t in rows)}
 
     def evaluator(label: str):
-        row_keys = [(name, "frequency_ghz", float(x), label, "received_power_w")
-                    for x in ghz_values]
+        row_plans = [((table, "frequency_ghz", float(x), label, "received_power_w"), ghz(x),
+                      codebooks[t]) for table, x, t in rows]
 
         def evaluate(chans, state):
             left, held, out = np.conj(chans.f[0]).T, None, {}
-            for row_key, f, codebook in zip(row_keys, freqs, codebooks):
+            for row_key, f, codebook in row_plans:
                 if codebook is not held:
                     held, plan = codebook, state.plan({0: codebook})
-                rows = scattering_from_capacitances(plan, f, s.params, left)
-                out[row_key] = evaluate_received_powers(chans, [rows], power)[0][0]
+                theta_rows = scattering_from_capacitances(plan, f, s.params, left)
+                out[row_key] = evaluate_received_powers(chans, [theta_rows], power)[0][0]
             return out
         return evaluate
 
@@ -458,24 +457,18 @@ def _tracked_points(s: _Settings, cfg: dict, key: str, name: str, ghz_values,
 
 def freq_response(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
     s, exp = _Settings(cfg), cfg["experiments"]["freq-response"]
-    ghz_values = ghz_grid(**exp["grid_ghz"])
     return s.tabulate(_tracked_points(
-        s, cfg, "freq-response", "freq_response", ghz_values,
-        [s.codebook(ghz(f)) for f in ghz_values],
+        s, cfg, "freq-response", [("freq_response", f, f) for f in ghz_grid(**exp["grid_ghz"])],
         [(f"{arch} D={d}", arch, d) for d in exp["d_values"] for arch in s.archs]))
 
 
 def target_shift(cfg: dict) -> dict[str, tuple[ResultRow, ...]]:
     s, exp = _Settings(cfg), cfg["experiments"]["target-shift"]
-    points = []
-    for target in exp["targets_ghz"]:
-        ghz_values = ghz_grid(target - exp["half_span_ghz"],
-                              target + exp["half_span_ghz"], exp["step_ghz"])
-        points += _tracked_points(
-            s, cfg, "target-shift", table_name("target-shift", target), ghz_values,
-            [s.codebook(ghz(target))] * len(ghz_values),
-            [(arch, arch, exp["d"]) for arch in s.archs])
-    return s.tabulate(points)
+    half = exp["half_span_ghz"]
+    return s.tabulate(_tracked_points(s, cfg, "target-shift", [
+        (table_name("target-shift", t), f, t) for t in exp["targets_ghz"]
+        for f in ghz_grid(t - half, t + half, exp["step_ghz"])],
+        [(arch, arch, exp["d"]) for arch in s.archs]))
 
 
 # ---------------------------------------------------------------------------

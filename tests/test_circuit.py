@@ -424,6 +424,19 @@ class TestScatteringFromCapacitances:
             with pytest.raises(ValueError, match="capacitance shapes"):
                 capacitance_plan(self_c, inter_c)
 
+    @pytest.mark.parametrize("bad", [-1, 2, 0.0], ids=["negative", "past-end", "float"])
+    @pytest.mark.parametrize("kind", ["self", "inter"])
+    def test_plan_indices_lie_in_their_table(self, kind, bad):
+        # a negative index would wrap around the 2-entry table, and one past
+        # its end or a float would fail only at scattering time: each is
+        # refused when the plan is made
+        tables = {"self_caps": [1e-12, 0.5e-12], "inter_caps": [0.2e-12, 0.3e-12]}
+        index = {"self_index": np.array([[1, 1]]), "inter_index": np.array([[0]])}
+        index[f"{kind}_index"] = np.full_like(index[f"{kind}_index"], bad,
+                                              dtype=type(bad))
+        with pytest.raises(ValueError, match=rf"^{kind}_index must hold integers in \[0, 2\)"):
+            CapacitancePlan(**tables, **index)
+
     def test_open_self_branches_give_unitary_scattering(self):
         # every self branch sits at its lossless parallel resonance (open),
         # so each group's admittance matrix is a singular coupling pattern;
@@ -513,8 +526,9 @@ class TestScatteringFromCapacitances:
 
 
 class TestIndexPlans:
-    """A snapped plan holds codeword indices into its codebooks' capacitance
-    tables, and scattering evaluates each branch circuit once per table entry."""
+    """A snapped plan holds codeword indices into the capacitance tables its
+    codebooks share, and scattering evaluates each branch circuit once per
+    table entry."""
 
     BITS = 6
     SELF_RANGE, INTER_RANGE = (0.1e-12, 2e-12), (0.001e-12, 0.6e-12)
@@ -533,14 +547,14 @@ class TestIndexPlans:
         weights = ObjectiveWeights(mu=(1.0, 1.0), nu=((1.0,), (1.0,)))
         state = solve_trials([channels], weights, topo, GroupAssignment.even_split(bss, topo),
                              PARAMS.z0)[0]
-        return state.plan({0: self.codebook(7.4e9), 1: self.codebook(8e9)}), len(bss)
+        return state.plan({0: self.codebook(7.4e9), 1: self.codebook(8e9)})
 
     @pytest.mark.parametrize("f", [7.4e9, 6.9e9, 12e9], ids=["7.4GHz", "6.9GHz", "12GHz"])
     @pytest.mark.parametrize("arch", ["fc", "gc", "sc"])
     def test_scatters_bitwise_like_its_capacitances(self, arch, f):
         # the same plan with every branch capacitance its own table entry
-        plan, books = self.snapped_plan(arch)
-        assert plan.self_caps.size == plan.inter_caps.size == books * 2 ** self.BITS
+        plan = self.snapped_plan(arch)
+        assert plan.self_caps.size == plan.inter_caps.size == 2 ** self.BITS
         alike = capacitance_plan(*plan_capacitances(plan))
         left = crandn(np.random.default_rng(1), 8, 2)
         for rows in (None, left):
@@ -549,7 +563,7 @@ class TestIndexPlans:
 
     @pytest.mark.parametrize("arch", ["fc", "gc", "sc"])
     def test_branch_circuit_evaluated_once_per_codeword(self, monkeypatch, arch):
-        plan, books = self.snapped_plan(arch)
+        plan = self.snapped_plan(arch)
         branch, sizes = circuit._resonant_branch, []
 
         def spy(c, *args):
@@ -560,7 +574,22 @@ class TestIndexPlans:
         for f in (6.9e9, 7.4e9, 12e9):
             sizes.clear()
             scattering_from_capacitances(plan, f, PARAMS)
-            assert sizes and max(sizes) <= books * 2 ** self.BITS
+            assert sizes and max(sizes) <= 2 ** self.BITS
+
+    @pytest.mark.parametrize("kind", ["self", "inter"])
+    def test_codebooks_with_different_tables_are_refused(self, kind):
+        # the group-connected plan's second base station snaps onto a
+        # codebook whose range of one branch type is narrower
+        topo = RisTopology.group_connected(8, 2)
+        channels = random_channels(np.random.default_rng(0), 8, 3, (1, 1))
+        weights = ObjectiveWeights(mu=(1.0, 1.0), nu=((1.0,), (1.0,)))
+        state = solve_trials([channels], weights, topo,
+                             GroupAssignment.even_split((0, 1), topo), PARAMS.z0)[0]
+        ranges = {"self": self.SELF_RANGE, "inter": self.INTER_RANGE}
+        ranges[kind] = (ranges[kind][0], ranges[kind][1] / 2)
+        other = build_codebook(8e9, self.BITS, ranges["self"], ranges["inter"], PARAMS)
+        with pytest.raises(ValueError, match="share their capacitance tables"):
+            state.plan({0: self.codebook(7.4e9), 1: other})
 
     def test_unused_zero_impedance_entry_is_no_error(self):
         # a table entry at exact series resonance (zero impedance) that no

@@ -415,22 +415,45 @@ def test_frequency_sweeps_redraw_degenerate_draws(monkeypatch, runner, key, sect
         runner(copy.deepcopy(cfg))
 
 
+TWO_TARGETS = {**FREQ_SWEEPS[1][2], "targets_ghz": [7.4, 7.6]}  # grids share 7.4 and 7.6
+
+
 @pytest.mark.parametrize("runner, key, section, per_trial_and_point", [
     (freq_response, "freq-response", FREQ_SWEEPS[0][2], 3),  # one per frequency
     (target_shift, "target-shift", FREQ_SWEEPS[1][2], 1),  # the plan is held
-], ids=["freq-response", "target-shift"])
+    (target_shift, "target-shift", TWO_TARGETS, 2),  # one per target
+], ids=["freq-response", "target-shift", "target-shift-two-targets"])
 def test_tracked_user_snap_counts(monkeypatch, runner, key, section, per_trial_and_point):
-    snap, calls = experiments.snap_to_codebook, []
-
-    def spy(*args):
-        calls.append(1)
-        return snap(*args)
-
-    monkeypatch.setattr(experiments, "snap_to_codebook", spy)
+    # each (architecture, trial) is solved once, however many targets it feeds,
+    # and snapped once per target onto that target's one codebook
+    counts = dict.fromkeys(["snap_to_codebook", "leading_right_singular_vector",
+                            "build_codebook"], 0)
+    for name in counts:
+        def spy(*args, name=name, wrapped=getattr(experiments, name)):
+            counts[name] += 1
+            return wrapped(*args)
+        monkeypatch.setattr(experiments, name, spy)
     cfg = tiny_config(**{key: section})
     runner(cfg)
-    points = len(cfg["simulation"]["architectures"])
-    assert len(calls) == cfg["simulation"]["trials"] * points * per_trial_and_point
+    solves = cfg["simulation"]["trials"] * len(cfg["simulation"]["architectures"])
+    assert counts == {"snap_to_codebook": solves * per_trial_and_point,
+                      "leading_right_singular_vector": solves,
+                      "build_codebook": per_trial_and_point}
+
+
+def test_target_shift_targets_run_as_if_alone():
+    # the targets share each trial's solve, and every row and sample keeps the
+    # bits of a run of its target alone, where the grids overlap too
+    both = target_shift(tiny_config(**{"target-shift": TWO_TARGETS}))
+    alone = {}
+    for t in TWO_TARGETS["targets_ghz"]:
+        alone |= target_shift(tiny_config(**{"target-shift": {**TWO_TARGETS, "targets_ghz": [t]}}))
+    assert list(both) == list(alone)
+    for name, rows in both.items():
+        assert rows == alone[name]
+        for a, b in zip(rows, alone[name]):
+            assert np.array([a.mean, a.stderr, *a.samples]).tobytes() == \
+                np.array([b.mean, b.stderr, *b.samples]).tobytes()
 
 
 @pytest.mark.parametrize("runner, key, section", [s[:3] for s in FREQ_SWEEPS],
